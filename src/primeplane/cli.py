@@ -4,7 +4,8 @@ Subcommands: verify, sweep, hunt, frontier, geometry, classify,
 emit-curves.  Every report embeds the run configuration and the package
 version, and identical configurations produce byte-identical output.
 Exit codes: 0 on success, 2 when a violation witness was found, 64 on
-usage errors (bad flags, malformed literals, exceeded ceilings).
+usage errors (bad flags, malformed literals, exceeded ceilings), 70 when
+an internal invariant check fails.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .search import SearchSpace, construct, hunt, frontier, make_space, sweep
 EXIT_OK = 0
 EXIT_VIOLATION = 2
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70
 
 CEILING_ENV = "PRIMEPLANE_CEILING"
 
@@ -121,7 +123,7 @@ def _emit_json(payload: dict, args) -> None:
 
 
 def _ceiling(args) -> int:
-    if getattr(args, "ceiling", None):
+    if getattr(args, "ceiling", None) is not None:
         return args.ceiling
     env = os.environ.get(CEILING_ENV)
     if env:
@@ -361,7 +363,8 @@ def _add_space_args(sub):
                      help="multiply the alphabet by every character")
     sub.add_argument("--ceiling", type=int, default=None,
                      help=f"candidate ceiling (or ${CEILING_ENV})")
-    sub.add_argument("--jobs", type=int, default=1, help="worker processes")
+    sub.add_argument("--jobs", type=int, default=1,
+                     help="worker processes (sweep only; hunt and frontier run serially)")
 
 
 def _add_common_output(sub):
@@ -438,6 +441,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"primeplane: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        print(f"primeplane: internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

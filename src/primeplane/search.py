@@ -7,7 +7,7 @@ Candidates are enumerated by a mixed-radix counter over the point index
 reproducible and the lexicographically least witness is always found
 first.  Sweeps over all-integer alphabets use the integer support kernel
 from the fourier module; everything else goes through the exact CycNum
-transform.
+transform.  Sweeps and hunts run their checks once per distinct support pair.
 """
 
 from __future__ import annotations
@@ -405,15 +405,16 @@ class SearchSpace:
         }
 
     def to_json(self) -> dict:
+        """describe() plus what from_json needs to rebuild the space exactly."""
         out = self.describe()
-        out["ceiling"] = self.ceiling
+        out.update(budget=self.budget, ceiling=self.ceiling)
         return out
 
     @classmethod
     def from_json(cls, obj: dict) -> "SearchSpace":
         return make_space(obj["p"], alphabet=obj["alphabet"], rank=obj["rank"],
                           mode=obj["mode"], seed=obj["seed"],
-                          budget=obj.get("budget") or 10000,
+                          budget=obj["budget"],
                           char_twist=obj["char_twist"], ceiling=obj["ceiling"])
 
 
@@ -497,49 +498,77 @@ class SweepResult:
         return out
 
 
-def _run_range(space: SearchSpace, items: Sequence[Tuple[str, str, dict]],
-               start: int, stop: int, collect_exceptions: bool):
+def _candidates(space: SearchSpace, start: int, stop: int):
+    """Yield (ordinal, s_mask, x_mask, is_rational) for each nonzero candidate
+    with start <= ordinal < stop, in ordinal order.
+
+    All-integer alphabets take the integer support kernel; everything else
+    goes through the exact CycNum transform.
+    """
     p, rank = space.p, space.rank
     ints = space.int_alphabet()
     rational = space.all_rational()
-    counts = {label: Counter() for label, _, _ in items}
-    violations: List[Tuple[str, int, str]] = []
-    equalities: Dict[str, Tuple[int, str]] = {}
-    exceptions: Dict[str, List[int]] = {label: [] for label, _, _ in items} \
-        if collect_exceptions else {}
-    n_nonzero = 0
     for ordinal in range(start, stop):
         if ints is not None:
             int_values = space.int_values_at(ordinal, ints)
-            if not any(int_values):
-                continue
-            s_mask, x_mask = int_support_masks(p, rank, int_values)
-            is_rational = True
-        else:
-            values = space.values_at(ordinal)
-            if all(v.is_zero() for v in values):
-                continue
-            func = GFunc(p, rank, PRIMAL, values)
-            s_mask = func.support_mask
-            x_mask = fourier_transform(func).support_mask
-            is_rational = rational or func.is_rational_valued()
-        n_nonzero += 1
-        s_size = s_mask.bit_count()
-        x_size = x_mask.bit_count()
-        if rank == 2:
-            S = PointSet(p, PRIMAL, s_mask)
-            X = PointSet(p, DUAL, x_mask)
-        else:
+            if any(int_values):
+                yield (ordinal, *int_support_masks(p, rank, int_values), True)
+            continue
+        values = space.values_at(ordinal)
+        if all(v.is_zero() for v in values):
+            continue
+        func = GFunc(p, rank, PRIMAL, values)
+        yield (ordinal, func.support_mask, fourier_transform(func).support_mask,
+               rational or func.is_rational_valued())
+
+
+def _outcomes(space: SearchSpace, items: Sequence[Tuple[str, str, dict]],
+              start: int, stop: int, outcome):
+    """Yield (ordinal, outcome(reports)) for each nonzero candidate, where
+    `reports` holds one BoundReport per check item.
+
+    Every verdict is a function of the two supports and rationality alone,
+    so the checks run once per distinct support pair.  The memo keeps one
+    int key and one interned tuple per pair, which keeps it small where no
+    pair recurs.
+    """
+    p, rank, n = space.p, space.rank, space.n_points
+    memo: Dict[int, tuple] = {}
+    interned: Dict[tuple, tuple] = {}
+    for ordinal, s_mask, x_mask, is_rational in _candidates(space, start, stop):
+        key = ((s_mask << n) | x_mask) << 1 | is_rational
+        value = memo.get(key)
+        if value is None:
             S = X = None
-        for label, name, params in items:
-            report = bounds.evaluate(name, p=p, rank=rank, s_size=s_size, x_size=x_size,
-                                     S=S, X=X, rational=is_rational, **params)
-            counts[label][report.verdict] += 1
-            if report.verdict == VIOLATED:
+            if rank == 2:
+                S, X = PointSet(p, PRIMAL, s_mask), PointSet(p, DUAL, x_mask)
+            value = outcome([bounds.evaluate(name, p=p, rank=rank, s_size=s_mask.bit_count(),
+                                             x_size=x_mask.bit_count(), S=S, X=X,
+                                             rational=is_rational, **params)
+                             for _, name, params in items])
+            value = memo[key] = interned.setdefault(value, value)
+        yield ordinal, value
+
+
+def _run_range(space: SearchSpace, items: Sequence[Tuple[str, str, dict]],
+               start: int, stop: int, collect_exceptions: bool):
+    labels = [label for label, _, _ in items]
+    counts = {label: Counter() for label in labels}
+    violations: List[Tuple[str, int, str]] = []
+    equalities: Dict[str, Tuple[int, str]] = {}
+    exceptions: Dict[str, List[int]] = {label: [] for label in labels} \
+        if collect_exceptions else {}
+    n_nonzero = 0
+    rows = _outcomes(space, items, start, stop, lambda reports: tuple(r.verdict for r in reports))
+    for ordinal, row in rows:
+        n_nonzero += 1
+        for label, verdict in zip(labels, row):
+            counts[label][verdict] += 1
+            if verdict == VIOLATED:
                 violations.append((label, ordinal, space.literal_at(ordinal)))
-            elif report.verdict == EQUALITY and label not in equalities:
+            elif verdict == EQUALITY and label not in equalities:
                 equalities[label] = (ordinal, space.literal_at(ordinal))
-            elif report.verdict == EXCEPTION and collect_exceptions:
+            elif verdict == EXCEPTION and collect_exceptions:
                 exceptions[label].append(ordinal)
     return counts, violations, equalities, exceptions, n_nonzero
 
@@ -630,22 +659,8 @@ class FrontierMap:
 
 def frontier(space: SearchSpace) -> FrontierMap:
     """Map every attained (|S|, |X|) pair, keeping the first witness found."""
-    p, rank = space.p, space.rank
-    ints = space.int_alphabet()
     attained: Dict[Tuple[int, int], Tuple[int, str]] = {}
-    for ordinal in range(space.candidate_count):
-        if ints is not None:
-            int_values = space.int_values_at(ordinal, ints)
-            if not any(int_values):
-                continue
-            s_mask, x_mask = int_support_masks(p, rank, int_values)
-        else:
-            values = space.values_at(ordinal)
-            if all(v.is_zero() for v in values):
-                continue
-            func = GFunc(p, rank, PRIMAL, values)
-            s_mask = func.support_mask
-            x_mask = fourier_transform(func).support_mask
+    for ordinal, s_mask, x_mask, _ in _candidates(space, 0, space.candidate_count):
         key = (s_mask.bit_count(), x_mask.bit_count())
         if key not in attained:
             attained[key] = (ordinal, space.literal_at(ordinal))
@@ -690,43 +705,24 @@ def hunt(name: str, space: SearchSpace, *, k: Optional[int] = None, eps=None,
     violations.
     """
     items = _check_items(space, [name], k, eps)
-    label, check_name, params = items[0]
-    p, rank = space.p, space.rank
-    ints = space.int_alphabet()
+    label = items[0][0]
     counts: Counter = Counter()
     clause_ordinals: List[int] = []
     clause_count = 0
     n_checked = 0
-    for ordinal in range(space.candidate_count):
-        if ints is not None:
-            int_values = space.int_values_at(ordinal, ints)
-            if not any(int_values):
-                continue
-            s_mask, x_mask = int_support_masks(p, rank, int_values)
-            is_rational = True
-        else:
-            values = space.values_at(ordinal)
-            if all(v.is_zero() for v in values):
-                continue
-            func = GFunc(p, rank, PRIMAL, values)
-            s_mask = func.support_mask
-            x_mask = fourier_transform(func).support_mask
-            is_rational = func.is_rational_valued()
+
+    def outcome(reports):
+        return reports[0].verdict, bool(reports[0].details.get("cover_clause_applies"))
+
+    for ordinal, (verdict, clause) in _outcomes(space, items, 0, space.candidate_count,
+                                                outcome):
         n_checked += 1
-        if rank == 2:
-            S = PointSet(p, PRIMAL, s_mask)
-            X = PointSet(p, DUAL, x_mask)
-        else:
-            S = X = None
-        report = bounds.evaluate(check_name, p=p, rank=rank,
-                                 s_size=s_mask.bit_count(), x_size=x_mask.bit_count(),
-                                 S=S, X=X, rational=is_rational, **params)
-        counts[report.verdict] += 1
-        if report.verdict == EXCEPTION and report.details.get("cover_clause_applies"):
+        counts[verdict] += 1
+        if verdict == EXCEPTION and clause:
             clause_count += 1
             if len(clause_ordinals) < clause_cap:
                 clause_ordinals.append(ordinal)
-        if report.verdict == VIOLATED:
+        if verdict == VIOLATED:
             return HuntResult(label, ordinal, space.literal_at(ordinal), n_checked,
                               dict(counts), clause_count, clause_ordinals)
     return HuntResult(label, None, None, n_checked, dict(counts),

@@ -5,7 +5,8 @@ import io
 import json
 from fractions import Fraction
 
-from primeplane.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
+from primeplane import cli
+from primeplane.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 
 
 def run_cli(capsys, *argv):
@@ -128,6 +129,13 @@ def test_sweep_ceiling_exceeded(capsys):
     assert "ceiling" in err
 
 
+def test_ceiling_zero_is_a_ceiling(capsys):
+    code, out, err = run_cli(capsys, "frontier", "--p", "3", "--alphabet=0,1",
+                             "--ceiling", "0")
+    assert code == EXIT_USAGE
+    assert "ceiling" in err
+
+
 def test_ceiling_env_override(capsys, monkeypatch):
     monkeypatch.setenv("PRIMEPLANE_CEILING", "10")
     code, out, err = run_cli(capsys, "sweep", "--p", "2", "--alphabet", "0,1",
@@ -223,3 +231,15 @@ def test_violation_exit_code_mapping():
     reports = [BoundReport("product", VIOLATED, Fraction(1), Fraction(9))]
     assert EXIT_VIOLATION == 2
     assert any(r.verdict == VIOLATED for r in reports)
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def broken(func):
+        raise RuntimeError("two-parallel support sandwich failed")
+
+    monkeypatch.setattr(cli, "classify_exception", broken)
+    code, out, err = run_cli(capsys, "classify", "--family", "character-coset", "--p", "3")
+    assert code == EXIT_INTERNAL == 70
+    assert "primeplane: internal error: two-parallel support sandwich failed" in err
+    assert "Traceback" not in err
+    assert out == ""

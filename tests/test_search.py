@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from primeplane import search
+from primeplane.bounds import EQUALITY, EXCEPTION, VIOLATED
 from primeplane.fourier import GFunc, fourier_transform, int_support_masks
 from primeplane.search import (
     SearchSpace,
@@ -202,3 +204,126 @@ def test_space_json_round_trip():
     again = SearchSpace.from_json(space.to_json())
     assert again.to_json() == space.to_json()
     assert [space.values_at(i) for i in range(5)] == [again.values_at(i) for i in range(5)]
+    assert again == space
+    exhaustive = make_space(3, alphabet=(0, 1), budget=7)
+    assert SearchSpace.from_json(exhaustive.to_json()) == exhaustive
+
+
+# -- the support-pair memo against a plain per-candidate loop ---------------------
+
+ALL_CHECKS = ["product", "meshulam", "rational", "kp1", "kp2", "product3",
+              "conjecture", "roots", "asym2", "asym3", "coset-counts"]
+
+
+def oracle_rows(space, items):
+    """(ordinal, ((verdict, cover_clause_applies), ...)) per nonzero candidate,
+    through the exact transform and one bounds.evaluate call per candidate
+    and check."""
+    rows = []
+    for ordinal in range(space.candidate_count):
+        f = space.gfunc_at(ordinal)
+        if f.is_zero_function():
+            continue
+        fh = fourier_transform(f)
+        S, X = (f.support(), fh.support()) if space.rank == 2 else (None, None)
+        reports = [search.bounds.evaluate(name, p=space.p, rank=space.rank,
+                                          s_size=f.support_size, x_size=fh.support_size,
+                                          S=S, X=X, rational=f.is_rational_valued(), **params)
+                   for _, name, params in items]
+        rows.append((ordinal, tuple((r.verdict, bool(r.details.get("cover_clause_applies")))
+                                    for r in reports)))
+    return rows
+
+
+def oracle_sweep(space, items, rows):
+    labels = [label for label, _, _ in items]
+    counts = {label: {} for label in labels}
+    violations, equalities = [], {}
+    exceptions = {label: [] for label in labels}
+    for ordinal, outcomes in rows:
+        for label, (verdict, _) in zip(labels, outcomes):
+            counts[label][verdict] = counts[label].get(verdict, 0) + 1
+            if verdict == VIOLATED:
+                violations.append({"check": label, "ordinal": ordinal,
+                                   "witness": space.literal_at(ordinal)})
+            elif verdict == EQUALITY and label not in equalities:
+                equalities[label] = {"ordinal": ordinal, "witness": space.literal_at(ordinal)}
+            elif verdict == EXCEPTION:
+                exceptions[label].append(ordinal)
+    return {"space": space.describe(), "checks": labels, "counts": counts,
+            "violations": violations, "equality_witnesses": equalities,
+            "candidates": space.candidate_count, "nonzero": len(rows),
+            "exception_ordinals": exceptions}
+
+
+def oracle_hunt(space, label, index, rows, clause_cap=100):
+    counts, clause_ordinals, clause_count = {}, [], 0
+    witness = None
+    for checked, (ordinal, outcomes) in enumerate(rows, 1):
+        verdict, clause = outcomes[index]
+        counts[verdict] = counts.get(verdict, 0) + 1
+        if verdict == EXCEPTION and clause:
+            clause_count += 1
+            if len(clause_ordinals) < clause_cap:
+                clause_ordinals.append(ordinal)
+        if verdict == VIOLATED:
+            witness = {"ordinal": ordinal, "literal": space.literal_at(ordinal)}
+            break
+    return {"check": label, "witness": witness, "checked": checked, "counts": counts,
+            "cover_clause_cases": clause_count, "cover_clause_ordinals": clause_ordinals}
+
+
+@pytest.mark.parametrize("space, checks, hunted", [
+    # every check at p = 3, integer kernel route
+    (make_space(3, alphabet=(-1, 0, 1)), ALL_CHECKS, ["product", "conjecture", "roots"]),
+    # an irrational alphabet takes the exact CycNum route
+    (make_space(5, alphabet=("-1", "0", "1", "z"), mode="random", seed=4, budget=300),
+     [c for c in ALL_CHECKS if c != "rational"], ["roots", "coset-counts"]),
+    # the twist makes some candidates rational-valued and others not
+    (make_space(3, alphabet=(0, 1), char_twist=True),
+     [c for c in ALL_CHECKS if c != "rational"], ["roots"]),
+    (make_space(5, alphabet=(-1, 0, 1, 2), rank=1), ["product", "birotao"],
+     ["product", "birotao"]),
+], ids=["p3-exhaustive", "p5-random-exact", "p3-twist", "rank1"])
+def test_memoized_runs_match_per_candidate_oracle(space, checks, hunted):
+    items = search._check_items(space, checks, 2, "1/2")
+    rows = oracle_rows(space, items)
+    result = sweep(space, checks, k=2, eps="1/2", collect_exceptions=True)
+    assert result.to_json() == oracle_sweep(space, items, rows)
+    labels = [label for label, _, _ in items]
+    for name in hunted:
+        index = checks.index(name)
+        expected = oracle_hunt(space, labels[index], index, rows)
+        assert hunt(name, space, k=2, eps="1/2").to_json() == expected
+    if space.char_twist:
+        assert len({space.gfunc_at(o).is_rational_valued() for o, _ in rows}) == 2
+
+
+def test_memo_evaluates_once_per_check_per_support_pair(monkeypatch):
+    checks = ["product", "meshulam", "kp1", "roots"]
+    calls = []
+    evaluate = search.bounds.evaluate
+
+    def counting(name, **kwargs):
+        calls.append(name)
+        return evaluate(name, **kwargs)
+
+    monkeypatch.setattr(search.bounds, "evaluate", counting)
+    # {0, 1}: a function is its own support, so every pair is distinct;
+    # {-1, 1}: S is always the whole plane, so pairs recur
+    for alphabet in [(0, 1), (-1, 1)]:
+        space = make_space(3, alphabet=alphabet)
+        calls.clear()
+        result = sweep(space, checks)
+        pairs = {int_support_masks(3, 2, space.int_values_at(o, alphabet))
+                 for o in range(space.candidate_count) if any(space.int_values_at(o, alphabet))}
+        assert len(calls) == len(checks) * len(pairs)
+        assert (len(pairs) < result.n_nonzero) == (alphabet == (-1, 1))
+        assert all(sum(c.values()) == result.n_nonzero for c in result.counts.values())
+
+
+def test_sweep_parallel_every_check_matches_serial():
+    space = make_space(3, alphabet=(-1, 0, 1))
+    kwargs = dict(k=2, eps="1/2", collect_exceptions=True)
+    assert sweep(space, ALL_CHECKS, jobs=2, **kwargs).to_json() == \
+        sweep(space, ALL_CHECKS, **kwargs).to_json()
