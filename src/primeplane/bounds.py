@@ -540,12 +540,20 @@ def classify_exception(f: GFunc) -> Optional[ExceptionDescriptor]:
 
     Priorities: one-line covers first, then two parallel lines, then two
     nonparallel ones; transform-side covers are preferred to function-side
-    covers.  The returned descriptor always reconstructs f exactly.
+    covers.  The returned descriptor always reconstructs f exactly; an
+    internal invariant failure raises RuntimeError naming f's literal.
     """
     if f.rank != 2 or f.side != PRIMAL:
         raise ValueError("classification requires a rank-2 primal function")
     if f.is_zero_function():
         raise ValueError("zero function cannot be classified")
+    try:
+        return _classify(f)
+    except RuntimeError as exc:
+        raise RuntimeError(f"{exc} (function {f.to_literal()})") from exc
+
+
+def _classify(f: GFunc) -> Optional[ExceptionDescriptor]:
     fhat = fourier_transform(f)
     S = f.support()
     X = fhat.support()

@@ -304,17 +304,43 @@ def inverse_transform(u: GFunc) -> GFunc:
     return GFunc(p, u.rank, PRIMAL, out)
 
 
+@lru_cache(maxsize=None)
+def _line_sum_tables(p: int, rank: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
+    """(line_of, mask) for each of the dual directions d: line_of[g] is
+    <d, g> mod p, the primal line across d that holds g, and mask has the
+    bits of the p - 1 nonzero multiples t*d."""
+    if rank == 1:
+        return ((tuple(range(p)), (1 << p) - 2),)
+    out = []
+    for a, b in [(0, 1)] + [(1, m) for m in range(p)]:
+        line_of = tuple((a * x + b * y) % p for x in range(p) for y in range(p))
+        mask = 0
+        for t in range(1, p):
+            mask |= 1 << ((t * a) % p * p + (t * b) % p)
+        out.append((line_of, mask))
+    return tuple(out)
+
+
 def int_support_masks(p: int, rank: int, values: Sequence[int]) -> Tuple[int, int]:
     """Support masks (function, transform) for an integer-valued function.
 
     The transform value at w collects the integer values by the exponent
     -<w, g> mod p; it vanishes exactly when all p collected coefficients
-    coincide, so both supports come out of pure integer arithmetic.  This
-    is an independent route from the CycNum transform and is checked
-    against it in the test suite.
+    coincide, because 1 + zeta + ... + zeta^(p-1) = 0 is the only rational
+    relation among the p-th roots of unity.  At w = 0 every value lands on
+    exponent 0, so w is in the support iff the value sum is nonzero.  For
+    w = t*d with t != 0 the coefficients are the p line sums of f across
+    the direction d (the level sets of <d, g>), permuted by t, so the whole
+    punctured line through d is in the support or out of it together; this
+    is the Galois closure that rational_support_closure checks.  One pass
+    over the support per direction (p + 1 directions at rank 2, one at
+    rank 1) costs O((p + 1) * |S| + p^2) integer operations, against
+    O(p^2 * |S|) for one pass per character.  This is an independent route
+    from the CycNum transform and is checked against it in the test suite.
     """
     check_prime(p)
-    exps = pair_exponents(p, rank)
+    if rank not in (1, 2):
+        raise ValueError("rank must be 1 or 2")
     n = p**rank
     if len(values) != n:
         raise ValueError(f"need {n} values, got {len(values)}")
@@ -324,15 +350,13 @@ def int_support_masks(p: int, rank: int, values: Sequence[int]) -> Tuple[int, in
         if v:
             s_mask |= 1 << g
             support.append((g, v))
-    x_mask = 0
-    for w in range(n):
-        row = exps[w]
-        counts = [0] * p
+    x_mask = 1 if sum(values) else 0
+    for line_of, mask in _line_sum_tables(p, rank):
+        sums = [0] * p
         for g, v in support:
-            counts[(p - row[g]) % p] += v
-        c0 = counts[0]
-        if any(c != c0 for c in counts):
-            x_mask |= 1 << w
+            sums[line_of[g]] += v
+        if sums.count(sums[0]) != p:
+            x_mask |= mask
     return s_mask, x_mask
 
 

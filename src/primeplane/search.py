@@ -499,27 +499,25 @@ class SweepResult:
 
 
 def _candidates(space: SearchSpace, start: int, stop: int):
-    """Yield (ordinal, s_mask, x_mask, is_rational) for each nonzero candidate
-    with start <= ordinal < stop, in ordinal order.
+    """Yield (ordinal, s_mask, x_mask) for each nonzero candidate with
+    start <= ordinal < stop, in ordinal order.
 
     All-integer alphabets take the integer support kernel; everything else
     goes through the exact CycNum transform.
     """
     p, rank = space.p, space.rank
     ints = space.int_alphabet()
-    rational = space.all_rational()
     for ordinal in range(start, stop):
         if ints is not None:
             int_values = space.int_values_at(ordinal, ints)
             if any(int_values):
-                yield (ordinal, *int_support_masks(p, rank, int_values), True)
+                yield (ordinal, *int_support_masks(p, rank, int_values))
             continue
         values = space.values_at(ordinal)
         if all(v.is_zero() for v in values):
             continue
         func = GFunc(p, rank, PRIMAL, values)
-        yield (ordinal, func.support_mask, fourier_transform(func).support_mask,
-               rational or func.is_rational_valued())
+        yield ordinal, func.support_mask, fourier_transform(func).support_mask
 
 
 def _outcomes(space: SearchSpace, items: Sequence[Tuple[str, str, dict]],
@@ -527,16 +525,19 @@ def _outcomes(space: SearchSpace, items: Sequence[Tuple[str, str, dict]],
     """Yield (ordinal, outcome(reports)) for each nonzero candidate, where
     `reports` holds one BoundReport per check item.
 
-    Every verdict is a function of the two supports and rationality alone,
-    so the checks run once per distinct support pair.  The memo keeps one
-    int key and one interned tuple per pair, which keeps it small where no
-    pair recurs.
+    Every verdict is a function of the two supports alone, so the checks
+    run once per distinct support pair.  Only the rational check reads
+    rationality, and _check_items admits it only for all-rational spaces,
+    so the space answers for every candidate.  The memo keeps one int key
+    and one interned tuple per pair, which keeps it small where no pair
+    recurs.
     """
     p, rank, n = space.p, space.rank, space.n_points
+    rational = space.all_rational()
     memo: Dict[int, tuple] = {}
     interned: Dict[tuple, tuple] = {}
-    for ordinal, s_mask, x_mask, is_rational in _candidates(space, start, stop):
-        key = ((s_mask << n) | x_mask) << 1 | is_rational
+    for ordinal, s_mask, x_mask in _candidates(space, start, stop):
+        key = (s_mask << n) | x_mask
         value = memo.get(key)
         if value is None:
             S = X = None
@@ -544,7 +545,7 @@ def _outcomes(space: SearchSpace, items: Sequence[Tuple[str, str, dict]],
                 S, X = PointSet(p, PRIMAL, s_mask), PointSet(p, DUAL, x_mask)
             value = outcome([bounds.evaluate(name, p=p, rank=rank, s_size=s_mask.bit_count(),
                                              x_size=x_mask.bit_count(), S=S, X=X,
-                                             rational=is_rational, **params)
+                                             rational=rational, **params)
                              for _, name, params in items])
             value = memo[key] = interned.setdefault(value, value)
         yield ordinal, value
@@ -660,7 +661,7 @@ class FrontierMap:
 def frontier(space: SearchSpace) -> FrontierMap:
     """Map every attained (|S|, |X|) pair, keeping the first witness found."""
     attained: Dict[Tuple[int, int], Tuple[int, str]] = {}
-    for ordinal, s_mask, x_mask, _ in _candidates(space, 0, space.candidate_count):
+    for ordinal, s_mask, x_mask in _candidates(space, 0, space.candidate_count):
         key = (s_mask.bit_count(), x_mask.bit_count())
         if key not in attained:
             attained[key] = (ordinal, space.literal_at(ordinal))

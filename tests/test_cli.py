@@ -243,3 +243,19 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert "primeplane: internal error: two-parallel support sandwich failed" in err
     assert "Traceback" not in err
     assert out == ""
+
+
+def test_internal_error_names_the_classified_function(capsys, monkeypatch):
+    from primeplane import bounds, search
+
+    def broken(desc, f):
+        raise RuntimeError(f"descriptor {desc.kind} failed to reconstruct the function")
+
+    monkeypatch.setattr(bounds, "_verify_reconstruction", broken)
+    literal = search.construct("character-coset", 3).func.to_literal()
+    code, out, err = run_cli(capsys, "classify", "--family", "character-coset", "--p", "3")
+    assert code == EXIT_INTERNAL
+    assert "primeplane: internal error: descriptor " in err
+    assert err.rstrip().endswith(f"failed to reconstruct the function (function {literal})")
+    assert "Traceback" not in err
+    assert out == ""

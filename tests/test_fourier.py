@@ -18,6 +18,7 @@ from primeplane.fourier import (
     int_support_masks,
     inverse_transform,
     line_diff_convolution,
+    pair_exponents,
     quad_diff_convolution,
     rational_support_closure,
     restrict_to_coset,
@@ -31,7 +32,9 @@ from primeplane.plane import (
     Point,
     all_subgroups,
     orthogonal,
+    tables,
 )
+from primeplane.search import diff_of_subgroups, pm_two_cosets, triple_subgroups
 
 
 def random_sparse(p, rank, rng, max_support=None, cyclotomic=False):
@@ -410,6 +413,68 @@ def test_int_kernel_matches_exact_transform():
             f = GFunc(p, rank, PRIMAL, vals)
             assert s_mask == f.support_mask
             assert x_mask == fourier_transform(f).support_mask
+
+
+def per_character_support_masks(p, rank, values):
+    """Reference route for int_support_masks: one pass over the support per
+    character, collecting the values by the exponent -<w, g> mod p."""
+    exps = pair_exponents(p, rank)
+    support = [(g, v) for g, v in enumerate(values) if v]
+    s_mask = sum(1 << g for g, _ in support)
+    x_mask = 0
+    for w in range(p**rank):
+        counts = [0] * p
+        for g, v in support:
+            counts[(p - exps[w][g]) % p] += v
+        if any(c != counts[0] for c in counts):
+            x_mask |= 1 << w
+    return s_mask, x_mask
+
+
+def kernel_inputs(p, rank, rng):
+    """Random integer functions with values up to 1000 in size, and
+    structured ones whose transforms vanish on whole dual directions."""
+    n = p**rank
+    out = [[5] * n, [0] * (n - 1) + [-3], [1000] + [0] * (n - 1)]
+    for _ in range(8):
+        density = rng.random()
+        out.append([rng.randint(-1000, 1000) if rng.random() < density else 0
+                    for _ in range(n)])
+    for vals in out[3:7]:
+        zero_sum = list(vals)
+        zero_sum[rng.randrange(n)] -= sum(vals)
+        out.append(zero_sum)
+    if rank == 1:
+        return out
+    coset_id = tables(p).coset_id
+    for d in range(p + 1):
+        # constant on the lines of direction d, then also summing to zero,
+        # then plus a function constant on the lines of another direction
+        line_values = [rng.randint(-3, 3) for _ in range(p)]
+        out.append([line_values[coset_id[d][g]] for g in range(n)])
+        line_values[0] -= sum(line_values)
+        out.append([line_values[coset_id[d][g]] for g in range(n)])
+        e = (d + 1) % (p + 1)
+        other = [rng.randint(-3, 3) for _ in range(p)]
+        out.append([line_values[coset_id[d][g]] + other[coset_id[e][g]] for g in range(n)])
+    for build in (diff_of_subgroups, triple_subgroups, pm_two_cosets):
+        out.append([int(v.rational_value()) for v in build(p).func.values])
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_int_kernel_matches_per_character_route_and_transform(p):
+    rng = random.Random(1000 + p)
+    for rank in (1, 2):
+        for vals in kernel_inputs(p, rank, rng):
+            masks = int_support_masks(p, rank, vals)
+            assert masks == per_character_support_masks(p, rank, vals), (rank, vals)
+            f = GFunc(p, rank, PRIMAL, vals)
+            assert masks == (f.support_mask, fourier_transform(f).support_mask), (rank, vals)
+    with pytest.raises(ValueError):
+        int_support_masks(p, 3, [1] * p**3)
+    with pytest.raises(ValueError):
+        int_support_masks(p, 2, [1] * p)
 
 
 def test_gfunc_literal_and_json_round_trip():
