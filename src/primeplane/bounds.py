@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cyclotomic import CycNum, check_prime, format_value, root_of_unity
 from .fourier import (
@@ -40,12 +41,6 @@ HOLDS = "holds"
 EQUALITY = "holds-with-equality"
 EXCEPTION = "exception"
 VIOLATED = "violated"
-
-#: checks meaningful for rank-2 functions, usable by name in sweeps
-RANK2_CHECKS = ("product", "meshulam", "rational", "kp1", "kp2", "product3",
-                "conjecture", "roots", "asym2", "asym3", "coset-counts")
-#: checks meaningful for rank-1 functions
-RANK1_CHECKS = ("product", "birotao")
 
 
 # -- support profile ---------------------------------------------------------
@@ -665,6 +660,7 @@ def _min_side_sets(S: PointSet, X: PointSet) -> List[PointSet]:
 
 
 # -- evaluator cores --------------------------------------------------------------
+# p, k and eps arrive already admitted by CheckSpec.admit (the registry below)
 
 
 def eval_product(p: int, rank: int, s_size: int, x_size: int) -> BoundReport:
@@ -687,8 +683,6 @@ def eval_meshulam(p: int, s_size: int, x_size: int) -> BoundReport:
 
 
 def eval_rational(p: int, S: PointSet, X: PointSet, rational: bool) -> BoundReport:
-    if p < 3:
-        raise ValueError("the rational bound is stated for p >= 3")
     if not rational:
         raise ValueError("the rational bound requires a rational-valued function")
     lo, hi = min(S.size, X.size), max(S.size, X.size)
@@ -718,8 +712,6 @@ def eval_rational(p: int, S: PointSet, X: PointSet, rational: bool) -> BoundRepo
 
 
 def eval_kp1(p: int, S: PointSet, X: PointSet) -> BoundReport:
-    if p < 3:
-        raise ValueError("the k = p-1 bound is stated for p >= 3")
     lo, hi = min(S.size, X.size), max(S.size, X.size)
     lhs = Fraction(lo, p - 1) + Fraction(hi, 2)
     rhs = Fraction(p + 1)
@@ -731,8 +723,6 @@ def eval_kp1(p: int, S: PointSet, X: PointSet) -> BoundReport:
 
 
 def eval_kp2(p: int, S: PointSet, X: PointSet) -> BoundReport:
-    if p < 3:
-        raise ValueError("the k = p-2 bound is stated for p >= 3")
     lo, hi = min(S.size, X.size), max(S.size, X.size)
     lhs = Fraction(lo, p - 2) + Fraction(hi, 3)
     rhs = Fraction(p + 1)
@@ -752,8 +742,6 @@ def eval_kp2(p: int, S: PointSet, X: PointSet) -> BoundReport:
 
 
 def eval_product3(p: int, S: PointSet, X: PointSet) -> BoundReport:
-    if p < 3:
-        raise ValueError("the strengthened product bound is stated for p >= 3")
     lhs = Fraction(S.size * X.size)
     rhs = Fraction(3 * p * (p - 2))
     details = {}
@@ -771,8 +759,6 @@ def eval_product3(p: int, S: PointSet, X: PointSet) -> BoundReport:
 
 
 def eval_conjecture(p: int, S: PointSet, X: PointSet, k: int) -> BoundReport:
-    if not isinstance(k, int) or not 1 <= k <= p:
-        raise ValueError(f"k must be an integer in [1, {p}], got {k!r}")
     lo, hi = min(S.size, X.size), max(S.size, X.size)
     lhs = Fraction(lo, k) + Fraction(hi, p + 1 - k)
     rhs = Fraction(p + 1)
@@ -817,9 +803,6 @@ def eval_roots(p: int, S: PointSet, X: PointSet) -> BoundReport:
 def _eval_asym(name: str, p: int, S: PointSet, X: PointSet, eps,
                coefficient: int, power_num: int, power_den: int,
                scale: Fraction, cover_lines: int, advisory_below: Optional[int]) -> BoundReport:
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise ValueError("epsilon must lie strictly between 0 and 1")
     lo, hi = min(S.size, X.size), max(S.size, X.size)
     details = {"epsilon": eps}
     if advisory_below is not None and p < advisory_below:
@@ -860,11 +843,11 @@ def eval_asym3(p: int, S: PointSet, X: PointSet, eps) -> BoundReport:
 
 
 def eval_coset_counts(p: int, S: PointSet, X: PointSet,
-                      direction: Optional[int] = None) -> BoundReport:
-    """The four met-line counting inequalities per direction:
-    K_X >= p+1-n_S, |X| >= n_X (p+1-n_S), and their mirrored forms."""
+                      H: Optional[LineSubgroup] = None) -> BoundReport:
+    """The four met-line counting inequalities per direction (H's alone when
+    given): K_X >= p+1-n_S, |X| >= n_X (p+1-n_S), and their mirrored forms."""
     prof = support_profile(S, X)
-    dirs = range(p + 1) if direction is None else [direction]
+    dirs = range(p + 1) if H is None else [H.direction]
     rows = []
     all_hold = True
     tightest = None
@@ -890,134 +873,174 @@ def eval_coset_counts(p: int, S: PointSet, X: PointSet,
                        details={"inequalities": rows})
 
 
+# -- the check registry ------------------------------------------------------------
+
+
+def _grid_curve(label: str, p: int, x_of) -> List[Tuple[str, int, str]]:
+    """emit-curves rows (label, s, x) for x = x_of(s) >= 0 on 1 <= s <= p^2."""
+    rows = []
+    for s in range(1, p * p + 1):
+        x = x_of(s)
+        if x >= 0:
+            rows.append((label, s, str(x)))
+    return rows
+
+
+def _conjecture_curves(p: int) -> List[Tuple[str, int, str]]:
+    rows = []
+    for k in range(1, p + 1):
+        rows += _grid_curve(f"conjecture_k={k}", p,
+                            lambda s: (p + 1 - k) * (p + 1 - Fraction(s, k)))
+    return rows
+
+
+@dataclass(frozen=True)
+class CheckSpec:
+    """One named support-size check.
+
+    `evaluator(p, rank, s_size, x_size, S, X, rational, param)` decides it
+    from support data; S and X are None at rank 1.  `param` names its one
+    parameter: "k", "eps" or None.  `rational` marks a check that needs a
+    rational-valued function, `default` puts it in verify's default run
+    wherever rank, p and rationality allow, and `curve(p)` gives its
+    emit-curves rows.
+    """
+
+    name: str
+    ranks: Tuple[int, ...]
+    evaluator: Callable[..., BoundReport]
+    min_p: int = 2
+    param: Optional[str] = None
+    rational: bool = False
+    default: bool = False
+    curve: Optional[Callable[[int], List[Tuple[str, int, str]]]] = None
+
+    def admit(self, p: int, value):
+        """The check's parameter parsed from `value` and range-checked for
+        prime p, or `value` itself for a check without one; raises
+        ValueError when the check is not stated at p or lacks its parameter."""
+        if p < self.min_p:
+            raise ValueError(f"the {self.name} check is stated for p >= {self.min_p}")
+        if self.param is None:
+            return value
+        if value is None:
+            raise ValueError(f"the {self.name} check requires {self.param}")
+        if self.param == "k":
+            if not isinstance(value, int) or not 1 <= value <= p:
+                raise ValueError(f"k must be an integer in [1, {p}], got {value!r}")
+            return value
+        try:
+            eps = Fraction(value)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"epsilon {value!r} has a zero denominator") from exc
+        if not 0 < eps < 1:
+            raise ValueError("epsilon must lie strictly between 0 and 1")
+        return eps
+
+
+#: every named check, in emit-curves order
+CHECKS: Dict[str, CheckSpec] = {spec.name: spec for spec in (
+    CheckSpec("product", (1, 2), lambda p, rank, s, x, S, X, q, a: eval_product(p, rank, s, x),
+              default=True,
+              curve=lambda p: _grid_curve("product", p, lambda s: Fraction(p * p, s))),
+    CheckSpec("birotao", (1,), lambda p, rank, s, x, S, X, q, a: eval_birotao(p, s, x),
+              default=True),
+    CheckSpec("meshulam", (2,), lambda p, rank, s, x, S, X, q, a: eval_meshulam(p, s, x),
+              default=True,
+              curve=lambda p: _grid_curve("meshulam", p, lambda s: p * (p + 1 - s))),
+    CheckSpec("rational", (2,), lambda p, rank, s, x, S, X, q, a: eval_rational(p, S, X, q),
+              min_p=3, rational=True, default=True,
+              curve=lambda p: _grid_curve("rational", p,
+                                          lambda s: (p - 1) * (p + 1 - Fraction(s, 2)))),
+    CheckSpec("kp1", (2,), lambda p, rank, s, x, S, X, q, a: eval_kp1(p, S, X),
+              min_p=3, default=True,
+              curve=lambda p: _grid_curve("kp1", p,
+                                          lambda s: 2 * (p + 1 - Fraction(s, p - 1)))),
+    CheckSpec("kp2", (2,), lambda p, rank, s, x, S, X, q, a: eval_kp2(p, S, X),
+              min_p=3, default=True,
+              curve=lambda p: [] if p == 2 else _grid_curve(
+                  "kp2", p, lambda s: 3 * (p + 1 - Fraction(s, p - 2)))),
+    CheckSpec("product3", (2,), lambda p, rank, s, x, S, X, q, a: eval_product3(p, S, X),
+              min_p=3, default=True,
+              curve=lambda p: _grid_curve("product3", p,
+                                          lambda s: Fraction(3 * p * (p - 2), s))),
+    # (p + 1 - sqrt(s))^2 as a float; s <= p^2 keeps the root positive
+    CheckSpec("roots", (2,), lambda p, rank, s, x, S, X, q, a: eval_roots(p, S, X),
+              curve=lambda p: _grid_curve("roots", p,
+                                          lambda s: (p + 1 - s**0.5) * (p + 1 - s**0.5))),
+    CheckSpec("conjecture", (2,), lambda p, rank, s, x, S, X, q, a: eval_conjecture(p, S, X, a),
+              param="k", curve=_conjecture_curves),
+    CheckSpec("asym2", (2,), lambda p, rank, s, x, S, X, q, a: eval_asym2(p, S, X, a),
+              param="eps"),
+    CheckSpec("asym3", (2,), lambda p, rank, s, x, S, X, q, a: eval_asym3(p, S, X, a),
+              param="eps"),
+    # check() may pass coset-counts a LineSubgroup to restrict the directions
+    CheckSpec("coset-counts", (2,),
+              lambda p, rank, s, x, S, X, q, a: eval_coset_counts(p, S, X, a)),
+)}
+
+
+def spec_for(name: str, rank: int) -> CheckSpec:
+    """The registered check, or ValueError when there is none at this rank."""
+    spec = CHECKS.get(name)
+    if spec is None or rank not in spec.ranks:
+        raise ValueError(f"check {name!r} is not available at rank {rank}")
+    return spec
+
+
 def evaluate(name: str, *, p: int, rank: int, s_size: int, x_size: int,
              S: Optional[PointSet] = None, X: Optional[PointSet] = None,
              rational: Optional[bool] = None, k: Optional[int] = None,
              eps=None) -> BoundReport:
-    """Dispatch a named check against precomputed support data."""
-    if name == "product":
-        return eval_product(p, rank, s_size, x_size)
-    if name == "birotao":
-        if rank != 1:
-            raise ValueError("the additive bound applies to rank-1 functions")
-        return eval_birotao(p, s_size, x_size)
-    if rank != 2 or S is None or X is None:
-        raise ValueError(f"check {name!r} requires rank-2 support sets")
-    if name == "meshulam":
-        return eval_meshulam(p, s_size, x_size)
-    if name == "rational":
-        return eval_rational(p, S, X, bool(rational))
-    if name == "kp1":
-        return eval_kp1(p, S, X)
-    if name == "kp2":
-        return eval_kp2(p, S, X)
-    if name == "product3":
-        return eval_product3(p, S, X)
-    if name == "conjecture":
-        if k is None:
-            raise ValueError("the conjecture check requires k")
-        return eval_conjecture(p, S, X, k)
-    if name == "roots":
-        return eval_roots(p, S, X)
-    if name == "asym2":
-        if eps is None:
-            raise ValueError("asym2 requires epsilon")
-        return eval_asym2(p, S, X, eps)
-    if name == "asym3":
-        if eps is None:
-            raise ValueError("asym3 requires epsilon")
-        return eval_asym3(p, S, X, eps)
-    if name == "coset-counts":
-        return eval_coset_counts(p, S, X)
-    raise ValueError(f"unknown check {name!r}")
+    """Decide a named check from precomputed support data.  k and eps must
+    already have passed the check's `admit`, which fails bad values once
+    per run rather than once per candidate."""
+    spec = spec_for(name, rank)
+    param = k if spec.param == "k" else eps if spec.param == "eps" else None
+    return spec.evaluator(p, rank, s_size, x_size, S, X, rational, param)
 
 
-# -- function-level wrappers -------------------------------------------------------
+# -- function-level route ------------------------------------------------------------
 
 
-def _prepared(f: GFunc, need_rank2: bool = False):
+def check(name: str, f: GFunc, param=None) -> BoundReport:
+    """Decide the named check on one nonzero primal function: transform f,
+    evaluate, then attach the violation witness or the classified
+    exception structure.  `param` is k, epsilon, or for coset-counts an
+    optional LineSubgroup."""
     if f.is_zero_function():
         raise ValueError("bounds are stated for nonzero functions")
-    if need_rank2 and (f.rank != 2 or f.side != PRIMAL):
-        raise ValueError("this bound applies to rank-2 primal functions")
+    if f.side != PRIMAL:
+        raise ValueError("bounds are stated for primal functions")
+    spec = spec_for(name, f.rank)
+    param = spec.admit(f.p, param)
     fhat = fourier_transform(f)
+    S = X = None
     if f.rank == 2:
         S, X = f.support(), fhat.support()
-        return fhat, S, X, S.size, X.size
-    return fhat, None, None, f.support_size, fhat.support_size
-
-
-def _finish(report: BoundReport, f: GFunc) -> BoundReport:
+    report = spec.evaluator(f.p, f.rank, f.support_size, fhat.support_size, S, X,
+                            spec.rational and f.is_rational_valued(), param)
     if report.verdict == VIOLATED:
         report.witness = f
-    elif report.verdict == EXCEPTION and f.rank == 2 and f.side == PRIMAL:
+    elif report.verdict == EXCEPTION and f.rank == 2:
         # may legitimately stay None for cover-clause exceptions whose
         # supports need three or more lines
         report.exception = classify_exception(f)
     return report
 
 
-def check_product(f: GFunc) -> BoundReport:
-    _, _, _, s, x = _prepared(f)
-    return _finish(eval_product(f.p, f.rank, s, x), f)
-
-
-def check_birotao(f: GFunc) -> BoundReport:
-    if f.rank != 1:
-        raise ValueError("the additive bound applies to rank-1 functions")
-    _, _, _, s, x = _prepared(f)
-    return _finish(eval_birotao(f.p, s, x), f)
-
-
-def check_meshulam(f: GFunc) -> BoundReport:
-    _, _, _, s, x = _prepared(f, need_rank2=True)
-    return _finish(eval_meshulam(f.p, s, x), f)
-
-
-def check_rational(f: GFunc) -> BoundReport:
-    _, S, X, _, _ = _prepared(f, need_rank2=True)
-    return _finish(eval_rational(f.p, S, X, f.is_rational_valued()), f)
-
-
-def check_kp1(f: GFunc) -> BoundReport:
-    _, S, X, _, _ = _prepared(f, need_rank2=True)
-    return _finish(eval_kp1(f.p, S, X), f)
-
-
-def check_kp2(f: GFunc) -> BoundReport:
-    _, S, X, _, _ = _prepared(f, need_rank2=True)
-    return _finish(eval_kp2(f.p, S, X), f)
-
-
-def check_product3(f: GFunc) -> BoundReport:
-    _, S, X, _, _ = _prepared(f, need_rank2=True)
-    return _finish(eval_product3(f.p, S, X), f)
-
-
-def check_conjecture(f: GFunc, k: int) -> BoundReport:
-    _, S, X, _, _ = _prepared(f, need_rank2=True)
-    return _finish(eval_conjecture(f.p, S, X, k), f)
-
-
-def check_roots(f: GFunc) -> BoundReport:
-    _, S, X, _, _ = _prepared(f, need_rank2=True)
-    return _finish(eval_roots(f.p, S, X), f)
-
-
-def check_asym2(f: GFunc, eps) -> BoundReport:
-    _, S, X, _, _ = _prepared(f, need_rank2=True)
-    return _finish(eval_asym2(f.p, S, X, eps), f)
-
-
-def check_asym3(f: GFunc, eps) -> BoundReport:
-    _, S, X, _, _ = _prepared(f, need_rank2=True)
-    return _finish(eval_asym3(f.p, S, X, eps), f)
-
-
-def check_coset_counts(f: GFunc, H: Optional[LineSubgroup] = None) -> BoundReport:
-    _, S, X, _, _ = _prepared(f, need_rank2=True)
-    direction = None if H is None else H.direction
-    return _finish(eval_coset_counts(f.p, S, X, direction), f)
+check_product = partial(check, "product")
+check_birotao = partial(check, "birotao")
+check_meshulam = partial(check, "meshulam")
+check_rational = partial(check, "rational")
+check_kp1 = partial(check, "kp1")
+check_kp2 = partial(check, "kp2")
+check_product3 = partial(check, "product3")
+check_conjecture = partial(check, "conjecture")
+check_roots = partial(check, "roots")
+check_asym2 = partial(check, "asym2")
+check_asym3 = partial(check, "asym3")
+check_coset_counts = partial(check, "coset-counts")
 
 
 def check_quasicharacter(h: GFunc, A: Iterable[int]) -> BoundReport:

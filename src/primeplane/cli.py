@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -41,35 +40,9 @@ EXIT_INTERNAL = 70
 CEILING_ENV = "PRIMEPLANE_CEILING"
 
 def _default_checks(func: GFunc) -> List[str]:
-    if func.rank == 1:
-        return ["product", "birotao"]
-    if func.p == 2:
-        return ["product", "meshulam"]
-    names = ["product", "meshulam"]
-    if func.is_rational_valued():
-        names.append("rational")
-    return names + ["kp1", "kp2", "product3"]
-
-_CHECK_DISPATCH = {
-    "product": lambda f, a: bounds.check_product(f),
-    "birotao": lambda f, a: bounds.check_birotao(f),
-    "meshulam": lambda f, a: bounds.check_meshulam(f),
-    "rational": lambda f, a: bounds.check_rational(f),
-    "kp1": lambda f, a: bounds.check_kp1(f),
-    "kp2": lambda f, a: bounds.check_kp2(f),
-    "product3": lambda f, a: bounds.check_product3(f),
-    "conjecture": lambda f, a: bounds.check_conjecture(f, _need_k(a)),
-    "roots": lambda f, a: bounds.check_roots(f),
-    "asym2": lambda f, a: bounds.check_asym2(f, Fraction(a.epsilon)),
-    "asym3": lambda f, a: bounds.check_asym3(f, Fraction(a.epsilon)),
-    "coset-counts": lambda f, a: bounds.check_coset_counts(f),
-}
-
-
-def _need_k(args) -> int:
-    if args.k is None:
-        raise ValueError("the conjecture check requires --k")
-    return args.k
+    return [spec.name for spec in bounds.CHECKS.values()
+            if spec.default and func.rank in spec.ranks and func.p >= spec.min_p
+            and (not spec.rational or func.is_rational_valued())]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -193,11 +166,9 @@ def _reports_payload(cfg: RunConfig, reports: Sequence[BoundReport]) -> dict:
 def _cmd_verify(args) -> int:
     func = _load_function(args)
     names = list(args.theorem) if args.theorem else _default_checks(func)
-    reports = []
-    for name in names:
-        if name not in _CHECK_DISPATCH:
-            raise ValueError(f"unknown theorem id {name!r}")
-        reports.append(_CHECK_DISPATCH[name](func, args))
+    params = {"k": args.k, "eps": args.epsilon}
+    reports = [bounds.check(name, func, params.get(bounds.CHECKS[name].param))
+               for name in names]
     cfg = _config_from(args, "verify")
     _emit_json(_reports_payload(cfg, reports), args)
     return EXIT_VIOLATION if any(r.verdict == VIOLATED for r in reports) else EXIT_OK
@@ -251,9 +222,7 @@ def _cmd_sweep(args) -> int:
     space = _space_from(args)
     if not args.theorem:
         raise ValueError("sweep requires at least one --theorem")
-    result = sweep(space, list(args.theorem), k=args.k,
-                   eps=Fraction(args.epsilon) if args.epsilon else None,
-                   jobs=args.jobs)
+    result = sweep(space, list(args.theorem), k=args.k, eps=args.epsilon, jobs=args.jobs)
     cfg = _config_from(args, "sweep")
     payload = {"version": __version__, "config": cfg.to_json(), "sweep": result.to_json()}
     _emit_json(payload, args)
@@ -264,8 +233,7 @@ def _cmd_hunt(args) -> int:
     space = _space_from(args)
     if not args.theorem or len(args.theorem) != 1:
         raise ValueError("hunt requires exactly one --theorem")
-    result = hunt(args.theorem[0], space, k=args.k,
-                  eps=Fraction(args.epsilon) if args.epsilon else None)
+    result = hunt(args.theorem[0], space, k=args.k, eps=args.epsilon)
     cfg = _config_from(args, "hunt")
     payload = {"version": __version__, "config": cfg.to_json(), "hunt": result.to_json()}
     _emit_json(payload, args)
@@ -286,44 +254,8 @@ def _cmd_frontier(args) -> int:
 
 def _curve_rows(p: int):
     """Exact sample rows for every bound curve on the integer min-axis grid."""
-    n = p * p
-    rows = []
-
-    def frac(x: Fraction) -> str:
-        return str(Fraction(x))
-
-    for s in range(1, n + 1):
-        rows.append(("product", s, frac(Fraction(n, s))))
-    for s in range(1, n + 1):
-        x = Fraction(p * (p + 1 - s))
-        if x >= 0:
-            rows.append(("meshulam", s, frac(x)))
-    for s in range(1, n + 1):
-        x = (p - 1) * (p + 1 - Fraction(s, 2))
-        if x >= 0:
-            rows.append(("rational", s, frac(x)))
-    for s in range(1, n + 1):
-        x = 2 * (p + 1 - Fraction(s, p - 1))
-        if x >= 0:
-            rows.append(("kp1", s, frac(x)))
-    if p > 2:
-        for s in range(1, n + 1):
-            x = 3 * (p + 1 - Fraction(s, p - 2))
-            if x >= 0:
-                rows.append(("kp2", s, frac(x)))
-    for s in range(1, n + 1):
-        rows.append(("product3", s, frac(Fraction(3 * p * (p - 2), s))))
-    for s in range(1, n + 1):
-        root = (p + 1) - s**0.5
-        if root >= 0:
-            rows.append(("roots", s, repr(root * root)))
-    for k in range(1, p + 1):
-        for s in range(1, n + 1):
-            x = (p + 1 - k) * (p + 1 - Fraction(s, k))
-            if x >= 0:
-                rows.append((f"conjecture_k={k}", s, frac(x)))
-    for s, x in search.attainable_lattice(p):
-        rows.append(("lattice", s, str(x)))
+    rows = [row for spec in bounds.CHECKS.values() if spec.curve for row in spec.curve(p)]
+    rows.extend(("lattice", s, str(x)) for s, x in search.attainable_lattice(p))
     return rows
 
 
@@ -381,7 +313,7 @@ def build_parser() -> _Parser:
     sp = subs.add_parser("verify", parents=[], help="evaluate bounds on one function")
     _add_function_args(sp)
     sp.add_argument("--theorem", action="append",
-                    choices=sorted(_CHECK_DISPATCH), help="check id (repeatable)")
+                    choices=sorted(bounds.CHECKS), help="check id (repeatable)")
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--epsilon", default="1/2")
     _add_common_output(sp)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cyclotomic import CycNum, check_prime, format_value, parse_value, root_of_unity
@@ -30,13 +29,7 @@ from .plane import (
     coset_from_id,
 )
 from . import bounds
-from .bounds import (
-    EQUALITY,
-    EXCEPTION,
-    VIOLATED,
-    RANK1_CHECKS,
-    RANK2_CHECKS,
-)
+from .bounds import EQUALITY, EXCEPTION, VIOLATED
 
 DEFAULT_CEILING = 10**8
 
@@ -440,26 +433,19 @@ def make_space(p: int, alphabet: Iterable = (-1, 0, 1), rank: int = 2,
 
 def _check_items(space: SearchSpace, checks: Sequence[str],
                  k: Optional[int], eps) -> List[Tuple[str, str, dict]]:
-    allowed = RANK2_CHECKS if space.rank == 2 else RANK1_CHECKS
+    """(label, name, params) per named check.  Each check is admitted here,
+    once for the space's p and rank, so a bad k or epsilon fails even when
+    the space holds no nonzero candidate."""
     items = []
     for name in checks:
-        if name not in allowed:
-            raise ValueError(f"check {name!r} is not available at rank {space.rank}")
-        params: dict = {}
-        label = name
-        if name == "conjecture":
-            if k is None:
-                raise ValueError("the conjecture check requires k")
-            params["k"] = k
-            label = f"conjecture[k={k}]"
-        elif name in ("asym2", "asym3"):
-            if eps is None:
-                raise ValueError(f"{name} requires epsilon")
-            params["eps"] = Fraction(eps)
-            label = f"{name}[eps={Fraction(eps)}]"
-        elif name == "rational" and not space.all_rational():
-            raise ValueError("the rational check needs an all-rational alphabet")
-        items.append((label, name, params))
+        spec = bounds.spec_for(name, space.rank)
+        value = spec.admit(space.p, {"k": k, "eps": eps}.get(spec.param))
+        if spec.rational and not space.all_rational():
+            raise ValueError(f"the {name} check needs an all-rational alphabet")
+        if spec.param is None:
+            items.append((name, name, {}))
+        else:
+            items.append((f"{name}[{spec.param}={value}]", name, {spec.param: value}))
     return items
 
 
@@ -575,10 +561,8 @@ def _run_range(space: SearchSpace, items: Sequence[Tuple[str, str, dict]],
 
 
 def _sweep_worker(args):
-    space_json, checks, k, eps, start, stop, collect = args
-    space = SearchSpace.from_json(space_json)
-    items = _check_items(space, checks, k, eps)
-    return _run_range(space, items, start, stop, collect)
+    space_json, items, start, stop, collect = args
+    return _run_range(SearchSpace.from_json(space_json), items, start, stop, collect)
 
 
 def sweep(space: SearchSpace, checks: Sequence[str], *, k: Optional[int] = None,
@@ -597,8 +581,7 @@ def sweep(space: SearchSpace, checks: Sequence[str], *, k: Optional[int] = None,
 
         chunk = -(-total // jobs)
         ranges = [(i, min(i + chunk, total)) for i in range(0, total, chunk)]
-        args = [(space.to_json(), tuple(checks), k, eps, a, b, collect_exceptions)
-                for a, b in ranges]
+        args = [(space.to_json(), items, a, b, collect_exceptions) for a, b in ranges]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(_sweep_worker, args))
     counts = {label: Counter() for label, _, _ in items}

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, literals, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -180,6 +181,46 @@ def test_emit_curves_product_rows_exact(capsys):
     mesh = {r["s"]: r["x"] for r in rows if r["curve"] == "meshulam"}
     conj1 = {r["s"]: r["x"] for r in rows if r["curve"] == "conjecture_k=1"}
     assert mesh == conj1
+
+
+CURVE_SHA256 = {
+    2: "4445d829e488d4911f8dd20175c0af0aa681d32a14d5f7f2799cda67752e5fc3",
+    3: "9c8a6b798ac843854825f4b47e6d6aee6b7f0c4044f1fe852506db25160f2d3d",
+}
+
+
+def test_emit_curves_order_and_bytes_at_p2_p3(capsys):
+    orders = {}
+    for p, digest in CURVE_SHA256.items():
+        code, out, err = run_cli(capsys, "emit-curves", "--p", str(p))
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        names = [r["curve"] for r in csv.DictReader(io.StringIO(out))]
+        orders[p] = [n for i, n in enumerate(names) if i == 0 or names[i - 1] != n]
+    assert orders[2] == ["product", "meshulam", "rational", "kp1", "product3", "roots",
+                         "conjecture_k=1", "conjecture_k=2", "lattice"]
+    assert orders[3] == ["product", "meshulam", "rational", "kp1", "kp2", "product3", "roots",
+                         "conjecture_k=1", "conjecture_k=2", "conjecture_k=3", "lattice"]
+
+
+def test_zero_denominator_epsilon_is_a_usage_error(capsys):
+    for argv in (["verify", "--family", "diff-of-subgroups", "--p", "3"],
+                 ["sweep", "--p", "3", "--alphabet", "0,1"]):
+        code, out, err = run_cli(capsys, *argv, "--theorem", "asym2", "--epsilon", "1/0")
+        assert code == EXIT_USAGE
+        assert "Traceback" not in err
+        assert err.startswith("primeplane: error: ") and "1/0" in err
+
+
+def test_bad_parameters_rejected_on_an_empty_space(capsys):
+    # alphabet {0}: no nonzero candidate, so nothing is ever evaluated
+    empty = ("sweep", "--p", "3", "--alphabet", "0")
+    code, payload = run_json(capsys, *empty, "--theorem", "conjecture", "--k", "2")
+    assert payload["sweep"]["nonzero"] == 0
+    code, out, err = run_cli(capsys, *empty, "--theorem", "conjecture", "--k", "99")
+    assert code == EXIT_USAGE and "k must be an integer in [1, 3]" in err
+    code, out, err = run_cli(capsys, *empty, "--theorem", "asym2", "--epsilon", "2")
+    assert code == EXIT_USAGE and "epsilon must lie strictly between 0 and 1" in err
 
 
 def test_byte_identical_reruns(capsys):
