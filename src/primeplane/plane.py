@@ -559,7 +559,18 @@ def _cover_search(p: int, mask: int, budget: int, T: _Tables) -> bool:
         return True
     if budget <= 0:
         return False
-    if mask.bit_count() > budget * p:
+    size = mask.bit_count()
+    if size > budget * p:
+        return False
+    # Two distinct lines share at most one point, so `budget` lines other
+    # than L cover at most `budget` points of L.  A line holding more than
+    # `budget` points of the set is therefore in every cover by `budget`
+    # lines: take it without branching.  Once no line holds that many,
+    # `budget` lines cover at most budget^2 points of the set.
+    for _, _, line in T.all_lines:
+        if (line & mask).bit_count() > budget:
+            return _cover_search(p, mask & ~line, budget - 1, T)
+    if size > budget * budget:
         return False
     idx = (mask & -mask).bit_length() - 1
     options = sorted(T.lines_through[idx],

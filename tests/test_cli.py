@@ -4,8 +4,12 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import primeplane
 from primeplane import cli
 from primeplane.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 
@@ -201,6 +205,46 @@ def test_emit_curves_order_and_bytes_at_p2_p3(capsys):
                          "conjecture_k=1", "conjecture_k=2", "lattice"]
     assert orders[3] == ["product", "meshulam", "rational", "kp1", "kp2", "product3", "roots",
                          "conjecture_k=1", "conjecture_k=2", "conjecture_k=3", "lattice"]
+
+
+# stdout digests of `verify --theorem conjecture --theorem roots --k 2`, whose
+# reports print the exact minimum line covers cover_S and cover_X
+COVER_VERIFY_SHA256 = {
+    ("diff-of-subgroups", 5): "4f3b0f5d08daa70421dcb5fe826076e6b3c75e6779b2bbda187cd1ef5c3ac335",
+    ("pm-two-cosets", 5): "fc0581df95f581d159a066c0e1c8bb1318ee8e7c79297af5b143f86cfe7cd0a5",
+    ("triple-subgroups", 5): "2c3094e58863e79fc862d0062fd14577d9f8026c9d690a1f89e5a1d61a89024b",
+    ("character-coset", 5): "65cb77ad5ff8cb217b1681ceb2faed2ec68bf20be9e69639f2b7011c890ed199",
+    ("diff-of-subgroups", 7): "b401f6ce4c8204c193b2e724a9575e2bac941295a1c9e7ca80d6ba415cf20b4b",
+    ("pm-two-cosets", 7): "be70af01b12f538d10f6da8daf653dc073b2e3dafbadef6c18384fe628b48908",
+    ("triple-subgroups", 7): "377c1c81314cc9082aace453206f449f1edafe09094db95c473e7c9f62e92a24",
+    ("character-coset", 7): "10e67e24a79b5c42cf5da66e6d723dceb412ea544c933dd4fcc2c3f11961f9fd",
+}
+
+
+def test_verify_cover_values_bytes(capsys):
+    for (family, p), digest in COVER_VERIFY_SHA256.items():
+        code, out, err = run_cli(capsys, "verify", "--family", family, "--p", str(p),
+                                 "--theorem", "conjecture", "--theorem", "roots", "--k", "2")
+        assert code in (EXIT_OK, EXIT_VIOLATION), err
+        assert "cover_S" in out and "cover_X" in out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (family, p)
+
+
+def test_p11_cover_checks_finish():
+    # a single p = 11 function under these checks once ran for minutes in the
+    # exact line-cover search; a child process turns a hang into a failure
+    src = os.path.dirname(os.path.dirname(os.path.abspath(primeplane.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = ["sweep", "--p", "11", "--mode", "random", "--seed", "0", "--budget", "5",
+            "--alphabet=-1,0,1", "--theorem", "conjecture", "--k", "6", "--theorem", "roots"]
+    done = subprocess.run([sys.executable, "-m", "primeplane.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == EXIT_OK, done.stderr
+    report = json.loads(done.stdout)["sweep"]
+    assert report["checks"] == ["conjecture[k=6]", "roots"]
+    for name in report["checks"]:
+        assert sum(report["counts"][name].values()) == report["nonzero"] > 0
 
 
 def test_zero_denominator_epsilon_is_a_usage_error(capsys):

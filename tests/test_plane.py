@@ -1,6 +1,7 @@
 """Plane geometry: directions, lines, blocking sets, covers."""
 
 import itertools
+import random
 
 import pytest
 
@@ -29,6 +30,7 @@ from primeplane.plane import (
     tables,
     two_line_cover,
 )
+from primeplane.search import _candidates, make_space
 
 
 def test_subgroup_count_and_partition():
@@ -247,6 +249,54 @@ def test_min_line_cover_three_subgroups():
         mask |= tables(p).coset_masks[d][0]
     P = PointSet(p, PRIMAL, mask)
     assert min_line_cover(P) == 3
+
+
+def plain_cover_search(p, mask, budget, T):
+    """Reference route for covered_by_lines: branch over the p + 1 lines
+    through the lowest remaining point, pruning only by |P| > budget * p."""
+    if mask == 0:
+        return True
+    if budget <= 0 or mask.bit_count() > budget * p:
+        return False
+    idx = (mask & -mask).bit_length() - 1
+    return any(plain_cover_search(p, mask & ~line, budget - 1, T)
+               for _, line in T.lines_through[idx])
+
+
+def cover_inputs(p, rng):
+    """Empty, single-point and full sets, random sets across densities, and
+    unions of 1..p lines with up to three points toggled."""
+    T = tables(p)
+    n = p * p
+    out = [0, 1, 1 << (n - 1), T.full_mask]
+    for _ in range(12):
+        density = rng.random()
+        out.append(sum(1 << i for i in range(n) if rng.random() < density))
+    for count in range(1, p + 1):
+        for _ in range(3):
+            mask = 0
+            for _, _, line in rng.sample(T.all_lines, count):
+                mask |= line
+            for i in rng.sample(range(n), rng.randint(0, 3)):
+                mask ^= 1 << i
+            out.append(mask)
+    return out
+
+
+def test_cover_search_matches_plain_search():
+    rng = random.Random(2024)
+    for p in (2, 3, 5, 7):
+        T = tables(p)
+        masks = cover_inputs(p, rng)
+        if p == 7:
+            space = make_space(7, mode="random", seed=0, budget=20)
+            for _, s_mask, x_mask in _candidates(space, 0, 20):
+                masks += [s_mask, x_mask]
+        for mask in masks:
+            P = PointSet(p, PRIMAL, mask)
+            plain = [plain_cover_search(p, mask, b, T) for b in range(p + 2)]
+            assert [covered_by_lines(P, b) for b in range(p + 2)] == plain, (p, mask)
+            assert min_line_cover(P) == plain.index(True), (p, mask)
 
 
 def test_pointset_literal_round_trip():
