@@ -18,6 +18,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from .cyclotomic import CycNum, check_prime, format_value, root_of_unity
 from .fourier import (
     GFunc,
+    double_transform,
     fourier_transform,
     inverse_transform,
 )
@@ -110,6 +111,52 @@ def profile(f: GFunc) -> SupportProfile:
     if f.is_zero_function():
         raise ValueError("zero function has no profile")
     return support_profile(f.support(), fourier_transform(f).support())
+
+
+@dataclass(frozen=True)
+class SupportPair:
+    """The pair (supp f, supp of the transform) that every check decides from.
+
+    S and X are None at rank 1, where checks read only the sizes.  The
+    exact covers and the profile are computed on first use and kept, so
+    all the checks run on one pair share them.
+    """
+
+    p: int
+    rank: int
+    S: Optional[PointSet]
+    X: Optional[PointSet]
+    s_size: int
+    x_size: int
+    rational: bool
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @classmethod
+    def from_masks(cls, p: int, rank: int, s_mask: int, x_mask: int,
+                   rational: bool) -> "SupportPair":
+        S = X = None
+        if rank == 2:
+            S, X = PointSet(p, PRIMAL, s_mask), PointSet(p, DUAL, x_mask)
+        return cls(p, rank, S, X, s_mask.bit_count(), x_mask.bit_count(), rational)
+
+    def cover(self, side: str) -> int:
+        """Exact minimum number of lines covering S (primal) or X (dual)."""
+        if side not in self._memo:
+            self._memo[side] = min_line_cover(self.S if side == PRIMAL else self.X)
+        return self._memo[side]
+
+    def covered(self, side: str, b: int) -> bool:
+        """True iff b lines cover S (primal) or X (dual): read off the exact
+        cover when it is known, else decided by the search bounded at b
+        lines, which costs far less than finding the minimum."""
+        if side in self._memo:
+            return self._memo[side] <= b
+        return covered_by_lines(self.S if side == PRIMAL else self.X, b)
+
+    def profile(self) -> SupportProfile:
+        if "profile" not in self._memo:
+            self._memo["profile"] = support_profile(self.S, self.X)
+        return self._memo["profile"]
 
 
 # -- reports -----------------------------------------------------------------
@@ -229,17 +276,12 @@ class ExceptionDescriptor:
                     total = total + c * root_of_unity(p, chi.pair(z))
                 out[z.index] = total
             return GFunc(p, 2, PRIMAL, out)
-        if self.kind == KIND_H_PERIODIC:
+        if self.kind in (KIND_H_PERIODIC, KIND_ONE_CHARACTER_TWO_COSETS,
+                         KIND_CHARACTER_ON_COSETS):
             out = [CycNum.zero(p)] * (p * p)
             sub = LineSubgroup(p, self.direction, PRIMAL)
-            for g, c in zip(self.offsets, self.coefficients):
-                for z in Coset.through(g, sub).members():
-                    out[z.index] = c
-            return GFunc(p, 2, PRIMAL, out)
-        if self.kind in (KIND_ONE_CHARACTER_TWO_COSETS, KIND_CHARACTER_ON_COSETS):
-            out = [CycNum.zero(p)] * (p * p)
-            sub = LineSubgroup(p, self.direction, PRIMAL)
-            chi = self.characters[0]
+            # an H-periodic function carries the principal character
+            chi = self.characters[0] if self.characters else Point(p, 0, 0, DUAL)
             for g, c in zip(self.offsets, self.coefficients):
                 for z in Coset.through(g, sub).members():
                     out[z.index] = c * root_of_unity(p, chi.pair(z))
@@ -433,6 +475,17 @@ def _classify_one_dual_line(f: GFunc, S: PointSet, X: PointSet, e: int) -> Excep
                                offsets=offsets, characters=(chi,), coefficients=coeffs)
 
 
+def _character_sum(hat: GFunc, chi: Point, psis: Iterable[Point], g: Point) -> CycNum:
+    """sum over psi in psis of hat(chi + psi) zeta^<psi, g>."""
+    p = hat.p
+    total = CycNum.zero(p)
+    for psi in psis:
+        hv = hat.values[(chi + psi).index]
+        if not hv.is_zero():
+            total = total + hv * root_of_unity(p, psi.pair(g))
+    return total
+
+
 def _classify_two_lines(func: GFunc, hat: GFunc, cover_side: str) -> Optional[ExceptionDescriptor]:
     """Structure of `func` whose transform support is covered by two lines;
     `hat` must be the transform of `func`."""
@@ -452,29 +505,21 @@ def _classify_two_lines(func: GFunc, hat: GFunc, cover_side: str) -> Optional[Ex
         for chi in (chi1, chi2):
             vals = [None] * (p * p)
             for coset in lines_in_direction(LineSubgroup(p, prim_dir, func_side)):
-                g0 = coset.rep
-                total = CycNum.zero(p)
-                for psi in psis:
-                    hv = hat.values[(chi + psi).index]
-                    if not hv.is_zero():
-                        total = total + hv * root_of_unity(p, psi.pair(g0))
+                total = _character_sum(hat, chi, psis, coset.rep)
                 for g in coset.members():
                     vals[g.index] = total
             comps.append(GFunc(p, 2, func_side, vals))
-        rebuilt = _rebuild_two_parallel(ExceptionDescriptor(
-            kind=KIND_TWO_PARALLEL, p=p, cover_side=cover_side, direction=prim_dir,
-            characters=(chi1, chi2), components=tuple(comps)))
-        if rebuilt != func:
-            raise RuntimeError("two-parallel decomposition failed to rebuild the function")
         n_union = (comps[0].support_mask | comps[1].support_mask).bit_count()
         s = func.support_size
-        if not (n_union * (p - 1) <= s * p and s <= n_union):
-            raise RuntimeError("two-parallel support sandwich failed")
-        return ExceptionDescriptor(kind=KIND_TWO_PARALLEL, p=p, cover_side=cover_side,
+        desc = ExceptionDescriptor(kind=KIND_TWO_PARALLEL, p=p, cover_side=cover_side,
                                    direction=prim_dir, characters=(chi1, chi2),
                                    components=tuple(comps),
-                                   details=(("support_union", n_union),
-                                            ("support_size", s)))
+                                   details=(("support_union", n_union), ("support_size", s)))
+        if _rebuild_two_parallel(desc) != func:
+            raise RuntimeError("two-parallel decomposition failed to rebuild the function")
+        if not (n_union * (p - 1) <= s * p and s <= n_union):
+            raise RuntimeError("two-parallel support sandwich failed")
+        return desc
     # nonparallel pair
     chi0 = _line_intersection(p, hat_side, (d1, j1), (d2, j2))
     dir1 = orthogonal_direction(p, d1)
@@ -483,26 +528,9 @@ def _classify_two_lines(func: GFunc, hat: GFunc, cover_side: str) -> Optional[Ex
     F2 = LineSubgroup(p, d2, hat_side)
     gen1 = LineSubgroup(p, dir1, func_side).generator
     gen2 = LineSubgroup(p, dir2, func_side).generator
-    f1_vals = []
-    for t in range(p):
-        h1 = gen1.scaled(t)
-        total = CycNum.zero(p)
-        for psi in F2.members():
-            if psi.is_origin():
-                continue
-            hv = hat.values[(chi0 + psi).index]
-            if not hv.is_zero():
-                total = total + hv * root_of_unity(p, psi.pair(h1))
-        f1_vals.append(total)
-    f2_vals = []
-    for t in range(p):
-        h2 = gen2.scaled(t)
-        total = CycNum.zero(p)
-        for psi in F1.members():
-            hv = hat.values[(chi0 + psi).index]
-            if not hv.is_zero():
-                total = total + hv * root_of_unity(p, psi.pair(h2))
-        f2_vals.append(total)
+    punctured = [psi for psi in F2.members() if not psi.is_origin()]
+    f1_vals = [_character_sum(hat, chi0, punctured, gen1.scaled(t)) for t in range(p)]
+    f2_vals = [_character_sum(hat, chi0, F1.members(), gen2.scaled(t)) for t in range(p)]
     s = func.support_size
     details: List[Tuple[str, object]] = []
     if 2 * s < p * p:
@@ -529,7 +557,7 @@ def _classify_two_lines(func: GFunc, hat: GFunc, cover_side: str) -> Optional[Ex
     return desc
 
 
-def classify_exception(f: GFunc) -> Optional[ExceptionDescriptor]:
+def classify_exception(f: GFunc, fhat: Optional[GFunc] = None) -> Optional[ExceptionDescriptor]:
     """Recover the explicit structure of f when supp f or supp of the
     transform fits in one line or in a union of two lines; None otherwise.
 
@@ -537,19 +565,22 @@ def classify_exception(f: GFunc) -> Optional[ExceptionDescriptor]:
     nonparallel ones; transform-side covers are preferred to function-side
     covers.  The returned descriptor always reconstructs f exactly; an
     internal invariant failure raises RuntimeError naming f's literal.
+    `fhat`, when given, must be f's transform; otherwise it is taken here.
     """
     if f.rank != 2 or f.side != PRIMAL:
         raise ValueError("classification requires a rank-2 primal function")
     if f.is_zero_function():
         raise ValueError("zero function cannot be classified")
     try:
-        return _classify(f)
+        desc = _classify(f, fourier_transform(f) if fhat is None else fhat)
+        if desc is not None:
+            _verify_reconstruction(desc, f)
+        return desc
     except RuntimeError as exc:
         raise RuntimeError(f"{exc} (function {f.to_literal()})") from exc
 
 
-def _classify(f: GFunc) -> Optional[ExceptionDescriptor]:
-    fhat = fourier_transform(f)
+def _classify(f: GFunc, fhat: GFunc) -> Optional[ExceptionDescriptor]:
     S = f.support()
     X = fhat.support()
     # periodicity first: the transform support sits on a dual line through
@@ -561,28 +592,16 @@ def _classify(f: GFunc) -> Optional[ExceptionDescriptor]:
         w0 = (X.mask & -X.mask).bit_length() - 1
         periodic = _line_rep_point(f.p, e, T.coset_id[e][w0], DUAL).is_origin()
     if periodic:
-        desc = _classify_one_dual_line(f, S, X, e)
-        _verify_reconstruction(desc, f)
-        return desc
+        return _classify_one_dual_line(f, S, X, e)
     d = _line_direction_containing(S)
     if d is not None:
-        desc = _classify_one_primal_line(f, fhat, S, X, d)
-        _verify_reconstruction(desc, f)
-        return desc
+        return _classify_one_primal_line(f, fhat, S, X, d)
     if e is not None:
-        desc = _classify_one_dual_line(f, S, X, e)
-        _verify_reconstruction(desc, f)
-        return desc
+        return _classify_one_dual_line(f, S, X, e)
     desc = _classify_two_lines(f, fhat, cover_side=DUAL)
-    if desc is not None:
-        _verify_reconstruction(desc, f)
-        return desc
-    fhh = fourier_transform(fhat)
-    desc = _classify_two_lines(fhat, fhh, cover_side=PRIMAL)
-    if desc is not None:
-        _verify_reconstruction(desc, f)
-        return desc
-    return None
+    if desc is None:
+        desc = _classify_two_lines(fhat, double_transform(f), cover_side=PRIMAL)
+    return desc
 
 
 def _verify_reconstruction(desc: ExceptionDescriptor, f: GFunc):
@@ -643,47 +662,38 @@ def _near_coset_pair(p: int, small: PointSet, large: PointSet) -> Optional[dict]
 def _coset_pair_exception(p: int, S: PointSet, X: PointSet) -> Optional[dict]:
     """The near-coset structure for whichever of S, X is smallest; on a
     tie both assignments are tried."""
-    if S.size <= X.size:
-        found = _near_coset_pair(p, S, X)
-        if found is None and S.size == X.size:
-            found = _near_coset_pair(p, X, S)
-        return found
-    return _near_coset_pair(p, X, S)
-
-
-def _min_side_sets(S: PointSet, X: PointSet) -> List[PointSet]:
-    if S.size < X.size:
-        return [S]
-    if X.size < S.size:
-        return [X]
-    return [S, X]
+    found = _near_coset_pair(p, S, X) if S.size <= X.size else None
+    if found is None and X.size <= S.size:
+        found = _near_coset_pair(p, X, S)
+    return found
 
 
 # -- evaluator cores --------------------------------------------------------------
-# p, k and eps arrive already admitted by CheckSpec.admit (the registry below)
+# each takes (pair, param); k and eps arrive admitted by CheckSpec.admit below
 
 
-def eval_product(p: int, rank: int, s_size: int, x_size: int) -> BoundReport:
-    lhs = Fraction(s_size * x_size)
-    rhs = Fraction(p**rank)
+def eval_product(pair: SupportPair, param=None) -> BoundReport:
+    lhs = Fraction(pair.s_size * pair.x_size)
+    rhs = Fraction(pair.p**pair.rank)
     return BoundReport("product", _ineq_verdict(lhs, rhs), lhs, rhs)
 
 
-def eval_birotao(p: int, s_size: int, x_size: int) -> BoundReport:
-    lhs = Fraction(s_size + x_size)
-    rhs = Fraction(p + 1)
+def eval_birotao(pair: SupportPair, param=None) -> BoundReport:
+    lhs = Fraction(pair.s_size + pair.x_size)
+    rhs = Fraction(pair.p + 1)
     return BoundReport("birotao", _ineq_verdict(lhs, rhs), lhs, rhs)
 
 
-def eval_meshulam(p: int, s_size: int, x_size: int) -> BoundReport:
-    lo, hi = min(s_size, x_size), max(s_size, x_size)
-    lhs = lo + Fraction(hi, p)
-    rhs = Fraction(p + 1)
+def eval_meshulam(pair: SupportPair, param=None) -> BoundReport:
+    lo, hi = min(pair.s_size, pair.x_size), max(pair.s_size, pair.x_size)
+    lhs = lo + Fraction(hi, pair.p)
+    rhs = Fraction(pair.p + 1)
     return BoundReport("meshulam", _ineq_verdict(lhs, rhs), lhs, rhs)
 
 
-def eval_rational(p: int, S: PointSet, X: PointSet, rational: bool) -> BoundReport:
-    if not rational:
+def eval_rational(pair: SupportPair, param=None) -> BoundReport:
+    p, S, X = pair.p, pair.S, pair.X
+    if not pair.rational:
         raise ValueError("the rational bound requires a rational-valued function")
     lo, hi = min(S.size, X.size), max(S.size, X.size)
     lhs = Fraction(lo, 2) + Fraction(hi, p - 1)
@@ -711,18 +721,20 @@ def eval_rational(p: int, S: PointSet, X: PointSet, rational: bool) -> BoundRepo
     return BoundReport("rational", _ineq_verdict(lhs, rhs), lhs, rhs)
 
 
-def eval_kp1(p: int, S: PointSet, X: PointSet) -> BoundReport:
+def eval_kp1(pair: SupportPair, param=None) -> BoundReport:
+    p, S, X = pair.p, pair.S, pair.X
     lo, hi = min(S.size, X.size), max(S.size, X.size)
     lhs = Fraction(lo, p - 1) + Fraction(hi, 2)
     rhs = Fraction(p + 1)
-    pair = _orthogonal_coset_pair(p, S, X)
-    if pair is not None:
+    directions = _orthogonal_coset_pair(p, S, X)
+    if directions is not None:
         return BoundReport("kp1", EXCEPTION, lhs, rhs,
-                           details={"orthogonal_pair_directions": list(pair)})
+                           details={"orthogonal_pair_directions": list(directions)})
     return BoundReport("kp1", _ineq_verdict(lhs, rhs), lhs, rhs)
 
 
-def eval_kp2(p: int, S: PointSet, X: PointSet) -> BoundReport:
+def eval_kp2(pair: SupportPair, param=None) -> BoundReport:
+    p, S, X = pair.p, pair.S, pair.X
     lo, hi = min(S.size, X.size), max(S.size, X.size)
     lhs = Fraction(lo, p - 2) + Fraction(hi, 3)
     rhs = Fraction(p + 1)
@@ -741,7 +753,8 @@ def eval_kp2(p: int, S: PointSet, X: PointSet) -> BoundReport:
     return BoundReport("kp2", VIOLATED, lhs, rhs, details=details)
 
 
-def eval_product3(p: int, S: PointSet, X: PointSet) -> BoundReport:
+def eval_product3(pair: SupportPair, param=None) -> BoundReport:
+    p, S, X = pair.p, pair.S, pair.X
     lhs = Fraction(S.size * X.size)
     rhs = Fraction(3 * p * (p - 2))
     details = {}
@@ -758,24 +771,23 @@ def eval_product3(p: int, S: PointSet, X: PointSet) -> BoundReport:
     return BoundReport("product3", _ineq_verdict(lhs, rhs), lhs, rhs, details=details)
 
 
-def eval_conjecture(p: int, S: PointSet, X: PointSet, k: int) -> BoundReport:
-    lo, hi = min(S.size, X.size), max(S.size, X.size)
+def eval_conjecture(pair: SupportPair, k: int) -> BoundReport:
+    p = pair.p
+    lo, hi = min(pair.s_size, pair.x_size), max(pair.s_size, pair.x_size)
     lhs = Fraction(lo, k) + Fraction(hi, p + 1 - k)
     rhs = Fraction(p + 1)
     threshold = min(k, p + 1 - k)
-    cover_s = min_line_cover(S)
-    cover_x = min_line_cover(X)
-    clause = cover_s < threshold or cover_x < threshold
-    details = {"k": k, "cover_S": cover_s, "cover_X": cover_x,
-               "cover_threshold": threshold, "cover_clause_applies": clause}
+    # cover < threshold, decided without finding the minimum cover
+    clause = pair.covered(PRIMAL, threshold - 1) or pair.covered(DUAL, threshold - 1)
+    details = {"k": k, "cover_threshold": threshold, "cover_clause_applies": clause}
     verdict = _ineq_verdict(lhs, rhs)
     if verdict == VIOLATED and clause:
         verdict = EXCEPTION
     return BoundReport("conjecture", verdict, lhs, rhs, details=details)
 
 
-def eval_roots(p: int, S: PointSet, X: PointSet) -> BoundReport:
-    a, b = S.size, X.size
+def eval_roots(pair: SupportPair, param=None) -> BoundReport:
+    p, a, b = pair.p, pair.s_size, pair.x_size
     c = p + 1
     holds, equal = _sqrt_sum_ge(a, b, c)
     t = c * c - a - b
@@ -784,11 +796,8 @@ def eval_roots(p: int, S: PointSet, X: PointSet) -> BoundReport:
     else:
         lhs, rhs = Fraction(a + b), Fraction(c * c)
     limit = (p - 1) // 2
-    cover_s = min_line_cover(S)
-    cover_x = min_line_cover(X)
-    clause = cover_s <= limit or cover_x <= limit
-    details = {"S_size": a, "X_size": b, "cover_S": cover_s, "cover_X": cover_x,
-               "cover_clause_applies": clause, "squared_compare": t > 0}
+    clause = pair.covered(PRIMAL, limit) or pair.covered(DUAL, limit)
+    details = {"S_size": a, "X_size": b, "cover_clause_applies": clause, "squared_compare": t > 0}
     if equal:
         verdict = EQUALITY
     elif holds:
@@ -800,20 +809,20 @@ def eval_roots(p: int, S: PointSet, X: PointSet) -> BoundReport:
     return BoundReport("roots", verdict, lhs, rhs, details=details)
 
 
-def _eval_asym(name: str, p: int, S: PointSet, X: PointSet, eps,
+def _eval_asym(name: str, pair: SupportPair, eps,
                coefficient: int, power_num: int, power_den: int,
                scale: Fraction, cover_lines: int, advisory_below: Optional[int]) -> BoundReport:
-    lo, hi = min(S.size, X.size), max(S.size, X.size)
+    p = pair.p
+    lo, hi = min(pair.s_size, pair.x_size), max(pair.s_size, pair.x_size)
     details = {"epsilon": eps}
     if advisory_below is not None and p < advisory_below:
         details["advisory"] = f"stated for p >= {advisory_below}"
-    for small in _min_side_sets(S, X):
-        if covered_by_lines(small, cover_lines):
-            details["reason"] = f"min-side support within {cover_lines} line(s)"
-            return BoundReport(name, EXCEPTION, Fraction(lo),
-                               coefficient * (1 - eps) * p, details=details)
     b1_lhs = Fraction(lo)
     b1_rhs = coefficient * (1 - eps) * p
+    for side, size in ((PRIMAL, pair.s_size), (DUAL, pair.x_size)):
+        if size == lo and pair.covered(side, cover_lines):
+            details["reason"] = f"min-side support within {cover_lines} line(s)"
+            return BoundReport(name, EXCEPTION, b1_lhs, b1_rhs, details=details)
     # hi >= scale * eps * p^(num/den)  <=>  (hi/(scale*eps))^den >= p^num
     b2_lhs = Fraction(hi) ** power_den
     b2_rhs = (scale * eps) ** power_den * Fraction(p) ** power_num
@@ -828,25 +837,25 @@ def _eval_asym(name: str, p: int, S: PointSet, X: PointSet, eps,
     return BoundReport(name, VIOLATED, b1_lhs, b1_rhs, details=details)
 
 
-def eval_asym2(p: int, S: PointSet, X: PointSet, eps) -> BoundReport:
+def eval_asym2(pair: SupportPair, eps) -> BoundReport:
     """min >= 2(1-eps)p or max >= eps p^(3/2), except when the min-side
     support sits inside one line; advisory below p = 31."""
-    return _eval_asym("asym2", p, S, X, eps, coefficient=2, power_num=3, power_den=2,
+    return _eval_asym("asym2", pair, eps, coefficient=2, power_num=3, power_den=2,
                       scale=Fraction(1), cover_lines=1, advisory_below=31)
 
 
-def eval_asym3(p: int, S: PointSet, X: PointSet, eps) -> BoundReport:
+def eval_asym3(pair: SupportPair, eps) -> BoundReport:
     """min >= 3(1-eps)p or max >= (eps/6) p^(4/3), except when the
     min-side support sits inside a union of two lines."""
-    return _eval_asym("asym3", p, S, X, eps, coefficient=3, power_num=4, power_den=3,
+    return _eval_asym("asym3", pair, eps, coefficient=3, power_num=4, power_den=3,
                       scale=Fraction(1, 6), cover_lines=2, advisory_below=None)
 
 
-def eval_coset_counts(p: int, S: PointSet, X: PointSet,
-                      H: Optional[LineSubgroup] = None) -> BoundReport:
+def eval_coset_counts(pair: SupportPair, H: Optional[LineSubgroup] = None) -> BoundReport:
     """The four met-line counting inequalities per direction (H's alone when
     given): K_X >= p+1-n_S, |X| >= n_X (p+1-n_S), and their mirrored forms."""
-    prof = support_profile(S, X)
+    p, S, X = pair.p, pair.S, pair.X
+    prof = pair.profile()
     dirs = range(p + 1) if H is None else [H.direction]
     rows = []
     all_hold = True
@@ -898,17 +907,16 @@ def _conjecture_curves(p: int) -> List[Tuple[str, int, str]]:
 class CheckSpec:
     """One named support-size check.
 
-    `evaluator(p, rank, s_size, x_size, S, X, rational, param)` decides it
-    from support data; S and X are None at rank 1.  `param` names its one
-    parameter: "k", "eps" or None.  `rational` marks a check that needs a
-    rational-valued function, `default` puts it in verify's default run
-    wherever rank, p and rationality allow, and `curve(p)` gives its
-    emit-curves rows.
+    `evaluator(pair, param)` decides it from a SupportPair and the admitted
+    value of its one parameter, which `param` names: "k", "eps" or None.
+    `rational` marks a check that needs a rational-valued function,
+    `default` puts it in verify's default run wherever rank, p and
+    rationality allow, and `curve(p)` gives its emit-curves rows.
     """
 
     name: str
     ranks: Tuple[int, ...]
-    evaluator: Callable[..., BoundReport]
+    evaluator: Callable[[SupportPair, object], BoundReport]
     min_p: int = 2
     param: Optional[str] = None
     rational: bool = False
@@ -940,43 +948,32 @@ class CheckSpec:
 
 #: every named check, in emit-curves order
 CHECKS: Dict[str, CheckSpec] = {spec.name: spec for spec in (
-    CheckSpec("product", (1, 2), lambda p, rank, s, x, S, X, q, a: eval_product(p, rank, s, x),
-              default=True,
+    CheckSpec("product", (1, 2), eval_product, default=True,
               curve=lambda p: _grid_curve("product", p, lambda s: Fraction(p * p, s))),
-    CheckSpec("birotao", (1,), lambda p, rank, s, x, S, X, q, a: eval_birotao(p, s, x),
-              default=True),
-    CheckSpec("meshulam", (2,), lambda p, rank, s, x, S, X, q, a: eval_meshulam(p, s, x),
-              default=True,
+    CheckSpec("birotao", (1,), eval_birotao, default=True),
+    CheckSpec("meshulam", (2,), eval_meshulam, default=True,
               curve=lambda p: _grid_curve("meshulam", p, lambda s: p * (p + 1 - s))),
-    CheckSpec("rational", (2,), lambda p, rank, s, x, S, X, q, a: eval_rational(p, S, X, q),
-              min_p=3, rational=True, default=True,
+    CheckSpec("rational", (2,), eval_rational, min_p=3, rational=True, default=True,
               curve=lambda p: _grid_curve("rational", p,
                                           lambda s: (p - 1) * (p + 1 - Fraction(s, 2)))),
-    CheckSpec("kp1", (2,), lambda p, rank, s, x, S, X, q, a: eval_kp1(p, S, X),
-              min_p=3, default=True,
+    CheckSpec("kp1", (2,), eval_kp1, min_p=3, default=True,
               curve=lambda p: _grid_curve("kp1", p,
                                           lambda s: 2 * (p + 1 - Fraction(s, p - 1)))),
-    CheckSpec("kp2", (2,), lambda p, rank, s, x, S, X, q, a: eval_kp2(p, S, X),
-              min_p=3, default=True,
+    CheckSpec("kp2", (2,), eval_kp2, min_p=3, default=True,
               curve=lambda p: [] if p == 2 else _grid_curve(
                   "kp2", p, lambda s: 3 * (p + 1 - Fraction(s, p - 2)))),
-    CheckSpec("product3", (2,), lambda p, rank, s, x, S, X, q, a: eval_product3(p, S, X),
-              min_p=3, default=True,
+    CheckSpec("product3", (2,), eval_product3, min_p=3, default=True,
               curve=lambda p: _grid_curve("product3", p,
                                           lambda s: Fraction(3 * p * (p - 2), s))),
     # (p + 1 - sqrt(s))^2 as a float; s <= p^2 keeps the root positive
-    CheckSpec("roots", (2,), lambda p, rank, s, x, S, X, q, a: eval_roots(p, S, X),
+    CheckSpec("roots", (2,), eval_roots,
               curve=lambda p: _grid_curve("roots", p,
                                           lambda s: (p + 1 - s**0.5) * (p + 1 - s**0.5))),
-    CheckSpec("conjecture", (2,), lambda p, rank, s, x, S, X, q, a: eval_conjecture(p, S, X, a),
-              param="k", curve=_conjecture_curves),
-    CheckSpec("asym2", (2,), lambda p, rank, s, x, S, X, q, a: eval_asym2(p, S, X, a),
-              param="eps"),
-    CheckSpec("asym3", (2,), lambda p, rank, s, x, S, X, q, a: eval_asym3(p, S, X, a),
-              param="eps"),
+    CheckSpec("conjecture", (2,), eval_conjecture, param="k", curve=_conjecture_curves),
+    CheckSpec("asym2", (2,), eval_asym2, param="eps"),
+    CheckSpec("asym3", (2,), eval_asym3, param="eps"),
     # check() may pass coset-counts a LineSubgroup to restrict the directions
-    CheckSpec("coset-counts", (2,),
-              lambda p, rank, s, x, S, X, q, a: eval_coset_counts(p, S, X, a)),
+    CheckSpec("coset-counts", (2,), eval_coset_counts),
 )}
 
 
@@ -988,45 +985,50 @@ def spec_for(name: str, rank: int) -> CheckSpec:
     return spec
 
 
-def evaluate(name: str, *, p: int, rank: int, s_size: int, x_size: int,
-             S: Optional[PointSet] = None, X: Optional[PointSet] = None,
-             rational: Optional[bool] = None, k: Optional[int] = None,
-             eps=None) -> BoundReport:
-    """Decide a named check from precomputed support data.  k and eps must
-    already have passed the check's `admit`, which fails bad values once
-    per run rather than once per candidate."""
-    spec = spec_for(name, rank)
-    param = k if spec.param == "k" else eps if spec.param == "eps" else None
-    return spec.evaluator(p, rank, s_size, x_size, S, X, rational, param)
+def evaluate(name: str, pair: SupportPair, param=None) -> BoundReport:
+    """Decide a named check on one support pair.  `param` must already have
+    passed the check's `admit`, which fails bad values once per run rather
+    than once per candidate."""
+    return spec_for(name, pair.rank).evaluator(pair, param)
 
 
 # -- function-level route ------------------------------------------------------------
 
 
-def check(name: str, f: GFunc, param=None) -> BoundReport:
-    """Decide the named check on one nonzero primal function: transform f,
-    evaluate, then attach the violation witness or the classified
-    exception structure.  `param` is k, epsilon, or for coset-counts an
-    optional LineSubgroup."""
+def verify(f: GFunc, checks: Sequence[Tuple[str, object]]) -> List[BoundReport]:
+    """Decide each (name, param) check on one nonzero primal function, with
+    one transform and at most one classification: every check reads one
+    SupportPair.  Violations carry f as witness, rank-2 exceptions the
+    classified structure (None when a cover-clause exception needs three or
+    more lines), and cover-clause reports the exact covers cover_S and
+    cover_X.  `param` is k, epsilon, or coset-counts' optional LineSubgroup.
+    """
     if f.is_zero_function():
         raise ValueError("bounds are stated for nonzero functions")
     if f.side != PRIMAL:
         raise ValueError("bounds are stated for primal functions")
-    spec = spec_for(name, f.rank)
-    param = spec.admit(f.p, param)
+    specs = [(spec_for(name, f.rank), param) for name, param in checks]
+    admitted = [(spec, spec.admit(f.p, param)) for spec, param in specs]
     fhat = fourier_transform(f)
-    S = X = None
-    if f.rank == 2:
-        S, X = f.support(), fhat.support()
-    report = spec.evaluator(f.p, f.rank, f.support_size, fhat.support_size, S, X,
-                            spec.rational and f.is_rational_valued(), param)
-    if report.verdict == VIOLATED:
-        report.witness = f
-    elif report.verdict == EXCEPTION and f.rank == 2:
-        # may legitimately stay None for cover-clause exceptions whose
-        # supports need three or more lines
-        report.exception = classify_exception(f)
-    return report
+    pair = SupportPair.from_masks(f.p, f.rank, f.support_mask, fhat.support_mask,
+                                  f.is_rational_valued())
+    reports = [spec.evaluator(pair, param) for spec, param in admitted]
+    structure = None
+    if f.rank == 2 and any(r.verdict == EXCEPTION for r in reports):
+        structure = classify_exception(f, fhat)
+    for report in reports:
+        if report.verdict == VIOLATED:
+            report.witness = f
+        elif report.verdict == EXCEPTION:
+            report.exception = structure
+        if "cover_clause_applies" in report.details:
+            report.details.update(cover_S=pair.cover(PRIMAL), cover_X=pair.cover(DUAL))
+    return reports
+
+
+def check(name: str, f: GFunc, param=None) -> BoundReport:
+    """verify() with one check."""
+    return verify(f, [(name, param)])[0]
 
 
 check_product = partial(check, "product")

@@ -167,8 +167,8 @@ def _cmd_verify(args) -> int:
     func = _load_function(args)
     names = list(args.theorem) if args.theorem else _default_checks(func)
     params = {"k": args.k, "eps": args.epsilon}
-    reports = [bounds.check(name, func, params.get(bounds.CHECKS[name].param))
-               for name in names]
+    reports = bounds.verify(func, [(name, params.get(bounds.CHECKS[name].param))
+                                   for name in names])
     cfg = _config_from(args, "verify")
     _emit_json(_reports_payload(cfg, reports), args)
     return EXIT_VIOLATION if any(r.verdict == VIOLATED for r in reports) else EXIT_OK

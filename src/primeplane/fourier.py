@@ -304,6 +304,16 @@ def inverse_transform(u: GFunc) -> GFunc:
     return GFunc(p, u.rank, PRIMAL, out)
 
 
+def double_transform(f: GFunc) -> GFunc:
+    """The transform taken twice, in O(|G|): by inversion it is
+    g -> f(-g)/|G|, on f's own side."""
+    p, n = f.p, len(f.values)
+    scale = Fraction(1, n)
+    # index x*p + y at rank 2 (x = 0 at rank 1) maps to that of (-x, -y)
+    return GFunc(p, f.rank, f.side,
+                 [f.values[(-(g // p) % p) * p + (-g % p)] * scale for g in range(n)])
+
+
 @lru_cache(maxsize=None)
 def _line_sum_tables(p: int, rank: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
     """(line_of, mask) for each of the dual directions d: line_of[g] is

@@ -592,14 +592,7 @@ def two_line_cover(P: PointSet) -> bool:
     return covered_by_lines(P, 2)
 
 
-def min_line_cover(P: PointSet, cap: Optional[int] = None) -> Optional[int]:
-    """Exact minimum number of lines covering P, or None if above `cap`.
-
-    Any set is covered by the p parallel lines of one direction, so the
-    default cap p always yields an integer.
-    """
-    cap = P.p if cap is None else cap
-    for m in range(cap + 1):
-        if covered_by_lines(P, m):
-            return m
-    return None
+def min_line_cover(P: PointSet) -> int:
+    """Exact minimum number of lines covering P; the p parallel lines of
+    one direction cover any set, so the search stops by m = p."""
+    return next(m for m in range(P.p + 1) if covered_by_lines(P, m))

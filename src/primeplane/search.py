@@ -25,7 +25,6 @@ from .plane import (
     Coset,
     LineSubgroup,
     Point,
-    PointSet,
     coset_from_id,
 )
 from . import bounds
@@ -432,8 +431,8 @@ def make_space(p: int, alphabet: Iterable = (-1, 0, 1), rank: int = 2,
 
 
 def _check_items(space: SearchSpace, checks: Sequence[str],
-                 k: Optional[int], eps) -> List[Tuple[str, str, dict]]:
-    """(label, name, params) per named check.  Each check is admitted here,
+                 k: Optional[int], eps) -> List[Tuple[str, str, object]]:
+    """(label, name, param) per named check.  Each check is admitted here,
     once for the space's p and rank, so a bad k or epsilon fails even when
     the space holds no nonzero candidate."""
     items = []
@@ -443,9 +442,9 @@ def _check_items(space: SearchSpace, checks: Sequence[str],
         if spec.rational and not space.all_rational():
             raise ValueError(f"the {name} check needs an all-rational alphabet")
         if spec.param is None:
-            items.append((name, name, {}))
+            items.append((name, name, None))
         else:
-            items.append((f"{name}[{spec.param}={value}]", name, {spec.param: value}))
+            items.append((f"{name}[{spec.param}={value}]", name, value))
     return items
 
 
@@ -506,15 +505,15 @@ def _candidates(space: SearchSpace, start: int, stop: int):
         yield ordinal, func.support_mask, fourier_transform(func).support_mask
 
 
-def _outcomes(space: SearchSpace, items: Sequence[Tuple[str, str, dict]],
+def _outcomes(space: SearchSpace, items: Sequence[Tuple[str, str, object]],
               start: int, stop: int, outcome):
     """Yield (ordinal, outcome(reports)) for each nonzero candidate, where
     `reports` holds one BoundReport per check item.
 
     Every verdict is a function of the two supports alone, so the checks
-    run once per distinct support pair.  Only the rational check reads
-    rationality, and _check_items admits it only for all-rational spaces,
-    so the space answers for every candidate.  The memo keeps one int key
+    run once per distinct support pair, all on one SupportPair.  Only the
+    rational check reads rationality, and _check_items admits it only for
+    all-rational spaces, so the space answers for every candidate.  The memo keeps one int key
     and one interned tuple per pair, which keeps it small where no pair
     recurs.
     """
@@ -526,18 +525,13 @@ def _outcomes(space: SearchSpace, items: Sequence[Tuple[str, str, dict]],
         key = (s_mask << n) | x_mask
         value = memo.get(key)
         if value is None:
-            S = X = None
-            if rank == 2:
-                S, X = PointSet(p, PRIMAL, s_mask), PointSet(p, DUAL, x_mask)
-            value = outcome([bounds.evaluate(name, p=p, rank=rank, s_size=s_mask.bit_count(),
-                                             x_size=x_mask.bit_count(), S=S, X=X,
-                                             rational=rational, **params)
-                             for _, name, params in items])
+            pair = bounds.SupportPair.from_masks(p, rank, s_mask, x_mask, rational)
+            value = outcome([bounds.evaluate(name, pair, param) for _, name, param in items])
             value = memo[key] = interned.setdefault(value, value)
         yield ordinal, value
 
 
-def _run_range(space: SearchSpace, items: Sequence[Tuple[str, str, dict]],
+def _run_range(space: SearchSpace, items: Sequence[Tuple[str, str, object]],
                start: int, stop: int, collect_exceptions: bool):
     labels = [label for label, _, _ in items]
     counts = {label: Counter() for label in labels}

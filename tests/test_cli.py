@@ -7,11 +7,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import primeplane
-from primeplane import cli
+from primeplane import bounds, cli
 from primeplane.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
+from primeplane.search import construct
 
 
 def run_cli(capsys, *argv):
@@ -230,21 +232,140 @@ def test_verify_cover_values_bytes(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (family, p)
 
 
-def test_p11_cover_checks_finish():
-    # a single p = 11 function under these checks once ran for minutes in the
-    # exact line-cover search; a child process turns a hang into a failure
+GALLERY_FAMILIES = {"diff-of-subgroups": {}, "pm-two-cosets": {}, "triple-subgroups": {},
+                    "character-coset": {}, "sharp2d": {"m": 2, "n": 3}}
+
+
+def family_argv(family, p):
+    params = GALLERY_FAMILIES[family]
+    return ("--family", family, "--p", str(p),
+            *(arg for key, value in params.items() for arg in (f"--{key}", str(value))))
+
+
+# stdout digests of `verify` with the default checks and of `classify`
+DEFAULT_VERIFY_SHA256 = {
+    ("diff-of-subgroups", 5): "eaf19cd5e02e9dde6b272bbe85ae434cc69d5a745ae45b68db5321eab902f99e",
+    ("pm-two-cosets", 5): "6a51b649d00f0a4036e4e9396ac7d499e743f32bb037f79890e802e000a6cb42",
+    ("triple-subgroups", 5): "5b13fabfb6595728e0744709ec79767fa399409f2f50c2a53deb58a31c32d1c3",
+    ("character-coset", 5): "db93ce72bddeba8c798a274e4dfebd8675d84be104bf050224b8346948acad84",
+    ("sharp2d", 5): "a541d7cb520a2c4979629b7ea4dee34aac342e0b859ea9d923be9e6f3fb1de3d",
+    ("diff-of-subgroups", 7): "f620c9f894f326c04fb8bf4738cd10d532212a5bcff13e0988d3f21045811b51",
+    ("pm-two-cosets", 7): "247991d7a871753c549efea37b6cd3f473b1b6fee592a9c5083c5e0b3d71246b",
+    ("triple-subgroups", 7): "25bba28956ec9cec6b23afd8cc7230292201b237e1af06eb106dc73cb1212e66",
+    ("character-coset", 7): "06ec01fa56ccbdb67ee13af0af9d3dbe88198d88ff8a3640e1c58cf02c44eb87",
+    ("sharp2d", 7): "06721155655c0c49ded64a98cd09eed5e74a96a62f091c031d33dcec7b75c0bb",
+}
+CLASSIFY_SHA256 = {
+    ("diff-of-subgroups", 5): "8ab7455f3bd40530647133205446c86d90b3ec53bc4501170e54429490cbf999",
+    ("pm-two-cosets", 5): "1629dbc097e77c9a823468efbd20da9bfd1bb5aa093cae269026e63b3ac79611",
+    ("triple-subgroups", 5): "5b409e057b248fbd3d9d7f8f30c385d68811f5637866512e404938eb5aa108e2",
+    ("character-coset", 5): "b916e799aa62d1fa777bedf9ddc2e3eee6218bca910f7a5aa686108709ec36fb",
+    ("sharp2d", 5): "091e6efdd4957c40649dcfcab323343f4ed6e3573b30661c17d9514e39219e41",
+    ("diff-of-subgroups", 7): "23839b6298b7dd3e2aa47563196adb980a61e7eef0b6df0fa077739cd3b89b9a",
+    ("pm-two-cosets", 7): "aa9279ab15c5d65c36ef9925ed5a43cec87c4f812e4d2bfca0124193242e7552",
+    ("triple-subgroups", 7): "f97478125ead1516455dabb36cca4c3877558e530b5910950437bb2fc010085b",
+    ("character-coset", 7): "e2ba630b7322f0eca40b7031eaa8d9671bc187f2523e8ef7595a01705a2b9857",
+    ("sharp2d", 7): "5d8f0cfe3fdf4de3890348129778c9b47ea969638888d3163883bf25608222be",
+}
+
+
+def test_default_verify_and_classify_bytes(capsys):
+    for (family, p), digest in DEFAULT_VERIFY_SHA256.items():
+        argv = family_argv(family, p)
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == EXIT_OK, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, ("verify", family, p)
+        code, out, err = run_cli(capsys, "classify", *argv)
+        assert code == EXIT_OK, err
+        assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_SHA256[family, p], \
+            ("classify", family, p)
+
+
+def counting(monkeypatch, owner, name, counts):
+    """Count the calls made through `owner.name`."""
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_verify_transforms_once_and_classifies_at_most_once(capsys, monkeypatch):
+    counts = Counter()
+    counting(monkeypatch, bounds, "fourier_transform", counts)
+    counting(monkeypatch, bounds, "classify_exception", counts)
+    rank2 = [name for name, spec in bounds.CHECKS.items() if 2 in spec.ranks]
+    for p in (5, 7):
+        for family, params in GALLERY_FAMILIES.items():
+            argv = family_argv(family, p)
+            rational = construct(family, p, **params).func.is_rational_valued()
+            every = [arg for name in rank2 if rational or name != "rational"
+                     for arg in ("--theorem", name)] + ["--k", "2"]
+            for theorems in ([], every):
+                counts.clear()
+                code, payload = run_json(capsys, "verify", *argv, *theorems)
+                assert len(payload["reports"]) > 1
+                assert counts["fourier_transform"] == 1, (family, p, theorems)
+                exceptional = any(r["verdict"] == "exception" for r in payload["reports"])
+                assert counts["classify_exception"] == exceptional, (family, p, theorems)
+            counts.clear()
+            code, payload = run_json(capsys, "classify", *argv)
+            assert counts["fourier_transform"] == 1, (family, p)
+
+
+def test_sweep_decides_cover_clauses_without_exact_covers(capsys, monkeypatch):
+    counts = Counter()
+    counting(monkeypatch, bounds, "min_line_cover", counts)
+    counting(monkeypatch, bounds, "covered_by_lines", counts)
+    code, out, err = run_cli(capsys, "sweep", "--p", "7", "--mode", "random", "--seed", "0",
+                             "--budget", "400", "--alphabet=-1,0,1", "--rank", "2",
+                             "--jobs", "1", "--theorem", "conjecture", "--theorem", "roots",
+                             "--theorem", "asym3", "--k", "2", "--epsilon", "1/2")
+    assert code == EXIT_OK, err
+    # the digest the cover-search CI step pins
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "d349f0e7f6262eff1d60383bd3d5c6a2805713f6e17ae65e783f0fd194839aa3"
+    assert counts["min_line_cover"] == 0
+    assert counts["covered_by_lines"] > 0
+
+
+def run_child(*argv):
+    """The CLI in a child process, so that a hang becomes a timeout failure."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(primeplane.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    argv = ["sweep", "--p", "11", "--mode", "random", "--seed", "0", "--budget", "5",
-            "--alphabet=-1,0,1", "--theorem", "conjecture", "--k", "6", "--theorem", "roots"]
     done = subprocess.run([sys.executable, "-m", "primeplane.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == EXIT_OK, done.stderr
-    report = json.loads(done.stdout)["sweep"]
+    return json.loads(done.stdout)
+
+
+def test_p11_cover_checks_finish():
+    # a single p = 11 function under these checks once ran for minutes in the
+    # exact line-cover search
+    report = run_child("sweep", "--p", "11", "--mode", "random", "--seed", "0",
+                       "--budget", "5", "--alphabet=-1,0,1", "--theorem", "conjecture",
+                       "--k", "6", "--theorem", "roots")["sweep"]
     assert report["checks"] == ["conjecture[k=6]", "roots"]
     for name in report["checks"]:
         assert sum(report["counts"][name].values()) == report["nonzero"] > 0
+
+
+def test_p13_cover_clauses_decided_by_bounded_search():
+    # finding the exact minimum covers of these dense p = 13 supports took
+    # over a minute; the clauses need only "covered by 6 lines?"
+    space = ["--p", "13", "--mode", "random", "--seed", "0", "--budget", "10",
+             "--alphabet=0,1"]
+    report = run_child("sweep", *space, "--theorem", "conjecture", "--k", "7",
+                       "--theorem", "roots")["sweep"]
+    assert report["checks"] == ["conjecture[k=7]", "roots"]
+    for name in report["checks"]:
+        assert sum(report["counts"][name].values()) == report["nonzero"] > 0
+    hunted = run_child("hunt", *space, "--theorem", "conjecture", "--k", "7")["hunt"]
+    assert hunted["witness"] is None
+    assert sum(hunted["counts"].values()) == hunted["checked"] == report["nonzero"]
 
 
 def test_zero_denominator_epsilon_is_a_usage_error(capsys):

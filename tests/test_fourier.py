@@ -12,6 +12,7 @@ from primeplane.fourier import (
     coset_indicator,
     coset_restriction_transform,
     coset_sum_identity,
+    double_transform,
     dual_convolution,
     fourier_transform,
     galois_twist,
@@ -139,6 +140,17 @@ def test_inversion_round_trip():
     # rank 1 round trip
     f1 = GFunc(3, 1, PRIMAL, [1, -1, 2])
     assert inverse_transform(fourier_transform(f1)) == f1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_double_transform_is_the_transform_taken_twice(p):
+    rng = random.Random(2000 + p)
+    for rank in (1, 2):
+        for cyclotomic in (False, True):
+            f = random_sparse(p, rank, rng, cyclotomic=cyclotomic)
+            for g in (f, GFunc(p, rank, DUAL, f.values)):
+                assert double_transform(g) == fourier_transform(fourier_transform(g)), \
+                    g.to_literal()
 
 
 def test_inverse_of_constant_dual():

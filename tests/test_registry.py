@@ -8,10 +8,10 @@ from fractions import Fraction
 import pytest
 
 from primeplane import bounds, cli, search
-from primeplane.bounds import CHECKS, HOLDS, BoundReport, CheckSpec, check, evaluate
+from primeplane.bounds import CHECKS, HOLDS, BoundReport, CheckSpec, SupportPair, check, evaluate
 from primeplane.cli import EXIT_OK, EXIT_USAGE, main
 from primeplane.fourier import GFunc, fourier_transform, int_support_masks
-from primeplane.plane import DUAL, PRIMAL, PointSet
+from primeplane.plane import PRIMAL, min_line_cover
 from primeplane.search import construct, make_space, sharp_pair_1d, sharp_pair_2d
 
 PARAMS = {"k": 2, "eps": Fraction(1, 2)}
@@ -26,13 +26,8 @@ def evaluate_route(name, f, param):
         s_mask, x_mask = int_support_masks(f.p, f.rank, [int(v) for v in values])
     else:
         s_mask, x_mask = f.support_mask, fourier_transform(f).support_mask
-    S = X = None
-    if f.rank == 2:
-        S, X = PointSet(f.p, PRIMAL, s_mask), PointSet(f.p, DUAL, x_mask)
-    kwargs = {} if CHECKS[name].param is None else {CHECKS[name].param: param}
-    return evaluate(name, p=f.p, rank=f.rank, s_size=s_mask.bit_count(),
-                    x_size=x_mask.bit_count(), S=S, X=X,
-                    rational=f.is_rational_valued(), **kwargs)
+    pair = SupportPair.from_masks(f.p, f.rank, s_mask, x_mask, f.is_rational_valued())
+    return evaluate(name, pair, param)
 
 
 def route_functions():
@@ -68,6 +63,10 @@ def test_function_route_matches_evaluate(name):
                 evaluate_route(name, f, param)
             continue
         a, b = check(name, f, param), evaluate_route(name, f, param)
+        if "cover_clause_applies" in b.details:
+            # the function route alone reports the exact minimum covers
+            b.details.update(cover_S=min_line_cover(f.support()),
+                             cover_X=min_line_cover(fourier_transform(f).support()))
         assert (a.theorem, a.verdict, a.lhs, a.rhs, a.details) == \
             (b.theorem, b.verdict, b.lhs, b.rhs, b.details), (name, f.to_literal())
         compared += 1
@@ -111,15 +110,15 @@ def test_parameters_checked_once_at_item_building():
     with pytest.raises(ValueError, match="stated for p >= 3"):
         search._check_items(make_space(2, alphabet=(0, 1)), ["kp2"], None, None)
     assert search._check_items(space, ["product", "conjecture", "asym2"], 2, "2/4") == [
-        ("product", "product", {}),
-        ("conjecture[k=2]", "conjecture", {"k": 2}),
-        ("asym2[eps=1/2]", "asym2", {"eps": Fraction(1, 2)}),
+        ("product", "product", None),
+        ("conjecture[k=2]", "conjecture", 2),
+        ("asym2[eps=1/2]", "asym2", Fraction(1, 2)),
     ]
 
 
 def test_a_new_spec_needs_no_other_edit(monkeypatch, capsys):
-    def toy(p, rank, s, x, S, X, rational, k):
-        return BoundReport("toy", HOLDS, Fraction(s + x), Fraction(k))
+    def toy(pair, k):
+        return BoundReport("toy", HOLDS, Fraction(pair.s_size + pair.x_size), Fraction(k))
 
     monkeypatch.setitem(CHECKS, "toy", CheckSpec("toy", (2,), toy, param="k"))
     assert main(["verify", "--family", "diff-of-subgroups", "--p", "3",

@@ -224,12 +224,10 @@ def oracle_rows(space, items):
         f = space.gfunc_at(ordinal)
         if f.is_zero_function():
             continue
-        fh = fourier_transform(f)
-        S, X = (f.support(), fh.support()) if space.rank == 2 else (None, None)
-        reports = [search.bounds.evaluate(name, p=space.p, rank=space.rank,
-                                          s_size=f.support_size, x_size=fh.support_size,
-                                          S=S, X=X, rational=f.is_rational_valued(), **params)
-                   for _, name, params in items]
+        pair = search.bounds.SupportPair.from_masks(
+            space.p, space.rank, f.support_mask, fourier_transform(f).support_mask,
+            f.is_rational_valued())
+        reports = [search.bounds.evaluate(name, pair, param) for _, name, param in items]
         rows.append((ordinal, tuple((r.verdict, bool(r.details.get("cover_clause_applies")))
                                     for r in reports)))
     return rows
@@ -304,9 +302,9 @@ def test_memo_evaluates_once_per_check_per_support_pair(monkeypatch):
     calls = []
     evaluate = search.bounds.evaluate
 
-    def counting(name, **kwargs):
+    def counting(name, pair, param):
         calls.append(name)
-        return evaluate(name, **kwargs)
+        return evaluate(name, pair, param)
 
     monkeypatch.setattr(search.bounds, "evaluate", counting)
     # {0, 1}: a function is its own support, so every pair is distinct;
