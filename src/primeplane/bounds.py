@@ -117,9 +117,7 @@ def profile(f: GFunc) -> SupportProfile:
 class SupportPair:
     """The pair (supp f, supp of the transform) that every check decides from.
 
-    S and X are None at rank 1, where checks read only the sizes.  The
-    exact covers and the profile are computed on first use and kept, so
-    all the checks run on one pair share them.
+    S and X are None at rank 1, where checks read only the sizes.
     """
 
     p: int
@@ -129,7 +127,6 @@ class SupportPair:
     s_size: int
     x_size: int
     rational: bool
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_masks(cls, p: int, rank: int, s_mask: int, x_mask: int,
@@ -139,24 +136,11 @@ class SupportPair:
             S, X = PointSet(p, PRIMAL, s_mask), PointSet(p, DUAL, x_mask)
         return cls(p, rank, S, X, s_mask.bit_count(), x_mask.bit_count(), rational)
 
-    def cover(self, side: str) -> int:
-        """Exact minimum number of lines covering S (primal) or X (dual)."""
-        if side not in self._memo:
-            self._memo[side] = min_line_cover(self.S if side == PRIMAL else self.X)
-        return self._memo[side]
-
     def covered(self, side: str, b: int) -> bool:
-        """True iff b lines cover S (primal) or X (dual): read off the exact
-        cover when it is known, else decided by the search bounded at b
-        lines, which costs far less than finding the minimum."""
-        if side in self._memo:
-            return self._memo[side] <= b
+        """True iff b lines cover S (primal) or X (dual), decided by the
+        search bounded at b lines, which costs far less than finding the
+        minimum cover."""
         return covered_by_lines(self.S if side == PRIMAL else self.X, b)
-
-    def profile(self) -> SupportProfile:
-        if "profile" not in self._memo:
-            self._memo["profile"] = support_profile(self.S, self.X)
-        return self._memo["profile"]
 
 
 # -- reports -----------------------------------------------------------------
@@ -276,12 +260,17 @@ class ExceptionDescriptor:
                     total = total + c * root_of_unity(p, chi.pair(z))
                 out[z.index] = total
             return GFunc(p, 2, PRIMAL, out)
-        if self.kind in (KIND_H_PERIODIC, KIND_ONE_CHARACTER_TWO_COSETS,
-                         KIND_CHARACTER_ON_COSETS):
+        if self.kind == KIND_H_PERIODIC:
             out = [CycNum.zero(p)] * (p * p)
             sub = LineSubgroup(p, self.direction, PRIMAL)
-            # an H-periodic function carries the principal character
-            chi = self.characters[0] if self.characters else Point(p, 0, 0, DUAL)
+            for g, c in zip(self.offsets, self.coefficients):
+                for z in Coset.through(g, sub).members():
+                    out[z.index] = c
+            return GFunc(p, 2, PRIMAL, out)
+        if self.kind in (KIND_ONE_CHARACTER_TWO_COSETS, KIND_CHARACTER_ON_COSETS):
+            out = [CycNum.zero(p)] * (p * p)
+            sub = LineSubgroup(p, self.direction, PRIMAL)
+            chi = self.characters[0]
             for g, c in zip(self.offsets, self.coefficients):
                 for z in Coset.through(g, sub).members():
                     out[z.index] = c * root_of_unity(p, chi.pair(z))
@@ -475,17 +464,6 @@ def _classify_one_dual_line(f: GFunc, S: PointSet, X: PointSet, e: int) -> Excep
                                offsets=offsets, characters=(chi,), coefficients=coeffs)
 
 
-def _character_sum(hat: GFunc, chi: Point, psis: Iterable[Point], g: Point) -> CycNum:
-    """sum over psi in psis of hat(chi + psi) zeta^<psi, g>."""
-    p = hat.p
-    total = CycNum.zero(p)
-    for psi in psis:
-        hv = hat.values[(chi + psi).index]
-        if not hv.is_zero():
-            total = total + hv * root_of_unity(p, psi.pair(g))
-    return total
-
-
 def _classify_two_lines(func: GFunc, hat: GFunc, cover_side: str) -> Optional[ExceptionDescriptor]:
     """Structure of `func` whose transform support is covered by two lines;
     `hat` must be the transform of `func`."""
@@ -505,21 +483,29 @@ def _classify_two_lines(func: GFunc, hat: GFunc, cover_side: str) -> Optional[Ex
         for chi in (chi1, chi2):
             vals = [None] * (p * p)
             for coset in lines_in_direction(LineSubgroup(p, prim_dir, func_side)):
-                total = _character_sum(hat, chi, psis, coset.rep)
+                g0 = coset.rep
+                total = CycNum.zero(p)
+                for psi in psis:
+                    hv = hat.values[(chi + psi).index]
+                    if not hv.is_zero():
+                        total = total + hv * root_of_unity(p, psi.pair(g0))
                 for g in coset.members():
                     vals[g.index] = total
             comps.append(GFunc(p, 2, func_side, vals))
+        rebuilt = _rebuild_two_parallel(ExceptionDescriptor(
+            kind=KIND_TWO_PARALLEL, p=p, cover_side=cover_side, direction=prim_dir,
+            characters=(chi1, chi2), components=tuple(comps)))
+        if rebuilt != func:
+            raise RuntimeError("two-parallel decomposition failed to rebuild the function")
         n_union = (comps[0].support_mask | comps[1].support_mask).bit_count()
         s = func.support_size
-        desc = ExceptionDescriptor(kind=KIND_TWO_PARALLEL, p=p, cover_side=cover_side,
-                                   direction=prim_dir, characters=(chi1, chi2),
-                                   components=tuple(comps),
-                                   details=(("support_union", n_union), ("support_size", s)))
-        if _rebuild_two_parallel(desc) != func:
-            raise RuntimeError("two-parallel decomposition failed to rebuild the function")
         if not (n_union * (p - 1) <= s * p and s <= n_union):
             raise RuntimeError("two-parallel support sandwich failed")
-        return desc
+        return ExceptionDescriptor(kind=KIND_TWO_PARALLEL, p=p, cover_side=cover_side,
+                                   direction=prim_dir, characters=(chi1, chi2),
+                                   components=tuple(comps),
+                                   details=(("support_union", n_union),
+                                            ("support_size", s)))
     # nonparallel pair
     chi0 = _line_intersection(p, hat_side, (d1, j1), (d2, j2))
     dir1 = orthogonal_direction(p, d1)
@@ -528,9 +514,26 @@ def _classify_two_lines(func: GFunc, hat: GFunc, cover_side: str) -> Optional[Ex
     F2 = LineSubgroup(p, d2, hat_side)
     gen1 = LineSubgroup(p, dir1, func_side).generator
     gen2 = LineSubgroup(p, dir2, func_side).generator
-    punctured = [psi for psi in F2.members() if not psi.is_origin()]
-    f1_vals = [_character_sum(hat, chi0, punctured, gen1.scaled(t)) for t in range(p)]
-    f2_vals = [_character_sum(hat, chi0, F1.members(), gen2.scaled(t)) for t in range(p)]
+    f1_vals = []
+    for t in range(p):
+        h1 = gen1.scaled(t)
+        total = CycNum.zero(p)
+        for psi in F2.members():
+            if psi.is_origin():
+                continue
+            hv = hat.values[(chi0 + psi).index]
+            if not hv.is_zero():
+                total = total + hv * root_of_unity(p, psi.pair(h1))
+        f1_vals.append(total)
+    f2_vals = []
+    for t in range(p):
+        h2 = gen2.scaled(t)
+        total = CycNum.zero(p)
+        for psi in F1.members():
+            hv = hat.values[(chi0 + psi).index]
+            if not hv.is_zero():
+                total = total + hv * root_of_unity(p, psi.pair(h2))
+        f2_vals.append(total)
     s = func.support_size
     details: List[Tuple[str, object]] = []
     if 2 * s < p * p:
@@ -662,10 +665,12 @@ def _near_coset_pair(p: int, small: PointSet, large: PointSet) -> Optional[dict]
 def _coset_pair_exception(p: int, S: PointSet, X: PointSet) -> Optional[dict]:
     """The near-coset structure for whichever of S, X is smallest; on a
     tie both assignments are tried."""
-    found = _near_coset_pair(p, S, X) if S.size <= X.size else None
-    if found is None and X.size <= S.size:
-        found = _near_coset_pair(p, X, S)
-    return found
+    if S.size <= X.size:
+        found = _near_coset_pair(p, S, X)
+        if found is None and S.size == X.size:
+            found = _near_coset_pair(p, X, S)
+        return found
+    return _near_coset_pair(p, X, S)
 
 
 # -- evaluator cores --------------------------------------------------------------
@@ -855,7 +860,7 @@ def eval_coset_counts(pair: SupportPair, H: Optional[LineSubgroup] = None) -> Bo
     """The four met-line counting inequalities per direction (H's alone when
     given): K_X >= p+1-n_S, |X| >= n_X (p+1-n_S), and their mirrored forms."""
     p, S, X = pair.p, pair.S, pair.X
-    prof = pair.profile()
+    prof = support_profile(S, X)
     dirs = range(p + 1) if H is None else [H.direction]
     rows = []
     all_hold = True
@@ -1013,7 +1018,7 @@ def verify(f: GFunc, checks: Sequence[Tuple[str, object]]) -> List[BoundReport]:
     pair = SupportPair.from_masks(f.p, f.rank, f.support_mask, fhat.support_mask,
                                   f.is_rational_valued())
     reports = [spec.evaluator(pair, param) for spec, param in admitted]
-    structure = None
+    structure = covers = None
     if f.rank == 2 and any(r.verdict == EXCEPTION for r in reports):
         structure = classify_exception(f, fhat)
     for report in reports:
@@ -1022,7 +1027,9 @@ def verify(f: GFunc, checks: Sequence[Tuple[str, object]]) -> List[BoundReport]:
         elif report.verdict == EXCEPTION:
             report.exception = structure
         if "cover_clause_applies" in report.details:
-            report.details.update(cover_S=pair.cover(PRIMAL), cover_X=pair.cover(DUAL))
+            if covers is None:
+                covers = {"cover_S": min_line_cover(pair.S), "cover_X": min_line_cover(pair.X)}
+            report.details.update(covers)
     return reports
 
 

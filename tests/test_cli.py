@@ -296,6 +296,7 @@ def test_verify_transforms_once_and_classifies_at_most_once(capsys, monkeypatch)
     counts = Counter()
     counting(monkeypatch, bounds, "fourier_transform", counts)
     counting(monkeypatch, bounds, "classify_exception", counts)
+    counting(monkeypatch, bounds, "min_line_cover", counts)
     rank2 = [name for name, spec in bounds.CHECKS.items() if 2 in spec.ranks]
     for p in (5, 7):
         for family, params in GALLERY_FAMILIES.items():
@@ -310,6 +311,8 @@ def test_verify_transforms_once_and_classifies_at_most_once(capsys, monkeypatch)
                 assert counts["fourier_transform"] == 1, (family, p, theorems)
                 exceptional = any(r["verdict"] == "exception" for r in payload["reports"])
                 assert counts["classify_exception"] == exceptional, (family, p, theorems)
+                # conjecture and roots share one exact cover per side
+                assert counts["min_line_cover"] == (2 if theorems else 0), (family, p, theorems)
             counts.clear()
             code, payload = run_json(capsys, "classify", *argv)
             assert counts["fourier_transform"] == 1, (family, p)
