@@ -43,7 +43,6 @@ from .fourier import (
     galois_twist,
     inverse_transform,
     line_diff_convolution,
-    pointwise_mul,
     quad_diff_convolution,
     rational_support_closure,
     restrict_to_coset,

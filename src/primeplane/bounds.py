@@ -18,6 +18,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from .cyclotomic import CycNum, check_prime, format_value, root_of_unity
 from .fourier import (
     GFunc,
+    character_sum,
     double_transform,
     fourier_transform,
     inverse_transform,
@@ -170,10 +171,6 @@ class BoundReport:
     witness: Optional[GFunc] = None
     details: dict = field(default_factory=dict)
 
-    @property
-    def ok(self) -> bool:
-        return self.verdict != VIOLATED
-
     def to_json(self) -> dict:
         out = {
             "theorem": self.theorem,
@@ -260,17 +257,12 @@ class ExceptionDescriptor:
                     total = total + c * root_of_unity(p, chi.pair(z))
                 out[z.index] = total
             return GFunc(p, 2, PRIMAL, out)
-        if self.kind == KIND_H_PERIODIC:
+        if self.kind in (KIND_H_PERIODIC, KIND_ONE_CHARACTER_TWO_COSETS,
+                         KIND_CHARACTER_ON_COSETS):
             out = [CycNum.zero(p)] * (p * p)
             sub = LineSubgroup(p, self.direction, PRIMAL)
-            for g, c in zip(self.offsets, self.coefficients):
-                for z in Coset.through(g, sub).members():
-                    out[z.index] = c
-            return GFunc(p, 2, PRIMAL, out)
-        if self.kind in (KIND_ONE_CHARACTER_TWO_COSETS, KIND_CHARACTER_ON_COSETS):
-            out = [CycNum.zero(p)] * (p * p)
-            sub = LineSubgroup(p, self.direction, PRIMAL)
-            chi = self.characters[0]
+            # an H-periodic function is the principal character on its cosets
+            chi = self.characters[0] if self.characters else Point(p, 0, 0, DUAL)
             for g, c in zip(self.offsets, self.coefficients):
                 for z in Coset.through(g, sub).members():
                     out[z.index] = c * root_of_unity(p, chi.pair(z))
@@ -483,12 +475,7 @@ def _classify_two_lines(func: GFunc, hat: GFunc, cover_side: str) -> Optional[Ex
         for chi in (chi1, chi2):
             vals = [None] * (p * p)
             for coset in lines_in_direction(LineSubgroup(p, prim_dir, func_side)):
-                g0 = coset.rep
-                total = CycNum.zero(p)
-                for psi in psis:
-                    hv = hat.values[(chi + psi).index]
-                    if not hv.is_zero():
-                        total = total + hv * root_of_unity(p, psi.pair(g0))
+                total = character_sum(hat, chi, psis, coset.rep)
                 for g in coset.members():
                     vals[g.index] = total
             comps.append(GFunc(p, 2, func_side, vals))
@@ -510,30 +497,13 @@ def _classify_two_lines(func: GFunc, hat: GFunc, cover_side: str) -> Optional[Ex
     chi0 = _line_intersection(p, hat_side, (d1, j1), (d2, j2))
     dir1 = orthogonal_direction(p, d1)
     dir2 = orthogonal_direction(p, d2)
-    F1 = LineSubgroup(p, d1, hat_side)
-    F2 = LineSubgroup(p, d2, hat_side)
     gen1 = LineSubgroup(p, dir1, func_side).generator
     gen2 = LineSubgroup(p, dir2, func_side).generator
-    f1_vals = []
-    for t in range(p):
-        h1 = gen1.scaled(t)
-        total = CycNum.zero(p)
-        for psi in F2.members():
-            if psi.is_origin():
-                continue
-            hv = hat.values[(chi0 + psi).index]
-            if not hv.is_zero():
-                total = total + hv * root_of_unity(p, psi.pair(h1))
-        f1_vals.append(total)
-    f2_vals = []
-    for t in range(p):
-        h2 = gen2.scaled(t)
-        total = CycNum.zero(p)
-        for psi in F1.members():
-            hv = hat.values[(chi0 + psi).index]
-            if not hv.is_zero():
-                total = total + hv * root_of_unity(p, psi.pair(h2))
-        f2_vals.append(total)
+    # chi0 itself is summed once, into the second component
+    psis1 = LineSubgroup(p, d1, hat_side).members()
+    psis2 = LineSubgroup(p, d2, hat_side).members()[1:]
+    f1_vals = [character_sum(hat, chi0, psis2, gen1.scaled(t)) for t in range(p)]
+    f2_vals = [character_sum(hat, chi0, psis1, gen2.scaled(t)) for t in range(p)]
     s = func.support_size
     details: List[Tuple[str, object]] = []
     if 2 * s < p * p:

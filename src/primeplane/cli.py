@@ -4,8 +4,9 @@ Subcommands: verify, sweep, hunt, frontier, geometry, classify,
 emit-curves.  Every report embeds the run configuration and the package
 version, and identical configurations produce byte-identical output.
 Exit codes: 0 on success, 2 when a violation witness was found, 64 on
-usage errors (bad flags, malformed literals, exceeded ceilings), 70 when
-an internal invariant check fails.
+usage errors (bad flags, malformed literals, exceeded ceilings, an
+unreadable --file or unwritable --out), 70 when an internal invariant
+check fails.
 """
 
 from __future__ import annotations
@@ -301,7 +302,6 @@ def _add_space_args(sub):
 
 def _add_common_output(sub):
     sub.add_argument("--out", help="write output to this path instead of stdout")
-    sub.add_argument("--format", choices=("json", "csv"), default=None)
 
 
 def build_parser() -> _Parser:
@@ -352,6 +352,7 @@ def build_parser() -> _Parser:
     sp = subs.add_parser("frontier", help="map attained (|S|, |X|) pairs")
     _add_space_args(sp)
     _add_common_output(sp)
+    sp.add_argument("--format", choices=("json", "csv"), default=None)
     sp.set_defaults(handler=_cmd_frontier)
 
     sp = subs.add_parser("emit-curves", help="emit the bound curves as CSV")
@@ -370,7 +371,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.handler(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"primeplane: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:

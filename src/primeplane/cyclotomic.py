@@ -221,13 +221,6 @@ class CycNum:
 
     # -- output ---------------------------------------------------------------
 
-    def to_complex(self) -> complex:
-        """Debug-only float evaluation; never used by exact code paths."""
-        import cmath
-
-        z = cmath.exp(2j * cmath.pi / self.p)
-        return sum((float(c) * z**t for t, c in enumerate(self.coeffs)), 0j)
-
     def to_json(self) -> dict:
         return {"p": self.p, "coeffs": [fraction_str(c) for c in self.coeffs]}
 

@@ -99,11 +99,6 @@ class GFunc:
         return cls(p, rank, side, vals)
 
     @classmethod
-    def indicator(cls, points: PointSet) -> "GFunc":
-        vals = [1 if points.mask >> i & 1 else 0 for i in range(points.p**2)]
-        return cls(points.p, 2, points.side, vals)
-
-    @classmethod
     def from_literal(cls, text: str, side: str = PRIMAL) -> "GFunc":
         """Parse the literal 'p; rank; v0,v1,...' with cyclotomic value terms."""
         parts = text.split(";")
@@ -138,9 +133,6 @@ class GFunc:
         return cls(obj["p"], obj["rank"], obj["side"], values)
 
     # -- access ------------------------------------------------------------
-
-    def value_at(self, index: int) -> CycNum:
-        return self.values[index]
 
     def value(self, point: Point) -> CycNum:
         if self.rank != 2:
@@ -213,10 +205,6 @@ class GFunc:
 
     def __repr__(self):
         return f"GFunc({self.side}, {self.to_literal()!r})"
-
-
-def pointwise_mul(f1: GFunc, f2: GFunc) -> GFunc:
-    return f1 * f2
 
 
 def coset_indicator(coset: Coset) -> GFunc:
@@ -413,6 +401,17 @@ def _convolve(f1: GFunc, f2: GFunc, normalize: bool) -> GFunc:
 # -- coset restriction ----------------------------------------------------------
 
 
+def character_sum(hat: GFunc, chi: Point, psis: Sequence[Point], g: Point) -> CycNum:
+    """sum_{psi in psis} hat(chi psi) psi(g): the orthogonal-subgroup sum
+    behind coset restriction and the two-line decompositions."""
+    total = CycNum.zero(hat.p)
+    for psi in psis:
+        val = hat.value(chi + psi)
+        if not val.is_zero():
+            total = total + val * root_of_unity(hat.p, psi.pair(g))
+    return total
+
+
 def _require_plane_primal(f: GFunc):
     if f.rank != 2 or f.side != PRIMAL:
         raise ValueError("operation requires a rank-2 primal function")
@@ -430,16 +429,8 @@ def coset_restriction_transform(f: GFunc, g: Point, H: LineSubgroup,
     p = f.p
     psis = H.orthogonal().members()
     inv = Fraction(1, p)
-    out = []
-    for w in range(p * p):
-        chi = Point.from_index(p, w, DUAL)
-        total = CycNum.zero(p)
-        for psi in psis:
-            val = fhat.value(chi + psi)
-            if not val.is_zero():
-                total = total + val * root_of_unity(p, psi.pair(g))
-        out.append(total * inv)
-    return GFunc(p, 2, DUAL, out)
+    return GFunc(p, 2, DUAL, [character_sum(fhat, Point.from_index(p, w, DUAL), psis, g) * inv
+                              for w in range(p * p)])
 
 
 def coset_sum_identity(f: GFunc, g: Point, H: LineSubgroup, chi: Point,
@@ -453,11 +444,7 @@ def coset_sum_identity(f: GFunc, g: Point, H: LineSubgroup, chi: Point,
     if fhat is None:
         fhat = fourier_transform(f)
     p = f.p
-    lhs = CycNum.zero(p)
-    for psi in H.orthogonal().members():
-        val = fhat.value(chi + psi)
-        if not val.is_zero():
-            lhs = lhs + val * root_of_unity(p, psi.pair(g))
+    lhs = character_sum(fhat, chi, H.orthogonal().members(), g)
     rhs = CycNum.zero(p)
     for h in H.members():
         val = f.value(g + h)

@@ -248,15 +248,6 @@ class PointSet:
         return cls(p, side, (1 << (p * p)) - 1)
 
     @classmethod
-    def from_points(cls, p: int, points: Iterable[Point], side: str = PRIMAL) -> "PointSet":
-        mask = 0
-        for pt in points:
-            if pt.p != p or pt.side != side:
-                raise ValueError("point does not match the set's p and side")
-            mask |= 1 << pt.index
-        return cls(p, side, mask)
-
-    @classmethod
     def from_pairs(cls, p: int, pairs: Iterable[Tuple[int, int]], side: str = PRIMAL) -> "PointSet":
         mask = 0
         for x, y in pairs:

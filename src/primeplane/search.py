@@ -25,7 +25,7 @@ from .plane import (
     Coset,
     LineSubgroup,
     Point,
-    coset_from_id,
+    tables,
 )
 from . import bounds
 from .bounds import EQUALITY, EXCEPTION, VIOLATED
@@ -53,19 +53,23 @@ def _subgroup_indicator(p: int, direction: int) -> List[int]:
     return vals
 
 
+def _nonzero_coefficients(p: int, values: Sequence) -> Tuple[CycNum, ...]:
+    cs = tuple(c if isinstance(c, CycNum) else CycNum.from_rational(p, c) for c in values)
+    if any(c.is_zero() for c in cs):
+        raise ValueError("coefficients must be nonzero")
+    return cs
+
+
 def character_coset(p: int, direction: int = 0, offset: Tuple[int, int] = (0, 0),
                     character: Tuple[int, int] = (1, 1), coefficient=1) -> Construction:
     """A scaled character restricted to one line; both supports have size p."""
     check_prime(p)
     chi = Point.of(p, character[0], character[1], DUAL)
     g0 = Point.of(p, offset[0], offset[1])
-    vals = [CycNum.zero(p)] * (p * p)
-    c = coefficient if isinstance(coefficient, CycNum) else CycNum.from_rational(p, coefficient)
-    if c.is_zero():
-        raise ValueError("coefficient must be nonzero")
-    for z in Coset.through(g0, LineSubgroup(p, direction, PRIMAL)).members():
-        vals[z.index] = c * root_of_unity(p, chi.pair(z))
-    return Construction("character-coset", GFunc(p, 2, PRIMAL, vals), (p, p))
+    desc = bounds.ExceptionDescriptor(
+        kind=bounds.KIND_SINGLE_COSET_CHARACTER, p=p, direction=direction, offsets=(g0,),
+        characters=(chi,), coefficients=_nonzero_coefficients(p, [coefficient]))
+    return Construction("character-coset", desc.reconstruct(), (p, p))
 
 
 def diff_of_subgroups(p: int, d1: int = 0, d2: int = 1) -> Construction:
@@ -157,21 +161,16 @@ def coset_characters(p: int, direction: int, offset: Tuple[int, int],
     if len(characters) != len(coefficients) or not characters:
         raise ValueError("need matching nonempty characters and coefficients")
     sub = LineSubgroup(p, direction, PRIMAL)
-    chis = [Point.of(p, a, b, DUAL) for a, b in characters]
+    chis = tuple(Point.of(p, a, b, DUAL) for a, b in characters)
     perp = sub.orthogonal()
     reps = {Coset.through(chi, LineSubgroup(p, perp.direction, DUAL)).rep for chi in chis}
     if len(reps) != len(chis):
         raise ValueError("characters must lie in distinct orthogonal cosets")
-    cs = [c if isinstance(c, CycNum) else CycNum.from_rational(p, c) for c in coefficients]
-    if any(c.is_zero() for c in cs):
-        raise ValueError("coefficients must be nonzero")
-    vals = [CycNum.zero(p)] * (p * p)
-    for z in Coset.through(Point.of(p, *offset), sub).members():
-        total = CycNum.zero(p)
-        for chi, c in zip(chis, cs):
-            total = total + c * root_of_unity(p, chi.pair(z))
-        vals[z.index] = total
-    return Construction("coset-characters", GFunc(p, 2, PRIMAL, vals))
+    desc = bounds.ExceptionDescriptor(
+        kind=bounds.KIND_CHARACTERS_ON_ONE_COSET, p=p, direction=direction,
+        offsets=(Point.of(p, *offset),), characters=chis,
+        coefficients=_nonzero_coefficients(p, coefficients))
+    return Construction("coset-characters", desc.reconstruct())
 
 
 def character_cosets(p: int, direction: int, offsets: Sequence[Tuple[int, int]],
@@ -181,18 +180,14 @@ def character_cosets(p: int, direction: int, offsets: Sequence[Tuple[int, int]],
     if len(offsets) != len(coefficients) or not offsets:
         raise ValueError("need matching nonempty offsets and coefficients")
     sub = LineSubgroup(p, direction, PRIMAL)
-    cosets = [Coset.through(Point.of(p, *g), sub) for g in offsets]
-    if len({c.rep for c in cosets}) != len(cosets):
+    points = tuple(Point.of(p, *g) for g in offsets)
+    if len({Coset.through(g, sub).rep for g in points}) != len(points):
         raise ValueError("offsets must lie in distinct cosets")
     chi = Point.of(p, character[0], character[1], DUAL)
-    cs = [c if isinstance(c, CycNum) else CycNum.from_rational(p, c) for c in coefficients]
-    if any(c.is_zero() for c in cs):
-        raise ValueError("coefficients must be nonzero")
-    vals = [CycNum.zero(p)] * (p * p)
-    for coset, c in zip(cosets, cs):
-        for z in coset.members():
-            vals[z.index] = c * root_of_unity(p, chi.pair(z))
-    return Construction("character-cosets", GFunc(p, 2, PRIMAL, vals))
+    desc = bounds.ExceptionDescriptor(
+        kind=bounds.KIND_CHARACTER_ON_COSETS, p=p, direction=direction, offsets=points,
+        characters=(chi,), coefficients=_nonzero_coefficients(p, coefficients))
+    return Construction("character-cosets", desc.reconstruct())
 
 
 def two_parallel_lines_function(p: int, direction: int,
@@ -212,16 +207,12 @@ def two_parallel_lines_function(p: int, direction: int,
         raise ValueError("characters must lie in distinct orthogonal cosets")
     if len(coset_values1) != p or len(coset_values2) != p:
         raise ValueError(f"need {p} per-coset values for each component")
-    vals = [CycNum.zero(p)] * (p * p)
-    for j in range(p):
-        v1 = coset_values1[j] if isinstance(coset_values1[j], CycNum) \
-            else CycNum.from_rational(p, coset_values1[j])
-        v2 = coset_values2[j] if isinstance(coset_values2[j], CycNum) \
-            else CycNum.from_rational(p, coset_values2[j])
-        for z in coset_from_id(p, direction, j).members():
-            vals[z.index] = v1 * root_of_unity(p, chi1.pair(z)) + \
-                v2 * root_of_unity(p, chi2.pair(z))
-    return Construction("two-parallel", GFunc(p, 2, PRIMAL, vals))
+    ids = tables(p).coset_id[direction]
+    comps = tuple(GFunc(p, 2, PRIMAL, [values[j] for j in ids])
+                  for values in (coset_values1, coset_values2))
+    desc = bounds.ExceptionDescriptor(kind=bounds.KIND_TWO_PARALLEL, p=p, direction=direction,
+                                      characters=(chi1, chi2), components=comps)
+    return Construction("two-parallel", desc.reconstruct())
 
 
 def two_nonparallel_lines_function(p: int, d1: int, d2: int, character: Tuple[int, int],
@@ -234,17 +225,11 @@ def two_nonparallel_lines_function(p: int, d1: int, d2: int, character: Tuple[in
         raise ValueError("directions must be distinct")
     if len(values1) != p or len(values2) != p:
         raise ValueError(f"need {p} values per component")
-    chi = Point.of(p, *character, side=DUAL)
-    gen1 = LineSubgroup(p, d1, PRIMAL).generator
-    gen2 = LineSubgroup(p, d2, PRIMAL).generator
-    v1 = [v if isinstance(v, CycNum) else CycNum.from_rational(p, v) for v in values1]
-    v2 = [v if isinstance(v, CycNum) else CycNum.from_rational(p, v) for v in values2]
-    vals = [CycNum.zero(p)] * (p * p)
-    for t1 in range(p):
-        for t2 in range(p):
-            g = gen1.scaled(t1) + gen2.scaled(t2)
-            vals[g.index] = (v1[t1] + v2[t2]) * root_of_unity(p, chi.pair(g))
-    return Construction("two-nonparallel", GFunc(p, 2, PRIMAL, vals))
+    desc = bounds.ExceptionDescriptor(
+        kind=bounds.KIND_TWO_NONPARALLEL, p=p, directions=(d1, d2),
+        characters=(Point.of(p, *character, side=DUAL),),
+        components=(GFunc(p, 1, PRIMAL, values1), GFunc(p, 1, PRIMAL, values2)))
+    return Construction("two-nonparallel", desc.reconstruct())
 
 
 GALLERY = {
@@ -458,10 +443,6 @@ class SweepResult:
     exception_ordinals: Optional[Dict[str, List[int]]]
     n_candidates: int
     n_nonzero: int
-
-    @property
-    def violation_free(self) -> bool:
-        return not self.violations
 
     def to_json(self) -> dict:
         out = {

@@ -334,13 +334,18 @@ def test_sweep_decides_cover_clauses_without_exact_covers(capsys, monkeypatch):
     assert counts["covered_by_lines"] > 0
 
 
-def run_child(*argv):
-    """The CLI in a child process, so that a hang becomes a timeout failure."""
+def child(*argv):
+    """The CLI in a child process, so that a hang becomes a timeout failure
+    and an uncaught exception shows as a traceback on stderr."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(primeplane.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    done = subprocess.run([sys.executable, "-m", "primeplane.cli", *argv], env=env,
+    return subprocess.run([sys.executable, "-m", "primeplane.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def run_child(*argv):
+    done = child(*argv)
     assert done.returncode == EXIT_OK, done.stderr
     return json.loads(done.stdout)
 
@@ -410,6 +415,34 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert out == ""
     payload = json.loads(target.read_text(encoding="utf-8"))
     assert payload["reports"][0]["verdict"] == "holds-with-equality"
+
+
+def test_unreadable_file_and_unwritable_out_are_usage_errors(tmp_path):
+    missing = tmp_path / "no-such-dir"
+    for argv in (["verify", "--file", str(missing / "f.txt")],
+                 ["verify", "--family", "pm-two-cosets", "--p", "3",
+                  "--out", str(missing / "report.json")]):
+        done = child(*argv)
+        assert done.returncode == EXIT_USAGE, (argv, done.stderr)
+        assert done.stderr.startswith("primeplane: error: "), argv
+        assert "Traceback" not in done.stderr, argv
+        assert done.stdout == ""
+    assert not missing.exists()
+
+
+def test_format_only_on_frontier(capsys):
+    for argv in (["verify", "--family", "diff-of-subgroups", "--p", "5", "--format", "csv"],
+                 ["emit-curves", "--p", "2", "--format", "json"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE, argv
+        assert "--format" in err and out == ""
+    code, out, err = run_cli(capsys, "frontier", "--p", "3", "--mode", "exhaustive",
+                             "--alphabet=-1,0,1", "--rank", "2", "--jobs", "1",
+                             "--format", "json")
+    assert code == EXIT_OK, err
+    # the p3-exhaustive frontier digest in perfbench/expected.json
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "21b8daccaf18c715ae33d748cb0329cb6c8304d949d8a0d47374656c774ec9d1"
 
 
 def test_verify_conjecture_requires_k(capsys):

@@ -1,16 +1,22 @@
 """Gallery constructions, candidate spaces, sweeps, frontier and hunts."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from primeplane import search
 from primeplane.bounds import EQUALITY, EXCEPTION, VIOLATED
+from primeplane.cyclotomic import CycNum, root_of_unity
 from primeplane.fourier import GFunc, fourier_transform, int_support_masks
+from primeplane.plane import DUAL, PRIMAL, Coset, LineSubgroup, Point, coset_from_id
 from primeplane.search import (
     SearchSpace,
     attainable_lattice,
+    character_coset,
+    character_cosets,
     construct,
+    coset_characters,
     diff_of_subgroups,
     frontier,
     hunt,
@@ -19,6 +25,8 @@ from primeplane.search import (
     sharp_pair_1d,
     sweep,
     triple_subgroups,
+    two_nonparallel_lines_function,
+    two_parallel_lines_function,
 )
 
 
@@ -325,3 +333,122 @@ def test_sweep_parallel_every_check_matches_serial():
     kwargs = dict(k=2, eps="1/2", collect_exceptions=True)
     assert sweep(space, ALL_CHECKS, jobs=2, **kwargs).to_json() == \
         sweep(space, ALL_CHECKS, **kwargs).to_json()
+
+
+# -- gallery builders against their reference loops ------------------------------
+#
+# The structured builders go through bounds.ExceptionDescriptor.reconstruct;
+# the reference_* functions build the same forms with their own loops, a
+# route independent of the descriptor.
+
+
+def _cyc(p, v):
+    return v if isinstance(v, CycNum) else CycNum.from_rational(p, v)
+
+
+def reference_character_coset(p, direction, offset, character, coefficient):
+    chi = Point.of(p, *character, side=DUAL)
+    vals = [CycNum.zero(p)] * (p * p)
+    for z in Coset.through(Point.of(p, *offset), LineSubgroup(p, direction, PRIMAL)).members():
+        vals[z.index] = _cyc(p, coefficient) * root_of_unity(p, chi.pair(z))
+    return GFunc(p, 2, PRIMAL, vals)
+
+
+def reference_coset_characters(p, direction, offset, characters, coefficients):
+    chis = [Point.of(p, *c, side=DUAL) for c in characters]
+    vals = [CycNum.zero(p)] * (p * p)
+    for z in Coset.through(Point.of(p, *offset), LineSubgroup(p, direction, PRIMAL)).members():
+        total = CycNum.zero(p)
+        for chi, c in zip(chis, coefficients):
+            total = total + _cyc(p, c) * root_of_unity(p, chi.pair(z))
+        vals[z.index] = total
+    return GFunc(p, 2, PRIMAL, vals)
+
+
+def reference_character_cosets(p, direction, offsets, character, coefficients):
+    chi = Point.of(p, *character, side=DUAL)
+    sub = LineSubgroup(p, direction, PRIMAL)
+    vals = [CycNum.zero(p)] * (p * p)
+    for g, c in zip(offsets, coefficients):
+        for z in Coset.through(Point.of(p, *g), sub).members():
+            vals[z.index] = _cyc(p, c) * root_of_unity(p, chi.pair(z))
+    return GFunc(p, 2, PRIMAL, vals)
+
+
+def reference_two_parallel(p, direction, char1, char2, coset_values1, coset_values2):
+    chi1 = Point.of(p, *char1, side=DUAL)
+    chi2 = Point.of(p, *char2, side=DUAL)
+    vals = [CycNum.zero(p)] * (p * p)
+    for j in range(p):
+        for z in coset_from_id(p, direction, j).members():
+            vals[z.index] = _cyc(p, coset_values1[j]) * root_of_unity(p, chi1.pair(z)) + \
+                _cyc(p, coset_values2[j]) * root_of_unity(p, chi2.pair(z))
+    return GFunc(p, 2, PRIMAL, vals)
+
+
+def reference_two_nonparallel(p, d1, d2, character, values1, values2):
+    chi = Point.of(p, *character, side=DUAL)
+    gen1 = LineSubgroup(p, d1, PRIMAL).generator
+    gen2 = LineSubgroup(p, d2, PRIMAL).generator
+    vals = [CycNum.zero(p)] * (p * p)
+    for t1 in range(p):
+        for t2 in range(p):
+            g = gen1.scaled(t1) + gen2.scaled(t2)
+            vals[g.index] = (_cyc(p, values1[t1]) + _cyc(p, values2[t2])) * \
+                root_of_unity(p, chi.pair(g))
+    return GFunc(p, 2, PRIMAL, vals)
+
+
+def random_value(rng, p, kind, nonzero=False):
+    """An integer, a half-integer or a cyclotomic value."""
+    while True:
+        if kind == "int":
+            v = rng.randint(-3, 3)
+        elif kind == "half":
+            v = Fraction(rng.randint(-3, 3), 2)
+        else:
+            v = CycNum.zero(p)
+            for t in range(p):
+                v = v + rng.randint(-2, 2) * root_of_unity(p, t)
+        if not nonzero or v != 0:
+            return v
+
+
+def point_on(rng, p, direction, coset_id, side=PRIMAL):
+    """A random point of the given line."""
+    pt = coset_from_id(p, direction, coset_id, side).members()[rng.randrange(p)]
+    return (pt.x, pt.y)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("kind", ["int", "half", "cyclotomic"])
+def test_builders_match_reference_loops(p, kind):
+    rng = random.Random(1000 * p + len(kind))
+    for _ in range(6):
+        d = rng.randrange(p + 1)
+        perp = LineSubgroup(p, d, PRIMAL).orthogonal().direction
+        offset = (rng.randrange(p), rng.randrange(p))
+        character = (rng.randrange(p), rng.randrange(p))
+        c = random_value(rng, p, kind, nonzero=True)
+        assert character_coset(p, d, offset, character, c).func == \
+            reference_character_coset(p, d, offset, character, c)
+
+        n = rng.randint(1, p)
+        chis = [point_on(rng, p, perp, j, DUAL) for j in rng.sample(range(p), n)]
+        coeffs = [random_value(rng, p, kind, nonzero=True) for _ in chis]
+        assert coset_characters(p, d, offset, chis, coeffs).func == \
+            reference_coset_characters(p, d, offset, chis, coeffs)
+
+        offsets = [point_on(rng, p, d, j) for j in rng.sample(range(p), n)]
+        assert character_cosets(p, d, offsets, character, coeffs).func == \
+            reference_character_cosets(p, d, offsets, character, coeffs)
+
+        char1, char2 = (point_on(rng, p, perp, j, DUAL) for j in rng.sample(range(p), 2))
+        vals1 = [random_value(rng, p, kind) for _ in range(p)]
+        vals2 = [random_value(rng, p, kind) for _ in range(p)]
+        assert two_parallel_lines_function(p, d, char1, char2, vals1, vals2).func == \
+            reference_two_parallel(p, d, char1, char2, vals1, vals2)
+
+        d2 = rng.choice([e for e in range(p + 1) if e != d])
+        assert two_nonparallel_lines_function(p, d, d2, character, vals1, vals2).func == \
+            reference_two_nonparallel(p, d, d2, character, vals1, vals2)
