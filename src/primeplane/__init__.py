@@ -16,6 +16,7 @@ from .plane import (
     LineSubgroup,
     Point,
     PointSet,
+    SearchBudgetExceeded,
     all_subgroups,
     bounded_line_direction,
     coset_of,

@@ -6,7 +6,8 @@ version, and identical configurations produce byte-identical output.
 Exit codes: 0 on success, 2 when a violation witness was found, 64 on
 usage errors (bad flags, malformed literals, exceeded ceilings, an
 unreadable --file or unwritable --out), 70 when an internal invariant
-check fails.
+check fails, 75 when an exact plane search (minimum blocking set,
+minimum line cover) runs out of its node budget.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .bounds import VIOLATED, BoundReport, classify_exception
 from .cyclotomic import check_prime
 from .fourier import GFunc
 from .plane import (
+    SearchBudgetExceeded,
     bounded_line_direction,
     directions_determined,
     min_blocking_size,
@@ -37,6 +39,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 2
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70
+EXIT_BUDGET = 75
 
 CEILING_ENV = "PRIMEPLANE_CEILING"
 
@@ -374,6 +377,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"primeplane: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SearchBudgetExceeded as exc:
+        print(f"primeplane: error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except RuntimeError as exc:
         print(f"primeplane: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

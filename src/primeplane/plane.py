@@ -401,6 +401,32 @@ def directions_determined(P: PointSet) -> FrozenSet[int]:
     return frozenset(out)
 
 
+# -- exact searches -------------------------------------------------------------
+
+NODE_BUDGET = 1_000_000
+"""Nodes one exact search (minimum blocking set, minimum line cover) may
+visit before it gives up with SearchBudgetExceeded."""
+
+
+class SearchBudgetExceeded(Exception):
+    """An exact search used up NODE_BUDGET nodes without an answer."""
+
+
+class _Nodes:
+    """The node count of one exact search, checked against NODE_BUDGET."""
+
+    __slots__ = ("left", "what")
+
+    def __init__(self, what: str):
+        self.left = NODE_BUDGET
+        self.what = what
+
+    def spend(self):
+        self.left -= 1
+        if self.left < 0:
+            raise SearchBudgetExceeded(f"{self.what} gave up after {NODE_BUDGET} nodes")
+
+
 # -- blocking sets ------------------------------------------------------------
 
 
@@ -414,35 +440,55 @@ def min_blocking_size(p: int) -> Tuple[int, PointSet]:
     """Exact minimum blocking-set size with one witness, by branch and bound.
 
     The union of two nonparallel lines (2p-1 points) seeds the upper
-    bound; the search then proves that nothing smaller blocks every line.
+    bound, and the search proves that nothing smaller blocks every line;
+    the minimum is 2p-1 by Jamison (1977) and Brouwer-Schrijver (1978).
+    A point lies on exactly one line of each parallel class, so a partial
+    set with u_d unmet lines in direction d needs at least max_d u_d more
+    points.  Each node branches on the points of the first unmet line.
+    At the root one point suffices, because translations are transitive
+    on points; at depth 1 one nonzero point suffices, because GL(2, p)
+    fixes the chosen origin, is transitive on nonzero vectors and maps
+    lines to lines.  Raises SearchBudgetExceeded past NODE_BUDGET nodes.
     """
     check_prime(p)
     T = tables(p)
-    line_masks = tuple(m for _, _, m in T.all_lines)
-    init_mask = T.coset_masks[0][0] | T.coset_masks[p][0]
-    best_size = init_mask.bit_count()
-    best_mask = init_mask
+    size, mask = _blocking_search(p, T.coset_masks[0][0] | T.coset_masks[p][0])
+    return size, PointSet(p, PRIMAL, mask)
+
+
+def _blocking_search(p: int, seed_mask: int) -> Tuple[int, int]:
+    """The smallest blocking set strictly smaller than the blocking set
+    seed_mask, or the seed if there is none, as (size, mask)."""
+    T = tables(p)
+    best_size = seed_mask.bit_count()
+    best_mask = seed_mask
     n = p * p
-    per_point = p + 1
     point_lines = T.lines_through
+    nodes = _Nodes(f"minimum blocking set search at p = {p}")
 
     def dfs(chosen: int, count: int):
         nonlocal best_size, best_mask
+        nodes.spend()
         first_mask = 0
-        unmet = 0
-        for m in line_masks:
-            if not (m & chosen):
-                unmet += 1
-                if not first_mask:
-                    first_mask = m
-        if unmet == 0:
+        need = 0
+        for masks in T.coset_masks:
+            unmet = 0
+            for m in masks:
+                if not (m & chosen):
+                    unmet += 1
+                    if not first_mask:
+                        first_mask = m
+            if unmet > need:
+                need = unmet
+        if need == 0:
             if count < best_size:
                 best_size, best_mask = count, chosen
             return
-        need = -(-unmet // per_point)
         if count + need >= best_size:
             return
         pts = [i for i in range(n) if first_mask >> i & 1]
+        if count < 2:
+            pts = pts[:1]
 
         def gain(i):
             return sum(1 for _, lm in point_lines[i] if not (lm & chosen))
@@ -451,7 +497,7 @@ def min_blocking_size(p: int) -> Tuple[int, PointSet]:
             dfs(chosen | (1 << i), count + 1)
 
     dfs(0, 0)
-    return best_size, PointSet(p, PRIMAL, best_mask)
+    return best_size, best_mask
 
 
 @dataclass(frozen=True)
@@ -545,7 +591,10 @@ def one_line_cover(P: PointSet) -> bool:
     return not (P.mask & ~line)
 
 
-def _cover_search(p: int, mask: int, budget: int, T: _Tables) -> bool:
+def _cover_search(p: int, mask: int, budget: int, T: _Tables,
+                  nodes: Optional[_Nodes] = None) -> bool:
+    if nodes is not None:
+        nodes.spend()
     if mask == 0:
         return True
     if budget <= 0:
@@ -560,14 +609,14 @@ def _cover_search(p: int, mask: int, budget: int, T: _Tables) -> bool:
     # `budget` lines cover at most budget^2 points of the set.
     for _, _, line in T.all_lines:
         if (line & mask).bit_count() > budget:
-            return _cover_search(p, mask & ~line, budget - 1, T)
+            return _cover_search(p, mask & ~line, budget - 1, T, nodes)
     if size > budget * budget:
         return False
     idx = (mask & -mask).bit_length() - 1
     options = sorted(T.lines_through[idx],
                      key=lambda dm: (-(dm[1] & mask).bit_count(), dm[0]))
     for _, line in options:
-        if _cover_search(p, mask & ~line, budget - 1, T):
+        if _cover_search(p, mask & ~line, budget - 1, T, nodes):
             return True
     return False
 
@@ -585,5 +634,9 @@ def two_line_cover(P: PointSet) -> bool:
 
 def min_line_cover(P: PointSet) -> int:
     """Exact minimum number of lines covering P; the p parallel lines of
-    one direction cover any set, so the search stops by m = p."""
-    return next(m for m in range(P.p + 1) if covered_by_lines(P, m))
+    one direction cover any set, so the search stops by m = p.  Raises
+    SearchBudgetExceeded once the searches for m = 0, 1, ... have visited
+    NODE_BUDGET nodes together."""
+    T = tables(P.p)
+    nodes = _Nodes(f"minimum line cover search at p = {P.p} ({P.size} points)")
+    return next(m for m in range(P.p + 1) if _cover_search(P.p, P.mask, m, T, nodes))

@@ -12,8 +12,9 @@ from fractions import Fraction
 
 import primeplane
 from primeplane import bounds, cli
-from primeplane.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
-from primeplane.search import construct
+from primeplane.cli import (EXIT_BUDGET, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION,
+                            main)
+from primeplane.search import construct, make_space
 
 
 def run_cli(capsys, *argv):
@@ -374,6 +375,25 @@ def test_p13_cover_clauses_decided_by_bounded_search():
     hunted = run_child("hunt", *space, "--theorem", "conjecture", "--k", "7")["hunt"]
     assert hunted["witness"] is None
     assert sum(hunted["counts"].values()) == hunted["checked"] == report["nonzero"]
+
+
+def assert_budget_exit(done, search):
+    assert done.returncode == EXIT_BUDGET, (done.returncode, done.stderr)
+    assert "Traceback" not in done.stderr and done.stdout == ""
+    assert done.stderr.startswith(f"primeplane: error: {search} search at p = ")
+
+
+def test_blocking_min_p7_stops_at_the_node_budget():
+    assert_budget_exit(child("geometry", "--query", "blocking-min", "--p", "7"),
+                       "minimum blocking set")
+
+
+def test_exact_cover_of_a_dense_p13_support_stops_at_the_node_budget():
+    # verify computes the exact minimum covers; for this support the search
+    # ran past 20 s before it had a node budget
+    literal = make_space(13, alphabet=(0, 1), mode="random", seed=0, budget=10).literal_at(0)
+    assert_budget_exit(child("verify", "--function", literal, "--theorem", "conjecture",
+                             "--k", "7"), "minimum line cover")
 
 
 def test_zero_denominator_epsilon_is_a_usage_error(capsys):

@@ -5,12 +5,15 @@ import random
 
 import pytest
 
+from primeplane import plane
 from primeplane.plane import (
     DUAL,
     PRIMAL,
     LineSubgroup,
     Point,
     PointSet,
+    SearchBudgetExceeded,
+    _blocking_search,
     all_subgroups,
     bounded_line_direction,
     coset_of,
@@ -145,6 +148,63 @@ def test_min_blocking_small():
         assert size == 2 * p - 1
         assert witness.size == size
         assert is_blocking_set(witness)
+
+
+def plain_blocking_search(p, seed_mask):
+    """Reference route for _blocking_search: branch over every point of the
+    first unmet line at every depth, pruning only by ceil(unmet / (p + 1))."""
+    T = tables(p)
+    line_masks = tuple(m for _, _, m in T.all_lines)
+    best = [seed_mask.bit_count(), seed_mask]
+
+    def dfs(chosen, count):
+        unmet = [m for m in line_masks if not (m & chosen)]
+        if not unmet:
+            if count < best[0]:
+                best[:] = [count, chosen]
+            return
+        if count + -(-len(unmet) // (p + 1)) >= best[0]:
+            return
+
+        def gain(i):
+            return sum(1 for _, lm in T.lines_through[i] if not (lm & chosen))
+
+        pts = [i for i in range(p * p) if unmet[0] >> i & 1]
+        for i in sorted(pts, key=lambda i: (-gain(i), i)):
+            dfs(chosen | (1 << i), count + 1)
+
+    dfs(0, 0)
+    return tuple(best)
+
+
+def test_blocking_search_matches_plain_search():
+    # seeded with the whole plane, so the answer 2p - 1 must be found by the
+    # search rather than inherited from the two-line seed
+    for p in (2, 3, 5):
+        full = tables(p).full_mask
+        for size, mask in (_blocking_search(p, full), plain_blocking_search(p, full)):
+            assert size == 2 * p - 1 == mask.bit_count(), p
+            assert is_blocking_set(PointSet(p, PRIMAL, mask)), p
+
+
+def test_blocking_search_node_count_p5(monkeypatch):
+    # Output cannot show every over-pruning: branching on one point at depth
+    # 2 as well still finds x = 0 plus y = 0.  The exact node count can:
+    # fewer nodes means a branch was cut that neither the bound nor the
+    # symmetry justifies, more means one of them was lost.
+    monkeypatch.setattr(plane, "NODE_BUDGET", 7113)
+    assert min_blocking_size(5)[0] == 9
+    monkeypatch.setattr(plane, "NODE_BUDGET", 7112)
+    with pytest.raises(SearchBudgetExceeded, match="blocking set search at p = 5"):
+        min_blocking_size(5)
+
+
+def test_min_line_cover_stops_at_the_node_budget(monkeypatch):
+    monkeypatch.setattr(plane, "NODE_BUDGET", 10)
+    with pytest.raises(SearchBudgetExceeded, match="line cover search at p = 7"):
+        min_line_cover(PointSet.full(7))
+    assert covered_by_lines(PointSet.full(7), 7)  # the bounded test has no budget
+    assert not issubclass(SearchBudgetExceeded, RuntimeError)
 
 
 def test_pencil_stability_full_line():
