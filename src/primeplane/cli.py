@@ -148,6 +148,8 @@ def _load_function(args) -> GFunc:
 def _space_from(args) -> SearchSpace:
     if args.p is None:
         raise ValueError("a candidate space requires --p")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     alphabet = [s.strip() for s in (args.alphabet or "-1,0,1").split(",") if s.strip()]
     if not alphabet:
         raise ValueError("alphabet must be nonempty")
@@ -300,7 +302,8 @@ def _add_space_args(sub):
     sub.add_argument("--ceiling", type=int, default=None,
                      help=f"candidate ceiling (or ${CEILING_ENV})")
     sub.add_argument("--jobs", type=int, default=1,
-                     help="worker processes (sweep only; hunt and frontier run serially)")
+                     help="worker processes, at most one per CPU (sweep only; hunt and "
+                          "frontier run serially)")
 
 
 def _add_common_output(sub):

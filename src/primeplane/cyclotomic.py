@@ -5,15 +5,17 @@ A value is stored by its coordinates in the power basis
 unity.  The defining relation 1 + zeta + ... + zeta^(p-1) = 0 rewrites
 zeta^(p-1) back into the basis, so the representation is canonical:
 equality and zero-testing are exact coefficient comparisons.  Floating
-point is banned from this module; coefficients are Python ints and
-fractions.Fraction values.
+point is banned from this module; a value's coefficients are Python int
+numerators over one common positive int denominator, kept in lowest
+terms, and are read back as ints and fractions.Fraction values.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Sequence, Union
+from math import gcd, lcm
+from typing import Sequence, Tuple, Union
 
 Rational = Union[int, Fraction]
 
@@ -55,30 +57,49 @@ def _as_coeff(value) -> Rational:
     raise TypeError(f"coefficients must be int or Fraction, got {type(value).__name__}")
 
 
+def _is_rational(value) -> bool:
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+
+
 class CycNum:
     """An element of Q(zeta_p), kept reduced in the power basis.
 
-    Instances are immutable and hashable; arithmetic is closed over the
-    field and always returns reduced values.
+    The coefficients are stored as integer numerators ``num`` over one
+    positive denominator ``den``, in lowest terms: gcd(den, *num) == 1, so
+    zero has den == 1.  Instances are immutable and hashable; arithmetic is
+    closed over the field, runs on ints only and always returns reduced
+    values.
     """
 
-    __slots__ = ("p", "coeffs")
+    __slots__ = ("p", "num", "den")
 
     def __init__(self, p: int, coeffs: Sequence[Rational]):
         check_prime(p)
         if len(coeffs) != p - 1:
             raise ValueError(f"need {p - 1} basis coefficients for p={p}, got {len(coeffs)}")
+        cs = [_as_coeff(c) for c in coeffs]
+        den = lcm(1, *(c.denominator for c in cs if isinstance(c, Fraction)))
+        # over the lcm of lowest-terms denominators the numerators are coprime to it
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeffs", tuple(_as_coeff(c) for c in coeffs))
+        object.__setattr__(self, "num", tuple(c.numerator * (den // c.denominator) for c in cs))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycNum is immutable")
+
+    @property
+    def coeffs(self) -> Tuple[Rational, ...]:
+        """The basis coefficients: an int where integral, else a Fraction."""
+        den = self.den
+        if den == 1:
+            return self.num
+        return tuple(Fraction(c, den) if c % den else c // den for c in self.num)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, p: int) -> "CycNum":
-        return cls(p, (0,) * (p - 1))
+        return _make(check_prime(p), (0,) * (p - 1), 1)
 
     @classmethod
     def one(cls, p: int) -> "CycNum":
@@ -87,7 +108,8 @@ class CycNum:
     @classmethod
     def from_rational(cls, p: int, value: Rational) -> "CycNum":
         check_prime(p)
-        return cls(p, (_as_coeff(value),) + (0,) * (p - 2))
+        value = _as_coeff(value)
+        return _make(p, (value.numerator,) + (0,) * (p - 2), value.denominator)
 
     @classmethod
     def from_exponent_vector(cls, p: int, acc: Sequence[Rational]) -> "CycNum":
@@ -107,7 +129,7 @@ class CycNum:
             if other.p != self.p:
                 raise ValueError(f"mixed cyclotomic orders {self.p} and {other.p}")
             return other
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+        if _is_rational(other):
             return CycNum.from_rational(self.p, other)
         return None
 
@@ -115,7 +137,7 @@ class CycNum:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycNum(self.p, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return _combine(self, other, 1)
 
     __radd__ = __add__
 
@@ -123,7 +145,7 @@ class CycNum:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycNum(self.p, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return _combine(self, other, -1)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -132,33 +154,36 @@ class CycNum:
         return other - self
 
     def __neg__(self):
-        return CycNum(self.p, tuple(-c for c in self.coeffs))
+        return _make(self.p, tuple(-c for c in self.num), self.den)
 
     def __mul__(self, other):
         if isinstance(other, CycNum):
             if other.p != self.p:
                 raise ValueError(f"mixed cyclotomic orders {self.p} and {other.p}")
             p = self.p
+            right = [(j, b) for j, b in enumerate(other.num) if b]
             acc = [0] * p
-            for i, a in enumerate(self.coeffs):
+            for i, a in enumerate(self.num):
                 if a:
-                    for j, b in enumerate(other.coeffs):
-                        if b:
-                            acc[(i + j) % p] += a * b
-            return CycNum.from_exponent_vector(p, acc)
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            if not other:
-                return CycNum.zero(self.p)
-            return CycNum(self.p, tuple(c * other for c in self.coeffs))
+                    for j, b in right:
+                        s = i + j
+                        acc[s - p if s >= p else s] += a * b
+            return _reduced_over(p, acc, self.den * other.den)
+        if _is_rational(other):
+            return _make(self.p, tuple(c * other.numerator for c in self.num),
+                         self.den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+        if _is_rational(other):
             if other == 0:
                 raise ZeroDivisionError("division by zero")
-            return self * (1 / Fraction(other))
+            n, d = other.numerator, other.denominator
+            if n < 0:
+                n, d = -n, -d
+            return _make(self.p, tuple(c * d for c in self.num), self.den * n)
         return NotImplemented
 
     def __pow__(self, n: int) -> "CycNum":
@@ -184,10 +209,10 @@ class CycNum:
         if j == 1:
             return self
         acc = [0] * p
-        for t, c in enumerate(self.coeffs):
+        for t, c in enumerate(self.num):
             if c:
                 acc[(j * t) % p] += c
-        return CycNum.from_exponent_vector(p, acc)
+        return _reduced_over(p, acc, self.den)
 
     def conjugate(self) -> "CycNum":
         """Complex conjugation, i.e. zeta -> zeta^(p-1)."""
@@ -196,33 +221,39 @@ class CycNum:
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("value is not rational")
-        return Fraction(self.coeffs[0])
+        return Fraction(self.num[0], self.den)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+        if _is_rational(other):
             other = CycNum.from_rational(self.p, other)
         if not isinstance(other, CycNum):
             return NotImplemented
-        return self.p == other.p and self.coeffs == other.coeffs
+        return self.p == other.p and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.p, self.coeffs))
+        return hash((self.p, self.num, self.den))
 
     # -- output ---------------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"p": self.p, "coeffs": [fraction_str(c) for c in self.coeffs]}
+        """Each coefficient as an exact 'num/den' string in lowest terms."""
+        den = self.den
+        coeffs = []
+        for c in self.num:
+            g = gcd(c, den)
+            coeffs.append(f"{c // g}/{den // g}")
+        return {"p": self.p, "coeffs": coeffs}
 
     @classmethod
     def from_json(cls, obj: dict) -> "CycNum":
@@ -235,6 +266,46 @@ class CycNum:
         return format_value(self)
 
 
+_new = object.__new__
+_set_p = CycNum.p.__set__
+_set_num = CycNum.num.__set__
+_set_den = CycNum.den.__set__
+
+
+def _make(p: int, num: Tuple[int, ...], den: int) -> CycNum:
+    """Trusted constructor: p - 1 int numerators over den > 0, reduced by
+    their gcd.  Callers have already checked p and the length."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple(c // g for c in num)
+            den //= g
+    x = _new(CycNum)
+    _set_p(x, p)
+    _set_num(x, num)
+    _set_den(x, den)
+    return x
+
+
+def _combine(x: CycNum, y: CycNum, sign: int) -> CycNum:
+    """x + sign*y, over the lcm of the two denominators."""
+    a, b = x.den, y.den
+    if a == b:
+        return _make(x.p, tuple(u + sign * v for u, v in zip(x.num, y.num)), a)
+    g = gcd(a, b)
+    mx, my = b // g, sign * (a // g)
+    return _make(x.p, tuple(u * mx + v * my for u, v in zip(x.num, y.num)), a * mx)
+
+
+def _reduced_over(p: int, acc: Sequence[int], den: int) -> CycNum:
+    """The value sum_k acc[k] zeta^k / den for p int exponent coefficients,
+    rewritten into the basis by 1 + zeta + ... + zeta^(p-1) = 0 and reduced."""
+    top = acc[p - 1]
+    if top:
+        return _make(p, tuple(c - top for c in acc[: p - 1]), den)
+    return _make(p, tuple(acc[: p - 1]), den)
+
+
 def root_of_unity(p: int, k: int) -> CycNum:
     """zeta_p^k as a reduced basis element; root_of_unity(p, 0) is 1."""
     check_prime(p)
@@ -242,13 +313,7 @@ def root_of_unity(p: int, k: int) -> CycNum:
         raise ValueError(f"exponent must satisfy 0 <= k < p, got {k!r}")
     acc = [0] * p
     acc[k] = 1
-    return CycNum.from_exponent_vector(p, acc)
-
-
-def fraction_str(value: Rational) -> str:
-    """Exact 'num/den' rendering used by the JSON serialization."""
-    f = Fraction(value)
-    return f"{f.numerator}/{f.denominator}"
+    return _reduced_over(p, acc, 1)
 
 
 def format_value(x: CycNum) -> str:

@@ -13,9 +13,18 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .cyclotomic import CycNum, check_prime, format_value, parse_value, root_of_unity
+from .cyclotomic import (
+    CycNum,
+    _make,
+    _reduced_over,
+    check_prime,
+    format_value,
+    parse_value,
+    root_of_unity,
+)
 from .plane import (
     DUAL,
     PRIMAL,
@@ -28,6 +37,8 @@ from .plane import (
 )
 
 ValueLike = Union[CycNum, int, Fraction]
+#: (line_of, mask, points) for one direction; see _line_sum_tables
+LineTable = Tuple[Tuple[int, ...], int, Tuple[int, ...]]
 
 
 @lru_cache(maxsize=None)
@@ -223,73 +234,107 @@ def _scaled_int_coeffs(values: Sequence[CycNum]) -> Tuple[List[Tuple[int, ...]],
     The hot loops below then run in plain integer arithmetic; the single
     denominator is divided back out when the results are reduced.
     """
-    den = 1
-    for v in values:
-        for c in v.coeffs:
-            if isinstance(c, Fraction):
-                den = lcm(den, c.denominator)
+    den = lcm(*{v.den for v in values})
     if den == 1:
-        return [v.coeffs for v in values], 1
-    scaled = []
-    for v in values:
-        scaled.append(tuple(int(c * den) for c in v.coeffs))
-    return scaled, den
+        return [v.num for v in values], 1
+    return [v.num if v.den == den else tuple(c * (den // v.den) for c in v.num)
+            for v in values], den
 
 
-def _reduced_over(p: int, acc: Sequence[int], divisor: int) -> CycNum:
-    top = acc[p - 1]
-    if divisor == 1:
-        if top:
-            return CycNum(p, tuple(c - top for c in acc[: p - 1]))
-        return CycNum(p, tuple(acc[: p - 1]))
-    return CycNum(p, tuple(Fraction(c - top, divisor) for c in acc[: p - 1]))
+@lru_cache(maxsize=None)
+def _line_sum_tables(p: int, rank: int) -> Tuple[LineTable, ...]:
+    """(line_of, mask, points) for each of the dual directions d: line_of[g]
+    is <d, g> mod p, the line across d that holds g, points[t] is the index
+    of the multiple t*d, and mask has the bits of the p - 1 nonzero ones.
+    The pairing is symmetric, so the same table serves either side."""
+    if rank == 1:
+        return ((tuple(range(p)), (1 << p) - 2, tuple(range(p))),)
+    out = []
+    for a, b in [(0, 1)] + [(1, m) for m in range(p)]:
+        line_of = tuple((a * x + b * y) % p for x in range(p) for y in range(p))
+        points = tuple((t * a) % p * p + (t * b) % p for t in range(p))
+        out.append((line_of, sum(1 << w for w in points[1:]), points))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _slice_gathers(p: int, sign: int) -> Tuple[tuple, ...]:
+    """(pick, gathers) for t = 1..p-1 (row 0 unused), taking the output at
+    t*d from the line sums L_d(k) of its direction d.
+
+    Output exponent j collects coefficient e of L_d(k) when
+    e + sign*t*k = j mod p.  pick(sums) is the exponent vector when only
+    e = 0 occurs (rational values), from the p sums; gathers[j](flat) are
+    the terms of exponent j when flat[k*(p-1) + e] holds coefficient e of
+    L_d(k).  For p = 2 every value is rational, so gathers is unused
+    there (an itemgetter of one index would not return a tuple).
+    """
+    rows = [()]
+    for t in range(1, p):
+        u = sign * pow(t, -1, p) % p
+        pick = itemgetter(*[j * u % p for j in range(p)])
+        gathers = tuple(itemgetter(*[(j - e) * u % p * (p - 1) + e for e in range(p - 1)])
+                        for j in range(p))
+        rows.append((pick, gathers))
+    return tuple(rows)
+
+
+def _transform(values: Sequence[CycNum], p: int, rank: int, sign: int,
+               scale: int) -> List[CycNum]:
+    """out[v] = (1/scale) * sum_u values[u] * zeta^(sign * <v, u>), by line sums.
+
+    For v = t*d, with d one of the directions of _line_sum_tables,
+    sum_u values[u] zeta^(sign*t*<d, u>) = sum_k L_d(k) zeta^(sign*t*k),
+    where L_d(k) sums the values on the line <d, u> = k: the discrete
+    projection-slice theorem (the finite Radon transform).  The values are
+    summed along the p lines of each direction once, and each of the p - 1
+    outputs on that direction gathers those p sums by t (_slice_gathers);
+    v = 0 takes the total.  That is O(p^3) integer operations at rank 2
+    when the values are rational and O(p^4) when they are not, against
+    O(p^4) and O(p^5) for one pass over the support per output.
+    """
+    scaled, den = _scaled_int_coeffs(values)
+    divisor = den * scale
+    support = [(u, c) for u, c in enumerate(scaled) if any(c)]
+    n = len(values)
+    if not support:
+        return [CycNum.zero(p)] * n
+    rational = not any(any(c[1:]) for _, c in support)
+    slices = _slice_gathers(p, sign)
+    out = [None] * n
+    out[0] = _make(p, tuple(map(sum, zip(*(c for _, c in support)))), divisor)
+    for line_of, _, points in _line_sum_tables(p, rank):
+        if rational:
+            sums = [0] * p
+            for u, c in support:
+                sums[line_of[u]] += c[0]
+            for t in range(1, p):
+                pick, _ = slices[t]
+                out[points[t]] = _reduced_over(p, pick(sums), divisor)
+        else:
+            flat = [0] * (p * (p - 1))
+            for u, c in support:
+                base = line_of[u] * (p - 1)
+                for e, x in enumerate(c):
+                    if x:
+                        flat[base + e] += x
+            for t in range(1, p):
+                _, gathers = slices[t]
+                out[points[t]] = _reduced_over(p, [sum(g(flat)) for g in gathers], divisor)
+    return out
 
 
 def fourier_transform(f: GFunc) -> GFunc:
-    """Exact transform; the result lives on the opposite side.
-
-    Each output value is accumulated as a length-p exponent vector of
-    integers (the common denominator is factored out first) and reduced
-    once, so the cost per coefficient stays linear in p.
-    """
-    p, n = f.p, len(f.values)
-    exps = pair_exponents(p, f.rank)
-    scaled, den = _scaled_int_coeffs(f.values)
-    support = [(g, scaled[g]) for g in range(n) if any(scaled[g])]
-    divisor = den * n
-    out = []
-    for w in range(n):
-        row = exps[w]
-        acc = [0] * p
-        for g, coeffs in support:
-            e = (p - row[g]) % p
-            for t, c in enumerate(coeffs):
-                if c:
-                    s = t + e
-                    acc[s - p if s >= p else s] += c
-        out.append(_reduced_over(p, acc, divisor))
-    return GFunc(p, f.rank, opposite_side(f.side), out)
+    """Exact transform; the result lives on the opposite side."""
+    out = _transform(f.values, f.p, f.rank, -1, len(f.values))
+    return GFunc(f.p, f.rank, opposite_side(f.side), out)
 
 
 def inverse_transform(u: GFunc) -> GFunc:
     """Inversion formula f(g) = sum_w u(w) chi_w(g); input must be dual-side."""
     if u.side != DUAL:
         raise ValueError("inverse transform expects a dual-side function")
-    p, n = u.p, len(u.values)
-    exps = pair_exponents(p, u.rank)
-    scaled, den = _scaled_int_coeffs(u.values)
-    support = [(w, scaled[w]) for w in range(n) if any(scaled[w])]
-    out = []
-    for g in range(n):
-        acc = [0] * p
-        for w, coeffs in support:
-            e = exps[w][g]
-            for t, c in enumerate(coeffs):
-                if c:
-                    s = t + e
-                    acc[s - p if s >= p else s] += c
-        out.append(_reduced_over(p, acc, den))
-    return GFunc(p, u.rank, PRIMAL, out)
+    return GFunc(u.p, u.rank, PRIMAL, _transform(u.values, u.p, u.rank, 1, 1))
 
 
 def double_transform(f: GFunc) -> GFunc:
@@ -300,23 +345,6 @@ def double_transform(f: GFunc) -> GFunc:
     # index x*p + y at rank 2 (x = 0 at rank 1) maps to that of (-x, -y)
     return GFunc(p, f.rank, f.side,
                  [f.values[(-(g // p) % p) * p + (-g % p)] * scale for g in range(n)])
-
-
-@lru_cache(maxsize=None)
-def _line_sum_tables(p: int, rank: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
-    """(line_of, mask) for each of the dual directions d: line_of[g] is
-    <d, g> mod p, the primal line across d that holds g, and mask has the
-    bits of the p - 1 nonzero multiples t*d."""
-    if rank == 1:
-        return ((tuple(range(p)), (1 << p) - 2),)
-    out = []
-    for a, b in [(0, 1)] + [(1, m) for m in range(p)]:
-        line_of = tuple((a * x + b * y) % p for x in range(p) for y in range(p))
-        mask = 0
-        for t in range(1, p):
-            mask |= 1 << ((t * a) % p * p + (t * b) % p)
-        out.append((line_of, mask))
-    return tuple(out)
 
 
 def int_support_masks(p: int, rank: int, values: Sequence[int]) -> Tuple[int, int]:
@@ -333,8 +361,9 @@ def int_support_masks(p: int, rank: int, values: Sequence[int]) -> Tuple[int, in
     is the Galois closure that rational_support_closure checks.  One pass
     over the support per direction (p + 1 directions at rank 2, one at
     rank 1) costs O((p + 1) * |S| + p^2) integer operations, against
-    O(p^2 * |S|) for one pass per character.  This is an independent route
-    from the CycNum transform and is checked against it in the test suite.
+    O(p^2 * |S|) for one pass per character.  It shares _line_sum_tables
+    with the exact transform, so the test suite checks it against a
+    one-pass-per-character route as well as against the transform.
     """
     check_prime(p)
     if rank not in (1, 2):
@@ -349,7 +378,7 @@ def int_support_masks(p: int, rank: int, values: Sequence[int]) -> Tuple[int, in
             s_mask |= 1 << g
             support.append((g, v))
     x_mask = 1 if sum(values) else 0
-    for line_of, mask in _line_sum_tables(p, rank):
+    for line_of, mask, _ in _line_sum_tables(p, rank):
         sums = [0] * p
         for g, v in support:
             sums[line_of[g]] += v

@@ -12,6 +12,7 @@ transform.  Sweeps and hunts run their checks once per distinct support pair.
 
 from __future__ import annotations
 
+import os
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -549,15 +550,17 @@ def sweep(space: SearchSpace, checks: Sequence[str], *, k: Optional[int] = None,
     """
     items = _check_items(space, checks, k, eps)
     total = space.candidate_count
-    if jobs <= 1 or total < 4096:
+    # one chunk per worker, and no more workers than CPUs
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers <= 1 or total < 4096:
         parts = [_run_range(space, items, 0, total, collect_exceptions)]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = -(-total // jobs)
+        chunk = -(-total // workers)
         ranges = [(i, min(i + chunk, total)) for i in range(0, total, chunk)]
         args = [(space.to_json(), items, a, b, collect_exceptions) for a, b in ranges]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_sweep_worker, args))
     counts = {label: Counter() for label, _, _ in items}
     violations: List[Tuple[str, int, str]] = []

@@ -416,6 +416,16 @@ def test_bad_parameters_rejected_on_an_empty_space(capsys):
     assert code == EXIT_USAGE and "epsilon must lie strictly between 0 and 1" in err
 
 
+def test_jobs_below_one_is_a_usage_error(capsys):
+    for argv in (["sweep", "--theorem", "product"], ["hunt", "--theorem", "product"],
+                 ["frontier"]):
+        for jobs in ("0", "-2"):
+            code, out, err = run_cli(capsys, argv[0], "--p", "3", *argv[1:], "--jobs", jobs)
+            assert code == EXIT_USAGE, (argv, jobs)
+            assert out == "" and err == f"primeplane: error: --jobs must be at least 1, " \
+                f"got {jobs}\n"
+
+
 def test_byte_identical_reruns(capsys):
     args = ("sweep", "--p", "3", "--alphabet", "-1,0,1", "--theorem", "kp1",
             "--mode", "random", "--seed", "7", "--budget", "200")

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -194,3 +195,130 @@ def test_literal_round_trip():
 def test_p2_field_is_rational_with_zeta_minus_one():
     assert root_of_unity(2, 1) == CycNum.from_rational(2, -1)
     assert root_of_unity(2, 1).conjugate() == root_of_unity(2, 1)
+
+
+# -- against a Fraction-backed reference -------------------------------------------
+
+
+class RefCyc:
+    """Reference arithmetic in Q(zeta_p): one Fraction per basis coefficient,
+    as CycNum computed before it kept integer numerators over one denominator."""
+
+    def __init__(self, p, coeffs):
+        self.p = p
+        self.vals = tuple(Fraction(c) for c in coeffs)
+
+    @classmethod
+    def reduce(cls, p, acc):
+        top = acc[p - 1]
+        return cls(p, [c - top for c in acc[: p - 1]])
+
+    @property
+    def coeffs(self):
+        return tuple(int(c) if c.denominator == 1 else c for c in self.vals)
+
+    def __add__(self, other):
+        return RefCyc(self.p, [a + b for a, b in zip(self.vals, other.vals)])
+
+    def __sub__(self, other):
+        return RefCyc(self.p, [a - b for a, b in zip(self.vals, other.vals)])
+
+    def __neg__(self):
+        return RefCyc(self.p, [-a for a in self.vals])
+
+    def __mul__(self, other):
+        p = self.p
+        if isinstance(other, RefCyc):
+            acc = [Fraction(0)] * p
+            for i, a in enumerate(self.vals):
+                for j, b in enumerate(other.vals):
+                    acc[(i + j) % p] += a * b
+            return RefCyc.reduce(p, acc)
+        return RefCyc(p, [a * other for a in self.vals])
+
+    def galois(self, j):
+        acc = [Fraction(0)] * self.p
+        for t, c in enumerate(self.vals):
+            acc[(j * t) % self.p] += c
+        return RefCyc.reduce(self.p, acc)
+
+    def to_json(self):
+        return {"p": self.p, "coeffs": [f"{c.numerator}/{c.denominator}" for c in self.vals]}
+
+
+def assert_lowest_terms(x):
+    assert type(x.den) is int and all(type(c) is int for c in x.num)
+    assert len(x.num) == x.p - 1
+    assert x.den > 0 and gcd(x.den, *x.num) == 1
+    assert any(x.num) or x.den == 1
+
+
+def assert_same(x, ref):
+    assert_lowest_terms(x)
+    assert x.coeffs == ref.coeffs
+    assert [type(c) for c in x.coeffs] == [type(c) for c in ref.coeffs]
+    assert x == CycNum(x.p, ref.coeffs) and hash(x) == hash(CycNum(x.p, ref.coeffs))
+    assert x.to_json() == ref.to_json()
+    assert format_value(x) == format_value(ref)
+    assert x.is_zero() == (not any(ref.vals)) == (not x)
+    rational = not any(ref.vals[1:])
+    assert x.is_rational() == rational
+    if rational:
+        assert x.rational_value() == ref.vals[0] and x == ref.vals[0]
+    else:
+        with pytest.raises(ValueError):
+            x.rational_value()
+
+
+COEFF = st.integers(-6, 6) | st.fractions(min_value=-6, max_value=6, max_denominator=12)
+SCALAR = COEFF.filter(lambda r: r != 0)
+
+
+@st.composite
+def reference_cases(draw):
+    p = draw(st.sampled_from(PRIMES))
+    vectors = st.lists(COEFF, min_size=p - 1, max_size=p - 1)
+    a = draw(vectors)
+    b = draw(st.just(list(a)) | vectors)
+    return p, a, b, draw(SCALAR), draw(st.integers(1, p - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(reference_cases())
+def test_integer_numerators_match_the_fraction_reference(case):
+    p, a_coeffs, b_coeffs, r, j = case
+    a, b = CycNum(p, a_coeffs), CycNum(p, b_coeffs)
+    ra, rb = RefCyc(p, a_coeffs), RefCyc(p, b_coeffs)
+    assert_same(a, ra)
+    assert_same(b, rb)
+    assert_same(a + b, ra + rb)
+    assert_same(a - b, ra - rb)
+    assert_same(a * b, ra * rb)
+    assert_same(-a, -ra)
+    assert_same(a * r, ra * r)
+    assert_same(r * a, ra * r)
+    assert_same(a / r, ra * (1 / Fraction(r)))
+    assert_same(a + r, ra + RefCyc(p, [r] + [0] * (p - 2)))
+    assert_same(r - a, RefCyc(p, [r] + [0] * (p - 2)) - ra)
+    assert_same(a.galois(j), ra.galois(j))
+    assert_same(a.conjugate(), ra.galois(p - 1))
+    assert (a == b) == (ra.coeffs == rb.coeffs)
+    assert CycNum.from_json(json.loads(json.dumps(a.to_json()))) == a
+    assert parse_value(format_value(a), p) == a
+
+
+def test_public_constructor_keeps_its_checks():
+    with pytest.raises(ValueError):
+        CycNum(4, [0, 0, 0])
+    with pytest.raises(ValueError):
+        CycNum(5, [1, 2])
+    with pytest.raises(TypeError):
+        CycNum(3, [True, 0])
+    with pytest.raises(TypeError):
+        CycNum(3, [0.5, 0])
+    x = CycNum(5, [Fraction(2, 4), 0, Fraction(-3, 6), Fraction(4, 2)])
+    assert (x.num, x.den) == ((1, 0, -1, 4), 2)
+    assert x.coeffs == (Fraction(1, 2), 0, Fraction(-1, 2), 2)
+    assert type(x.coeffs[3]) is int
+    zero = CycNum(3, [Fraction(0, 5), 0])
+    assert (zero.num, zero.den) == ((0, 0), 1)

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primeplane.cyclotomic import CycNum, root_of_unity
 from primeplane.fourier import (
@@ -32,6 +34,7 @@ from primeplane.plane import (
     LineSubgroup,
     Point,
     all_subgroups,
+    opposite_side,
     orthogonal,
     tables,
 )
@@ -151,6 +154,67 @@ def test_double_transform_is_the_transform_taken_twice(p):
             for g in (f, GFunc(p, rank, DUAL, f.values)):
                 assert double_transform(g) == fourier_transform(fourier_transform(g)), \
                     g.to_literal()
+
+
+def _reference_sum(f, sign, scale):
+    """One pass over the support per output: out[v] = (1/scale) *
+    sum_u f(u) zeta^(sign * <v, u>), in Fraction arithmetic."""
+    p, n = f.p, len(f.values)
+    exps = pair_exponents(p, f.rank)
+    support = [(u, v.coeffs) for u, v in enumerate(f.values) if not v.is_zero()]
+    out = []
+    for w in range(n):
+        acc = [Fraction(0)] * p
+        for u, coeffs in support:
+            e = sign * exps[w][u] % p
+            for t, c in enumerate(coeffs):
+                acc[(t + e) % p] += c
+        out.append(CycNum.from_exponent_vector(p, [c / scale for c in acc]))
+    return out
+
+
+def reference_transform(f):
+    """The double-loop transform the line-sum route replaced."""
+    return GFunc(f.p, f.rank, opposite_side(f.side), _reference_sum(f, -1, len(f.values)))
+
+
+def reference_inverse(u):
+    """The double-loop inverse transform the line-sum route replaced."""
+    assert u.side == DUAL
+    return GFunc(u.p, u.rank, PRIMAL, _reference_sum(u, 1, 1))
+
+
+def value_strategy(p, kind):
+    if kind == "integer":
+        return st.integers(-3, 3)
+    if kind == "half":
+        return st.integers(-3, 3).map(lambda k: Fraction(k, 2))
+    coeff = st.integers(-2, 2) | st.sampled_from([Fraction(1, 2), Fraction(-2, 3)])
+    return st.lists(coeff, min_size=p - 1, max_size=p - 1).map(lambda cs: CycNum(p, cs))
+
+
+@st.composite
+def transform_inputs(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    rank = draw(st.sampled_from([1, 2]))
+    side = draw(st.sampled_from([PRIMAL, DUAL]))
+    kind = draw(st.sampled_from(["integer", "half", "cyclotomic"]))
+    n = p**rank
+    support = draw(st.dictionaries(st.integers(0, n - 1), value_strategy(p, kind),
+                                   max_size=min(n, 40)))
+    return GFunc(p, rank, side, [support.get(u, 0) for u in range(n)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(transform_inputs())
+def test_line_sum_transforms_match_the_double_loop(f):
+    fh = fourier_transform(f)
+    assert fh == reference_transform(f), f.to_literal()
+    if f.side == DUAL:
+        assert inverse_transform(f) == reference_inverse(f), f.to_literal()
+        assert fourier_transform(inverse_transform(f)) == f
+    else:
+        assert inverse_transform(fh) == f
 
 
 def test_inverse_of_constant_dual():

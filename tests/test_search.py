@@ -1,5 +1,7 @@
 """Gallery constructions, candidate spaces, sweeps, frontier and hunts."""
 
+import concurrent.futures
+import os
 import random
 from fractions import Fraction
 
@@ -122,6 +124,37 @@ def test_sweep_parallel_random_mode_partition_independent():
     serial = sweep(space, ["meshulam"])
     parallel = sweep(space, ["meshulam"], jobs=3)
     assert serial.to_json() == parallel.to_json()
+
+
+def test_sweep_starts_at_most_one_worker_per_cpu(monkeypatch):
+    # no process is started: the executor records its size and maps in-process
+    started, chunks = [], []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            args = list(args)
+            chunks.append(len(args))
+            return map(fn, args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    space = make_space(3, alphabet=(-1, 0, 1))
+    serial = sweep(space, ["product", "kp1"]).to_json()
+    for jobs in (2, 3, 1000):
+        assert sweep(space, ["product", "kp1"], jobs=jobs).to_json() == serial
+    assert started == [2, 3, 3] and chunks == [2, 3, 3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert sweep(space, ["product", "kp1"], jobs=1000).to_json() == serial
+    assert started == [2, 3, 3]
 
 
 def test_sweep_requires_rational_alphabet_for_rational_check():
