@@ -52,7 +52,7 @@ from .fourier import (
 from .bounds import (
     BoundReport,
     ExceptionDescriptor,
-    SupportProfile,
+    SupportPair,
     check_asym2,
     check_asym3,
     check_birotao,

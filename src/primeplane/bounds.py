@@ -1,4 +1,4 @@
-"""Support profiles, the support-size bound evaluators with their
+"""Support pairs, the support-size bound evaluators with their
 exception detection, and the structure classifier that recovers the
 explicit shape of every exceptional function.
 
@@ -30,13 +30,13 @@ from .plane import (
     LineSubgroup,
     Point,
     PointSet,
-    _direction_of_indices,
+    canonical_two_line_pair,
     coset_from_id,
     covered_by_lines,
+    line_intersection,
     lines_in_direction,
     min_line_cover,
     orthogonal_direction,
-    tables,
 )
 
 HOLDS = "holds"
@@ -45,7 +45,7 @@ EXCEPTION = "exception"
 VIOLATED = "violated"
 
 
-# -- support profile ---------------------------------------------------------
+# -- support pair ------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -62,63 +62,12 @@ class DirectionStats:
 
 
 @dataclass(frozen=True)
-class SupportProfile:
-    p: int
-    S: PointSet
-    X: PointSet
-    per_direction: Tuple[DirectionStats, ...]
-
-    def stats(self, direction: int) -> DirectionStats:
-        return self.per_direction[direction]
-
-    def line_count(self, g: Point, direction: int) -> int:
-        """Number of support points on the direction-d line through g."""
-        T = tables(self.p)
-        line = T.coset_masks[direction][T.coset_id[direction][g.index]]
-        return (line & self.S.mask).bit_count()
-
-    def isolated_count(self, direction: int) -> int:
-        """Number of dual lines orthogonal to the given primal direction
-        that contain exactly one point of the transform support."""
-        od = orthogonal_direction(self.p, direction)
-        T = tables(self.p)
-        return sum(1 for m in T.coset_masks[od] if (m & self.X.mask).bit_count() == 1)
-
-
-def support_profile(S: PointSet, X: PointSet) -> SupportProfile:
-    if S.size == 0 or X.size == 0:
-        raise ValueError("profile requires a nonzero function")
-    p = S.p
-    T = tables(p)
-    per = []
-    for d in range(p + 1):
-        od = orthogonal_direction(p, d)
-        s_counts = [(m & S.mask).bit_count() for m in T.coset_masks[d]]
-        x_counts = [(m & X.mask).bit_count() for m in T.coset_masks[od]]
-        per.append(DirectionStats(
-            direction=d,
-            n_S=min(c for c in s_counts if c),
-            K_S=sum(1 for c in s_counts if c),
-            n_X=min(c for c in x_counts if c),
-            K_X=sum(1 for c in x_counts if c),
-        ))
-    return SupportProfile(p, S, X, tuple(per))
-
-
-def profile(f: GFunc) -> SupportProfile:
-    """Profile of a nonzero rank-2 function: supports plus all per-direction stats."""
-    if f.rank != 2 or f.side != PRIMAL:
-        raise ValueError("profile requires a rank-2 primal function")
-    if f.is_zero_function():
-        raise ValueError("zero function has no profile")
-    return support_profile(f.support(), fourier_transform(f).support())
-
-
-@dataclass(frozen=True)
 class SupportPair:
     """The pair (supp f, supp of the transform) that every check decides from.
 
-    S and X are None at rank 1, where checks read only the sizes.
+    S and X are None at rank 1, where checks read only the sizes.  At
+    rank 2 the per-direction structure comes from the line census
+    `PointSet.line_counts` of S and X, counted once per pair.
     """
 
     p: int
@@ -142,6 +91,36 @@ class SupportPair:
         search bounded at b lines, which costs far less than finding the
         minimum cover."""
         return covered_by_lines(self.S if side == PRIMAL else self.X, b)
+
+    def stats(self, direction: int) -> DirectionStats:
+        """n_S, K_S over the primal direction's lines and n_X, K_X over
+        the orthogonal dual direction's lines."""
+        s_counts = self.S.line_counts[direction]
+        x_counts = self.X.line_counts[orthogonal_direction(self.p, direction)]
+        return DirectionStats(direction,
+                              min(c for c in s_counts if c), self.p - s_counts.count(0),
+                              min(c for c in x_counts if c), self.p - x_counts.count(0))
+
+    def line_count(self, g: Point, direction: int) -> int:
+        """Number of support points on the direction-d line through g."""
+        line = Coset.through(g, LineSubgroup(self.p, direction, PRIMAL))
+        return self.S.line_counts[direction][line.coset_id]
+
+    def isolated_count(self, direction: int) -> int:
+        """Number of dual lines orthogonal to the given primal direction
+        that contain exactly one point of the transform support."""
+        return self.X.line_counts[orthogonal_direction(self.p, direction)].count(1)
+
+
+def profile(f: GFunc) -> SupportPair:
+    """The support pair of a nonzero rank-2 function, whose stats(d) give
+    the per-direction counts."""
+    if f.rank != 2 or f.side != PRIMAL:
+        raise ValueError("profile requires a rank-2 primal function")
+    if f.is_zero_function():
+        raise ValueError("zero function has no profile")
+    return SupportPair.from_masks(f.p, 2, f.support_mask, fourier_transform(f).support_mask,
+                                  f.is_rational_valued())
 
 
 # -- reports -----------------------------------------------------------------
@@ -329,81 +308,27 @@ def _rebuild_two_nonparallel(desc: ExceptionDescriptor) -> GFunc:
 
 def _line_direction_containing(P: PointSet) -> Optional[int]:
     """Least direction whose single line contains P, or None."""
-    T = tables(P.p)
-    for d in range(P.p + 1):
-        for m in T.coset_masks[d]:
-            if not (P.mask & ~m):
-                return d
-    return None
+    return next((d for d, counts in enumerate(P.line_counts) if P.size in counts), None)
+
+
+def _full_lines(P: PointSet, direction: int) -> Optional[List[int]]:
+    """Coset ids of the direction's lines when P is exactly a union of
+    full lines in that direction, else None."""
+    ids = [j for j, c in enumerate(P.line_counts[direction]) if c == P.p]
+    return ids if len(ids) * P.p == P.size else None
 
 
 def _full_line_split(P: PointSet, direction: int) -> List[int]:
     """Coset ids of the direction's lines meeting P; raises if P is not
     an exact union of full lines (which the coset lemmas guarantee)."""
-    T = tables(P.p)
-    ids = []
-    union = 0
-    for j, m in enumerate(T.coset_masks[direction]):
-        if m & P.mask:
-            ids.append(j)
-            union |= m
-    if union != P.mask:
+    ids = _full_lines(P, direction)
+    if ids is None:
         raise RuntimeError("support is not a union of full lines as the lemma requires")
     return ids
 
 
-def _canonical_two_line_pair(P: PointSet) -> Optional[Tuple[Tuple[int, int], Tuple[int, int]]]:
-    """Canonical pair of (direction, coset-id) lines covering P, with
-    both lines meeting P; parallel covers are preferred, then lexicographic
-    order.  Returns None if no two lines cover P."""
-    if P.size == 0:
-        return None
-    p = P.p
-    T = tables(p)
-    x0 = (P.mask & -P.mask).bit_length() - 1
-    pairs = set()
-    for d1, line1 in T.lines_through[x0]:
-        rest = P.mask & ~line1
-        if rest == 0:
-            continue
-        j1 = T.coset_id[d1][x0]
-        if rest.bit_count() == 1:
-            y = (rest & -rest).bit_length() - 1
-            for d2, line2 in T.lines_through[y]:
-                j2 = T.coset_id[d2][y]
-                if (d1, j1) != (d2, j2):
-                    pairs.add(tuple(sorted(((d1, j1), (d2, j2)))))
-        else:
-            y1 = (rest & -rest).bit_length() - 1
-            rest2 = rest & ~(1 << y1)
-            y2 = (rest2 & -rest2).bit_length() - 1
-            d2 = _direction_of_indices(p, y1, y2)
-            j2 = T.coset_id[d2][y1]
-            if not (rest & ~T.coset_masks[d2][j2]):
-                pairs.add(tuple(sorted(((d1, j1), (d2, j2)))))
-    if not pairs:
-        return None
-    parallel = [q for q in pairs if q[0][0] == q[1][0]]
-    return min(parallel) if parallel else min(pairs)
-
-
 def _line_rep_point(p: int, direction: int, coset_id: int, side: str) -> Point:
     return coset_from_id(p, direction, coset_id, side).rep
-
-
-def _line_intersection(p: int, side: str, l1: Tuple[int, int], l2: Tuple[int, int]) -> Point:
-    """The unique common point of two nonparallel lines."""
-    (d1, j1), (d2, j2) = l1, l2
-    if d1 == p:
-        x = j1
-        y = (j2 + d2 * x) % p
-    elif d2 == p:
-        x = j2
-        y = (j1 + d1 * x) % p
-    else:
-        x = ((j2 - j1) * pow(d1 - d2, p - 2, p)) % p
-        y = (j1 + d1 * x) % p
-    return Point(p, x, y, side)
 
 
 def _most_common_value(values: Sequence[CycNum]) -> CycNum:
@@ -440,9 +365,7 @@ def _classify_one_primal_line(f: GFunc, fhat: GFunc, S: PointSet, X: PointSet,
 
 def _classify_one_dual_line(f: GFunc, S: PointSet, X: PointSet, e: int) -> ExceptionDescriptor:
     p = f.p
-    T = tables(p)
-    w0 = (X.mask & -X.mask).bit_length() - 1
-    chi = _line_rep_point(p, e, T.coset_id[e][w0], DUAL)
+    chi = _line_rep_point(p, e, X.line_counts[e].index(X.size), DUAL)
     d = orthogonal_direction(p, e)
     ids = _full_line_split(S, d)
     offsets = tuple(_line_rep_point(p, d, j, PRIMAL) for j in ids)
@@ -461,7 +384,7 @@ def _classify_two_lines(func: GFunc, hat: GFunc, cover_side: str) -> Optional[Ex
     `hat` must be the transform of `func`."""
     p = func.p
     Xs = PointSet(p, hat.side, hat.support_mask)
-    pair = _canonical_two_line_pair(Xs)
+    pair = canonical_two_line_pair(Xs)
     if pair is None:
         return None
     (d1, j1), (d2, j2) = pair
@@ -494,7 +417,7 @@ def _classify_two_lines(func: GFunc, hat: GFunc, cover_side: str) -> Optional[Ex
                                    details=(("support_union", n_union),
                                             ("support_size", s)))
     # nonparallel pair
-    chi0 = _line_intersection(p, hat_side, (d1, j1), (d2, j2))
+    chi0 = line_intersection(p, hat_side, (d1, j1), (d2, j2))
     dir1 = orthogonal_direction(p, d1)
     dir2 = orthogonal_direction(p, d2)
     gen1 = LineSubgroup(p, dir1, func_side).generator
@@ -559,12 +482,7 @@ def _classify(f: GFunc, fhat: GFunc) -> Optional[ExceptionDescriptor]:
     # periodicity first: the transform support sits on a dual line through
     # the origin exactly when f is constant on the cosets of one direction
     e = _line_direction_containing(X)
-    periodic = False
-    if e is not None:
-        T = tables(f.p)
-        w0 = (X.mask & -X.mask).bit_length() - 1
-        periodic = _line_rep_point(f.p, e, T.coset_id[e][w0], DUAL).is_origin()
-    if periodic:
+    if e is not None and X.line_counts[e][0] == X.size:
         return _classify_one_dual_line(f, S, X, e)
     d = _line_direction_containing(S)
     if d is not None:
@@ -588,24 +506,18 @@ def _verify_reconstruction(desc: ExceptionDescriptor, f: GFunc):
 def _periodic_directions(p: int, X: PointSet) -> List[int]:
     """Primal directions d whose orthogonal dual subgroup contains X,
     i.e. the function is constant on the d-direction cosets."""
-    T = tables(p)
-    out = []
-    for d in range(p + 1):
-        sub_mask = T.coset_masks[orthogonal_direction(p, d)][0]
-        if not (X.mask & ~sub_mask):
-            out.append(d)
-    return out
+    return [d for d in range(p + 1) if X.line_counts[orthogonal_direction(p, d)][0] == X.size]
 
 
 def _orthogonal_coset_pair(p: int, S: PointSet, X: PointSet) -> Optional[Tuple[int, int]]:
     """(d, orth(d)) when S is exactly one d-line and X exactly one line
     in the orthogonal direction."""
-    T = tables(p)
+    if S.size != p or X.size != p:
+        return None
     for d in range(p + 1):
-        if S.mask in T.coset_masks[d]:
-            od = orthogonal_direction(p, d)
-            if X.mask in T.coset_masks[od]:
-                return d, od
+        od = orthogonal_direction(p, d)
+        if p in S.line_counts[d] and p in X.line_counts[od]:
+            return d, od
     return None
 
 
@@ -615,19 +527,11 @@ def _near_coset_pair(p: int, small: PointSet, large: PointSet) -> Optional[dict]
     direction."""
     if small.size < p - 1:
         return None
-    T = tables(p)
     for d in range(p + 1):
-        for line in T.coset_masks[d]:
-            if small.mask & ~line:
-                continue
+        if small.size in small.line_counts[d]:
             od = orthogonal_direction(p, d)
-            ids = []
-            union = 0
-            for j, m in enumerate(T.coset_masks[od]):
-                if large.mask & m:
-                    ids.append(j)
-                    union |= m
-            if len(ids) <= 2 and union == large.mask:
+            ids = _full_lines(large, od)
+            if ids is not None and len(ids) <= 2:
                 return {"small_direction": d, "large_direction": od, "large_cosets": ids}
     return None
 
@@ -675,18 +579,15 @@ def eval_rational(pair: SupportPair, param=None) -> BoundReport:
     rhs = Fraction(p + 1)
     periodic = _periodic_directions(p, X)
     if periodic:
-        d = periodic[0]
-        T = tables(p)
-        sub_mask = T.coset_masks[orthogonal_direction(p, d)][0]
-        origin_bit = 1
-        if X.mask == origin_bit:
+        # X lies in the orthogonal subgroup, so its size tells which part it is
+        if X.mask == 1:
             matches = True
             note = "constant function; transform support is the principal character"
-        elif X.mask & origin_bit:
-            matches = X.mask == sub_mask
+        elif X.mask & 1:
+            matches = X.size == p
             note = "nonzero value sum; expected the full orthogonal subgroup"
         else:
-            matches = X.mask == sub_mask & ~origin_bit
+            matches = X.size == p - 1
             note = "zero value sum; expected the punctured orthogonal subgroup"
         return BoundReport("rational", EXCEPTION, lhs, rhs, details={
             "periodic_directions": periodic,
@@ -830,13 +731,12 @@ def eval_coset_counts(pair: SupportPair, H: Optional[LineSubgroup] = None) -> Bo
     """The four met-line counting inequalities per direction (H's alone when
     given): K_X >= p+1-n_S, |X| >= n_X (p+1-n_S), and their mirrored forms."""
     p, S, X = pair.p, pair.S, pair.X
-    prof = support_profile(S, X)
     dirs = range(p + 1) if H is None else [H.direction]
     rows = []
     all_hold = True
     tightest = None
     for d in dirs:
-        st = prof.stats(d)
+        st = pair.stats(d)
         checks = (
             ("K_X", st.K_X, p + 1 - st.n_S),
             ("X", X.size, st.n_X * (p + 1 - st.n_S)),
@@ -883,7 +783,8 @@ class CheckSpec:
     """One named support-size check.
 
     `evaluator(pair, param)` decides it from a SupportPair and the admitted
-    value of its one parameter, which `param` names: "k", "eps" or None.
+    value of its one parameter, which `param` names: "k", "eps", "H" (an
+    optional primal LineSubgroup) or None.
     `rational` marks a check that needs a rational-valued function,
     `default` puts it in verify's default run wherever rank, p and
     rationality allow, and `curve(p)` gives its emit-curves rows.
@@ -904,6 +805,11 @@ class CheckSpec:
         ValueError when the check is not stated at p or lacks its parameter."""
         if p < self.min_p:
             raise ValueError(f"the {self.name} check is stated for p >= {self.min_p}")
+        if self.param == "H":
+            if value is None or (isinstance(value, LineSubgroup) and value.side == PRIMAL
+                                 and value.p == p):
+                return value
+            raise ValueError(f"H must be None or a primal LineSubgroup at p = {p}, got {value!r}")
         if self.param is None:
             return value
         if value is None:
@@ -947,8 +853,8 @@ CHECKS: Dict[str, CheckSpec] = {spec.name: spec for spec in (
     CheckSpec("conjecture", (2,), eval_conjecture, param="k", curve=_conjecture_curves),
     CheckSpec("asym2", (2,), eval_asym2, param="eps"),
     CheckSpec("asym3", (2,), eval_asym3, param="eps"),
-    # check() may pass coset-counts a LineSubgroup to restrict the directions
-    CheckSpec("coset-counts", (2,), eval_coset_counts),
+    # H, when given, restricts coset-counts to one direction
+    CheckSpec("coset-counts", (2,), eval_coset_counts, param="H"),
 )}
 
 

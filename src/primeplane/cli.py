@@ -17,8 +17,9 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from . import __version__, bounds, search
 from .bounds import VIOLATED, BoundReport, classify_exception
@@ -311,6 +312,13 @@ def _add_common_output(sub):
 
 
 def build_parser() -> _Parser:
+    """The command's parser, built once per process for each set of
+    registered check ids (the verify --theorem choices)."""
+    return _parser_for(tuple(sorted(bounds.CHECKS)))
+
+
+@lru_cache(maxsize=None)
+def _parser_for(checks: Tuple[str, ...]) -> _Parser:
     parser = _Parser(prog="primeplane",
                      description="Exact support-uncertainty toolkit for prime planes.")
     parser.add_argument("--version", action="version", version=f"primeplane {__version__}")
@@ -318,8 +326,8 @@ def build_parser() -> _Parser:
 
     sp = subs.add_parser("verify", parents=[], help="evaluate bounds on one function")
     _add_function_args(sp)
-    sp.add_argument("--theorem", action="append",
-                    choices=sorted(bounds.CHECKS), help="check id (repeatable)")
+    sp.add_argument("--theorem", action="append", choices=checks,
+                    help="check id (repeatable)")
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--epsilon", default="1/2")
     _add_common_output(sp)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import FrozenSet, Iterable, Optional, Tuple
 
 from .cyclotomic import check_prime
@@ -260,6 +260,14 @@ class PointSet:
     def size(self) -> int:
         return self.mask.bit_count()
 
+    @cached_property
+    def line_counts(self) -> Tuple[Tuple[int, ...], ...]:
+        """line_counts[d][j]: the number of points of the set on line j of
+        direction d (coset ids as in coset_from_id).  Every structural
+        query on a set's lines reads this one census."""
+        return tuple(tuple((m & self.mask).bit_count() for m in masks)
+                     for masks in tables(self.p).coset_masks)
+
     def contains(self, pt: Point) -> bool:
         if pt.p != self.p or pt.side != self.side:
             raise ValueError("point does not match the set's p and side")
@@ -371,12 +379,7 @@ def direction_through(a: Point, b: Point) -> int:
     a._require_like(b)
     if a == b:
         raise ValueError("need two distinct points")
-    p = a.p
-    dx = (b.x - a.x) % p
-    dy = (b.y - a.y) % p
-    if dx == 0:
-        return p
-    return (dy * pow(dx, p - 2, p)) % p
+    return _direction_of_indices(a.p, a.index, b.index)
 
 
 def _direction_of_indices(p: int, i: int, j: int) -> int:
@@ -391,14 +394,7 @@ def directions_determined(P: PointSet) -> FrozenSet[int]:
     """The directions of lines through two distinct points of P."""
     if P.size < 2:
         raise ValueError("need at least two points to determine a direction")
-    T = tables(P.p)
-    out = set()
-    for d in range(P.p + 1):
-        for m in T.coset_masks[d]:
-            if (m & P.mask).bit_count() >= 2:
-                out.add(d)
-                break
-    return frozenset(out)
+    return frozenset(d for d, counts in enumerate(P.line_counts) if max(counts) >= 2)
 
 
 # -- exact searches -------------------------------------------------------------
@@ -432,8 +428,7 @@ class _Nodes:
 
 def is_blocking_set(P: PointSet) -> bool:
     """True iff P meets every one of the p(p+1) lines."""
-    T = tables(P.p)
-    return all(m & P.mask for _, _, m in T.all_lines)
+    return all(0 not in counts for counts in P.line_counts)
 
 
 def min_blocking_size(p: int) -> Tuple[int, PointSet]:
@@ -518,12 +513,11 @@ class PencilReport:
 
 
 def pencil_stability(P: PointSet) -> PencilReport:
-    T = tables(P.p)
     p = P.p
     k = 0
     m = 0
-    for d in range(p + 1):
-        u = sum(1 for mask in T.coset_masks[d] if not (mask & P.mask))
+    for counts in P.line_counts:
+        u = counts.count(0)
         if u:
             k += 1
             if u > m:
@@ -548,9 +542,8 @@ def bounded_line_direction(P: PointSet) -> Optional[int]:
     if not 2 <= size <= 4 * p:
         raise ValueError(f"need 2 <= |P| <= 4p, got |P|={size}")
     slack = max(Fraction(1), Fraction(size, 2 * p))
-    T = tables(p)
     for d in sorted(directions_determined(P)):
-        worst = max((mask & P.mask).bit_count() for mask in T.coset_masks[d])
+        worst = max(P.line_counts[d])
         excess = worst - slack
         if excess < 0 or excess * excess < size:
             return d
@@ -569,9 +562,8 @@ def rich_direction_search(P: PointSet) -> Optional[int]:
         raise ValueError(f"need (3p+7)/2 <= |P| <= 2p+7, got |P|={size}")
     if two_line_cover(P):
         raise ValueError("P must not be contained in a union of two lines")
-    T = tables(p)
-    for d in range(p + 1):
-        worst = max((mask & P.mask).bit_count() for mask in T.coset_masks[d])
+    for d, counts in enumerate(P.line_counts):
+        worst = max(counts)
         if worst >= 3 and 2 * worst <= p + 5:
             return d
     return None
@@ -582,13 +574,57 @@ def rich_direction_search(P: PointSet) -> Optional[int]:
 
 def one_line_cover(P: PointSet) -> bool:
     """True iff some single line contains P."""
-    if P.size <= 1:
-        return True
-    idx = P.indices()
-    d = _direction_of_indices(P.p, idx[0], idx[1])
-    T = tables(P.p)
-    line = T.coset_masks[d][T.coset_id[d][idx[0]]]
-    return not (P.mask & ~line)
+    return any(P.size in counts for counts in P.line_counts)
+
+
+def canonical_two_line_pair(P: PointSet) -> Optional[Tuple[Tuple[int, int], Tuple[int, int]]]:
+    """Canonical pair of (direction, coset-id) lines covering P, with
+    both lines meeting P; parallel covers are preferred, then lexicographic
+    order.  Returns None if no two lines cover P."""
+    if P.size == 0:
+        return None
+    p = P.p
+    T = tables(p)
+    x0 = (P.mask & -P.mask).bit_length() - 1
+    pairs = set()
+    for d1, line1 in T.lines_through[x0]:
+        rest = P.mask & ~line1
+        if rest == 0:
+            continue
+        j1 = T.coset_id[d1][x0]
+        if rest.bit_count() == 1:
+            y = (rest & -rest).bit_length() - 1
+            for d2, line2 in T.lines_through[y]:
+                j2 = T.coset_id[d2][y]
+                if (d1, j1) != (d2, j2):
+                    pairs.add(tuple(sorted(((d1, j1), (d2, j2)))))
+        else:
+            y1 = (rest & -rest).bit_length() - 1
+            rest2 = rest & ~(1 << y1)
+            y2 = (rest2 & -rest2).bit_length() - 1
+            d2 = _direction_of_indices(p, y1, y2)
+            j2 = T.coset_id[d2][y1]
+            if not (rest & ~T.coset_masks[d2][j2]):
+                pairs.add(tuple(sorted(((d1, j1), (d2, j2)))))
+    if not pairs:
+        return None
+    parallel = [q for q in pairs if q[0][0] == q[1][0]]
+    return min(parallel) if parallel else min(pairs)
+
+
+def line_intersection(p: int, side: str, l1: Tuple[int, int], l2: Tuple[int, int]) -> Point:
+    """The unique common point of two nonparallel (direction, coset-id) lines."""
+    (d1, j1), (d2, j2) = l1, l2
+    if d1 == p:
+        x = j1
+        y = (j2 + d2 * x) % p
+    elif d2 == p:
+        x = j2
+        y = (j1 + d1 * x) % p
+    else:
+        x = ((j2 - j1) * pow(d1 - d2, p - 2, p)) % p
+        y = (j1 + d1 * x) % p
+    return Point(p, x, y, side)
 
 
 def _cover_search(p: int, mask: int, budget: int, T: _Tables,

@@ -427,7 +427,7 @@ def _check_items(space: SearchSpace, checks: Sequence[str],
         value = spec.admit(space.p, {"k": k, "eps": eps}.get(spec.param))
         if spec.rational and not space.all_rational():
             raise ValueError(f"the {name} check needs an all-rational alphabet")
-        if spec.param is None:
+        if value is None:
             items.append((name, name, None))
         else:
             items.append((f"{name}[{spec.param}={value}]", name, value))

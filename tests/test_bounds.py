@@ -12,6 +12,7 @@ from primeplane.bounds import (
     EXCEPTION,
     HOLDS,
     VIOLATED,
+    SupportPair,
     check_asym2,
     check_asym3,
     check_birotao,
@@ -27,7 +28,6 @@ from primeplane.bounds import (
     check_roots,
     classify_exception,
     profile,
-    support_profile,
     sumset_size,
 )
 from primeplane.cyclotomic import CycNum, root_of_unity
@@ -112,8 +112,8 @@ def test_profile_invariants_hypothesis_p5(s_mask):
 
     p = 5
     S = PointSet(p, PRIMAL, s_mask)
-    X = PointSet(p, DUAL, s_mask)  # any nonempty dual set works for the stats
-    prof = support_profile(S, X)
+    # any nonempty dual set works for the stats
+    prof = SupportPair.from_masks(p, 2, s_mask, s_mask, True)
     T = tables(p)
     for d in range(p + 1):
         stats = prof.stats(d)
@@ -400,6 +400,22 @@ def test_coset_counts_lemma():
     rows = rep.details["inequalities"]
     kx = [r for r in rows if r["quantity"] == "K_X"][0]
     assert kx["lhs"] == 1 and kx["rhs"] == 1
+
+
+@pytest.mark.parametrize("H, admitted", [
+    (None, True),
+    (LineSubgroup(3, 1), True),
+    (LineSubgroup(5, 4), False),
+    (LineSubgroup(3, 1, DUAL), False),
+    ("0", False),
+])
+def test_coset_counts_admits_only_a_primal_subgroup_of_the_plane(H, admitted):
+    f = subgroup_indicator(3, 0)
+    if admitted:
+        assert check_coset_counts(f, H).verdict != VIOLATED
+    else:
+        with pytest.raises(ValueError, match="H must be None or a primal LineSubgroup"):
+            check_coset_counts(f, H)
 
 
 def test_coset_counts_on_gallery_families():

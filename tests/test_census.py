@@ -1,0 +1,277 @@
+"""The line census `PointSet.line_counts` against mask scans.
+
+Every structural predicate in `bounds` and every geometry query in
+`plane` reads the census of a point set.  The reference_* functions
+below are the mask-scanning routes those predicates replaced: each
+rescans the p(p+1) line masks of `plane.tables`.  The hypothesis tests
+compare both routes at p = 2, 3, 5, 7 on random masks and on the sets
+that line predicates turn on, which random masks almost never hit.
+"""
+
+from fractions import Fraction
+from typing import List, Optional, Tuple
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from primeplane.bounds import (
+    SupportPair,
+    _coset_pair_exception,
+    _full_line_split,
+    _line_direction_containing,
+    _orthogonal_coset_pair,
+    _periodic_directions,
+)
+from primeplane.plane import (
+    DUAL,
+    PRIMAL,
+    Point,
+    PointSet,
+    bounded_line_direction,
+    directions_determined,
+    is_blocking_set,
+    one_line_cover,
+    orthogonal_direction,
+    pencil_stability,
+    tables,
+)
+
+PRIMES = (2, 3, 5, 7)
+
+
+# -- the mask-scanning routes --------------------------------------------------------
+
+
+def reference_support_profile(S: PointSet, X: PointSet) -> List[Tuple[int, int, int, int]]:
+    """(n_S, K_S, n_X, K_X) per primal direction."""
+    p = S.p
+    T = tables(p)
+    out = []
+    for d in range(p + 1):
+        od = orthogonal_direction(p, d)
+        s_counts = [(m & S.mask).bit_count() for m in T.coset_masks[d]]
+        x_counts = [(m & X.mask).bit_count() for m in T.coset_masks[od]]
+        out.append((min(c for c in s_counts if c), sum(1 for c in s_counts if c),
+                    min(c for c in x_counts if c), sum(1 for c in x_counts if c)))
+    return out
+
+
+def reference_line_count(S: PointSet, g: Point, direction: int) -> int:
+    T = tables(S.p)
+    line = T.coset_masks[direction][T.coset_id[direction][g.index]]
+    return (line & S.mask).bit_count()
+
+
+def reference_isolated_count(X: PointSet, direction: int) -> int:
+    od = orthogonal_direction(X.p, direction)
+    return sum(1 for m in tables(X.p).coset_masks[od] if (m & X.mask).bit_count() == 1)
+
+
+def reference_line_direction_containing(P: PointSet) -> Optional[int]:
+    T = tables(P.p)
+    for d in range(P.p + 1):
+        for m in T.coset_masks[d]:
+            if not (P.mask & ~m):
+                return d
+    return None
+
+
+def reference_full_line_split(P: PointSet, direction: int) -> List[int]:
+    T = tables(P.p)
+    ids = []
+    union = 0
+    for j, m in enumerate(T.coset_masks[direction]):
+        if m & P.mask:
+            ids.append(j)
+            union |= m
+    if union != P.mask:
+        raise RuntimeError("support is not a union of full lines as the lemma requires")
+    return ids
+
+
+def reference_periodic_directions(p: int, X: PointSet) -> List[int]:
+    T = tables(p)
+    out = []
+    for d in range(p + 1):
+        sub_mask = T.coset_masks[orthogonal_direction(p, d)][0]
+        if not (X.mask & ~sub_mask):
+            out.append(d)
+    return out
+
+
+def reference_orthogonal_coset_pair(p: int, S: PointSet, X: PointSet) -> Optional[Tuple[int, int]]:
+    T = tables(p)
+    for d in range(p + 1):
+        if S.mask in T.coset_masks[d]:
+            od = orthogonal_direction(p, d)
+            if X.mask in T.coset_masks[od]:
+                return d, od
+    return None
+
+
+def reference_near_coset_pair(p: int, small: PointSet, large: PointSet) -> Optional[dict]:
+    if small.size < p - 1:
+        return None
+    T = tables(p)
+    for d in range(p + 1):
+        for line in T.coset_masks[d]:
+            if small.mask & ~line:
+                continue
+            od = orthogonal_direction(p, d)
+            ids = []
+            union = 0
+            for j, m in enumerate(T.coset_masks[od]):
+                if large.mask & m:
+                    ids.append(j)
+                    union |= m
+            if len(ids) <= 2 and union == large.mask:
+                return {"small_direction": d, "large_direction": od, "large_cosets": ids}
+    return None
+
+
+def reference_coset_pair_exception(p: int, S: PointSet, X: PointSet) -> Optional[dict]:
+    if S.size <= X.size:
+        found = reference_near_coset_pair(p, S, X)
+        if found is None and S.size == X.size:
+            found = reference_near_coset_pair(p, X, S)
+        return found
+    return reference_near_coset_pair(p, X, S)
+
+
+def reference_directions_determined(P: PointSet) -> frozenset:
+    T = tables(P.p)
+    return frozenset(d for d in range(P.p + 1)
+                     if any((m & P.mask).bit_count() >= 2 for m in T.coset_masks[d]))
+
+
+def reference_pencil_stability(P: PointSet) -> Tuple[int, int]:
+    """(k, m): directions with an unblocked line, most unblocked lines in one."""
+    k = m = 0
+    for masks in tables(P.p).coset_masks:
+        u = sum(1 for mask in masks if not (mask & P.mask))
+        if u:
+            k += 1
+            m = max(m, u)
+    return k, m
+
+
+def reference_bounded_line_direction(P: PointSet) -> Optional[int]:
+    slack = max(Fraction(1), Fraction(P.size, 2 * P.p))
+    T = tables(P.p)
+    for d in sorted(reference_directions_determined(P)):
+        excess = max((mask & P.mask).bit_count() for mask in T.coset_masks[d]) - slack
+        if excess < 0 or excess * excess < P.size:
+            return d
+    return None
+
+
+def reference_is_blocking_set(P: PointSet) -> bool:
+    return all(m & P.mask for _, _, m in tables(P.p).all_lines)
+
+
+def reference_one_line_cover(P: PointSet) -> bool:
+    """The line through the set's first two points must hold all of it."""
+    if P.size <= 1:
+        return True
+    p = P.p
+    i, j = P.indices()[:2]
+    dx, dy = (j // p - i // p) % p, (j % p - i % p) % p
+    d = p if dx == 0 else (dy * pow(dx, p - 2, p)) % p
+    T = tables(p)
+    return not (P.mask & ~T.coset_masks[d][T.coset_id[d][i]])
+
+
+# -- strategies ------------------------------------------------------------------------
+
+
+KINDS = ("point", "line", "line-minus-one", "two-parallel", "two-crossing", "random")
+
+
+@st.composite
+def point_sets(draw, p: int, side: str = PRIMAL, direction: Optional[int] = None) -> PointSet:
+    """A random mask, or one of: a single point, a full line, a line minus
+    one point, two parallel or two crossing lines; the structured sets
+    sometimes gain a stray point.  Lines favour `direction` when given."""
+    masks = tables(p).coset_masks
+    kind = draw(st.sampled_from(KINDS))
+    if kind == "random":
+        return PointSet(p, side, draw(st.integers(1, (1 << (p * p)) - 1)))
+    if direction is not None and draw(st.booleans()):
+        d = direction
+    else:
+        d = draw(st.integers(0, p))
+    j = draw(st.integers(0, p - 1))
+    line = masks[d][j]
+    if kind == "point":
+        mask = 1 << draw(st.integers(0, p * p - 1))
+    elif kind == "line":
+        mask = line
+    elif kind == "line-minus-one":
+        members = [i for i in range(p * p) if line >> i & 1]
+        mask = line & ~(1 << draw(st.sampled_from(members)))
+    elif kind == "two-parallel":
+        mask = line | masks[d][(j + draw(st.integers(1, p - 1))) % p]
+    else:
+        d2 = (d + draw(st.integers(1, p))) % (p + 1)
+        mask = line | masks[d2][draw(st.integers(0, p - 1))]
+    if draw(st.booleans()):
+        mask |= 1 << draw(st.integers(0, p * p - 1))
+    return PointSet(p, side, mask)
+
+
+def split_or_raise(split, P: PointSet, d: int):
+    try:
+        return split(P, d)
+    except RuntimeError:
+        return "raises"
+
+
+# -- census against the scans ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_plane_queries_match_mask_scans(p, data):
+    P = data.draw(point_sets(p))
+    assert is_blocking_set(P) == reference_is_blocking_set(P)
+    assert one_line_cover(P) == reference_one_line_cover(P)
+    report = pencil_stability(P)
+    assert (report.k, report.m) == reference_pencil_stability(P)
+    if P.size >= 2:
+        assert directions_determined(P) == reference_directions_determined(P)
+    if 2 <= P.size <= 4 * p:
+        assert bounded_line_direction(P) == reference_bounded_line_direction(P)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_single_set_predicates_match_mask_scans(p, data):
+    P = data.draw(point_sets(p))
+    assert _line_direction_containing(P) == reference_line_direction_containing(P)
+    for d in range(p + 1):
+        assert split_or_raise(_full_line_split, P, d) == \
+            split_or_raise(reference_full_line_split, P, d)
+    X = PointSet(p, DUAL, P.mask)
+    assert _periodic_directions(p, X) == reference_periodic_directions(p, X)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_support_pair_predicates_match_mask_scans(p, data):
+    d = data.draw(st.integers(0, p))
+    S = data.draw(point_sets(p, PRIMAL, d))
+    X = data.draw(point_sets(p, DUAL, orthogonal_direction(p, d)))
+    pair = SupportPair.from_masks(p, 2, S.mask, X.mask, True)
+    profile = reference_support_profile(S, X)
+    for e in range(p + 1):
+        stats = pair.stats(e)
+        assert (stats.direction, stats.n_S, stats.K_S, stats.n_X, stats.K_X) == (e, *profile[e])
+        assert pair.isolated_count(e) == reference_isolated_count(X, e)
+    g = Point.from_index(p, data.draw(st.integers(0, p * p - 1)))
+    assert pair.line_count(g, d) == reference_line_count(S, g, d)
+    assert _orthogonal_coset_pair(p, S, X) == reference_orthogonal_coset_pair(p, S, X)
+    assert _coset_pair_exception(p, S, X) == reference_coset_pair_exception(p, S, X)
