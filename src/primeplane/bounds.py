@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cyclotomic import CycNum, check_prime, format_value, root_of_unity
 from .fourier import (
@@ -36,7 +36,7 @@ from .plane import (
     line_intersection,
     lines_in_direction,
     min_line_cover,
-    orthogonal_direction,
+    orthogonal_directions,
 )
 
 HOLDS = "holds"
@@ -48,8 +48,7 @@ VIOLATED = "violated"
 # -- support pair ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DirectionStats:
+class DirectionStats(NamedTuple):
     """Per-direction counting data: n_S/n_X are the smallest positive
     line intersections with the support and the transform support, K_S
     and K_X count the met lines."""
@@ -96,10 +95,10 @@ class SupportPair:
         """n_S, K_S over the primal direction's lines and n_X, K_X over
         the orthogonal dual direction's lines."""
         s_counts = self.S.line_counts[direction]
-        x_counts = self.X.line_counts[orthogonal_direction(self.p, direction)]
+        x_counts = self.X.line_counts[orthogonal_directions(self.p)[direction]]
         return DirectionStats(direction,
-                              min(c for c in s_counts if c), self.p - s_counts.count(0),
-                              min(c for c in x_counts if c), self.p - x_counts.count(0))
+                              min(filter(None, s_counts)), self.p - s_counts.count(0),
+                              min(filter(None, x_counts)), self.p - x_counts.count(0))
 
     def line_count(self, g: Point, direction: int) -> int:
         """Number of support points on the direction-d line through g."""
@@ -109,7 +108,7 @@ class SupportPair:
     def isolated_count(self, direction: int) -> int:
         """Number of dual lines orthogonal to the given primal direction
         that contain exactly one point of the transform support."""
-        return self.X.line_counts[orthogonal_direction(self.p, direction)].count(1)
+        return self.X.line_counts[orthogonal_directions(self.p)[direction]].count(1)
 
 
 def profile(f: GFunc) -> SupportPair:
@@ -351,7 +350,7 @@ def _classify_one_primal_line(f: GFunc, fhat: GFunc, S: PointSet, X: PointSet,
     p = f.p
     g0 = Point.from_index(p, (S.mask & -S.mask).bit_length() - 1)
     coset = Coset.through(g0, LineSubgroup(p, d, PRIMAL))
-    od = orthogonal_direction(p, d)
+    od = orthogonal_directions(p)[d]
     ids = _full_line_split(X, od)
     chars = tuple(_line_rep_point(p, od, j, DUAL) for j in ids)
     coeffs = tuple(fhat.value(chi) * p for chi in chars)
@@ -366,7 +365,7 @@ def _classify_one_primal_line(f: GFunc, fhat: GFunc, S: PointSet, X: PointSet,
 def _classify_one_dual_line(f: GFunc, S: PointSet, X: PointSet, e: int) -> ExceptionDescriptor:
     p = f.p
     chi = _line_rep_point(p, e, X.line_counts[e].index(X.size), DUAL)
-    d = orthogonal_direction(p, e)
+    d = orthogonal_directions(p)[e]
     ids = _full_line_split(S, d)
     offsets = tuple(_line_rep_point(p, d, j, PRIMAL) for j in ids)
     if chi.is_origin():
@@ -379,18 +378,18 @@ def _classify_one_dual_line(f: GFunc, S: PointSet, X: PointSet, e: int) -> Excep
                                offsets=offsets, characters=(chi,), coefficients=coeffs)
 
 
-def _classify_two_lines(func: GFunc, hat: GFunc, cover_side: str) -> Optional[ExceptionDescriptor]:
+def _classify_two_lines(func: GFunc, hat: GFunc, Xs: PointSet,
+                        cover_side: str) -> Optional[ExceptionDescriptor]:
     """Structure of `func` whose transform support is covered by two lines;
-    `hat` must be the transform of `func`."""
+    `hat` must be the transform of `func` and `Xs` its support."""
     p = func.p
-    Xs = PointSet(p, hat.side, hat.support_mask)
     pair = canonical_two_line_pair(Xs)
     if pair is None:
         return None
     (d1, j1), (d2, j2) = pair
     hat_side, func_side = hat.side, func.side
     if d1 == d2:
-        prim_dir = orthogonal_direction(p, d1)
+        prim_dir = orthogonal_directions(p)[d1]
         chi1 = _line_rep_point(p, d1, j1, hat_side)
         chi2 = _line_rep_point(p, d2, j2, hat_side)
         psis = LineSubgroup(p, d1, hat_side).members()
@@ -418,8 +417,8 @@ def _classify_two_lines(func: GFunc, hat: GFunc, cover_side: str) -> Optional[Ex
                                             ("support_size", s)))
     # nonparallel pair
     chi0 = line_intersection(p, hat_side, (d1, j1), (d2, j2))
-    dir1 = orthogonal_direction(p, d1)
-    dir2 = orthogonal_direction(p, d2)
+    orth = orthogonal_directions(p)
+    dir1, dir2 = orth[d1], orth[d2]
     gen1 = LineSubgroup(p, dir1, func_side).generator
     gen2 = LineSubgroup(p, dir2, func_side).generator
     # chi0 itself is summed once, into the second component
@@ -453,7 +452,8 @@ def _classify_two_lines(func: GFunc, hat: GFunc, cover_side: str) -> Optional[Ex
     return desc
 
 
-def classify_exception(f: GFunc, fhat: Optional[GFunc] = None) -> Optional[ExceptionDescriptor]:
+def classify_exception(f: GFunc, fhat: Optional[GFunc] = None,
+                       pair: Optional[SupportPair] = None) -> Optional[ExceptionDescriptor]:
     """Recover the explicit structure of f when supp f or supp of the
     transform fits in one line or in a union of two lines; None otherwise.
 
@@ -462,13 +462,18 @@ def classify_exception(f: GFunc, fhat: Optional[GFunc] = None) -> Optional[Excep
     covers.  The returned descriptor always reconstructs f exactly; an
     internal invariant failure raises RuntimeError naming f's literal.
     `fhat`, when given, must be f's transform; otherwise it is taken here.
+    `pair`, when given, must be the SupportPair of f and fhat, whose point
+    sets (and their line census) are then reused rather than rebuilt.
     """
     if f.rank != 2 or f.side != PRIMAL:
         raise ValueError("classification requires a rank-2 primal function")
     if f.is_zero_function():
         raise ValueError("zero function cannot be classified")
     try:
-        desc = _classify(f, fourier_transform(f) if fhat is None else fhat)
+        if fhat is None:
+            fhat = fourier_transform(f)
+        S, X = (f.support(), fhat.support()) if pair is None else (pair.S, pair.X)
+        desc = _classify(f, fhat, S, X)
         if desc is not None:
             _verify_reconstruction(desc, f)
         return desc
@@ -476,9 +481,7 @@ def classify_exception(f: GFunc, fhat: Optional[GFunc] = None) -> Optional[Excep
         raise RuntimeError(f"{exc} (function {f.to_literal()})") from exc
 
 
-def _classify(f: GFunc, fhat: GFunc) -> Optional[ExceptionDescriptor]:
-    S = f.support()
-    X = fhat.support()
+def _classify(f: GFunc, fhat: GFunc, S: PointSet, X: PointSet) -> Optional[ExceptionDescriptor]:
     # periodicity first: the transform support sits on a dual line through
     # the origin exactly when f is constant on the cosets of one direction
     e = _line_direction_containing(X)
@@ -489,9 +492,10 @@ def _classify(f: GFunc, fhat: GFunc) -> Optional[ExceptionDescriptor]:
         return _classify_one_primal_line(f, fhat, S, X, d)
     if e is not None:
         return _classify_one_dual_line(f, S, X, e)
-    desc = _classify_two_lines(f, fhat, cover_side=DUAL)
+    desc = _classify_two_lines(f, fhat, X, cover_side=DUAL)
     if desc is None:
-        desc = _classify_two_lines(fhat, double_transform(f), cover_side=PRIMAL)
+        ffhat = double_transform(f)
+        desc = _classify_two_lines(fhat, ffhat, ffhat.support(), cover_side=PRIMAL)
     return desc
 
 
@@ -506,7 +510,8 @@ def _verify_reconstruction(desc: ExceptionDescriptor, f: GFunc):
 def _periodic_directions(p: int, X: PointSet) -> List[int]:
     """Primal directions d whose orthogonal dual subgroup contains X,
     i.e. the function is constant on the d-direction cosets."""
-    return [d for d in range(p + 1) if X.line_counts[orthogonal_direction(p, d)][0] == X.size]
+    size, counts = X.size, X.line_counts
+    return [d for d, od in enumerate(orthogonal_directions(p)) if counts[od][0] == size]
 
 
 def _orthogonal_coset_pair(p: int, S: PointSet, X: PointSet) -> Optional[Tuple[int, int]]:
@@ -514,9 +519,9 @@ def _orthogonal_coset_pair(p: int, S: PointSet, X: PointSet) -> Optional[Tuple[i
     in the orthogonal direction."""
     if S.size != p or X.size != p:
         return None
-    for d in range(p + 1):
-        od = orthogonal_direction(p, d)
-        if p in S.line_counts[d] and p in X.line_counts[od]:
+    s_counts, x_counts = S.line_counts, X.line_counts
+    for d, od in enumerate(orthogonal_directions(p)):
+        if p in s_counts[d] and p in x_counts[od]:
             return d, od
     return None
 
@@ -525,11 +530,11 @@ def _near_coset_pair(p: int, small: PointSet, large: PointSet) -> Optional[dict]
     """small sits inside one line with at most one point missing, and
     large is exactly a union of one or two lines in the orthogonal
     direction."""
-    if small.size < p - 1:
+    size = small.size
+    if size < p - 1:
         return None
-    for d in range(p + 1):
-        if small.size in small.line_counts[d]:
-            od = orthogonal_direction(p, d)
+    for d, (counts, od) in enumerate(zip(small.line_counts, orthogonal_directions(p))):
+        if size in counts:
             ids = _full_lines(large, od)
             if ids is not None and len(ids) <= 2:
                 return {"small_direction": d, "large_direction": od, "large_cosets": ids}
@@ -730,30 +735,22 @@ def eval_asym3(pair: SupportPair, eps) -> BoundReport:
 def eval_coset_counts(pair: SupportPair, H: Optional[LineSubgroup] = None) -> BoundReport:
     """The four met-line counting inequalities per direction (H's alone when
     given): K_X >= p+1-n_S, |X| >= n_X (p+1-n_S), and their mirrored forms."""
-    p, S, X = pair.p, pair.S, pair.X
-    dirs = range(p + 1) if H is None else [H.direction]
+    p, s_size, x_size = pair.p, pair.s_size, pair.x_size
     rows = []
-    all_hold = True
     tightest = None
-    for d in dirs:
-        st = pair.stats(d)
-        checks = (
-            ("K_X", st.K_X, p + 1 - st.n_S),
-            ("X", X.size, st.n_X * (p + 1 - st.n_S)),
-            ("K_S", st.K_S, p + 1 - st.n_X),
-            ("S", S.size, st.n_S * (p + 1 - st.n_X)),
-        )
-        for label, lhs, rhs in checks:
-            ok = lhs >= rhs
-            all_hold = all_hold and ok
+    for d in (range(p + 1) if H is None else [H.direction]):
+        _, n_S, K_S, n_X, K_X = pair.stats(d)
+        for label, lhs, rhs in (("K_X", K_X, p + 1 - n_S), ("X", x_size, n_X * (p + 1 - n_S)),
+                                ("K_S", K_S, p + 1 - n_X), ("S", s_size, n_S * (p + 1 - n_X))):
             slack = lhs - rhs
             if tightest is None or slack < tightest[0]:
-                tightest = (slack, Fraction(lhs), Fraction(rhs))
-            rows.append({"direction": d, "quantity": label, "lhs": lhs, "rhs": rhs, "ok": ok})
-    verdict = HOLDS if all_hold else VIOLATED
-    if all_hold and tightest[0] == 0:
-        verdict = EQUALITY
-    return BoundReport("coset-counts", verdict, tightest[1], tightest[2],
+                tightest = (slack, lhs, rhs)
+            rows.append({"direction": d, "quantity": label, "lhs": lhs, "rhs": rhs,
+                         "ok": slack >= 0})
+    # every inequality holds exactly when the tightest one does
+    slack, lhs, rhs = tightest
+    verdict = VIOLATED if slack < 0 else EQUALITY if slack == 0 else HOLDS
+    return BoundReport("coset-counts", verdict, Fraction(lhs), Fraction(rhs),
                        details={"inequalities": rows})
 
 
@@ -896,7 +893,7 @@ def verify(f: GFunc, checks: Sequence[Tuple[str, object]]) -> List[BoundReport]:
     reports = [spec.evaluator(pair, param) for spec, param in admitted]
     structure = covers = None
     if f.rank == 2 and any(r.verdict == EXCEPTION for r in reports):
-        structure = classify_exception(f, fhat)
+        structure = classify_exception(f, fhat, pair)
     for report in reports:
         if report.verdict == VIOLATED:
             report.witness = f

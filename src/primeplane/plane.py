@@ -15,6 +15,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import repeat
+from operator import and_
 from typing import FrozenSet, Iterable, Optional, Tuple
 
 from .cyclotomic import check_prime
@@ -106,6 +108,13 @@ def orthogonal_direction(p: int, d: int) -> int:
     if d == p:
         return 0
     return (-pow(d, p - 2, p)) % p
+
+
+@lru_cache(maxsize=None)
+def orthogonal_directions(p: int) -> Tuple[int, ...]:
+    """orthogonal_directions(p)[d] == orthogonal_direction(p, d) for every
+    direction d, for loops that would otherwise validate p at each call."""
+    return tuple(orthogonal_direction(p, d) for d in range(p + 1))
 
 
 @dataclass(frozen=True)
@@ -256,7 +265,7 @@ class PointSet:
             mask |= 1 << (x * p + y)
         return cls(p, side, mask)
 
-    @property
+    @cached_property
     def size(self) -> int:
         return self.mask.bit_count()
 
@@ -265,8 +274,9 @@ class PointSet:
         """line_counts[d][j]: the number of points of the set on line j of
         direction d (coset ids as in coset_from_id).  Every structural
         query on a set's lines reads this one census."""
-        return tuple(tuple((m & self.mask).bit_count() for m in masks)
-                     for masks in tables(self.p).coset_masks)
+        p = self.p
+        counts = tuple(map(int.bit_count, map(and_, tables(p).line_masks, repeat(self.mask))))
+        return tuple(counts[i:i + p] for i in range(0, p * (p + 1), p))
 
     def contains(self, pt: Point) -> bool:
         if pt.p != self.p or pt.side != self.side:
@@ -330,11 +340,14 @@ def parse_pointset(text: str, side: str = PRIMAL) -> PointSet:
 
 
 class _Tables:
-    __slots__ = ("p", "coset_masks", "coset_id", "lines_through", "all_lines", "full_mask")
+    __slots__ = ("p", "coset_masks", "line_masks", "coset_id", "lines_through", "all_lines",
+                 "full_mask")
 
     def __init__(self, p, coset_masks, coset_id, lines_through, all_lines, full_mask):
         self.p = p
         self.coset_masks = coset_masks
+        # coset_masks flattened, direction by direction
+        self.line_masks = tuple(m for masks in coset_masks for m in masks)
         self.coset_id = coset_id
         self.lines_through = lines_through
         self.all_lines = all_lines

@@ -16,6 +16,7 @@ import os
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cyclotomic import CycNum, check_prime, format_value, parse_value, root_of_unity
@@ -261,6 +262,36 @@ def attainable_lattice(p: int) -> Tuple[Tuple[int, int], ...]:
 # -- candidate spaces -----------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _top_byte_tables(base: int) -> Tuple[bytes, bytes]:
+    """(table, reject) for bytes.translate: table maps a word's top byte
+    to its top base.bit_length() bits, and reject lists the top bytes
+    whose bits reach base."""
+    shift = 8 - base.bit_length()
+    return (bytes(b >> shift for b in range(256)),
+            bytes(b for b in range(256) if b >> shift >= base))
+
+
+def _random_digits(rng: random.Random, base: int, n: int) -> Sequence[int]:
+    """[rng.randrange(base) for _ in range(n)], read from whole 32-bit words.
+
+    randrange(base) keeps the top base.bit_length() bits of one word and
+    draws again while they reach base.  For base < 256 those bits lie in
+    the word's top byte, so each round draws one word per digit still
+    missing and decodes them all in C; no word is drawn that the n calls
+    would not draw, and the generator ends in the same state.
+    """
+    if base >= 256:
+        return [rng.randrange(base) for _ in range(n)]
+    table, reject = _top_byte_tables(base)
+    digits = b""
+    while len(digits) < n:
+        m = n - len(digits)
+        # byte 4i + 3 of the little-endian draw is the top byte of word i
+        digits += rng.getrandbits(32 * m).to_bytes(4 * m, "little")[3::4].translate(table, reject)
+    return digits
+
+
 @dataclass(frozen=True)
 class SearchSpace:
     """A finite family of candidate functions over a value alphabet.
@@ -331,10 +362,6 @@ class SearchSpace:
     def all_rational(self) -> bool:
         return not self.char_twist and all(v.is_rational() for v in self.alphabet)
 
-    def _digits(self, counter: int) -> List[int]:
-        base = len(self.alphabet)
-        return [(counter // base**i) % base for i in range(self.n_points)]
-
     def _twisted(self, digits: Sequence[int], chi_index: int) -> Tuple[CycNum, ...]:
         from .fourier import pair_exponents
 
@@ -342,27 +369,32 @@ class SearchSpace:
         return tuple(self.alphabet[d] * root_of_unity(self.p, exps[g])
                      for g, d in enumerate(digits))
 
+    def _decode(self, ordinal: int) -> Tuple[Sequence[int], int]:
+        """(digits, chi_index) of candidate `ordinal`: one alphabet index per
+        point, and the twisting character's index (0 without a twist)."""
+        n, base = self.n_points, len(self.alphabet)
+        if self.mode == "random":
+            rng = random.Random((self.seed << 32) ^ ordinal)
+            digits = _random_digits(rng, base, n)
+            return digits, rng.randrange(n) if self.char_twist else 0
+        chi_index, counter = divmod(ordinal, self.base_count) if self.char_twist else (0, ordinal)
+        digits = [0] * n
+        for i in range(n):
+            counter, digits[i] = divmod(counter, base)
+        return digits, chi_index
+
     def values_at(self, ordinal: int) -> Tuple[CycNum, ...]:
         """Decode candidate `ordinal` into its value vector."""
         if not 0 <= ordinal < self.candidate_count:
             raise ValueError("candidate ordinal out of range")
-        if self.mode == "random":
-            rng = random.Random((self.seed << 32) ^ ordinal)
-            digits = [rng.randrange(len(self.alphabet)) for _ in range(self.n_points)]
-            chi_index = rng.randrange(self.n_points) if self.char_twist else 0
-        else:
-            chi_index, base_counter = divmod(ordinal, self.base_count) \
-                if self.char_twist else (0, ordinal)
-            digits = self._digits(base_counter)
+        digits, chi_index = self._decode(ordinal)
         if self.char_twist:
             return self._twisted(digits, chi_index)
-        return tuple(self.alphabet[d] for d in digits)
+        return tuple(map(self.alphabet.__getitem__, digits))
 
     def int_values_at(self, ordinal: int, ints: Tuple[int, ...]) -> Tuple[int, ...]:
-        if self.mode == "random":
-            rng = random.Random((self.seed << 32) ^ ordinal)
-            return tuple(ints[rng.randrange(len(ints))] for _ in range(self.n_points))
-        return tuple(ints[d] for d in self._digits(ordinal))
+        """values_at with `ints` (the int_alphabet) in place of the alphabet."""
+        return tuple(map(ints.__getitem__, self._decode(ordinal)[0]))
 
     def gfunc_at(self, ordinal: int) -> GFunc:
         return GFunc(self.p, self.rank, PRIMAL, self.values_at(ordinal))

@@ -43,6 +43,12 @@ PRIMES = (2, 3, 5, 7)
 # -- the mask-scanning routes --------------------------------------------------------
 
 
+def reference_line_counts(P: PointSet) -> Tuple[Tuple[int, ...], ...]:
+    """The census as one comprehension over the line masks."""
+    return tuple(tuple((m & P.mask).bit_count() for m in masks)
+                 for masks in tables(P.p).coset_masks)
+
+
 def reference_support_profile(S: PointSet, X: PointSet) -> List[Tuple[int, int, int, int]]:
     """(n_S, K_S, n_X, K_X) per primal direction."""
     p = S.p
@@ -228,6 +234,15 @@ def split_or_raise(split, P: PointSet, d: int):
 
 
 # -- census against the scans ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", PRIMES + (11, 13))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_line_counts_match_the_comprehension(p, data):
+    for P in (PointSet.empty(p), PointSet.full(p), data.draw(point_sets(p))):
+        assert P.line_counts == reference_line_counts(P)
+        assert P.size == P.mask.bit_count()
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -9,11 +9,13 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 
 import primeplane
 from primeplane import bounds, cli
 from primeplane.cli import (EXIT_BUDGET, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION,
                             main)
+from primeplane.plane import DUAL, PRIMAL, PointSet
 from primeplane.search import construct, make_space
 
 
@@ -233,6 +235,31 @@ def test_verify_cover_values_bytes(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (family, p)
 
 
+# stdout digests of random sweeps that decode through the paths the p = 11
+# benchmark sweep does not: a character twist, irrational and fractional
+# values (the exact transform), five-letter alphabets (digits drawn with
+# rejection) and two-letter ones (none rejected)
+RANDOM_SWEEP_SHA256 = {
+    ("5", "3", "300", "--char-twist", "product", "meshulam"):
+        "176c053f645430f7e364a8e2399da766c2059f250e0cef9b1082bccff2efaf8d",
+    ("5", "3", "300", "--alphabet=0,1/2,z", "product", "meshulam"):
+        "4875b733959856f0171ff11f28d351a409bef62dd67d86b3821ca59ba3130c7e",
+    ("7", "5", "500", "--alphabet=-2,-1,0,1,2", "product", "kp2"):
+        "76532ed4a4bbdd1dfdebabf92baa0ab25e51aa6c7129d446fb95964671996f37",
+    ("7", "5", "500", "--alphabet=0,1", "product", "kp2"):
+        "daed4d0118578371dacd3011590aec16bde38f048f4fac460142fcf132f6bdaf",
+}
+
+
+def test_random_sweep_bytes(capsys):
+    for (p, seed, budget, space, *checks), digest in RANDOM_SWEEP_SHA256.items():
+        theorems = [arg for name in [*checks, "coset-counts"] for arg in ("--theorem", name)]
+        code, out, err = run_cli(capsys, "sweep", "--p", p, "--mode", "random", "--seed", seed,
+                                 "--budget", budget, space, *theorems)
+        assert code == EXIT_OK, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (p, space)
+
+
 GALLERY_FAMILIES = {"diff-of-subgroups": {}, "pm-two-cosets": {}, "triple-subgroups": {},
                     "character-coset": {}, "sharp2d": {"m": 2, "n": 3}}
 
@@ -317,6 +344,27 @@ def test_verify_transforms_once_and_classifies_at_most_once(capsys, monkeypatch)
             counts.clear()
             code, payload = run_json(capsys, "classify", *argv)
             assert counts["fourier_transform"] == 1, (family, p)
+
+
+def test_verify_counts_each_support_census_once(capsys, monkeypatch):
+    # an exceptional report's classification reads verify's own S and X
+    census = PointSet.line_counts.func
+    builds = Counter()
+
+    def counted(self):
+        builds[self.side] += 1
+        return census(self)
+
+    prop = cached_property(counted)
+    prop.__set_name__(PointSet, "line_counts")
+    monkeypatch.setattr(PointSet, "line_counts", prop)
+    for family in ("pm-two-cosets", "character-coset", "triple-subgroups"):
+        builds.clear()
+        code, payload = run_json(capsys, "verify", "--family", family, "--p", "11")
+        assert code == EXIT_OK
+        exceptional = any(r["verdict"] == "exception" for r in payload["reports"])
+        assert exceptional == (family != "triple-subgroups")
+        assert builds == {PRIMAL: 1, DUAL: 1}, family
 
 
 def test_sweep_decides_cover_clauses_without_exact_covers(capsys, monkeypatch):

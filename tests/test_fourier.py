@@ -507,6 +507,25 @@ def per_character_support_masks(p, rank, values):
     return s_mask, x_mask
 
 
+def per_direction_support_masks(p, rank, values):
+    """Reference route for int_support_masks: one pass over the support per
+    direction, summing each value into its line, then comparing all p sums."""
+    support = [(g, v) for g, v in enumerate(values) if v]
+    s_mask = sum(1 << g for g, _ in support)
+    x_mask = 1 if sum(values) else 0
+    # the dual direction d = (a, b) at rank 2; at rank 1 the one direction 1
+    directions = [(0, 1)] + [(1, m) for m in range(p)] if rank == 2 else [(0, 1)]
+    for a, b in directions:
+        sums = [0] * p
+        for g, v in support:
+            sums[(a * (g // p) + b * (g % p)) % p if rank == 2 else g] += v
+        if sums.count(sums[0]) != p:
+            # the punctured dual line through d
+            x_mask |= sum(1 << ((t * a % p) * p + t * b % p if rank == 2 else t)
+                          for t in range(1, p))
+    return s_mask, x_mask
+
+
 def kernel_inputs(p, rank, rng):
     """Random integer functions with values up to 1000 in size, and
     structured ones whose transforms vanish on whole dual directions."""
@@ -544,6 +563,7 @@ def test_int_kernel_matches_per_character_route_and_transform(p):
     for rank in (1, 2):
         for vals in kernel_inputs(p, rank, rng):
             masks = int_support_masks(p, rank, vals)
+            assert masks == per_direction_support_masks(p, rank, vals), (rank, vals)
             assert masks == per_character_support_masks(p, rank, vals), (rank, vals)
             f = GFunc(p, rank, PRIMAL, vals)
             assert masks == (f.support_mask, fourier_transform(f).support_mask), (rank, vals)

@@ -27,6 +27,7 @@ from primeplane.plane import (
     one_line_cover,
     orthogonal,
     orthogonal_direction,
+    orthogonal_directions,
     parse_pointset,
     pencil_stability,
     rich_direction_search,
@@ -387,6 +388,8 @@ def test_orthogonal_direction_involution():
     for p in (3, 5, 7, 11):
         for d in range(p + 1):
             assert orthogonal_direction(p, orthogonal_direction(p, d)) == d
+        assert orthogonal_directions(p) == tuple(orthogonal_direction(p, d)
+                                                 for d in range(p + 1))
 
 
 def test_line_intersection_cardinalities():

@@ -485,3 +485,55 @@ def test_builders_match_reference_loops(p, kind):
         d2 = rng.choice([e for e in range(p + 1) if e != d])
         assert two_nonparallel_lines_function(p, d, d2, character, vals1, vals2).func == \
             reference_two_nonparallel(p, d, d2, character, vals1, vals2)
+
+
+def test_random_digits_consume_the_randrange_stream():
+    # the batched decoder reads randrange's own words, so a draw after it agrees too
+    for base in [*range(1, 10), 255, 256, 300]:
+        for seed in range(50):
+            for n in (1, 9, 25, 121):
+                batched, plain = random.Random(seed), random.Random(seed)
+                digits = search._random_digits(batched, base, n)
+                assert list(digits) == [plain.randrange(base) for _ in range(n)], (base, seed, n)
+                assert batched.randrange(n) == plain.randrange(n), (base, seed, n)
+
+
+def randrange_values(space, ordinal):
+    """Reference random-mode decoding: one randrange call per point, then
+    one for the twisting character."""
+    rng = random.Random((space.seed << 32) ^ ordinal)
+    digits = [rng.randrange(len(space.alphabet)) for _ in range(space.n_points)]
+    if space.char_twist:
+        return space._twisted(digits, rng.randrange(space.n_points))
+    return tuple(space.alphabet[d] for d in digits)
+
+
+def power_values(space, ordinal):
+    """Reference exhaustive decoding: digit i of the base counter is
+    (counter // base**i) % base, below the character index."""
+    base = len(space.alphabet)
+    chi_index, counter = divmod(ordinal, space.base_count) if space.char_twist \
+        else (0, ordinal)
+    digits = [(counter // base**i) % base for i in range(space.n_points)]
+    if space.char_twist:
+        return space._twisted(digits, chi_index)
+    return tuple(space.alphabet[d] for d in digits)
+
+
+@pytest.mark.parametrize("mode", ["random", "exhaustive"])
+def test_decoding_matches_reference_routes(mode):
+    rng = random.Random(5)
+    reference = randrange_values if mode == "random" else power_values
+    for p, rank, alphabet, twist in [(2, 2, (0, 1), True), (3, 2, (-1, 0, 1), False),
+                                     (3, 1, (0, 1, "z", 2, "1/2"), True),
+                                     (5, 2, (-2, -1, 0, 1, 2), False), (5, 1, (7,), False)]:
+        space = make_space(p, alphabet=alphabet, rank=rank, mode=mode, seed=rng.randrange(99),
+                           budget=200, char_twist=twist, ceiling=10**18)
+        ints = space.int_alphabet()
+        count = space.candidate_count
+        for ordinal in sorted(rng.sample(range(count), min(20, count))):
+            values = space.values_at(ordinal)
+            assert values == reference(space, ordinal), (p, rank, alphabet, twist, ordinal)
+            if ints is not None:
+                assert space.int_values_at(ordinal, ints) == \
+                    tuple(int(v.rational_value()) for v in values)
