@@ -2,10 +2,13 @@
 exception detection, and the structure classifier that recovers the
 explicit shape of every exceptional function.
 
-All verdicts come from exact rational comparisons; the irrational bounds
-(square roots, p^(3/2), p^(4/3)) are decided by comparing integer powers.
-An evaluator never reports "violated" for a function falling in the
-stated exception class of its bound: the structural test runs first.
+All verdicts come from integer comparisons: a fractional bound is
+compared by cross-multiplying, and the irrational ones (square roots,
+p^(3/2), p^(4/3)) by comparing integer powers.  Each check decides its
+verdict in one place, its `decide`; the Fraction values of a BoundReport
+are built around that verdict, only where a report is printed.  A check
+never reports "violated" for a function falling in the stated exception
+class of its bound: the structural test runs first.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from itertools import repeat
+from operator import methodcaller, sub
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cyclotomic import CycNum, check_prime, format_value, root_of_unity
@@ -169,17 +174,6 @@ def _ineq_verdict(lhs, rhs) -> str:
     if lhs == rhs:
         return EQUALITY
     return HOLDS if lhs > rhs else VIOLATED
-
-
-def _sqrt_sum_ge(a: int, b: int, c: int) -> Tuple[bool, bool]:
-    """Exact (holds, equality) for sqrt(a) + sqrt(b) >= c, a, b, c >= 0."""
-    t = c * c - a - b
-    if t < 0:
-        return True, False
-    if t == 0:
-        return True, a * b == 0
-    lhs = 4 * a * b
-    return lhs >= t * t, lhs == t * t
 
 
 # -- exception structure -------------------------------------------------------
@@ -552,193 +546,266 @@ def _coset_pair_exception(p: int, S: PointSet, X: PointSet) -> Optional[dict]:
     return _near_coset_pair(p, X, S)
 
 
-# -- evaluator cores --------------------------------------------------------------
-# each takes (pair, param); k and eps arrive admitted by CheckSpec.admit below
+# -- decisions and reports -----------------------------------------------------------
+# Each check has one decide(pair, param) that makes its verdict from integer
+# comparisons alone (fractions compared by cross-multiplying), and one
+# report(pair, param, verdict) that builds verify's BoundReport around that
+# verdict.  k and eps arrive admitted by CheckSpec.admit below.
 
 
-def eval_product(pair: SupportPair, param=None) -> BoundReport:
-    lhs = Fraction(pair.s_size * pair.x_size)
-    rhs = Fraction(pair.p**pair.rank)
-    return BoundReport("product", _ineq_verdict(lhs, rhs), lhs, rhs)
+def _lo_hi(pair: SupportPair) -> Tuple[int, int]:
+    return min(pair.s_size, pair.x_size), max(pair.s_size, pair.x_size)
 
 
-def eval_birotao(pair: SupportPair, param=None) -> BoundReport:
-    lhs = Fraction(pair.s_size + pair.x_size)
-    rhs = Fraction(pair.p + 1)
-    return BoundReport("birotao", _ineq_verdict(lhs, rhs), lhs, rhs)
+def _either_covered(pair: SupportPair, b: int) -> bool:
+    """The cover clause: S or X is covered by b lines."""
+    return pair.covered(PRIMAL, b) or pair.covered(DUAL, b)
 
 
-def eval_meshulam(pair: SupportPair, param=None) -> BoundReport:
-    lo, hi = min(pair.s_size, pair.x_size), max(pair.s_size, pair.x_size)
-    lhs = lo + Fraction(hi, pair.p)
-    rhs = Fraction(pair.p + 1)
-    return BoundReport("meshulam", _ineq_verdict(lhs, rhs), lhs, rhs)
+def _clause_detail(pair: SupportPair, b: int, verdict: str) -> bool:
+    """cover_clause_applies for a report: decide ran the clause exactly when
+    the inequality failed, so an exception is the clause and a violation
+    its absence; a holding inequality needs the bounded search here."""
+    if verdict in (EXCEPTION, VIOLATED):
+        return verdict == EXCEPTION
+    return _either_covered(pair, b)
 
 
-def eval_rational(pair: SupportPair, param=None) -> BoundReport:
-    p, S, X = pair.p, pair.S, pair.X
+def decide_product(pair: SupportPair, param=None) -> str:
+    return _ineq_verdict(pair.s_size * pair.x_size, pair.p**pair.rank)
+
+
+def report_product(pair: SupportPair, param, verdict: str) -> BoundReport:
+    return BoundReport("product", verdict, Fraction(pair.s_size * pair.x_size),
+                       Fraction(pair.p**pair.rank))
+
+
+def decide_birotao(pair: SupportPair, param=None) -> str:
+    return _ineq_verdict(pair.s_size + pair.x_size, pair.p + 1)
+
+
+def report_birotao(pair: SupportPair, param, verdict: str) -> BoundReport:
+    return BoundReport("birotao", verdict, Fraction(pair.s_size + pair.x_size),
+                       Fraction(pair.p + 1))
+
+
+def decide_meshulam(pair: SupportPair, param=None) -> str:
+    # lo + hi/p >= p + 1
+    p, (lo, hi) = pair.p, _lo_hi(pair)
+    return _ineq_verdict(lo * p + hi, (p + 1) * p)
+
+
+def report_meshulam(pair: SupportPair, param, verdict: str) -> BoundReport:
+    lo, hi = _lo_hi(pair)
+    return BoundReport("meshulam", verdict, lo + Fraction(hi, pair.p), Fraction(pair.p + 1))
+
+
+def decide_rational(pair: SupportPair, param=None) -> str:
+    # lo/2 + hi/(p-1) >= p + 1, except H-periodic f
     if not pair.rational:
         raise ValueError("the rational bound requires a rational-valued function")
-    lo, hi = min(S.size, X.size), max(S.size, X.size)
-    lhs = Fraction(lo, 2) + Fraction(hi, p - 1)
-    rhs = Fraction(p + 1)
-    periodic = _periodic_directions(p, X)
-    if periodic:
-        # X lies in the orthogonal subgroup, so its size tells which part it is
-        if X.mask == 1:
-            matches = True
-            note = "constant function; transform support is the principal character"
-        elif X.mask & 1:
-            matches = X.size == p
-            note = "nonzero value sum; expected the full orthogonal subgroup"
-        else:
-            matches = X.size == p - 1
-            note = "zero value sum; expected the punctured orthogonal subgroup"
-        return BoundReport("rational", EXCEPTION, lhs, rhs, details={
-            "periodic_directions": periodic,
-            "stated_support_matches": matches,
-            "note": note,
-        })
-    return BoundReport("rational", _ineq_verdict(lhs, rhs), lhs, rhs)
+    p, (lo, hi) = pair.p, _lo_hi(pair)
+    if _periodic_directions(p, pair.X):
+        return EXCEPTION
+    return _ineq_verdict(lo * (p - 1) + 2 * hi, 2 * (p - 1) * (p + 1))
 
 
-def eval_kp1(pair: SupportPair, param=None) -> BoundReport:
-    p, S, X = pair.p, pair.S, pair.X
-    lo, hi = min(S.size, X.size), max(S.size, X.size)
-    lhs = Fraction(lo, p - 1) + Fraction(hi, 2)
-    rhs = Fraction(p + 1)
-    directions = _orthogonal_coset_pair(p, S, X)
-    if directions is not None:
-        return BoundReport("kp1", EXCEPTION, lhs, rhs,
-                           details={"orthogonal_pair_directions": list(directions)})
-    return BoundReport("kp1", _ineq_verdict(lhs, rhs), lhs, rhs)
+def report_rational(pair: SupportPair, param, verdict: str) -> BoundReport:
+    p, X, (lo, hi) = pair.p, pair.X, _lo_hi(pair)
+    lhs, rhs = Fraction(lo, 2) + Fraction(hi, p - 1), Fraction(p + 1)
+    if verdict != EXCEPTION:
+        return BoundReport("rational", verdict, lhs, rhs)
+    # X lies in the orthogonal subgroup, so its size tells which part it is
+    if X.mask == 1:
+        matches = True
+        note = "constant function; transform support is the principal character"
+    elif X.mask & 1:
+        matches = X.size == p
+        note = "nonzero value sum; expected the full orthogonal subgroup"
+    else:
+        matches = X.size == p - 1
+        note = "zero value sum; expected the punctured orthogonal subgroup"
+    return BoundReport("rational", EXCEPTION, lhs, rhs, details={
+        "periodic_directions": _periodic_directions(p, X),
+        "stated_support_matches": matches,
+        "note": note,
+    })
 
 
-def eval_kp2(pair: SupportPair, param=None) -> BoundReport:
-    p, S, X = pair.p, pair.S, pair.X
-    lo, hi = min(S.size, X.size), max(S.size, X.size)
-    lhs = Fraction(lo, p - 2) + Fraction(hi, 3)
-    rhs = Fraction(p + 1)
-    alt_lhs = Fraction(lo)
-    alt_rhs = Fraction(3 * (p - 1), 2)
-    structure = _coset_pair_exception(p, S, X)
-    if structure is not None:
-        return BoundReport("kp2", EXCEPTION, lhs, rhs, details={"structure": structure})
-    primary = _ineq_verdict(lhs, rhs)
+def decide_kp1(pair: SupportPair, param=None) -> str:
+    # lo/(p-1) + hi/2 >= p + 1, except orthogonal coset pairs
+    p, (lo, hi) = pair.p, _lo_hi(pair)
+    if _orthogonal_coset_pair(p, pair.S, pair.X) is not None:
+        return EXCEPTION
+    return _ineq_verdict(2 * lo + (p - 1) * hi, 2 * (p - 1) * (p + 1))
+
+
+def report_kp1(pair: SupportPair, param, verdict: str) -> BoundReport:
+    p, (lo, hi) = pair.p, _lo_hi(pair)
+    lhs, rhs = Fraction(lo, p - 1) + Fraction(hi, 2), Fraction(p + 1)
+    if verdict != EXCEPTION:
+        return BoundReport("kp1", verdict, lhs, rhs)
+    directions = _orthogonal_coset_pair(p, pair.S, pair.X)
+    return BoundReport("kp1", EXCEPTION, lhs, rhs,
+                       details={"orthogonal_pair_directions": list(directions)})
+
+
+def decide_kp2(pair: SupportPair, param=None) -> str:
+    # lo/(p-2) + hi/3 >= p + 1, else lo >= 3(p-1)/2, except near-coset structure
+    p, (lo, hi) = pair.p, _lo_hi(pair)
+    if _coset_pair_exception(p, pair.S, pair.X) is not None:
+        return EXCEPTION
+    primary = _ineq_verdict(3 * lo + (p - 2) * hi, 3 * (p - 2) * (p + 1))
+    return primary if primary != VIOLATED else _ineq_verdict(2 * lo, 3 * (p - 1))
+
+
+def report_kp2(pair: SupportPair, param, verdict: str) -> BoundReport:
+    p, (lo, hi) = pair.p, _lo_hi(pair)
+    lhs, rhs = Fraction(lo, p - 2) + Fraction(hi, 3), Fraction(p + 1)
+    if verdict == EXCEPTION:
+        return BoundReport("kp2", EXCEPTION, lhs, rhs,
+                           details={"structure": _coset_pair_exception(p, pair.S, pair.X)})
+    alt_lhs, alt_rhs = Fraction(lo), Fraction(3 * (p - 1), 2)
     details = {"min_branch_lhs": alt_lhs, "min_branch_rhs": alt_rhs}
-    if primary != VIOLATED:
-        return BoundReport("kp2", primary, lhs, rhs, details=details)
-    alt = _ineq_verdict(alt_lhs, alt_rhs)
-    if alt != VIOLATED:
-        return BoundReport("kp2", alt, alt_lhs, alt_rhs, details=details)
-    return BoundReport("kp2", VIOLATED, lhs, rhs, details=details)
+    if verdict != VIOLATED and lhs < rhs:
+        # the min branch decided
+        lhs, rhs = alt_lhs, alt_rhs
+    return BoundReport("kp2", verdict, lhs, rhs, details=details)
 
 
-def eval_product3(pair: SupportPair, param=None) -> BoundReport:
-    p, S, X = pair.p, pair.S, pair.X
-    lhs = Fraction(S.size * X.size)
-    rhs = Fraction(3 * p * (p - 2))
+def decide_product3(pair: SupportPair, param=None) -> str:
+    # |S||X| >= 3p(p-2), except m <= 2 or near-coset structure
+    p = pair.p
+    if min(pair.s_size, pair.x_size) <= 2 or \
+            _coset_pair_exception(p, pair.S, pair.X) is not None:
+        return EXCEPTION
+    return _ineq_verdict(pair.s_size * pair.x_size, 3 * p * (p - 2))
+
+
+def report_product3(pair: SupportPair, param, verdict: str) -> BoundReport:
+    p = pair.p
     details = {}
     if p == 3:
         details["advisory"] = "stated for p > 3; at p = 3 the bound equals p^2"
-    lo = min(S.size, X.size)
-    if lo <= 2:
-        details["reason"] = "min support size at most 2"
-        return BoundReport("product3", EXCEPTION, lhs, rhs, details=details)
-    structure = _coset_pair_exception(p, S, X)
-    if structure is not None:
-        details["structure"] = structure
-        return BoundReport("product3", EXCEPTION, lhs, rhs, details=details)
-    return BoundReport("product3", _ineq_verdict(lhs, rhs), lhs, rhs, details=details)
+    if verdict == EXCEPTION:
+        if min(pair.s_size, pair.x_size) <= 2:
+            details["reason"] = "min support size at most 2"
+        else:
+            details["structure"] = _coset_pair_exception(p, pair.S, pair.X)
+    return BoundReport("product3", verdict, Fraction(pair.s_size * pair.x_size),
+                       Fraction(3 * p * (p - 2)), details=details)
 
 
-def eval_conjecture(pair: SupportPair, k: int) -> BoundReport:
-    p = pair.p
-    lo, hi = min(pair.s_size, pair.x_size), max(pair.s_size, pair.x_size)
-    lhs = Fraction(lo, k) + Fraction(hi, p + 1 - k)
-    rhs = Fraction(p + 1)
+def decide_conjecture(pair: SupportPair, k: int) -> str:
+    # lo/k + hi/(p+1-k) >= p + 1, except a support covered by fewer than
+    # min(k, p+1-k) lines, searched only when the inequality fails
+    p, (lo, hi) = pair.p, _lo_hi(pair)
+    verdict = _ineq_verdict(lo * (p + 1 - k) + hi * k, (p + 1) * k * (p + 1 - k))
+    if verdict == VIOLATED and _either_covered(pair, min(k, p + 1 - k) - 1):
+        return EXCEPTION
+    return verdict
+
+
+def report_conjecture(pair: SupportPair, k: int, verdict: str) -> BoundReport:
+    p, (lo, hi) = pair.p, _lo_hi(pair)
     threshold = min(k, p + 1 - k)
-    # cover < threshold, decided without finding the minimum cover
-    clause = pair.covered(PRIMAL, threshold - 1) or pair.covered(DUAL, threshold - 1)
-    details = {"k": k, "cover_threshold": threshold, "cover_clause_applies": clause}
-    verdict = _ineq_verdict(lhs, rhs)
-    if verdict == VIOLATED and clause:
-        verdict = EXCEPTION
-    return BoundReport("conjecture", verdict, lhs, rhs, details=details)
+    details = {"k": k, "cover_threshold": threshold,
+               "cover_clause_applies": _clause_detail(pair, threshold - 1, verdict)}
+    return BoundReport("conjecture", verdict, Fraction(lo, k) + Fraction(hi, p + 1 - k),
+                       Fraction(p + 1), details=details)
 
 
-def eval_roots(pair: SupportPair, param=None) -> BoundReport:
-    p, a, b = pair.p, pair.s_size, pair.x_size
-    c = p + 1
-    holds, equal = _sqrt_sum_ge(a, b, c)
+def decide_roots(pair: SupportPair, param=None) -> str:
+    # sqrt(a) + sqrt(b) >= c; with t = c^2 - a - b >= 0 that is 4ab >= t^2
+    a, b, c = pair.s_size, pair.x_size, pair.p + 1
     t = c * c - a - b
-    if t > 0:
-        lhs, rhs = Fraction(4 * a * b), Fraction(t * t)
-    else:
-        lhs, rhs = Fraction(a + b), Fraction(c * c)
-    limit = (p - 1) // 2
-    clause = pair.covered(PRIMAL, limit) or pair.covered(DUAL, limit)
-    details = {"S_size": a, "X_size": b, "cover_clause_applies": clause, "squared_compare": t > 0}
-    if equal:
-        verdict = EQUALITY
-    elif holds:
-        verdict = HOLDS
-    elif clause:
-        verdict = EXCEPTION
-    else:
-        verdict = VIOLATED
-    return BoundReport("roots", verdict, lhs, rhs, details=details)
+    verdict = HOLDS if t < 0 else _ineq_verdict(4 * a * b, t * t)
+    if verdict == VIOLATED and _either_covered(pair, (pair.p - 1) // 2):
+        return EXCEPTION
+    return verdict
 
 
-def _eval_asym(name: str, pair: SupportPair, eps,
-               coefficient: int, power_num: int, power_den: int,
-               scale: Fraction, cover_lines: int, advisory_below: Optional[int]) -> BoundReport:
-    p = pair.p
-    lo, hi = min(pair.s_size, pair.x_size), max(pair.s_size, pair.x_size)
-    details = {"epsilon": eps}
-    if advisory_below is not None and p < advisory_below:
-        details["advisory"] = f"stated for p >= {advisory_below}"
-    b1_lhs = Fraction(lo)
-    b1_rhs = coefficient * (1 - eps) * p
-    for side, size in ((PRIMAL, pair.s_size), (DUAL, pair.x_size)):
-        if size == lo and pair.covered(side, cover_lines):
-            details["reason"] = f"min-side support within {cover_lines} line(s)"
-            return BoundReport(name, EXCEPTION, b1_lhs, b1_rhs, details=details)
-    # hi >= scale * eps * p^(num/den)  <=>  (hi/(scale*eps))^den >= p^num
-    b2_lhs = Fraction(hi) ** power_den
-    b2_rhs = (scale * eps) ** power_den * Fraction(p) ** power_num
-    details["branch2_lhs"] = b2_lhs
-    details["branch2_rhs"] = b2_rhs
-    b1 = _ineq_verdict(b1_lhs, b1_rhs)
-    b2 = _ineq_verdict(b2_lhs, b2_rhs)
-    if b1 != VIOLATED:
-        return BoundReport(name, b1, b1_lhs, b1_rhs, details=details)
-    if b2 != VIOLATED:
-        return BoundReport(name, b2, b2_lhs, b2_rhs, details=details)
-    return BoundReport(name, VIOLATED, b1_lhs, b1_rhs, details=details)
+def report_roots(pair: SupportPair, param, verdict: str) -> BoundReport:
+    a, b, c = pair.s_size, pair.x_size, pair.p + 1
+    t = c * c - a - b
+    lhs, rhs = (4 * a * b, t * t) if t >= 0 else (a + b, c * c)
+    details = {"S_size": a, "X_size": b,
+               "cover_clause_applies": _clause_detail(pair, (pair.p - 1) // 2, verdict),
+               "squared_compare": t >= 0}
+    return BoundReport("roots", verdict, Fraction(lhs), Fraction(rhs), details=details)
 
 
-def eval_asym2(pair: SupportPair, eps) -> BoundReport:
-    """min >= 2(1-eps)p or max >= eps p^(3/2), except when the min-side
-    support sits inside one line; advisory below p = 31."""
-    return _eval_asym("asym2", pair, eps, coefficient=2, power_num=3, power_den=2,
-                      scale=Fraction(1), cover_lines=1, advisory_below=31)
+class _Asym(NamedTuple):
+    """min >= coefficient (1-eps) p or max >= (eps/divisor) p^(num/den),
+    except when the min-side support sits inside cover_lines lines."""
+
+    name: str
+    coefficient: int
+    num: int
+    den: int
+    divisor: int
+    cover_lines: int
+    advisory_below: Optional[int]
+
+    def decide(self, pair: SupportPair, eps: Fraction) -> str:
+        p, (lo, hi) = pair.p, _lo_hi(pair)
+        # the exception outranks the inequality, so its cover test comes first
+        for side, size in ((PRIMAL, pair.s_size), (DUAL, pair.x_size)):
+            if size == lo and pair.covered(side, self.cover_lines):
+                return EXCEPTION
+        a, b = eps.numerator, eps.denominator
+        first = _ineq_verdict(lo * b, self.coefficient * (b - a) * p)
+        if first != VIOLATED:
+            return first
+        # hi >= (a / (b divisor)) p^(num/den)  <=>  (hi b divisor)^den >= a^den p^num
+        return _ineq_verdict((hi * b * self.divisor)**self.den, a**self.den * p**self.num)
+
+    def report(self, pair: SupportPair, eps: Fraction, verdict: str) -> BoundReport:
+        p, (lo, hi) = pair.p, _lo_hi(pair)
+        details = {"epsilon": eps}
+        if self.advisory_below is not None and p < self.advisory_below:
+            details["advisory"] = f"stated for p >= {self.advisory_below}"
+        lhs, rhs = Fraction(lo), self.coefficient * (1 - eps) * p
+        if verdict == EXCEPTION:
+            details["reason"] = f"min-side support within {self.cover_lines} line(s)"
+            return BoundReport(self.name, EXCEPTION, lhs, rhs, details=details)
+        b2_lhs = Fraction(hi)**self.den
+        b2_rhs = (eps / self.divisor)**self.den * Fraction(p)**self.num
+        details["branch2_lhs"] = b2_lhs
+        details["branch2_rhs"] = b2_rhs
+        if verdict != VIOLATED and lhs < rhs:
+            # the max branch decided
+            lhs, rhs = b2_lhs, b2_rhs
+        return BoundReport(self.name, verdict, lhs, rhs, details=details)
 
 
-def eval_asym3(pair: SupportPair, eps) -> BoundReport:
-    """min >= 3(1-eps)p or max >= (eps/6) p^(4/3), except when the
-    min-side support sits inside a union of two lines."""
-    return _eval_asym("asym3", pair, eps, coefficient=3, power_num=4, power_den=3,
-                      scale=Fraction(1, 6), cover_lines=2, advisory_below=None)
+ASYM2 = _Asym("asym2", coefficient=2, num=3, den=2, divisor=1, cover_lines=1, advisory_below=31)
+ASYM3 = _Asym("asym3", coefficient=3, num=4, den=3, divisor=6, cover_lines=2,
+              advisory_below=None)
 
 
-def eval_coset_counts(pair: SupportPair, H: Optional[LineSubgroup] = None) -> BoundReport:
+def decide_coset_counts(pair: SupportPair, H: Optional[LineSubgroup] = None) -> str:
     """The four met-line counting inequalities per direction (H's alone when
-    given): K_X >= p+1-n_S, |X| >= n_X (p+1-n_S), and their mirrored forms."""
+    given): K_X >= p+1-n_S, |X| >= n_X (p+1-n_S), and their mirrored forms.
+    All hold exactly when the tightest does.  As |X| >= n_X K_X, the |X|
+    inequality holds, strictly, wherever the K_X one does, strictly (and
+    |S| likewise with K_S), so the tightest slack has the sign of the least
+    K slack.  With z_S, z_X the lines that S and X miss (K = p - z), the K
+    slacks are n_S - z_X - 1 and n_X - z_S - 1."""
+    dirs = range(pair.p + 1) if H is None else (H.direction,)
+    s_rows = list(map(pair.S.line_counts.__getitem__, dirs))
+    x_rows = list(map(pair.X.line_counts.__getitem__,
+                      map(orthogonal_directions(pair.p).__getitem__, dirs)))
+    n_S, n_X = (map(min, map(filter, repeat(None), rows)) for rows in (s_rows, x_rows))
+    z_S, z_X = (map(methodcaller("count", 0), rows) for rows in (s_rows, x_rows))
+    return _ineq_verdict(min(min(map(sub, n_S, z_X)), min(map(sub, n_X, z_S))), 1)
+
+
+def report_coset_counts(pair: SupportPair, H: Optional[LineSubgroup], verdict: str) -> BoundReport:
     p, s_size, x_size = pair.p, pair.s_size, pair.x_size
     rows = []
     tightest = None
-    for d in (range(p + 1) if H is None else [H.direction]):
+    for d in (range(p + 1) if H is None else (H.direction,)):
         _, n_S, K_S, n_X, K_X = pair.stats(d)
         for label, lhs, rhs in (("K_X", K_X, p + 1 - n_S), ("X", x_size, n_X * (p + 1 - n_S)),
                                 ("K_S", K_S, p + 1 - n_X), ("S", s_size, n_S * (p + 1 - n_X))):
@@ -747,9 +814,7 @@ def eval_coset_counts(pair: SupportPair, H: Optional[LineSubgroup] = None) -> Bo
                 tightest = (slack, lhs, rhs)
             rows.append({"direction": d, "quantity": label, "lhs": lhs, "rhs": rhs,
                          "ok": slack >= 0})
-    # every inequality holds exactly when the tightest one does
-    slack, lhs, rhs = tightest
-    verdict = VIOLATED if slack < 0 else EQUALITY if slack == 0 else HOLDS
+    _, lhs, rhs = tightest
     return BoundReport("coset-counts", verdict, Fraction(lhs), Fraction(rhs),
                        details={"inequalities": rows})
 
@@ -779,21 +844,26 @@ def _conjecture_curves(p: int) -> List[Tuple[str, int, str]]:
 class CheckSpec:
     """One named support-size check.
 
-    `evaluator(pair, param)` decides it from a SupportPair and the admitted
-    value of its one parameter, which `param` names: "k", "eps", "H" (an
-    optional primal LineSubgroup) or None.
+    `decide(pair, param)` gives its verdict, in integer arithmetic, from a
+    SupportPair and the admitted value of its one parameter, which `param`
+    names: "k", "eps", "H" (an optional primal LineSubgroup) or None.
+    `report(pair, param, verdict)` builds the BoundReport of that verdict.
     `rational` marks a check that needs a rational-valued function,
     `default` puts it in verify's default run wherever rank, p and
-    rationality allow, and `curve(p)` gives its emit-curves rows.
+    rationality allow, `cover_clause` marks a check whose exception is a
+    cover clause (verify then reports the exact covers, and hunt counts
+    its exceptions), and `curve(p)` gives its emit-curves rows.
     """
 
     name: str
     ranks: Tuple[int, ...]
-    evaluator: Callable[[SupportPair, object], BoundReport]
+    decide: Callable[[SupportPair, object], str]
+    report: Callable[[SupportPair, object, str], BoundReport]
     min_p: int = 2
     param: Optional[str] = None
     rational: bool = False
     default: bool = False
+    cover_clause: bool = False
     curve: Optional[Callable[[int], List[Tuple[str, int, str]]]] = None
 
     def admit(self, p: int, value):
@@ -826,32 +896,34 @@ class CheckSpec:
 
 #: every named check, in emit-curves order
 CHECKS: Dict[str, CheckSpec] = {spec.name: spec for spec in (
-    CheckSpec("product", (1, 2), eval_product, default=True,
+    CheckSpec("product", (1, 2), decide_product, report_product, default=True,
               curve=lambda p: _grid_curve("product", p, lambda s: Fraction(p * p, s))),
-    CheckSpec("birotao", (1,), eval_birotao, default=True),
-    CheckSpec("meshulam", (2,), eval_meshulam, default=True,
+    CheckSpec("birotao", (1,), decide_birotao, report_birotao, default=True),
+    CheckSpec("meshulam", (2,), decide_meshulam, report_meshulam, default=True,
               curve=lambda p: _grid_curve("meshulam", p, lambda s: p * (p + 1 - s))),
-    CheckSpec("rational", (2,), eval_rational, min_p=3, rational=True, default=True,
+    CheckSpec("rational", (2,), decide_rational, report_rational, min_p=3, rational=True,
+              default=True,
               curve=lambda p: _grid_curve("rational", p,
                                           lambda s: (p - 1) * (p + 1 - Fraction(s, 2)))),
-    CheckSpec("kp1", (2,), eval_kp1, min_p=3, default=True,
+    CheckSpec("kp1", (2,), decide_kp1, report_kp1, min_p=3, default=True,
               curve=lambda p: _grid_curve("kp1", p,
                                           lambda s: 2 * (p + 1 - Fraction(s, p - 1)))),
-    CheckSpec("kp2", (2,), eval_kp2, min_p=3, default=True,
+    CheckSpec("kp2", (2,), decide_kp2, report_kp2, min_p=3, default=True,
               curve=lambda p: [] if p == 2 else _grid_curve(
                   "kp2", p, lambda s: 3 * (p + 1 - Fraction(s, p - 2)))),
-    CheckSpec("product3", (2,), eval_product3, min_p=3, default=True,
+    CheckSpec("product3", (2,), decide_product3, report_product3, min_p=3, default=True,
               curve=lambda p: _grid_curve("product3", p,
                                           lambda s: Fraction(3 * p * (p - 2), s))),
     # (p + 1 - sqrt(s))^2 as a float; s <= p^2 keeps the root positive
-    CheckSpec("roots", (2,), eval_roots,
+    CheckSpec("roots", (2,), decide_roots, report_roots, cover_clause=True,
               curve=lambda p: _grid_curve("roots", p,
                                           lambda s: (p + 1 - s**0.5) * (p + 1 - s**0.5))),
-    CheckSpec("conjecture", (2,), eval_conjecture, param="k", curve=_conjecture_curves),
-    CheckSpec("asym2", (2,), eval_asym2, param="eps"),
-    CheckSpec("asym3", (2,), eval_asym3, param="eps"),
+    CheckSpec("conjecture", (2,), decide_conjecture, report_conjecture, param="k",
+              cover_clause=True, curve=_conjecture_curves),
+    CheckSpec("asym2", (2,), ASYM2.decide, ASYM2.report, param="eps"),
+    CheckSpec("asym3", (2,), ASYM3.decide, ASYM3.report, param="eps"),
     # H, when given, restricts coset-counts to one direction
-    CheckSpec("coset-counts", (2,), eval_coset_counts, param="H"),
+    CheckSpec("coset-counts", (2,), decide_coset_counts, report_coset_counts, param="H"),
 )}
 
 
@@ -863,11 +935,17 @@ def spec_for(name: str, rank: int) -> CheckSpec:
     return spec
 
 
+def decide(name: str, pair: SupportPair, param=None) -> str:
+    """The verdict of a named check on one support pair.  `param` must
+    already have passed the check's `admit`, which fails bad values once
+    per run rather than once per candidate."""
+    return spec_for(name, pair.rank).decide(pair, param)
+
+
 def evaluate(name: str, pair: SupportPair, param=None) -> BoundReport:
-    """Decide a named check on one support pair.  `param` must already have
-    passed the check's `admit`, which fails bad values once per run rather
-    than once per candidate."""
-    return spec_for(name, pair.rank).evaluator(pair, param)
+    """decide() with the check's report around the verdict."""
+    spec = spec_for(name, pair.rank)
+    return spec.report(pair, param, spec.decide(pair, param))
 
 
 # -- function-level route ------------------------------------------------------------
@@ -890,16 +968,16 @@ def verify(f: GFunc, checks: Sequence[Tuple[str, object]]) -> List[BoundReport]:
     fhat = fourier_transform(f)
     pair = SupportPair.from_masks(f.p, f.rank, f.support_mask, fhat.support_mask,
                                   f.is_rational_valued())
-    reports = [spec.evaluator(pair, param) for spec, param in admitted]
+    reports = [spec.report(pair, param, spec.decide(pair, param)) for spec, param in admitted]
     structure = covers = None
     if f.rank == 2 and any(r.verdict == EXCEPTION for r in reports):
         structure = classify_exception(f, fhat, pair)
-    for report in reports:
+    for (spec, _), report in zip(admitted, reports):
         if report.verdict == VIOLATED:
             report.witness = f
         elif report.verdict == EXCEPTION:
             report.exception = structure
-        if "cover_clause_applies" in report.details:
+        if spec.cover_clause:
             if covers is None:
                 covers = {"cover_S": min_line_cover(pair.S), "cover_X": min_line_cover(pair.X)}
             report.details.update(covers)

@@ -259,24 +259,29 @@ def _line_sum_tables(p: int, rank: int) -> Tuple[LineTable, ...]:
 
 
 @lru_cache(maxsize=None)
-def _slice_gathers(p: int, sign: int) -> Tuple[tuple, ...]:
-    """(pick, gathers) for t = 1..p-1 (row 0 unused), taking the output at
-    t*d from the line sums L_d(k) of its direction d.
+def _slice_picks(p: int, sign: int) -> Tuple[Optional[itemgetter], ...]:
+    """pick[t] for t = 1..p-1 (row 0 unused), taking the output at t*d from
+    the p line sums L_d(k) of its direction d when the values are rational:
+    output exponent j is L_d(k) for sign*t*k = j mod p."""
+    return (None,) + tuple(itemgetter(*[j * (sign * pow(t, -1, p) % p) % p for j in range(p)])
+                           for t in range(1, p))
 
-    Output exponent j collects coefficient e of L_d(k) when
-    e + sign*t*k = j mod p.  pick(sums) is the exponent vector when only
-    e = 0 occurs (rational values), from the p sums; gathers[j](flat) are
-    the terms of exponent j when flat[k*(p-1) + e] holds coefficient e of
-    L_d(k).  For p = 2 every value is rational, so gathers is unused
-    there (an itemgetter of one index would not return a tuple).
+
+@lru_cache(maxsize=None)
+def _slice_gathers(p: int, sign: int) -> Tuple[tuple, ...]:
+    """gathers[t] for t = 1..p-1 (row 0 unused), the cyclotomic counterpart
+    of _slice_picks, cached apart so that rational transforms never build
+    its p*p*(p-1) indices.  Output exponent j collects coefficient e of
+    L_d(k) when e + sign*t*k = j mod p; gathers[t][j](flat) are those
+    terms when flat[k*(p-1) + e] holds coefficient e of L_d(k).  For p = 2
+    every value is rational, so no gathers are built there (an itemgetter
+    of one index would not return a tuple).
     """
     rows = [()]
     for t in range(1, p):
         u = sign * pow(t, -1, p) % p
-        pick = itemgetter(*[j * u % p for j in range(p)])
-        gathers = tuple(itemgetter(*[(j - e) * u % p * (p - 1) + e for e in range(p - 1)])
-                        for j in range(p))
-        rows.append((pick, gathers))
+        rows.append(tuple(itemgetter(*[(j - e) * u % p * (p - 1) + e for e in range(p - 1)])
+                          for j in range(p)))
     return tuple(rows)
 
 
@@ -289,7 +294,8 @@ def _transform(values: Sequence[CycNum], p: int, rank: int, sign: int,
     where L_d(k) sums the values on the line <d, u> = k: the discrete
     projection-slice theorem (the finite Radon transform).  The values are
     summed along the p lines of each direction once, and each of the p - 1
-    outputs on that direction gathers those p sums by t (_slice_gathers);
+    outputs on that direction gathers those p sums by t (_slice_picks, or
+    _slice_gathers for cyclotomic values);
     v = 0 takes the total.  That is O(p^3) integer operations at rank 2
     when the values are rational and O(p^4) when they are not, against
     O(p^4) and O(p^5) for one pass over the support per output.
@@ -301,7 +307,7 @@ def _transform(values: Sequence[CycNum], p: int, rank: int, sign: int,
     if not support:
         return [CycNum.zero(p)] * n
     rational = not any(any(c[1:]) for _, c in support)
-    slices = _slice_gathers(p, sign)
+    slices = _slice_picks(p, sign) if rational else _slice_gathers(p, sign)
     out = [None] * n
     out[0] = _make(p, tuple(map(sum, zip(*(c for _, c in support)))), divisor)
     for line_of, _, points in _line_sum_tables(p, rank):
@@ -310,8 +316,7 @@ def _transform(values: Sequence[CycNum], p: int, rank: int, sign: int,
             for u, c in support:
                 sums[line_of[u]] += c[0]
             for t in range(1, p):
-                pick, _ = slices[t]
-                out[points[t]] = _reduced_over(p, pick(sums), divisor)
+                out[points[t]] = _reduced_over(p, slices[t](sums), divisor)
         else:
             flat = [0] * (p * (p - 1))
             for u, c in support:
@@ -320,8 +325,7 @@ def _transform(values: Sequence[CycNum], p: int, rank: int, sign: int,
                     if x:
                         flat[base + e] += x
             for t in range(1, p):
-                _, gathers = slices[t]
-                out[points[t]] = _reduced_over(p, [sum(g(flat)) for g in gathers], divisor)
+                out[points[t]] = _reduced_over(p, [sum(g(flat)) for g in slices[t]], divisor)
     return out
 
 

@@ -520,9 +520,9 @@ def _candidates(space: SearchSpace, start: int, stop: int):
 
 
 def _outcomes(space: SearchSpace, items: Sequence[Tuple[str, str, object]],
-              start: int, stop: int, outcome):
-    """Yield (ordinal, outcome(reports)) for each nonzero candidate, where
-    `reports` holds one BoundReport per check item.
+              start: int, stop: int):
+    """Yield (ordinal, verdicts) for each nonzero candidate, one verdict per
+    check item, each from bounds.decide; no BoundReport is built.
 
     Every verdict is a function of the two supports alone, so the checks
     run once per distinct support pair, all on one SupportPair.  Only the
@@ -540,7 +540,7 @@ def _outcomes(space: SearchSpace, items: Sequence[Tuple[str, str, object]],
         value = memo.get(key)
         if value is None:
             pair = bounds.SupportPair.from_masks(p, rank, s_mask, x_mask, rational)
-            value = outcome([bounds.evaluate(name, pair, param) for _, name, param in items])
+            value = tuple([bounds.decide(name, pair, param) for _, name, param in items])
             value = memo[key] = interned.setdefault(value, value)
         yield ordinal, value
 
@@ -554,8 +554,7 @@ def _run_range(space: SearchSpace, items: Sequence[Tuple[str, str, object]],
     exceptions: Dict[str, List[int]] = {label: [] for label in labels} \
         if collect_exceptions else {}
     n_nonzero = 0
-    rows = _outcomes(space, items, start, stop, lambda reports: tuple(r.verdict for r in reports))
-    for ordinal, row in rows:
+    for ordinal, row in _outcomes(space, items, start, stop):
         n_nonzero += 1
         for label, verdict in zip(labels, row):
             counts[label][verdict] += 1
@@ -694,25 +693,22 @@ def hunt(name: str, space: SearchSpace, *, k: Optional[int] = None, eps=None,
          clause_cap: int = 100) -> HuntResult:
     """Scan the space for the first genuine violation of one check.
 
-    For the conjecture-type checks the escape-clause cases (supports
-    coverable by few lines) are counted separately and never claimed as
-    violations.
+    For the checks with a cover clause (conjecture and roots) the
+    escape-clause cases, whose supports are coverable by few lines, are
+    counted separately and never claimed as violations: there every
+    exception is a clause case.
     """
     items = _check_items(space, [name], k, eps)
     label = items[0][0]
+    cover_clause = bounds.CHECKS[name].cover_clause
     counts: Counter = Counter()
     clause_ordinals: List[int] = []
     clause_count = 0
     n_checked = 0
-
-    def outcome(reports):
-        return reports[0].verdict, bool(reports[0].details.get("cover_clause_applies"))
-
-    for ordinal, (verdict, clause) in _outcomes(space, items, 0, space.candidate_count,
-                                                outcome):
+    for ordinal, (verdict,) in _outcomes(space, items, 0, space.candidate_count):
         n_checked += 1
         counts[verdict] += 1
-        if verdict == EXCEPTION and clause:
+        if verdict == EXCEPTION and cover_clause:
             clause_count += 1
             if len(clause_ordinals) < clause_cap:
                 clause_ordinals.append(ordinal)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primeplane import fourier
 from primeplane.cyclotomic import CycNum, root_of_unity
 from primeplane.fourier import (
     GFunc,
@@ -215,6 +216,19 @@ def test_line_sum_transforms_match_the_double_loop(f):
         assert fourier_transform(inverse_transform(f)) == f
     else:
         assert inverse_transform(fh) == f
+
+
+def test_rational_transforms_build_no_cyclotomic_gathers():
+    # the gathers hold p*p*(p-1) indices; transforming rational values needs
+    # only the picks
+    fourier._slice_gathers.cache_clear()
+    p = 7
+    f = GFunc(p, 2, PRIMAL, [(3 * i) % 5 - 2 for i in range(p * p)])
+    assert fourier_transform(f) == reference_transform(f)
+    assert fourier._slice_gathers.cache_info().currsize == 0
+    assert fourier._slice_picks.cache_info().currsize > 0
+    fourier_transform(GFunc(p, 2, PRIMAL, [root_of_unity(p, 1)] + [0] * (p * p - 1)))
+    assert fourier._slice_gathers.cache_info().currsize == 1
 
 
 def test_inverse_of_constant_dual():

@@ -117,10 +117,11 @@ def test_parameters_checked_once_at_item_building():
 
 
 def test_a_new_spec_needs_no_other_edit(monkeypatch, capsys):
-    def toy(pair, k):
-        return BoundReport("toy", HOLDS, Fraction(pair.s_size + pair.x_size), Fraction(k))
+    def toy(pair, k, verdict):
+        return BoundReport("toy", verdict, Fraction(pair.s_size + pair.x_size), Fraction(k))
 
-    monkeypatch.setitem(CHECKS, "toy", CheckSpec("toy", (2,), toy, param="k"))
+    monkeypatch.setitem(CHECKS, "toy", CheckSpec("toy", (2,), lambda pair, k: HOLDS, toy,
+                                                 param="k"))
     assert main(["verify", "--family", "diff-of-subgroups", "--p", "3",
                  "--theorem", "toy", "--k", "2"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["reports"][0]["rhs"] == "2"

@@ -341,13 +341,13 @@ def test_memoized_runs_match_per_candidate_oracle(space, checks, hunted):
 def test_memo_evaluates_once_per_check_per_support_pair(monkeypatch):
     checks = ["product", "meshulam", "kp1", "roots"]
     calls = []
-    evaluate = search.bounds.evaluate
+    decide = search.bounds.decide
 
     def counting(name, pair, param):
         calls.append(name)
-        return evaluate(name, pair, param)
+        return decide(name, pair, param)
 
-    monkeypatch.setattr(search.bounds, "evaluate", counting)
+    monkeypatch.setattr(search.bounds, "decide", counting)
     # {0, 1}: a function is its own support, so every pair is distinct;
     # {-1, 1}: S is always the whole plane, so pairs recur
     for alphabet in [(0, 1), (-1, 1)]:
