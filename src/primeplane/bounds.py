@@ -13,6 +13,7 @@ class of its bound: the structural test runs first.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -324,21 +325,6 @@ def _line_rep_point(p: int, direction: int, coset_id: int, side: str) -> Point:
     return coset_from_id(p, direction, coset_id, side).rep
 
 
-def _most_common_value(values: Sequence[CycNum]) -> CycNum:
-    """The most frequent value; ties broken by first occurrence."""
-    best = None
-    best_count = -1
-    seen = []
-    for v in values:
-        if any(v == s for s in seen):
-            continue
-        seen.append(v)
-        count = sum(1 for w in values if w == v)
-        if count > best_count:
-            best, best_count = v, count
-    return best
-
-
 def _classify_one_primal_line(f: GFunc, fhat: GFunc, S: PointSet, X: PointSet,
                               d: int) -> ExceptionDescriptor:
     p = f.p
@@ -375,7 +361,8 @@ def _classify_one_dual_line(f: GFunc, S: PointSet, X: PointSet, e: int) -> Excep
 def _classify_two_lines(func: GFunc, hat: GFunc, Xs: PointSet,
                         cover_side: str) -> Optional[ExceptionDescriptor]:
     """Structure of `func` whose transform support is covered by two lines;
-    `hat` must be the transform of `func` and `Xs` its support."""
+    `hat` must be the transform of `func` and `Xs` its support.  The
+    descriptor is not rebuilt here: classify_exception checks it once."""
     p = func.p
     pair = canonical_two_line_pair(Xs)
     if pair is None:
@@ -395,11 +382,6 @@ def _classify_two_lines(func: GFunc, hat: GFunc, Xs: PointSet,
                 for g in coset.members():
                     vals[g.index] = total
             comps.append(GFunc(p, 2, func_side, vals))
-        rebuilt = _rebuild_two_parallel(ExceptionDescriptor(
-            kind=KIND_TWO_PARALLEL, p=p, cover_side=cover_side, direction=prim_dir,
-            characters=(chi1, chi2), components=tuple(comps)))
-        if rebuilt != func:
-            raise RuntimeError("two-parallel decomposition failed to rebuild the function")
         n_union = (comps[0].support_mask | comps[1].support_mask).bit_count()
         s = func.support_size
         if not (n_union * (p - 1) <= s * p and s <= n_union):
@@ -423,13 +405,13 @@ def _classify_two_lines(func: GFunc, hat: GFunc, Xs: PointSet,
     s = func.support_size
     details: List[Tuple[str, object]] = []
     if 2 * s < p * p:
-        shift = _most_common_value(f1_vals)
+        # the most frequent value, ties broken by first occurrence
+        shift = Counter(f1_vals).most_common(1)[0][0]
         f1_vals = [v - shift for v in f1_vals]
         f2_vals = [v + shift for v in f2_vals]
         # zero must be among the most frequent values of the second component
-        zero_count = sum(1 for v in f2_vals if v.is_zero())
-        best_count = max(sum(1 for w in f2_vals if w == v) for v in f2_vals)
-        if zero_count != best_count:
+        counts = Counter(f2_vals)
+        if counts[CycNum.zero(p)] != counts.most_common(1)[0][1]:
             raise RuntimeError("nonparallel translation did not zero the frequent value")
         n1 = sum(1 for v in f1_vals if not v.is_zero())
         n2 = sum(1 for v in f2_vals if not v.is_zero())
@@ -438,12 +420,9 @@ def _classify_two_lines(func: GFunc, hat: GFunc, Xs: PointSet,
             raise RuntimeError("two-nonparallel support sandwich failed")
         details = [("component_supports", (n1, n2)), ("support_size", s)]
     comps = (GFunc(p, 1, func_side, f1_vals), GFunc(p, 1, func_side, f2_vals))
-    desc = ExceptionDescriptor(kind=KIND_TWO_NONPARALLEL, p=p, cover_side=cover_side,
+    return ExceptionDescriptor(kind=KIND_TWO_NONPARALLEL, p=p, cover_side=cover_side,
                                directions=(dir1, dir2), characters=(chi0,),
                                components=comps, details=tuple(details))
-    if _rebuild_two_nonparallel(desc) != func:
-        raise RuntimeError("two-nonparallel decomposition failed to rebuild the function")
-    return desc
 
 
 def classify_exception(f: GFunc, fhat: Optional[GFunc] = None,

@@ -151,6 +151,8 @@ def _space_from(args) -> SearchSpace:
         raise ValueError("a candidate space requires --p")
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.jobs > 1 and args.subcommand != "sweep":
+        raise ValueError(f"{args.subcommand} runs serially; --jobs must be 1, got {args.jobs}")
     alphabet = [s.strip() for s in (args.alphabet or "-1,0,1").split(",") if s.strip()]
     if not alphabet:
         raise ValueError("alphabet must be nonempty")
@@ -304,7 +306,7 @@ def _add_space_args(sub):
                      help=f"candidate ceiling (or ${CEILING_ENV})")
     sub.add_argument("--jobs", type=int, default=1,
                      help="worker processes, at most one per CPU (sweep only; hunt and "
-                          "frontier run serially)")
+                          "frontier run serially and accept only 1)")
 
 
 def _add_common_output(sub):

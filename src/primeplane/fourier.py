@@ -35,6 +35,7 @@ from .plane import (
     PointSet,
     check_side,
     opposite_side,
+    tables,
 )
 
 ValueLike = Union[CycNum, int, Fraction]
@@ -244,15 +245,17 @@ def _scaled_int_coeffs(values: Sequence[CycNum]) -> Tuple[List[Tuple[int, ...]],
 
 @lru_cache(maxsize=None)
 def _line_sum_tables(p: int, rank: int) -> Tuple[LineTable, ...]:
-    """(line_of, mask, points) for each of the dual directions d: line_of[g]
-    is <d, g> mod p, the line across d that holds g, points[t] is the index
-    of the multiple t*d, and mask has the bits of the p - 1 nonzero ones.
-    The pairing is symmetric, so the same table serves either side."""
+    """(line_of, mask, points) for each direction d of the plane: line_of
+    is plane.tables(p).coset_id[d], which is <w_d, g> mod p for
+    w_d = (-d, 1), or (1, 0) at d = p; points[t] is the index of the
+    multiple t*w_d, and mask has the bits of the p - 1 nonzero ones.  The
+    pairing is symmetric, so the same table serves either side.  Rank 1
+    has the one direction w = 1."""
     if rank == 1:
         return ((tuple(range(p)), (1 << p) - 2, tuple(range(p))),)
     out = []
-    for a, b in [(0, 1)] + [(1, m) for m in range(p)]:
-        line_of = tuple((a * x + b * y) % p for x in range(p) for y in range(p))
+    for d, line_of in enumerate(tables(p).coset_id):
+        a, b = (1, 0) if d == p else (-d % p, 1)
         points = tuple((t * a) % p * p + (t * b) % p for t in range(p))
         out.append((line_of, sum(1 << w for w in points[1:]), points))
     return tuple(out)

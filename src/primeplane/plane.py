@@ -340,23 +340,26 @@ def parse_pointset(text: str, side: str = PRIMAL) -> PointSet:
 
 
 class _Tables:
-    __slots__ = ("p", "coset_masks", "line_masks", "coset_id", "lines_through", "all_lines",
-                 "full_mask")
+    """The plane's one line table.  coset_masks[d][j] is the mask of line j
+    of direction d, line_masks the same masks flattened direction by
+    direction, and coset_id[d][idx] the id of the line of direction d
+    through point idx, so the p + 1 lines through idx are
+    coset_masks[d][coset_id[d][idx]]."""
 
-    def __init__(self, p, coset_masks, coset_id, lines_through, all_lines, full_mask):
+    __slots__ = ("p", "coset_masks", "line_masks", "coset_id")
+
+    def __init__(self, p, coset_masks, coset_id):
         self.p = p
         self.coset_masks = coset_masks
-        # coset_masks flattened, direction by direction
         self.line_masks = tuple(m for masks in coset_masks for m in masks)
         self.coset_id = coset_id
-        self.lines_through = lines_through
-        self.all_lines = all_lines
-        self.full_mask = full_mask
 
 
 @lru_cache(maxsize=None)
 def tables(p: int) -> _Tables:
-    """Per-prime line tables shared by every search in this module."""
+    """Per-prime line tables shared by every search in this module and by
+    the transforms of `fourier`.  The coset id of (x, y) in direction d is
+    <w_d, (x, y)> = (y - d*x) mod p for w_d = (-d, 1), and x for w_p = (1, 0)."""
     check_prime(p)
     n = p * p
     coset_masks = []
@@ -372,16 +375,7 @@ def tables(p: int) -> _Tables:
                 ids[idx] = c
         coset_masks.append(tuple(masks))
         coset_id.append(tuple(ids))
-    coset_masks = tuple(coset_masks)
-    coset_id = tuple(coset_id)
-    lines_through = tuple(
-        tuple((d, coset_masks[d][coset_id[d][idx]]) for d in range(p + 1))
-        for idx in range(n)
-    )
-    all_lines = tuple(
-        (d, j, coset_masks[d][j]) for d in range(p + 1) for j in range(p)
-    )
-    return _Tables(p, coset_masks, coset_id, lines_through, all_lines, (1 << n) - 1)
+    return _Tables(p, tuple(coset_masks), tuple(coset_id))
 
 
 # -- directions determined by a point set ------------------------------------
@@ -471,7 +465,7 @@ def _blocking_search(p: int, seed_mask: int) -> Tuple[int, int]:
     best_size = seed_mask.bit_count()
     best_mask = seed_mask
     n = p * p
-    point_lines = T.lines_through
+    directions = tuple(zip(T.coset_masks, T.coset_id))
     nodes = _Nodes(f"minimum blocking set search at p = {p}")
 
     def dfs(chosen: int, count: int):
@@ -499,7 +493,7 @@ def _blocking_search(p: int, seed_mask: int) -> Tuple[int, int]:
             pts = pts[:1]
 
         def gain(i):
-            return sum(1 for _, lm in point_lines[i] if not (lm & chosen))
+            return [masks[ids[i]] & chosen for masks, ids in directions].count(0)
 
         for i in sorted(pts, key=lambda i: (-gain(i), i)):
             dfs(chosen | (1 << i), count + 1)
@@ -600,15 +594,15 @@ def canonical_two_line_pair(P: PointSet) -> Optional[Tuple[Tuple[int, int], Tupl
     T = tables(p)
     x0 = (P.mask & -P.mask).bit_length() - 1
     pairs = set()
-    for d1, line1 in T.lines_through[x0]:
-        rest = P.mask & ~line1
+    for d1, (masks, ids) in enumerate(zip(T.coset_masks, T.coset_id)):
+        j1 = ids[x0]
+        rest = P.mask & ~masks[j1]
         if rest == 0:
             continue
-        j1 = T.coset_id[d1][x0]
         if rest.bit_count() == 1:
             y = (rest & -rest).bit_length() - 1
-            for d2, line2 in T.lines_through[y]:
-                j2 = T.coset_id[d2][y]
+            for d2, ids2 in enumerate(T.coset_id):
+                j2 = ids2[y]
                 if (d1, j1) != (d2, j2):
                     pairs.add(tuple(sorted(((d1, j1), (d2, j2)))))
         else:
@@ -656,15 +650,16 @@ def _cover_search(p: int, mask: int, budget: int, T: _Tables,
     # `budget` points of the set is therefore in every cover by `budget`
     # lines: take it without branching.  Once no line holds that many,
     # `budget` lines cover at most budget^2 points of the set.
-    for _, _, line in T.all_lines:
+    for line in T.line_masks:
         if (line & mask).bit_count() > budget:
             return _cover_search(p, mask & ~line, budget - 1, T, nodes)
     if size > budget * budget:
         return False
     idx = (mask & -mask).bit_length() - 1
-    options = sorted(T.lines_through[idx],
-                     key=lambda dm: (-(dm[1] & mask).bit_count(), dm[0]))
-    for _, line in options:
+    # the p + 1 lines through idx, richest first, ties by direction
+    options = sorted([masks[ids[idx]] for masks, ids in zip(T.coset_masks, T.coset_id)],
+                     key=lambda line: -(line & mask).bit_count())
+    for line in options:
         if _cover_search(p, mask & ~line, budget - 1, T, nodes):
             return True
     return False

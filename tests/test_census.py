@@ -173,7 +173,7 @@ def reference_bounded_line_direction(P: PointSet) -> Optional[int]:
 
 
 def reference_is_blocking_set(P: PointSet) -> bool:
-    return all(m & P.mask for _, _, m in tables(P.p).all_lines)
+    return all(m & P.mask for m in tables(P.p).line_masks)
 
 
 def reference_one_line_cover(P: PointSet) -> bool:

@@ -11,6 +11,8 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 
+import pytest
+
 import primeplane
 from primeplane import bounds, cli
 from primeplane.cli import (EXIT_BUDGET, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION,
@@ -383,14 +385,15 @@ def test_sweep_decides_cover_clauses_without_exact_covers(capsys, monkeypatch):
     assert counts["covered_by_lines"] > 0
 
 
-def child(*argv):
+def child(*argv, preexec_fn=None):
     """The CLI in a child process, so that a hang becomes a timeout failure
-    and an uncaught exception shows as a traceback on stderr."""
+    and an uncaught exception shows as a traceback on stderr.  preexec_fn
+    runs in the child before the CLI starts."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(primeplane.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run([sys.executable, "-m", "primeplane.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=60, preexec_fn=preexec_fn)
 
 
 def run_child(*argv):
@@ -444,6 +447,25 @@ def test_exact_cover_of_a_dense_p13_support_stops_at_the_node_budget():
                              "--k", "7"), "minimum line cover")
 
 
+def test_large_p_classify_within_128_mb():
+    # At p = 101 the line table once kept the p + 1 lines through every
+    # point as tuples (64 MB), and under this limit tables() ended in a
+    # MemoryError traceback.  The digest is that of an unlimited run.
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("resource.RLIMIT_AS is not available on this platform")
+    limit = 128 << 20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    done = child("classify", "--family", "diff-of-subgroups", "--p", "101",
+                 preexec_fn=cap_address_space)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == \
+        "81d4f94d206fd396cf9abaeb1469c3ec47cac9cc00c3a7b4a4efea1653a3b9aa"
+
+
 def test_zero_denominator_epsilon_is_a_usage_error(capsys):
     for argv in (["verify", "--family", "diff-of-subgroups", "--p", "3"],
                  ["sweep", "--p", "3", "--alphabet", "0,1"]):
@@ -472,6 +494,18 @@ def test_jobs_below_one_is_a_usage_error(capsys):
             assert code == EXIT_USAGE, (argv, jobs)
             assert out == "" and err == f"primeplane: error: --jobs must be at least 1, " \
                 f"got {jobs}\n"
+
+
+def test_jobs_above_one_only_on_sweep(capsys):
+    # hunt and frontier run serially, so a worker count they would ignore
+    # is a usage error; --jobs 1 stays accepted
+    for argv in (["hunt", "--theorem", "product"], ["frontier"]):
+        code, out, err = run_cli(capsys, argv[0], "--p", "2", *argv[1:], "--jobs", "2")
+        assert code == EXIT_USAGE, argv
+        assert out == "" and err == f"primeplane: error: {argv[0]} runs serially; " \
+            f"--jobs must be 1, got 2\n"
+        code, out, err = run_cli(capsys, argv[0], "--p", "2", *argv[1:], "--jobs", "1")
+        assert code == EXIT_OK and out, (argv, err)
 
 
 def test_byte_identical_reruns(capsys):

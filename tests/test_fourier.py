@@ -587,6 +587,23 @@ def test_int_kernel_matches_per_character_route_and_transform(p):
         int_support_masks(p, 2, [1] * p)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_line_sums_run_on_the_plane_lines(p):
+    # the transform's lines are the plane's own: direction d's line ids are
+    # tables(p).coset_id[d], and points[t] is the character pairing to t
+    # times that id
+    coset_id = tables(p).coset_id
+    exps = pair_exponents(p, 2)
+    line_tables = fourier._line_sum_tables(p, 2)
+    assert len(line_tables) == p + 1
+    for d, (line_of, mask, points) in enumerate(line_tables):
+        assert line_of is coset_id[d]
+        assert mask == sum(1 << w for w in points[1:])
+        for t in range(p):
+            assert all(exps[points[t]][g] == t * coset_id[d][g] % p
+                       for g in range(p * p)), (d, t)
+
+
 def test_gfunc_literal_and_json_round_trip():
     f = GFunc.from_literal("3; 2; 1,0,-1,z,0,0,1+z^2,0,2/3")
     assert GFunc.from_literal(f.to_literal()) == f

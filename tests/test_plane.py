@@ -95,7 +95,8 @@ def test_two_points_share_exactly_one_line():
     for a, b in itertools.combinations(pts, 2):
         shared = [
             (d, j)
-            for d, j, m in T.all_lines
+            for d, masks in enumerate(T.coset_masks)
+            for j, m in enumerate(masks)
             if (m >> a.index & 1) and (m >> b.index & 1)
         ]
         assert len(shared) == 1
@@ -118,8 +119,9 @@ def test_point_count_per_line():
     for p in (3, 5):
         T = tables(p)
         for idx in range(p * p):
-            assert len(T.lines_through[idx]) == p + 1
-            for _, mask in T.lines_through[idx]:
+            through = [masks[ids[idx]] for masks, ids in zip(T.coset_masks, T.coset_id)]
+            assert len(through) == p + 1
+            for mask in through:
                 assert mask >> idx & 1
 
 
@@ -151,11 +153,17 @@ def test_min_blocking_small():
         assert is_blocking_set(witness)
 
 
+def lines_through(T, idx):
+    """The line masks holding point idx, found by testing every mask's bit
+    rather than through the coset ids the searches read."""
+    return [m for m in T.line_masks if m >> idx & 1]
+
+
 def plain_blocking_search(p, seed_mask):
     """Reference route for _blocking_search: branch over every point of the
     first unmet line at every depth, pruning only by ceil(unmet / (p + 1))."""
     T = tables(p)
-    line_masks = tuple(m for _, _, m in T.all_lines)
+    line_masks = T.line_masks
     best = [seed_mask.bit_count(), seed_mask]
 
     def dfs(chosen, count):
@@ -168,7 +176,7 @@ def plain_blocking_search(p, seed_mask):
             return
 
         def gain(i):
-            return sum(1 for _, lm in T.lines_through[i] if not (lm & chosen))
+            return sum(1 for lm in lines_through(T, i) if not (lm & chosen))
 
         pts = [i for i in range(p * p) if unmet[0] >> i & 1]
         for i in sorted(pts, key=lambda i: (-gain(i), i)):
@@ -182,7 +190,7 @@ def test_blocking_search_matches_plain_search():
     # seeded with the whole plane, so the answer 2p - 1 must be found by the
     # search rather than inherited from the two-line seed
     for p in (2, 3, 5):
-        full = tables(p).full_mask
+        full = PointSet.full(p).mask
         for size, mask in (_blocking_search(p, full), plain_blocking_search(p, full)):
             assert size == 2 * p - 1 == mask.bit_count(), p
             assert is_blocking_set(PointSet(p, PRIMAL, mask)), p
@@ -321,7 +329,7 @@ def plain_cover_search(p, mask, budget, T):
         return False
     idx = (mask & -mask).bit_length() - 1
     return any(plain_cover_search(p, mask & ~line, budget - 1, T)
-               for _, line in T.lines_through[idx])
+               for line in lines_through(T, idx))
 
 
 def cover_inputs(p, rng):
@@ -329,14 +337,14 @@ def cover_inputs(p, rng):
     unions of 1..p lines with up to three points toggled."""
     T = tables(p)
     n = p * p
-    out = [0, 1, 1 << (n - 1), T.full_mask]
+    out = [0, 1, 1 << (n - 1), PointSet.full(p).mask]
     for _ in range(12):
         density = rng.random()
         out.append(sum(1 << i for i in range(n) if rng.random() < density))
     for count in range(1, p + 1):
         for _ in range(3):
             mask = 0
-            for _, _, line in rng.sample(T.all_lines, count):
+            for line in rng.sample(T.line_masks, count):
                 mask |= line
             for i in rng.sample(range(n), rng.randint(0, 3)):
                 mask ^= 1 << i
@@ -396,9 +404,9 @@ def test_line_intersection_cardinalities():
     # p(p+1) lines; distinct lines meet in exactly one point iff nonparallel
     for p in (3, 5):
         T = tables(p)
-        lines = list(T.all_lines)
+        lines = [(d, m) for d, masks in enumerate(T.coset_masks) for m in masks]
         assert len(lines) == p * (p + 1)
-        for i, (d1, _, m1) in enumerate(lines):
-            for d2, _, m2 in lines[i + 1:]:
+        for i, (d1, m1) in enumerate(lines):
+            for d2, m2 in lines[i + 1:]:
                 common = (m1 & m2).bit_count()
                 assert common == (0 if d1 == d2 else 1)
