@@ -48,6 +48,7 @@ from .fourier import (
     rational_support_closure,
     restrict_to_coset,
     shifted_line_diff,
+    twist,
 )
 from .bounds import (
     BoundReport,

@@ -21,13 +21,14 @@ from itertools import repeat
 from operator import methodcaller, sub
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .cyclotomic import CycNum, check_prime, format_value, root_of_unity
+from .cyclotomic import CycNum, check_prime, format_value
 from .fourier import (
     GFunc,
     character_sum,
     double_transform,
     fourier_transform,
     inverse_transform,
+    twist,
 )
 from .plane import (
     DUAL,
@@ -227,7 +228,7 @@ class ExceptionDescriptor:
             for z in coset.members():
                 total = CycNum.zero(p)
                 for chi, c in zip(self.characters, self.coefficients):
-                    total = total + c * root_of_unity(p, chi.pair(z))
+                    total = total + c.times_root(chi.pair(z))
                 out[z.index] = total
             return GFunc(p, 2, PRIMAL, out)
         if self.kind in (KIND_H_PERIODIC, KIND_ONE_CHARACTER_TWO_COSETS,
@@ -238,12 +239,14 @@ class ExceptionDescriptor:
             chi = self.characters[0] if self.characters else Point(p, 0, 0, DUAL)
             for g, c in zip(self.offsets, self.coefficients):
                 for z in Coset.through(g, sub).members():
-                    out[z.index] = c * root_of_unity(p, chi.pair(z))
+                    out[z.index] = c.times_root(chi.pair(z))
             return GFunc(p, 2, PRIMAL, out)
         if self.kind == KIND_TWO_PARALLEL:
-            func = _rebuild_two_parallel(self)
+            (comp1, comp2), (chi1, chi2) = self.components, self.characters
+            func = twist(comp1, chi1.index) + twist(comp2, chi2.index)
         elif self.kind == KIND_TWO_NONPARALLEL:
-            func = _rebuild_two_nonparallel(self)
+            func = twist(_two_line_sum(p, self.directions, *self.components),
+                         self.characters[0].index)
         else:
             raise ValueError(f"unknown descriptor kind {self.kind!r}")
         if self.cover_side == PRIMAL:
@@ -269,35 +272,17 @@ class ExceptionDescriptor:
         return out
 
 
-def _rebuild_two_parallel(desc: ExceptionDescriptor) -> GFunc:
-    p = desc.p
-    comp1, comp2 = desc.components
-    chi1, chi2 = desc.characters
-    vals = []
-    for idx in range(p * p):
-        g = Point.from_index(p, idx, comp1.side)
-        v = comp1.values[idx] * root_of_unity(p, chi1.pair(g)) + \
-            comp2.values[idx] * root_of_unity(p, chi2.pair(g))
-        vals.append(v)
-    return GFunc(p, 2, comp1.side, vals)
-
-
-def _rebuild_two_nonparallel(desc: ExceptionDescriptor) -> GFunc:
-    p = desc.p
-    f1, f2 = desc.components
-    chi = desc.characters[0]
-    d1, d2 = desc.directions
-    side = f1.side
-    gen1 = LineSubgroup(p, d1, side).generator
-    gen2 = LineSubgroup(p, d2, side).generator
-    vals = [CycNum.zero(p)] * (p * p)
-    for t1 in range(p):
-        h1 = gen1.scaled(t1)
-        v1 = f1.values[t1]
-        for t2 in range(p):
-            g = h1 + gen2.scaled(t2)
-            vals[g.index] = (v1 + f2.values[t2]) * root_of_unity(p, chi.pair(g))
-    return GFunc(p, 2, side, vals)
+def _two_line_sum(p: int, directions: Tuple[int, ...], f1: GFunc, f2: GFunc) -> GFunc:
+    """The rank-2 function t1*gen1 + t2*gen2 -> f1(t1) + f2(t2) on the side
+    of the rank-1 f1 and f2, gen_i generating the line subgroup of the i-th
+    direction; the two directions differ, so each point is hit once."""
+    (x1, y1), (x2, y2) = ((g.x, g.y) for g in
+                          (LineSubgroup(p, d, f1.side).generator for d in directions))
+    vals = [None] * (p * p)
+    for t1, v1 in enumerate(f1.values):
+        for t2, v2 in enumerate(f2.values):
+            vals[(t1 * x1 + t2 * x2) % p * p + (t1 * y1 + t2 * y2) % p] = v1 + v2
+    return GFunc(p, 2, f1.side, vals)
 
 
 def _line_direction_containing(P: PointSet) -> Optional[int]:
@@ -352,7 +337,7 @@ def _classify_one_dual_line(f: GFunc, S: PointSet, X: PointSet, e: int) -> Excep
         coeffs = tuple(f.value(g) for g in offsets)
         return ExceptionDescriptor(kind=KIND_H_PERIODIC, p=p, cover_side=DUAL, direction=d,
                                    offsets=offsets, coefficients=coeffs)
-    coeffs = tuple(f.value(g) * root_of_unity(p, (p - chi.pair(g)) % p) for g in offsets)
+    coeffs = tuple(f.value(g).times_root(-chi.pair(g)) for g in offsets)
     kind = KIND_ONE_CHARACTER_TWO_COSETS if len(offsets) == 2 else KIND_CHARACTER_ON_COSETS
     return ExceptionDescriptor(kind=kind, p=p, cover_side=DUAL, direction=d,
                                offsets=offsets, characters=(chi,), coefficients=coeffs)
@@ -502,9 +487,9 @@ def _orthogonal_coset_pair(p: int, S: PointSet, X: PointSet) -> Optional[Tuple[i
 def _near_coset_pair(p: int, small: PointSet, large: PointSet) -> Optional[dict]:
     """small sits inside one line with at most one point missing, and
     large is exactly a union of one or two lines in the orthogonal
-    direction."""
+    direction.  A set of more than p points lies in no line."""
     size = small.size
-    if size < p - 1:
+    if not p - 1 <= size <= p:
         return None
     for d, (counts, od) in enumerate(zip(small.line_counts, orthogonal_directions(p))):
         if size in counts:

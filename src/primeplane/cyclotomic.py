@@ -198,6 +198,15 @@ class CycNum:
             n >>= 1
         return result
 
+    def times_root(self, k: int) -> "CycNum":
+        """x * zeta^k for any int k: the coefficients of 1, zeta, ...,
+        zeta^(p-1) (the last one 0) rotate k places, then one reduction."""
+        k %= self.p
+        if not k:
+            return self
+        acc = self.num + (0,)
+        return _reduced_over(self.p, acc[-k:] + acc[:-k], self.den)
+
     # -- field automorphisms ------------------------------------------------
 
     def galois(self, j: int) -> "CycNum":

@@ -24,7 +24,6 @@ from .cyclotomic import (
     check_prime,
     format_value,
     parse_value,
-    root_of_unity,
 )
 from .plane import (
     DUAL,
@@ -218,6 +217,19 @@ class GFunc:
 
     def __repr__(self):
         return f"GFunc({self.side}, {self.to_literal()!r})"
+
+
+def twist(f: GFunc, chi: int) -> GFunc:
+    """The pointwise product g -> f(g) * zeta^<chi, g>, for chi the index of
+    a point on the other side; the result stays on f's side.  With
+    chi = a*p + b (a = 0 at rank 1) and g = x*p + y, <chi, g> = a*x + b*y,
+    which is a*(g // p) + b*g mod p, so no pairing table is built."""
+    p, n = f.p, len(f.values)
+    if not 0 <= chi < n:
+        raise ValueError(f"character index must lie in [0, {n}), got {chi!r}")
+    a, b = divmod(chi, p)
+    return GFunc(p, f.rank, f.side, [v.times_root(a * (g // p) + b * g)
+                                     for g, v in enumerate(f.values)])
 
 
 def coset_indicator(coset: Coset) -> GFunc:
@@ -468,7 +480,7 @@ def character_sum(hat: GFunc, chi: Point, psis: Sequence[Point], g: Point) -> Cy
     for psi in psis:
         val = hat.value(chi + psi)
         if not val.is_zero():
-            total = total + val * root_of_unity(hat.p, psi.pair(g))
+            total = total + val.times_root(psi.pair(g))
     return total
 
 
@@ -509,8 +521,8 @@ def coset_sum_identity(f: GFunc, g: Point, H: LineSubgroup, chi: Point,
     for h in H.members():
         val = f.value(g + h)
         if not val.is_zero():
-            rhs = rhs + val * root_of_unity(p, (p - chi.pair(h)) % p)
-    rhs = rhs * root_of_unity(p, (p - chi.pair(g)) % p) * Fraction(1, p)
+            rhs = rhs + val.times_root(-chi.pair(h))
+    rhs = rhs.times_root(-chi.pair(g)) * Fraction(1, p)
     return lhs == rhs
 
 
@@ -550,28 +562,14 @@ def rational_support_closure(f: GFunc) -> bool:
     """For rational-valued f, the transform commutes with every Galois
     map, so its support is closed under chi -> chi^j; equivalently the
     support together with the principal character is a union of lines
-    through the dual origin.  Returns True iff both facts hold."""
+    through the dual origin.  Returns True iff every Galois twist fixes
+    the transform.  The support's closure then follows with no further
+    check: galois_twist(fh, j) == fh says fh(j*w) = sigma_j(fh(w)), and
+    sigma_j is a field automorphism, so it is nonzero wherever fh(w) is."""
     if not f.is_rational_valued():
         raise ValueError("requires a rational-valued function")
     fh = fourier_transform(f)
-    p = f.p
-    for j in range(2, p):
-        if galois_twist(fh, j) != fh:
-            return False
-    mask = fh.support_mask
-    n = len(fh.values)
-    for w in range(n):
-        if not (mask >> w & 1):
-            continue
-        for j in range(2, p):
-            if fh.rank == 1:
-                target = (j * w) % p
-            else:
-                a, b = divmod(w, p)
-                target = ((j * a) % p) * p + (j * b) % p
-            if not (mask >> target & 1):
-                return False
-    return True
+    return all(galois_twist(fh, j) == fh for j in range(2, f.p))
 
 
 # -- diagnostic probes -------------------------------------------------------------

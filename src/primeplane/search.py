@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .cyclotomic import CycNum, check_prime, format_value, parse_value, root_of_unity
-from .fourier import GFunc, fourier_transform, int_support_masks
+from .cyclotomic import CycNum, check_prime, format_value, parse_value
+from .fourier import GFunc, fourier_transform, int_support_masks, twist
 from .plane import (
     DUAL,
     PRIMAL,
@@ -128,11 +128,10 @@ def sharp_pair_1d(p: int, m: int) -> Construction:
         raise ValueError(f"need 1 <= m <= p, got {m}")
     coeffs = [CycNum.one(p)]
     for j in range(1, m):
-        rt = root_of_unity(p, (p - j) % p)
         nxt = [CycNum.zero(p)] * (len(coeffs) + 1)
         for i, c in enumerate(coeffs):
             nxt[i + 1] = nxt[i + 1] + c
-            nxt[i] = nxt[i] - c * rt
+            nxt[i] = nxt[i] - c.times_root(-j)
         coeffs = nxt
     vals = coeffs + [CycNum.zero(p)] * (p - len(coeffs))
     return Construction("sharp1d", GFunc(p, 1, PRIMAL, vals), (m, p + 1 - m))
@@ -362,13 +361,6 @@ class SearchSpace:
     def all_rational(self) -> bool:
         return not self.char_twist and all(v.is_rational() for v in self.alphabet)
 
-    def _twisted(self, digits: Sequence[int], chi_index: int) -> Tuple[CycNum, ...]:
-        from .fourier import pair_exponents
-
-        exps = pair_exponents(self.p, self.rank)[chi_index]
-        return tuple(self.alphabet[d] * root_of_unity(self.p, exps[g])
-                     for g, d in enumerate(digits))
-
     def _decode(self, ordinal: int) -> Tuple[Sequence[int], int]:
         """(digits, chi_index) of candidate `ordinal`: one alphabet index per
         point, and the twisting character's index (0 without a twist)."""
@@ -388,9 +380,10 @@ class SearchSpace:
         if not 0 <= ordinal < self.candidate_count:
             raise ValueError("candidate ordinal out of range")
         digits, chi_index = self._decode(ordinal)
+        values = tuple(map(self.alphabet.__getitem__, digits))
         if self.char_twist:
-            return self._twisted(digits, chi_index)
-        return tuple(map(self.alphabet.__getitem__, digits))
+            return twist(GFunc(self.p, self.rank, PRIMAL, values), chi_index).values
+        return values
 
     def int_values_at(self, ordinal: int, ints: Tuple[int, ...]) -> Tuple[int, ...]:
         """values_at with `ints` (the int_alphabet) in place of the alphabet."""

@@ -1,6 +1,7 @@
 """Exact arithmetic in Q(zeta_p): reduction, field axioms, Galois maps."""
 
 import json
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -49,6 +50,16 @@ def test_full_character_sum_vanishes():
 def test_reduction_by_minimal_polynomial():
     # zeta^2 = -1 - zeta at p=3
     assert root_of_unity(3, 2).coeffs == (-1, -1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_times_root_is_the_product_by_a_root(p):
+    rng = random.Random(300 + p)
+    for _ in range(100):
+        x = CycNum(p, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(p - 1)])
+        for k in (rng.randint(-3 * p, -1), rng.randrange(p), rng.randint(p, 3 * p), 0, -p):
+            assert x.times_root(k) == x * root_of_unity(p, k % p), (x, k)
+    assert CycNum.zero(p).times_root(1) == CycNum.zero(p)
 
 
 def test_exponent_addition():

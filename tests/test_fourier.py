@@ -27,6 +27,7 @@ from primeplane.fourier import (
     rational_support_closure,
     restrict_to_coset,
     shifted_line_diff,
+    twist,
 )
 from primeplane.plane import (
     DUAL,
@@ -155,6 +156,21 @@ def test_double_transform_is_the_transform_taken_twice(p):
             for g in (f, GFunc(p, rank, DUAL, f.values)):
                 assert double_transform(g) == fourier_transform(fourier_transform(g)), \
                     g.to_literal()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_twist_is_the_pointwise_character_product(p):
+    rng = random.Random(700 + p)
+    for rank in (1, 2):
+        exps = pair_exponents(p, rank)
+        for cyclotomic in (False, True):
+            f = random_sparse(p, rank, rng, cyclotomic=cyclotomic)
+            for g in (f, GFunc(p, rank, DUAL, f.values)):
+                for chi in range(p**rank):
+                    want = [v * root_of_unity(p, exps[chi][u]) for u, v in enumerate(g.values)]
+                    assert twist(g, chi) == GFunc(p, rank, g.side, want), (g.to_literal(), chi)
+    with pytest.raises(ValueError):
+        twist(GFunc.zero(p), p * p)
 
 
 def _reference_sum(f, sign, scale):

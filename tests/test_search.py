@@ -10,7 +10,7 @@ import pytest
 from primeplane import search
 from primeplane.bounds import EQUALITY, EXCEPTION, VIOLATED
 from primeplane.cyclotomic import CycNum, root_of_unity
-from primeplane.fourier import GFunc, fourier_transform, int_support_masks
+from primeplane.fourier import GFunc, fourier_transform, int_support_masks, pair_exponents
 from primeplane.plane import DUAL, PRIMAL, Coset, LineSubgroup, Point, coset_from_id
 from primeplane.search import (
     SearchSpace,
@@ -498,13 +498,21 @@ def test_random_digits_consume_the_randrange_stream():
                 assert batched.randrange(n) == plain.randrange(n), (base, seed, n)
 
 
+def pointwise_twist(space, digits, chi_index):
+    """The alphabet values of `digits` times the character chi_index,
+    pointwise through the pairing table."""
+    exps = pair_exponents(space.p, space.rank)[chi_index]
+    return tuple(space.alphabet[d] * root_of_unity(space.p, exps[g])
+                 for g, d in enumerate(digits))
+
+
 def randrange_values(space, ordinal):
     """Reference random-mode decoding: one randrange call per point, then
     one for the twisting character."""
     rng = random.Random((space.seed << 32) ^ ordinal)
     digits = [rng.randrange(len(space.alphabet)) for _ in range(space.n_points)]
     if space.char_twist:
-        return space._twisted(digits, rng.randrange(space.n_points))
+        return pointwise_twist(space, digits, rng.randrange(space.n_points))
     return tuple(space.alphabet[d] for d in digits)
 
 
@@ -516,7 +524,7 @@ def power_values(space, ordinal):
         else (0, ordinal)
     digits = [(counter // base**i) % base for i in range(space.n_points)]
     if space.char_twist:
-        return space._twisted(digits, chi_index)
+        return pointwise_twist(space, digits, chi_index)
     return tuple(space.alphabet[d] for d in digits)
 
 
