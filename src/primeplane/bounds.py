@@ -24,10 +24,10 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequenc
 from .cyclotomic import CycNum, check_prime, format_value
 from .fourier import (
     GFunc,
-    character_sum,
     double_transform,
     fourier_transform,
     inverse_transform,
+    line_sums,
     twist,
 )
 from .plane import (
@@ -41,7 +41,6 @@ from .plane import (
     coset_from_id,
     covered_by_lines,
     line_intersection,
-    lines_in_direction,
     min_line_cover,
     orthogonal_directions,
 )
@@ -221,37 +220,33 @@ class ExceptionDescriptor:
 
     def reconstruct(self) -> GFunc:
         p = self.p
+        if self.kind in (KIND_TWO_PARALLEL, KIND_TWO_NONPARALLEL):
+            if self.kind == KIND_TWO_PARALLEL:
+                (comp1, comp2), (chi1, chi2) = self.components, self.characters
+                func = twist(comp1, chi1.index) + twist(comp2, chi2.index)
+            else:
+                func = twist(_two_line_sum(p, self.directions, *self.components),
+                             self.characters[0].index)
+            return inverse_transform(func) if self.cover_side == PRIMAL else func
         if self.kind in (KIND_SINGLE_COSET_CHARACTER, KIND_TWO_CHARACTERS_ONE_COSET,
                          KIND_CHARACTERS_ON_ONE_COSET):
-            out = [CycNum.zero(p)] * (p * p)
-            coset = Coset.through(self.offsets[0], LineSubgroup(p, self.direction, PRIMAL))
-            for z in coset.members():
-                total = CycNum.zero(p)
-                for chi, c in zip(self.characters, self.coefficients):
-                    total = total + c.times_root(chi.pair(z))
-                out[z.index] = total
-            return GFunc(p, 2, PRIMAL, out)
-        if self.kind in (KIND_H_PERIODIC, KIND_ONE_CHARACTER_TWO_COSETS,
-                         KIND_CHARACTER_ON_COSETS):
-            out = [CycNum.zero(p)] * (p * p)
-            sub = LineSubgroup(p, self.direction, PRIMAL)
-            # an H-periodic function is the principal character on its cosets
+            # one coset carrying several characters
+            triples = [(self.offsets[0], chi, c)
+                       for chi, c in zip(self.characters, self.coefficients)]
+        elif self.kind in (KIND_H_PERIODIC, KIND_ONE_CHARACTER_TWO_COSETS,
+                           KIND_CHARACTER_ON_COSETS):
+            # one character on several cosets; an H-periodic function is
+            # the principal character on its cosets
             chi = self.characters[0] if self.characters else Point(p, 0, 0, DUAL)
-            for g, c in zip(self.offsets, self.coefficients):
-                for z in Coset.through(g, sub).members():
-                    out[z.index] = c.times_root(chi.pair(z))
-            return GFunc(p, 2, PRIMAL, out)
-        if self.kind == KIND_TWO_PARALLEL:
-            (comp1, comp2), (chi1, chi2) = self.components, self.characters
-            func = twist(comp1, chi1.index) + twist(comp2, chi2.index)
-        elif self.kind == KIND_TWO_NONPARALLEL:
-            func = twist(_two_line_sum(p, self.directions, *self.components),
-                         self.characters[0].index)
+            triples = [(g, chi, c) for g, c in zip(self.offsets, self.coefficients)]
         else:
             raise ValueError(f"unknown descriptor kind {self.kind!r}")
-        if self.cover_side == PRIMAL:
-            return inverse_transform(func)
-        return func
+        out = [CycNum.zero(p)] * (p * p)
+        sub = LineSubgroup(p, self.direction, PRIMAL)
+        for g, chi, c in triples:
+            for z in Coset.through(g, sub).members():
+                out[z.index] = out[z.index] + c.times_root(chi.pair(z))
+        return GFunc(p, 2, PRIMAL, out)
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "p": self.p, "cover_side": self.cover_side}
@@ -358,15 +353,13 @@ def _classify_two_lines(func: GFunc, hat: GFunc, Xs: PointSet,
         prim_dir = orthogonal_directions(p)[d1]
         chi1 = _line_rep_point(p, d1, j1, hat_side)
         chi2 = _line_rep_point(p, d2, j2, hat_side)
-        psis = LineSubgroup(p, d1, hat_side).members()
+        # <gen, g> is constant on the lines of prim_dir; read it as in twist
+        a, b = divmod(LineSubgroup(p, d1, hat_side).generator.index, p)
         comps = []
         for chi in (chi1, chi2):
-            vals = [None] * (p * p)
-            for coset in lines_in_direction(LineSubgroup(p, prim_dir, func_side)):
-                total = character_sum(hat, chi, psis, coset.rep)
-                for g in coset.members():
-                    vals[g.index] = total
-            comps.append(GFunc(p, 2, func_side, vals))
+            sums = line_sums(hat, chi, d1)
+            comps.append(GFunc(p, 2, func_side,
+                               [sums[(a * (g // p) + b * g) % p] for g in range(p * p)]))
         n_union = (comps[0].support_mask | comps[1].support_mask).bit_count()
         s = func.support_size
         if not (n_union * (p - 1) <= s * p and s <= n_union):
@@ -382,11 +375,13 @@ def _classify_two_lines(func: GFunc, hat: GFunc, Xs: PointSet,
     dir1, dir2 = orth[d1], orth[d2]
     gen1 = LineSubgroup(p, dir1, func_side).generator
     gen2 = LineSubgroup(p, dir2, func_side).generator
+    c1 = LineSubgroup(p, d2, hat_side).generator.pair(gen1)
+    c2 = LineSubgroup(p, d1, hat_side).generator.pair(gen2)
+    sums1, sums2 = line_sums(hat, chi0, d1), line_sums(hat, chi0, d2)
     # chi0 itself is summed once, into the second component
-    psis1 = LineSubgroup(p, d1, hat_side).members()
-    psis2 = LineSubgroup(p, d2, hat_side).members()[1:]
-    f1_vals = [character_sum(hat, chi0, psis2, gen1.scaled(t)) for t in range(p)]
-    f2_vals = [character_sum(hat, chi0, psis1, gen2.scaled(t)) for t in range(p)]
+    h0 = hat.value(chi0)
+    f1_vals = [sums2[t * c1 % p] - h0 for t in range(p)]
+    f2_vals = [sums1[t * c2 % p] for t in range(p)]
     s = func.support_size
     details: List[Tuple[str, object]] = []
     if 2 * s < p * p:

@@ -33,6 +33,7 @@ from .plane import (
     Point,
     PointSet,
     check_side,
+    coset_from_id,
     opposite_side,
     tables,
 )
@@ -44,24 +45,17 @@ LineTable = Tuple[Tuple[int, ...], int, Tuple[int, ...]]
 
 @lru_cache(maxsize=None)
 def pair_exponents(p: int, rank: int) -> Tuple[Tuple[int, ...], ...]:
-    """exponents[w][g] = <w, g> mod p for the rank-1 or rank-2 pairing."""
+    """exponents[w][g] = <w, g> mod p for the rank-1 or rank-2 pairing,
+    read as a*(g // p) + b*g for w = a*p + b (a = 0 at rank 1), as in twist."""
     check_prime(p)
-    if rank == 1:
-        return tuple(tuple((w * g) % p for g in range(p)) for w in range(p))
-    if rank == 2:
-        n = p * p
-        rows = []
-        for w in range(n):
-            a, b = divmod(w, p)
-            rows.append(tuple((a * (g // p) + b * (g % p)) % p for g in range(n)))
-        return tuple(rows)
-    raise ValueError("rank must be 1 or 2")
+    if rank not in (1, 2):
+        raise ValueError("rank must be 1 or 2")
+    n = p**rank
+    return tuple(tuple((w // p * (g // p) + w * g) % p for g in range(n)) for w in range(n))
 
 
-def _add_index(p: int, rank: int, i: int, j: int) -> int:
-    if rank == 1:
-        return (i + j) % p
-    return ((i // p + j // p) % p) * p + (i % p + j % p) % p
+def _add_index(p: int, i: int, j: int) -> int:
+    return (i // p + j // p) % p * p + (i + j) % p
 
 
 class GFunc:
@@ -459,7 +453,7 @@ def _convolve(f1: GFunc, f2: GFunc, normalize: bool) -> GFunc:
     acc = [[0] * p for _ in range(n)]
     for i1, c1 in supp1:
         for i2, c2 in supp2:
-            row = acc[_add_index(p, rank, i1, i2)]
+            row = acc[_add_index(p, i1, i2)]
             for t1, a in enumerate(c1):
                 if a:
                     for t2, b in enumerate(c2):
@@ -473,15 +467,17 @@ def _convolve(f1: GFunc, f2: GFunc, normalize: bool) -> GFunc:
 # -- coset restriction ----------------------------------------------------------
 
 
-def character_sum(hat: GFunc, chi: Point, psis: Sequence[Point], g: Point) -> CycNum:
-    """sum_{psi in psis} hat(chi psi) psi(g): the orthogonal-subgroup sum
-    behind coset restriction and the two-line decompositions."""
-    total = CycNum.zero(hat.p)
-    for psi in psis:
-        val = hat.value(chi + psi)
-        if not val.is_zero():
-            total = total + val.times_root(psi.pair(g))
-    return total
+def line_sums(hat: GFunc, chi: Point, direction: int) -> List[CycNum]:
+    """R[a] = sum_t hat(chi + t*gen) zeta^(t*a) for a = 0..p-1, gen the
+    generator of the direction's line subgroup on hat's side: the rank-1
+    inverse transform of hat's slice through chi.  The orthogonal-subgroup
+    sum behind coset restriction and the two-line decompositions,
+    sum_{psi = t*gen} hat(chi psi) psi(g), is R[<gen, g>] for every g.
+    R[a] is read as the forward-sign sum at -a, so that cyclotomic values
+    reuse the _slice_gathers that fourier_transform builds."""
+    line = restrict_to_coset(hat, chi, LineSubgroup(hat.p, direction, hat.side))
+    out = _transform(line.values, hat.p, 1, -1, 1)
+    return out[:1] + out[:0:-1]
 
 
 def _require_plane_primal(f: GFunc):
@@ -492,17 +488,26 @@ def _require_plane_primal(f: GFunc):
 def coset_restriction_transform(f: GFunc, g: Point, H: LineSubgroup,
                                 fhat: Optional[GFunc] = None) -> GFunc:
     """Transform of f * 1_{g+H}, evaluated through the orthogonal subgroup:
-    (1/|H^perp|) sum_{psi in H^perp} hat(f)(chi psi) psi(g)."""
+    (1/|H^perp|) sum_{psi in H^perp} hat(f)(chi psi) psi(g).  At chi =
+    rep + s*gen on a line of H^perp's direction that is R[a] zeta^(-s*a)
+    for a = <gen, g> and R the line_sums of hat(f) through rep."""
     _require_plane_primal(f)
     if g.p != f.p or g.side != PRIMAL or H.p != f.p or H.side != PRIMAL:
         raise ValueError("offset and subgroup must be primal with matching p")
     if fhat is None:
         fhat = fourier_transform(f)
     p = f.p
-    psis = H.orthogonal().members()
+    perp = H.orthogonal()
+    gen = perp.generator
+    a = gen.pair(g)
     inv = Fraction(1, p)
-    return GFunc(p, 2, DUAL, [character_sum(fhat, Point.from_index(p, w, DUAL), psis, g) * inv
-                              for w in range(p * p)])
+    vals = [None] * (p * p)
+    for j in range(p):
+        rep = coset_from_id(p, perp.direction, j, DUAL).rep
+        total = line_sums(fhat, rep, perp.direction)[a] * inv
+        for s in range(p):
+            vals[(rep.x + s * gen.x) % p * p + (rep.y + s * gen.y) % p] = total.times_root(-s * a)
+    return GFunc(p, 2, DUAL, vals)
 
 
 def coset_sum_identity(f: GFunc, g: Point, H: LineSubgroup, chi: Point,
@@ -516,7 +521,8 @@ def coset_sum_identity(f: GFunc, g: Point, H: LineSubgroup, chi: Point,
     if fhat is None:
         fhat = fourier_transform(f)
     p = f.p
-    lhs = character_sum(fhat, chi, H.orthogonal().members(), g)
+    perp = H.orthogonal()
+    lhs = line_sums(fhat, chi, perp.direction)[perp.generator.pair(g)]
     rhs = CycNum.zero(p)
     for h in H.members():
         val = f.value(g + h)
@@ -527,11 +533,14 @@ def coset_sum_identity(f: GFunc, g: Point, H: LineSubgroup, chi: Point,
 
 
 def restrict_to_coset(f: GFunc, g: Point, H: LineSubgroup) -> GFunc:
-    """The rank-1 slice t -> f(g + t * gen(H)) along the generator of H."""
-    _require_plane_primal(f)
-    gen = H.generator
-    vals = [f.value(g + gen.scaled(t)) for t in range(f.p)]
-    return GFunc(f.p, 1, PRIMAL, vals)
+    """The rank-1 slice t -> f(g + t * gen(H)) along the generator of H,
+    for a rank-2 f on either side with g and H on that side."""
+    p = f.p
+    if f.rank != 2 or (g.p, g.side) != (p, f.side) or (H.p, H.side) != (p, f.side):
+        raise ValueError("restriction needs a rank-2 function with g and H on its side")
+    gen, vals = H.generator, f.values
+    return GFunc(p, 1, f.side, [vals[(g.x + t * gen.x) % p * p + (g.y + t * gen.y) % p]
+                                for t in range(p)])
 
 
 # -- Galois action ---------------------------------------------------------------
@@ -546,15 +555,9 @@ def galois_twist(u: GFunc, j: int) -> GFunc:
     p = u.p
     if j % p == 0:
         raise ValueError("Galois exponent must be a unit modulo p")
-    n = len(u.values)
-    out = [None] * n
-    for w in range(n):
-        if u.rank == 1:
-            target = (j * w) % p
-        else:
-            a, b = divmod(w, p)
-            target = ((j * a) % p) * p + (j * b) % p
-        out[target] = u.values[w].galois(j)
+    out = [None] * len(u.values)
+    for w, v in enumerate(u.values):
+        out[j * (w // p) % p * p + j * w % p] = v.galois(j)
     return GFunc(p, u.rank, DUAL, out)
 
 

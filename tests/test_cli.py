@@ -17,8 +17,10 @@ import primeplane
 from primeplane import bounds, cli
 from primeplane.cli import (EXIT_BUDGET, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION,
                             main)
+from primeplane.cyclotomic import parse_value
 from primeplane.plane import DUAL, PRIMAL, PointSet
-from primeplane.search import construct, make_space
+from primeplane.search import (construct, make_space, two_nonparallel_lines_function,
+                               two_parallel_lines_function)
 
 
 def run_cli(capsys, *argv):
@@ -309,6 +311,37 @@ def test_default_verify_and_classify_bytes(capsys):
         assert code == EXIT_OK, err
         assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_SHA256[family, p], \
             ("classify", family, p)
+
+
+def two_line_literals():
+    """Functions whose classification is a two-line descriptor with pinned
+    component values: a primal-cover nonparallel pair, and cyclotomic
+    dual-cover parallel and nonparallel pairs."""
+    z = parse_value("z", 7)
+    parallel = two_parallel_lines_function(7, 2, (1, 3), (4, 0), [1, 0, 0, 2, 0, z, 0],
+                                           [0, -1, 0, 0, 0, 0, 3])
+    nonparallel = two_nonparallel_lines_function(7, 1, 4, (2, 5), [0, 1, 0, z, 0, 0, 2],
+                                                 [3, 0, 0, 0, -1, 0, 0])
+    return {
+        "5; 2; 1,6,7,8,0,2,0,0,0,0,3,0,0,0,0,4,0,0,0,0,5,0,0,0,0":
+            "b359d490eda6eba262db0f26148898c257adfbf8847ab2170df8710d52b6d837",
+        parallel.func.to_literal():
+            "fd1d5861bec5325bf7e7341695839741267764ef243f6b92394d1cac8ce75201",
+        nonparallel.func.to_literal():
+            "e771faf062521f215d9c2cec89342d73d70d2b3748ad8144f91f9f3e9168333e",
+    }
+
+
+def test_classify_two_line_components_bytes(capsys):
+    kinds = []
+    for literal, digest in two_line_literals().items():
+        code, out, err = run_cli(capsys, "classify", "--function", literal)
+        assert code == EXIT_OK, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, literal
+        desc = json.loads(out)["classification"]
+        kinds.append((desc["kind"], desc["cover_side"]))
+    assert kinds == [("two-nonparallel-lines", PRIMAL), ("two-parallel-lines", DUAL),
+                     ("two-nonparallel-lines", DUAL)]
 
 
 def counting(monkeypatch, owner, name, counts):

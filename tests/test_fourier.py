@@ -22,6 +22,7 @@ from primeplane.fourier import (
     int_support_masks,
     inverse_transform,
     line_diff_convolution,
+    line_sums,
     pair_exponents,
     quad_diff_convolution,
     rational_support_closure,
@@ -265,15 +266,16 @@ def test_inverse_of_principal_indicator():
 def test_convolution_theorem_both_directions():
     rng = random.Random(5)
     p = 3
-    for _ in range(8):
-        f1 = random_sparse(p, 2, rng, cyclotomic=True)
-        f2 = random_sparse(p, 2, rng)
-        lhs = fourier_transform(convolution(f1, f2))
-        rhs = fourier_transform(f1) * fourier_transform(f2)
-        assert lhs == rhs
-        lhs2 = fourier_transform(f1 * f2)
-        rhs2 = dual_convolution(fourier_transform(f1), fourier_transform(f2))
-        assert lhs2 == rhs2
+    for rank in (2, 1):
+        for _ in range(8):
+            f1 = random_sparse(p, rank, rng, cyclotomic=True)
+            f2 = random_sparse(p, rank, rng)
+            lhs = fourier_transform(convolution(f1, f2))
+            rhs = fourier_transform(f1) * fourier_transform(f2)
+            assert lhs == rhs
+            lhs2 = fourier_transform(f1 * f2)
+            rhs2 = dual_convolution(fourier_transform(f1), fourier_transform(f2))
+            assert lhs2 == rhs2
 
 
 def test_convolution_identity_element():
@@ -373,6 +375,59 @@ def test_restriction_slice():
     assert empty.is_zero_function()
 
 
+def test_restrict_to_coset_walks_a_line_on_either_side():
+    rng = random.Random(53)
+    p = 5
+    f = random_sparse(p, 2, rng, cyclotomic=True)
+    for side in (PRIMAL, DUAL):
+        h = GFunc(p, 2, side, f.values)
+        for d in range(p + 1):
+            H = LineSubgroup(p, d, side)
+            for gi in range(p * p):
+                g = Point.from_index(p, gi, side)
+                want = [h.value(g + H.generator.scaled(t)) for t in range(p)]
+                assert restrict_to_coset(h, g, H) == GFunc(p, 1, side, want)
+    g, H = Point(p, 1, 2), LineSubgroup(p, 1)
+    mismatched = [(GFunc(p, 2, DUAL, f.values), g, H), (f, Point(p, 1, 2, DUAL), H),
+                  (f, g, LineSubgroup(p, 1, DUAL)), (f, Point(3, 1, 2), H),
+                  (f, g, LineSubgroup(3, 1)), (GFunc.zero(p, 1), g, H)]
+    for args in mismatched:
+        with pytest.raises(ValueError):
+            restrict_to_coset(*args)
+
+
+def character_sum(hat, chi, psis, g):
+    """sum_{psi in psis} hat(chi psi) psi(g), one term at a time: the
+    per-term route that line_sums replaced."""
+    total = CycNum.zero(hat.p)
+    for psi in psis:
+        val = hat.value(chi + psi)
+        if not val.is_zero():
+            total = total + val.times_root(psi.pair(g))
+    return total
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_line_sums_match_the_per_term_character_sum(p):
+    rng = random.Random(1500 + p)
+    for cyclotomic in (False, True):
+        # a sparse support, so that most terms of each sum are zero
+        f = random_sparse(p, 2, rng, max_support=2 * p, cyclotomic=cyclotomic)
+        for hat in (f, GFunc(p, 2, DUAL, f.values)):
+            other = opposite_side(hat.side)
+            for d in range(p + 1):
+                H = LineSubgroup(p, d, hat.side)
+                psis = H.members()
+                # <gen, g_a> = a for the generator (1, d), or (0, 1) at d = p
+                g_of = [Point(p, 0, a, other) if d == p else Point(p, a, 0, other)
+                        for a in range(p)]
+                for c in range(p * p):
+                    chi = Point.from_index(p, c, hat.side)
+                    sums = line_sums(hat, chi, d)
+                    assert sums == [character_sum(hat, chi, psis, g) for g in g_of], \
+                        (hat, chi, d)
+
+
 def test_restriction_transform_relation():
     # conj(chi)(g) * hat(f_g)(chi|_H) equals the orthogonal-subgroup sum
     rng = random.Random(43)
@@ -400,11 +455,12 @@ def test_restriction_transform_relation():
 def test_galois_twist_fixes_rational_transforms():
     rng = random.Random(47)
     for p in (3, 5):
-        f = random_sparse(p, 2, rng)
-        fh = fourier_transform(f)
-        for j in range(1, p):
-            assert galois_twist(fh, j) == fh
-        assert rational_support_closure(f)
+        for rank in (2, 1):
+            f = random_sparse(p, rank, rng)
+            fh = fourier_transform(f)
+            for j in range(1, p):
+                assert galois_twist(fh, j) == fh
+            assert rational_support_closure(f)
 
 
 def test_rational_closure_example_and_rejection():
