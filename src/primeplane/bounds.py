@@ -171,7 +171,7 @@ class BoundReport:
         return out
 
 
-def _ineq_verdict(lhs, rhs) -> str:
+def _ineq_verdict(lhs, rhs, den=1) -> str:
     if lhs == rhs:
         return EQUALITY
     return HOLDS if lhs > rhs else VIOLATED
@@ -506,14 +506,20 @@ def _coset_pair_exception(p: int, S: PointSet, X: PointSet) -> Optional[dict]:
 
 
 # -- decisions and reports -----------------------------------------------------------
-# Each check has one decide(pair, param) that makes its verdict from integer
-# comparisons alone (fractions compared by cross-multiplying), and one
-# report(pair, param, verdict) that builds verify's BoundReport around that
-# verdict.  k and eps arrive admitted by CheckSpec.admit below.
+# Each check states its inequality once, as an integer triple (lhs, rhs, den)
+# with den > 0: its decide(pair, param) compares lhs with rhs, and its
+# report(pair, param, verdict) prints lhs/den and rhs/den in verify's
+# BoundReport around that verdict.  k and eps arrive admitted by
+# CheckSpec.admit below.
 
 
-def _lo_hi(pair: SupportPair) -> Tuple[int, int]:
-    return min(pair.s_size, pair.x_size), max(pair.s_size, pair.x_size)
+def _fractions(ineq: Tuple[int, int, int]) -> Tuple[Fraction, Fraction]:
+    lhs, rhs, den = ineq
+    return Fraction(lhs, den), Fraction(rhs, den)
+
+
+def _report(name: str, verdict: str, ineq: Tuple[int, int, int], **details) -> BoundReport:
+    return BoundReport(name, verdict, *_fractions(ineq), details=details)
 
 
 def _either_covered(pair: SupportPair, b: int) -> bool:
@@ -530,50 +536,62 @@ def _clause_detail(pair: SupportPair, b: int, verdict: str) -> bool:
     return _either_covered(pair, b)
 
 
+def _product(pair: SupportPair, n: int) -> Tuple[int, int, int]:
+    """|S||X| >= n."""
+    return pair.s_size * pair.x_size, n, 1
+
+
+def _linear(pair: SupportPair, k: int) -> Tuple[int, int, int]:
+    """The paper's family lo/k + hi/(p+1-k) >= p + 1, times k(p+1-k).  The
+    named checks take k = 1 (meshulam), 2 (rational), p-2 (kp2), p-1 (kp1)."""
+    p, (lo, hi) = pair.p, sorted((pair.s_size, pair.x_size))
+    j = p + 1 - k
+    return lo * j + hi * k, (p + 1) * k * j, k * j
+
+
+def _birotao(pair: SupportPair) -> Tuple[int, int, int]:
+    """|S| + |X| >= p + 1."""
+    return pair.s_size + pair.x_size, pair.p + 1, 1
+
+
+def _roots(pair: SupportPair) -> Tuple[int, int, int]:
+    """sqrt|S| + sqrt|X| >= p + 1: with t = (p+1)^2 - |S| - |X| >= 0 that is
+    4|S||X| >= t^2, and for t < 0 it holds as |S| + |X| > (p+1)^2."""
+    a, b, c = pair.s_size, pair.x_size, pair.p + 1
+    t = c * c - a - b
+    return (4 * a * b, t * t, 1) if t >= 0 else (a + b, c * c, 1)
+
+
+def _kp2_min(pair: SupportPair) -> Tuple[int, int, int]:
+    """kp2's min branch: lo >= 3(p-1)/2."""
+    return 2 * min(pair.s_size, pair.x_size), 3 * (pair.p - 1), 2
+
+
 def decide_product(pair: SupportPair, param=None) -> str:
-    return _ineq_verdict(pair.s_size * pair.x_size, pair.p**pair.rank)
-
-
-def report_product(pair: SupportPair, param, verdict: str) -> BoundReport:
-    return BoundReport("product", verdict, Fraction(pair.s_size * pair.x_size),
-                       Fraction(pair.p**pair.rank))
+    return _ineq_verdict(*_product(pair, pair.p**pair.rank))
 
 
 def decide_birotao(pair: SupportPair, param=None) -> str:
-    return _ineq_verdict(pair.s_size + pair.x_size, pair.p + 1)
-
-
-def report_birotao(pair: SupportPair, param, verdict: str) -> BoundReport:
-    return BoundReport("birotao", verdict, Fraction(pair.s_size + pair.x_size),
-                       Fraction(pair.p + 1))
+    return _ineq_verdict(*_birotao(pair))
 
 
 def decide_meshulam(pair: SupportPair, param=None) -> str:
-    # lo + hi/p >= p + 1
-    p, (lo, hi) = pair.p, _lo_hi(pair)
-    return _ineq_verdict(lo * p + hi, (p + 1) * p)
-
-
-def report_meshulam(pair: SupportPair, param, verdict: str) -> BoundReport:
-    lo, hi = _lo_hi(pair)
-    return BoundReport("meshulam", verdict, lo + Fraction(hi, pair.p), Fraction(pair.p + 1))
+    return _ineq_verdict(*_linear(pair, 1))
 
 
 def decide_rational(pair: SupportPair, param=None) -> str:
-    # lo/2 + hi/(p-1) >= p + 1, except H-periodic f
+    # k = 2, except H-periodic f
     if not pair.rational:
         raise ValueError("the rational bound requires a rational-valued function")
-    p, (lo, hi) = pair.p, _lo_hi(pair)
-    if _periodic_directions(p, pair.X):
+    if _periodic_directions(pair.p, pair.X):
         return EXCEPTION
-    return _ineq_verdict(lo * (p - 1) + 2 * hi, 2 * (p - 1) * (p + 1))
+    return _ineq_verdict(*_linear(pair, 2))
 
 
 def report_rational(pair: SupportPair, param, verdict: str) -> BoundReport:
-    p, X, (lo, hi) = pair.p, pair.X, _lo_hi(pair)
-    lhs, rhs = Fraction(lo, 2) + Fraction(hi, p - 1), Fraction(p + 1)
+    p, X, ineq = pair.p, pair.X, _linear(pair, 2)
     if verdict != EXCEPTION:
-        return BoundReport("rational", verdict, lhs, rhs)
+        return _report("rational", verdict, ineq)
     # X lies in the orthogonal subgroup, so its size tells which part it is
     if X.mask == 1:
         matches = True
@@ -584,52 +602,44 @@ def report_rational(pair: SupportPair, param, verdict: str) -> BoundReport:
     else:
         matches = X.size == p - 1
         note = "zero value sum; expected the punctured orthogonal subgroup"
-    return BoundReport("rational", EXCEPTION, lhs, rhs, details={
-        "periodic_directions": _periodic_directions(p, X),
-        "stated_support_matches": matches,
-        "note": note,
-    })
+    return _report("rational", EXCEPTION, ineq, periodic_directions=_periodic_directions(p, X),
+                   stated_support_matches=matches, note=note)
 
 
 def decide_kp1(pair: SupportPair, param=None) -> str:
-    # lo/(p-1) + hi/2 >= p + 1, except orthogonal coset pairs
-    p, (lo, hi) = pair.p, _lo_hi(pair)
-    if _orthogonal_coset_pair(p, pair.S, pair.X) is not None:
+    # k = p - 1, except orthogonal coset pairs
+    if _orthogonal_coset_pair(pair.p, pair.S, pair.X) is not None:
         return EXCEPTION
-    return _ineq_verdict(2 * lo + (p - 1) * hi, 2 * (p - 1) * (p + 1))
+    return _ineq_verdict(*_linear(pair, pair.p - 1))
 
 
 def report_kp1(pair: SupportPair, param, verdict: str) -> BoundReport:
-    p, (lo, hi) = pair.p, _lo_hi(pair)
-    lhs, rhs = Fraction(lo, p - 1) + Fraction(hi, 2), Fraction(p + 1)
+    ineq = _linear(pair, pair.p - 1)
     if verdict != EXCEPTION:
-        return BoundReport("kp1", verdict, lhs, rhs)
-    directions = _orthogonal_coset_pair(p, pair.S, pair.X)
-    return BoundReport("kp1", EXCEPTION, lhs, rhs,
-                       details={"orthogonal_pair_directions": list(directions)})
+        return _report("kp1", verdict, ineq)
+    directions = _orthogonal_coset_pair(pair.p, pair.S, pair.X)
+    return _report("kp1", EXCEPTION, ineq, orthogonal_pair_directions=list(directions))
 
 
 def decide_kp2(pair: SupportPair, param=None) -> str:
-    # lo/(p-2) + hi/3 >= p + 1, else lo >= 3(p-1)/2, except near-coset structure
-    p, (lo, hi) = pair.p, _lo_hi(pair)
-    if _coset_pair_exception(p, pair.S, pair.X) is not None:
+    # k = p - 2, else the min branch, except near-coset structure
+    if _coset_pair_exception(pair.p, pair.S, pair.X) is not None:
         return EXCEPTION
-    primary = _ineq_verdict(3 * lo + (p - 2) * hi, 3 * (p - 2) * (p + 1))
-    return primary if primary != VIOLATED else _ineq_verdict(2 * lo, 3 * (p - 1))
+    primary = _ineq_verdict(*_linear(pair, pair.p - 2))
+    return primary if primary != VIOLATED else _ineq_verdict(*_kp2_min(pair))
 
 
 def report_kp2(pair: SupportPair, param, verdict: str) -> BoundReport:
-    p, (lo, hi) = pair.p, _lo_hi(pair)
-    lhs, rhs = Fraction(lo, p - 2) + Fraction(hi, 3), Fraction(p + 1)
+    ineq = _linear(pair, pair.p - 2)
     if verdict == EXCEPTION:
-        return BoundReport("kp2", EXCEPTION, lhs, rhs,
-                           details={"structure": _coset_pair_exception(p, pair.S, pair.X)})
-    alt_lhs, alt_rhs = Fraction(lo), Fraction(3 * (p - 1), 2)
-    details = {"min_branch_lhs": alt_lhs, "min_branch_rhs": alt_rhs}
-    if verdict != VIOLATED and lhs < rhs:
+        return _report("kp2", EXCEPTION, ineq,
+                       structure=_coset_pair_exception(pair.p, pair.S, pair.X))
+    alt = _kp2_min(pair)
+    details = dict(zip(("min_branch_lhs", "min_branch_rhs"), _fractions(alt)))
+    if verdict != VIOLATED and ineq[0] < ineq[1]:
         # the min branch decided
-        lhs, rhs = alt_lhs, alt_rhs
-    return BoundReport("kp2", verdict, lhs, rhs, details=details)
+        ineq = alt
+    return _report("kp2", verdict, ineq, **details)
 
 
 def decide_product3(pair: SupportPair, param=None) -> str:
@@ -638,7 +648,7 @@ def decide_product3(pair: SupportPair, param=None) -> str:
     if min(pair.s_size, pair.x_size) <= 2 or \
             _coset_pair_exception(p, pair.S, pair.X) is not None:
         return EXCEPTION
-    return _ineq_verdict(pair.s_size * pair.x_size, 3 * p * (p - 2))
+    return _ineq_verdict(*_product(pair, 3 * p * (p - 2)))
 
 
 def report_product3(pair: SupportPair, param, verdict: str) -> BoundReport:
@@ -651,47 +661,36 @@ def report_product3(pair: SupportPair, param, verdict: str) -> BoundReport:
             details["reason"] = "min support size at most 2"
         else:
             details["structure"] = _coset_pair_exception(p, pair.S, pair.X)
-    return BoundReport("product3", verdict, Fraction(pair.s_size * pair.x_size),
-                       Fraction(3 * p * (p - 2)), details=details)
+    return _report("product3", verdict, _product(pair, 3 * p * (p - 2)), **details)
 
 
 def decide_conjecture(pair: SupportPair, k: int) -> str:
-    # lo/k + hi/(p+1-k) >= p + 1, except a support covered by fewer than
-    # min(k, p+1-k) lines, searched only when the inequality fails
-    p, (lo, hi) = pair.p, _lo_hi(pair)
-    verdict = _ineq_verdict(lo * (p + 1 - k) + hi * k, (p + 1) * k * (p + 1 - k))
-    if verdict == VIOLATED and _either_covered(pair, min(k, p + 1 - k) - 1):
+    # any k, except a support covered by fewer than min(k, p+1-k) lines,
+    # searched only when the inequality fails
+    verdict = _ineq_verdict(*_linear(pair, k))
+    if verdict == VIOLATED and _either_covered(pair, min(k, pair.p + 1 - k) - 1):
         return EXCEPTION
     return verdict
 
 
 def report_conjecture(pair: SupportPair, k: int, verdict: str) -> BoundReport:
-    p, (lo, hi) = pair.p, _lo_hi(pair)
-    threshold = min(k, p + 1 - k)
-    details = {"k": k, "cover_threshold": threshold,
-               "cover_clause_applies": _clause_detail(pair, threshold - 1, verdict)}
-    return BoundReport("conjecture", verdict, Fraction(lo, k) + Fraction(hi, p + 1 - k),
-                       Fraction(p + 1), details=details)
+    threshold = min(k, pair.p + 1 - k)
+    return _report("conjecture", verdict, _linear(pair, k), k=k, cover_threshold=threshold,
+                   cover_clause_applies=_clause_detail(pair, threshold - 1, verdict))
 
 
 def decide_roots(pair: SupportPair, param=None) -> str:
-    # sqrt(a) + sqrt(b) >= c; with t = c^2 - a - b >= 0 that is 4ab >= t^2
-    a, b, c = pair.s_size, pair.x_size, pair.p + 1
-    t = c * c - a - b
-    verdict = HOLDS if t < 0 else _ineq_verdict(4 * a * b, t * t)
+    verdict = _ineq_verdict(*_roots(pair))
     if verdict == VIOLATED and _either_covered(pair, (pair.p - 1) // 2):
         return EXCEPTION
     return verdict
 
 
 def report_roots(pair: SupportPair, param, verdict: str) -> BoundReport:
-    a, b, c = pair.s_size, pair.x_size, pair.p + 1
-    t = c * c - a - b
-    lhs, rhs = (4 * a * b, t * t) if t >= 0 else (a + b, c * c)
-    details = {"S_size": a, "X_size": b,
-               "cover_clause_applies": _clause_detail(pair, (pair.p - 1) // 2, verdict),
-               "squared_compare": t >= 0}
-    return BoundReport("roots", verdict, Fraction(lhs), Fraction(rhs), details=details)
+    a, b = pair.s_size, pair.x_size
+    return _report("roots", verdict, _roots(pair), S_size=a, X_size=b,
+                   cover_clause_applies=_clause_detail(pair, (pair.p - 1) // 2, verdict),
+                   squared_compare=a + b <= (pair.p + 1)**2)
 
 
 class _Asym(NamedTuple):
@@ -706,36 +705,37 @@ class _Asym(NamedTuple):
     cover_lines: int
     advisory_below: Optional[int]
 
+    def branches(self, pair: SupportPair, eps: Fraction) -> Tuple[tuple, tuple]:
+        p, (lo, hi) = pair.p, sorted((pair.s_size, pair.x_size))
+        a, b = eps.numerator, eps.denominator
+        # hi >= (a / c) p^(num/den)  <=>  (hi c)^den >= a^den p^num, c = b divisor
+        c = b * self.divisor
+        return ((lo * b, self.coefficient * (b - a) * p, b),
+                ((hi * c)**self.den, a**self.den * p**self.num, c**self.den))
+
     def decide(self, pair: SupportPair, eps: Fraction) -> str:
-        p, (lo, hi) = pair.p, _lo_hi(pair)
         # the exception outranks the inequality, so its cover test comes first
+        lo = min(pair.s_size, pair.x_size)
         for side, size in ((PRIMAL, pair.s_size), (DUAL, pair.x_size)):
             if size == lo and pair.covered(side, self.cover_lines):
                 return EXCEPTION
-        a, b = eps.numerator, eps.denominator
-        first = _ineq_verdict(lo * b, self.coefficient * (b - a) * p)
-        if first != VIOLATED:
-            return first
-        # hi >= (a / (b divisor)) p^(num/den)  <=>  (hi b divisor)^den >= a^den p^num
-        return _ineq_verdict((hi * b * self.divisor)**self.den, a**self.den * p**self.num)
+        first, second = self.branches(pair, eps)
+        verdict = _ineq_verdict(*first)
+        return verdict if verdict != VIOLATED else _ineq_verdict(*second)
 
     def report(self, pair: SupportPair, eps: Fraction, verdict: str) -> BoundReport:
-        p, (lo, hi) = pair.p, _lo_hi(pair)
         details = {"epsilon": eps}
-        if self.advisory_below is not None and p < self.advisory_below:
+        if self.advisory_below is not None and pair.p < self.advisory_below:
             details["advisory"] = f"stated for p >= {self.advisory_below}"
-        lhs, rhs = Fraction(lo), self.coefficient * (1 - eps) * p
+        ineq, second = self.branches(pair, eps)
         if verdict == EXCEPTION:
             details["reason"] = f"min-side support within {self.cover_lines} line(s)"
-            return BoundReport(self.name, EXCEPTION, lhs, rhs, details=details)
-        b2_lhs = Fraction(hi)**self.den
-        b2_rhs = (eps / self.divisor)**self.den * Fraction(p)**self.num
-        details["branch2_lhs"] = b2_lhs
-        details["branch2_rhs"] = b2_rhs
-        if verdict != VIOLATED and lhs < rhs:
+            return _report(self.name, EXCEPTION, ineq, **details)
+        details["branch2_lhs"], details["branch2_rhs"] = _fractions(second)
+        if verdict != VIOLATED and ineq[0] < ineq[1]:
             # the max branch decided
-            lhs, rhs = b2_lhs, b2_rhs
-        return BoundReport(self.name, verdict, lhs, rhs, details=details)
+            ineq = second
+        return _report(self.name, verdict, ineq, **details)
 
 
 ASYM2 = _Asym("asym2", coefficient=2, num=3, den=2, divisor=1, cover_lines=1, advisory_below=31)
@@ -774,8 +774,7 @@ def report_coset_counts(pair: SupportPair, H: Optional[LineSubgroup], verdict: s
             rows.append({"direction": d, "quantity": label, "lhs": lhs, "rhs": rhs,
                          "ok": slack >= 0})
     _, lhs, rhs = tightest
-    return BoundReport("coset-counts", verdict, Fraction(lhs), Fraction(rhs),
-                       details={"inequalities": rows})
+    return _report("coset-counts", verdict, (lhs, rhs, 1), inequalities=rows)
 
 
 # -- the check registry ------------------------------------------------------------
@@ -791,12 +790,12 @@ def _grid_curve(label: str, p: int, x_of) -> List[Tuple[str, int, str]]:
     return rows
 
 
-def _conjecture_curves(p: int) -> List[Tuple[str, int, str]]:
-    rows = []
-    for k in range(1, p + 1):
-        rows += _grid_curve(f"conjecture_k={k}", p,
-                            lambda s: (p + 1 - k) * (p + 1 - Fraction(s, k)))
-    return rows
+def _linear_curve(label: str, p: int, k: int) -> List[Tuple[str, int, str]]:
+    """emit-curves rows of the family at k, x = (p+1-k)(p+1-s/k); none
+    outside 1 <= k <= p."""
+    if not 1 <= k <= p:
+        return []
+    return _grid_curve(label, p, lambda s: (p + 1 - k) * (p + 1 - Fraction(s, k)))
 
 
 @dataclass(frozen=True)
@@ -841,7 +840,7 @@ class CheckSpec:
         if value is None:
             raise ValueError(f"the {self.name} check requires {self.param}")
         if self.param == "k":
-            if not isinstance(value, int) or not 1 <= value <= p:
+            if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= p:
                 raise ValueError(f"k must be an integer in [1, {p}], got {value!r}")
             return value
         try:
@@ -855,21 +854,21 @@ class CheckSpec:
 
 #: every named check, in emit-curves order
 CHECKS: Dict[str, CheckSpec] = {spec.name: spec for spec in (
-    CheckSpec("product", (1, 2), decide_product, report_product, default=True,
-              curve=lambda p: _grid_curve("product", p, lambda s: Fraction(p * p, s))),
-    CheckSpec("birotao", (1,), decide_birotao, report_birotao, default=True),
-    CheckSpec("meshulam", (2,), decide_meshulam, report_meshulam, default=True,
-              curve=lambda p: _grid_curve("meshulam", p, lambda s: p * (p + 1 - s))),
-    CheckSpec("rational", (2,), decide_rational, report_rational, min_p=3, rational=True,
+    CheckSpec("product", (1, 2), decide_product,
+              lambda pair, _, v: _report("product", v, _product(pair, pair.p**pair.rank)),
               default=True,
-              curve=lambda p: _grid_curve("rational", p,
-                                          lambda s: (p - 1) * (p + 1 - Fraction(s, 2)))),
+              curve=lambda p: _grid_curve("product", p, lambda s: Fraction(p * p, s))),
+    CheckSpec("birotao", (1,), decide_birotao,
+              lambda pair, _, v: _report("birotao", v, _birotao(pair)), default=True),
+    CheckSpec("meshulam", (2,), decide_meshulam,
+              lambda pair, _, v: _report("meshulam", v, _linear(pair, 1)), default=True,
+              curve=lambda p: _linear_curve("meshulam", p, 1)),
+    CheckSpec("rational", (2,), decide_rational, report_rational, min_p=3, rational=True,
+              default=True, curve=lambda p: _linear_curve("rational", p, 2)),
     CheckSpec("kp1", (2,), decide_kp1, report_kp1, min_p=3, default=True,
-              curve=lambda p: _grid_curve("kp1", p,
-                                          lambda s: 2 * (p + 1 - Fraction(s, p - 1)))),
+              curve=lambda p: _linear_curve("kp1", p, p - 1)),
     CheckSpec("kp2", (2,), decide_kp2, report_kp2, min_p=3, default=True,
-              curve=lambda p: [] if p == 2 else _grid_curve(
-                  "kp2", p, lambda s: 3 * (p + 1 - Fraction(s, p - 2)))),
+              curve=lambda p: _linear_curve("kp2", p, p - 2)),
     CheckSpec("product3", (2,), decide_product3, report_product3, min_p=3, default=True,
               curve=lambda p: _grid_curve("product3", p,
                                           lambda s: Fraction(3 * p * (p - 2), s))),
@@ -878,7 +877,9 @@ CHECKS: Dict[str, CheckSpec] = {spec.name: spec for spec in (
               curve=lambda p: _grid_curve("roots", p,
                                           lambda s: (p + 1 - s**0.5) * (p + 1 - s**0.5))),
     CheckSpec("conjecture", (2,), decide_conjecture, report_conjecture, param="k",
-              cover_clause=True, curve=_conjecture_curves),
+              cover_clause=True,
+              curve=lambda p: [row for k in range(1, p + 1)
+                               for row in _linear_curve(f"conjecture_k={k}", p, k)]),
     CheckSpec("asym2", (2,), ASYM2.decide, ASYM2.report, param="eps"),
     CheckSpec("asym3", (2,), ASYM3.decide, ASYM3.report, param="eps"),
     # H, when given, restricts coset-counts to one direction
@@ -992,16 +993,14 @@ def check_quasicharacter(h: GFunc, A: Iterable[int]) -> BoundReport:
             break
     x = fourier_transform(h).support_size
     details = {"hypothesis_holds": hypothesis, "A_size": len(A), "transform_support": x}
+    ineq = (x, len(A), 1)
     if not hypothesis:
         details["note"] = "hypothesis fails; no claim"
-        return BoundReport("quasicharacter", EXCEPTION, Fraction(x), Fraction(len(A)),
-                           details=details)
+        return _report("quasicharacter", EXCEPTION, ineq, **details)
     if x == 1:
-        return BoundReport("quasicharacter", HOLDS, Fraction(x), Fraction(1), details=details)
-    verdict = _ineq_verdict(Fraction(x), Fraction(len(A)))
-    report = BoundReport("quasicharacter", verdict, Fraction(x), Fraction(len(A)),
-                         details=details)
-    if verdict == VIOLATED:
+        return _report("quasicharacter", HOLDS, (x, 1, 1), **details)
+    report = _report("quasicharacter", _ineq_verdict(*ineq), ineq, **details)
+    if report.verdict == VIOLATED:
         report.witness = h
     return report
 

@@ -303,10 +303,10 @@ def test_conjecture_cover_details_and_k_validation():
     assert rep.details["cover_X"] == 1
     assert rep.details["cover_clause_applies"]
     assert rep.verdict in (EXCEPTION, HOLDS, EQUALITY)
-    with pytest.raises(ValueError):
-        check_conjecture(f, 0)
-    with pytest.raises(ValueError):
-        check_conjecture(f, p + 1)
+    # a bool is an int in Python, but not a k
+    for k in (0, p + 1, True):
+        with pytest.raises(ValueError):
+            check_conjecture(f, k)
 
 
 def test_conjecture_lattice_witnesses():

@@ -190,15 +190,19 @@ def test_emit_curves_product_rows_exact(capsys):
     curves = {r["curve"] for r in rows}
     assert {"meshulam", "rational", "kp1", "kp2", "product3", "roots",
             "conjecture_k=1", "conjecture_k=11", "lattice"} <= curves
-    # conjecture k=1 coincides with the meshulam line
-    mesh = {r["s"]: r["x"] for r in rows if r["curve"] == "meshulam"}
-    conj1 = {r["s"]: r["x"] for r in rows if r["curve"] == "conjecture_k=1"}
-    assert mesh == conj1
+    # the four named linear checks are the conjecture family at fixed k
+    for name, k in (("meshulam", 1), ("rational", 2), ("kp1", 10), ("kp2", 9)):
+        named = {r["s"]: r["x"] for r in rows if r["curve"] == name}
+        family = {r["s"]: r["x"] for r in rows if r["curve"] == f"conjecture_k={k}"}
+        assert named == family, name
 
 
 CURVE_SHA256 = {
     2: "4445d829e488d4911f8dd20175c0af0aa681d32a14d5f7f2799cda67752e5fc3",
     3: "9c8a6b798ac843854825f4b47e6d6aee6b7f0c4044f1fe852506db25160f2d3d",
+    # from p = 5 on, the k of meshulam, rational, kp2 and kp1 all differ
+    5: "11e313642f524c33ef74786699b0a0889ffab7cc65abfea242984565e15da9a4",
+    7: "098849ebb1988ebcffa16f3ebbac75575625b5fbeeb6d6edc5569ca371d71eeb",
 }
 
 

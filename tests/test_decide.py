@@ -411,12 +411,20 @@ def test_sweep_and_hunt_build_no_reports(monkeypatch):
             made["reports"] += 1
             super().__init__(*args, **kwargs)
 
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made["fractions"] += 1
+            return super().__new__(cls, *args, **kwargs)
+
     monkeypatch.setattr(bounds, "BoundReport", CountingReport)
+    monkeypatch.setattr(bounds, "Fraction", CountingFraction)
     space = make_space(5, mode="random", seed=1, budget=300)
     result = sweep(space, ALL_CHECKS, k=2, eps="1/2")
     assert result.n_nonzero > 0
+    # the only Fractions are the epsilon admissions of asym2 and asym3
+    assert made["fractions"] == 2
     assert not hunt("roots", make_space(3)).found
-    assert made["reports"] == 0
+    assert made["reports"] == 0 and made["fractions"] == 2
     # the patched class is the one the report route builds
     assert isinstance(evaluate("product", SupportPair.from_masks(5, 2, 1, 2, True)),
                       CountingReport)
