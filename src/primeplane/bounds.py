@@ -14,7 +14,7 @@ class of its bound: the structural test runs first.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from itertools import repeat
@@ -72,7 +72,9 @@ class SupportPair:
 
     S and X are None at rank 1, where checks read only the sizes.  At
     rank 2 the per-direction structure comes from the line census
-    `PointSet.line_counts` of S and X, counted once per pair.
+    `PointSet.line_counts` of S and X, counted once per pair.  `covers`
+    holds the exact minimum line covers of S and X where a caller has
+    computed them.
     """
 
     p: int
@@ -82,6 +84,7 @@ class SupportPair:
     s_size: int
     x_size: int
     rational: bool
+    covers: Optional[Tuple[int, int]] = None
 
     @classmethod
     def from_masks(cls, p: int, rank: int, s_mask: int, x_mask: int,
@@ -92,9 +95,12 @@ class SupportPair:
         return cls(p, rank, S, X, s_mask.bit_count(), x_mask.bit_count(), rational)
 
     def covered(self, side: str, b: int) -> bool:
-        """True iff b lines cover S (primal) or X (dual), decided by the
+        """True iff b lines cover S (primal) or X (dual): read from the
+        exact covers when they are known, and otherwise decided by the
         search bounded at b lines, which costs far less than finding the
         minimum cover."""
+        if self.covers is not None:
+            return self.covers[side == DUAL] <= b
         return covered_by_lines(self.S if side == PRIMAL else self.X, b)
 
     def stats(self, direction: int) -> DirectionStats:
@@ -928,8 +934,11 @@ def verify(f: GFunc, checks: Sequence[Tuple[str, object]]) -> List[BoundReport]:
     fhat = fourier_transform(f)
     pair = SupportPair.from_masks(f.p, f.rank, f.support_mask, fhat.support_mask,
                                   f.is_rational_valued())
+    if any(spec.cover_clause for spec, _ in admitted):
+        # the reports print the exact covers, so every clause reads them
+        pair = replace(pair, covers=(min_line_cover(pair.S), min_line_cover(pair.X)))
     reports = [spec.report(pair, param, spec.decide(pair, param)) for spec, param in admitted]
-    structure = covers = None
+    structure = None
     if f.rank == 2 and any(r.verdict == EXCEPTION for r in reports):
         structure = classify_exception(f, fhat, pair)
     for (spec, _), report in zip(admitted, reports):
@@ -938,9 +947,7 @@ def verify(f: GFunc, checks: Sequence[Tuple[str, object]]) -> List[BoundReport]:
         elif report.verdict == EXCEPTION:
             report.exception = structure
         if spec.cover_clause:
-            if covers is None:
-                covers = {"cover_S": min_line_cover(pair.S), "cover_X": min_line_cover(pair.X)}
-            report.details.update(covers)
+            report.details.update(cover_S=pair.covers[0], cover_X=pair.covers[1])
     return reports
 
 

@@ -361,12 +361,19 @@ def double_transform(f: GFunc) -> GFunc:
                  [f.values[(-(g // p) % p) * p + (-g % p)] * scale for g in range(n)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _line_getters(p: int, rank: int) -> Tuple[Tuple[itemgetter, Tuple[itemgetter, ...], int], ...]:
     """(first, rest, mask) for each direction of _line_sum_tables: first
     and rest pick the values on line 0 and on lines 1..p-1, so
     sum(getter(values)) is one line's sum.  A rank-1 line is one point,
-    picked as a one-item slice so that the sum applies there too."""
+    picked as a one-item slice so that the sum applies there too.
+
+    Raises ValueError unless p is a usable prime and rank is 1 or 2, so a
+    cached table vouches for both; the cache is typed, so that 3.0 never
+    finds the entry of 3."""
+    check_prime(p)
+    if rank not in (1, 2):
+        raise ValueError("rank must be 1 or 2")
     out = []
     for line_of, mask, _ in _line_sum_tables(p, rank):
         if rank == 1:
@@ -407,15 +414,13 @@ def int_support_masks(p: int, rank: int, values: Sequence[int]) -> Tuple[int, in
     suite checks this route against one pass over the support per
     direction, against one pass per character, and against the transform.
     """
-    check_prime(p)
-    if rank not in (1, 2):
-        raise ValueError("rank must be 1 or 2")
+    lines = _line_getters(p, rank)  # validates p and rank
     n = p**rank
     if len(values) != n:
         raise ValueError(f"need {n} values, got {len(values)}")
     s_mask = sum(compress(_point_bits(n), values))
     x_mask = 1 if sum(values) else 0
-    for first, rest, mask in _line_getters(p, rank):
+    for first, rest, mask in lines:
         total = sum(first(values))
         for line in rest:
             if sum(line(values)) != total:

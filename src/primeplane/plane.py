@@ -359,22 +359,38 @@ class _Tables:
 def tables(p: int) -> _Tables:
     """Per-prime line tables shared by every search in this module and by
     the transforms of `fourier`.  The coset id of (x, y) in direction d is
-    <w_d, (x, y)> = (y - d*x) mod p for w_d = (-d, 1), and x for w_p = (1, 0)."""
+    <w_d, (x, y)> = (y - d*x) mod p for w_d = (-d, 1), and x for w_p = (1, 0).
+
+    Point (x, y) has index x*p + y, so row x holds p consecutive bits.  For
+    d < p, line 0 meets row x at y = d*x mod p, line c + 1 is line c moved
+    one step along y, cyclically inside each row, and row x of the ids
+    counts up from -d*x mod p; each mask is built from the one before by
+    whole-integer shifts."""
     check_prime(p)
-    n = p * p
+    last = (((1 << p * p) - 1) // ((1 << p) - 1)) << (p - 1)  # the points with y = p - 1
+    ramp = tuple(range(p)) * 2
     coset_masks = []
     coset_id = []
-    for d in range(p + 1):
-        masks = [0] * p
-        ids = [0] * n
+    for d in range(p):
+        line = 0
+        ids = []
         for x in range(p):
-            for y in range(p):
-                idx = x * p + y
-                c = x if d == p else (y - d * x) % p
-                masks[c] |= 1 << idx
-                ids[idx] = c
+            line |= 1 << (x * p + d * x % p)
+            c = -d * x % p
+            ids += ramp[c:c + p]
+        masks = [line]
+        for _ in range(p - 1):
+            line = (line & ~last) << 1 | (line & last) >> (p - 1)
+            masks.append(line)
         coset_masks.append(tuple(masks))
         coset_id.append(tuple(ids))
+    rows = []
+    ids = []
+    for x in range(p):
+        rows.append(((1 << p) - 1) << (x * p))
+        ids += (x,) * p
+    coset_masks.append(tuple(rows))
+    coset_id.append(tuple(ids))
     return _Tables(p, tuple(coset_masks), tuple(coset_id))
 
 

@@ -7,7 +7,8 @@ Candidates are enumerated by a mixed-radix counter over the point index
 reproducible and the lexicographically least witness is always found
 first.  Sweeps over all-integer alphabets use the integer support kernel
 from the fourier module; everything else goes through the exact CycNum
-transform.  Sweeps and hunts run their checks once per distinct support pair.
+transform.  Sweeps and hunts run their checks once per distinct support
+pair, and a sweep tallies each distinct row of verdicts once.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import islice, product, repeat
+from operator import itemgetter
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .cyclotomic import CycNum, check_prime, format_value, parse_value
 from .fourier import GFunc, fourier_transform, int_support_masks, twist
@@ -33,6 +36,8 @@ from . import bounds
 from .bounds import EQUALITY, EXCEPTION, VIOLATED
 
 DEFAULT_CEILING = 10**8
+
+_REVERSED = itemgetter(slice(None, None, -1))
 
 
 # -- construction gallery ------------------------------------------------------
@@ -389,6 +394,16 @@ class SearchSpace:
         """values_at with `ints` (the int_alphabet) in place of the alphabet."""
         return tuple(map(ints.__getitem__, self._decode(ordinal)[0]))
 
+    def int_values_in(self, ints: Tuple[int, ...], start: int,
+                      stop: int) -> Iterator[Tuple[int, ...]]:
+        """int_values_at for each ordinal in [start, stop).  An exhaustive
+        space streams them from itertools.product, which varies its last
+        position fastest, so its tuple k reversed is candidate k; islice
+        skips to `start` in C.  Random mode seeds each ordinal apart."""
+        if self.mode == "random":
+            return map(self.int_values_at, range(start, stop), repeat(ints))
+        return map(_REVERSED, islice(product(ints, repeat=self.n_points), start, stop))
+
     def gfunc_at(self, ordinal: int) -> GFunc:
         return GFunc(self.p, self.rank, PRIMAL, self.values_at(ordinal))
 
@@ -499,12 +514,12 @@ def _candidates(space: SearchSpace, start: int, stop: int):
     """
     p, rank = space.p, space.rank
     ints = space.int_alphabet()
-    for ordinal in range(start, stop):
-        if ints is not None:
-            int_values = space.int_values_at(ordinal, ints)
+    if ints is not None:
+        for ordinal, int_values in enumerate(space.int_values_in(ints, start, stop), start):
             if any(int_values):
                 yield (ordinal, *int_support_masks(p, rank, int_values))
-            continue
+        return
+    for ordinal in range(start, stop):
         values = space.values_at(ordinal)
         if all(v.is_zero() for v in values):
             continue
@@ -540,23 +555,39 @@ def _outcomes(space: SearchSpace, items: Sequence[Tuple[str, str, object]],
 
 def _run_range(space: SearchSpace, items: Sequence[Tuple[str, str, object]],
                start: int, stop: int, collect_exceptions: bool):
+    """(counts, violations, equalities, exceptions, n_nonzero) over one
+    ordinal range.  Each distinct verdict row is tallied once, with its
+    count and first ordinal; only rows with a violation, or an exception
+    when those are collected, are read label by label per candidate."""
     labels = [label for label, _, _ in items]
-    counts = {label: Counter() for label in labels}
+    listed = {VIOLATED, EXCEPTION} if collect_exceptions else {VIOLATED}
+    # row -> [count, first ordinal, whether the row holds a listed verdict]
+    tally: Dict[tuple, list] = {}
     violations: List[Tuple[str, int, str]] = []
-    equalities: Dict[str, Tuple[int, str]] = {}
     exceptions: Dict[str, List[int]] = {label: [] for label in labels} \
         if collect_exceptions else {}
-    n_nonzero = 0
     for ordinal, row in _outcomes(space, items, start, stop):
-        n_nonzero += 1
+        entry = tally.get(row)
+        if entry is None:
+            entry = tally[row] = [0, ordinal, not listed.isdisjoint(row)]
+        entry[0] += 1
+        if entry[2]:
+            for label, verdict in zip(labels, row):
+                if verdict == VIOLATED:
+                    violations.append((label, ordinal, space.literal_at(ordinal)))
+                elif verdict == EXCEPTION and collect_exceptions:
+                    exceptions[label].append(ordinal)
+    # rows in order of first ordinal: each label's first equality row comes first
+    counts = {label: Counter() for label in labels}
+    first_equality: Dict[str, int] = {}
+    for row, (count, first, _) in tally.items():
         for label, verdict in zip(labels, row):
-            counts[label][verdict] += 1
-            if verdict == VIOLATED:
-                violations.append((label, ordinal, space.literal_at(ordinal)))
-            elif verdict == EQUALITY and label not in equalities:
-                equalities[label] = (ordinal, space.literal_at(ordinal))
-            elif verdict == EXCEPTION and collect_exceptions:
-                exceptions[label].append(ordinal)
+            counts[label][verdict] += count
+            if verdict == EQUALITY:
+                first_equality.setdefault(label, first)
+    equalities = {label: (ordinal, space.literal_at(ordinal))
+                  for label, ordinal in first_equality.items()}
+    n_nonzero = sum(count for count, _, _ in tally.values())
     return counts, violations, equalities, exceptions, n_nonzero
 
 

@@ -234,13 +234,20 @@ COVER_VERIFY_SHA256 = {
 }
 
 
-def test_verify_cover_values_bytes(capsys):
+def test_verify_cover_values_bytes(capsys, monkeypatch):
+    # the cover clauses read the exact covers the reports print, so no
+    # bounded cover search runs beside them
+    counts = Counter()
+    counting(monkeypatch, bounds, "min_line_cover", counts)
+    counting(monkeypatch, bounds, "covered_by_lines", counts)
     for (family, p), digest in COVER_VERIFY_SHA256.items():
+        counts.clear()
         code, out, err = run_cli(capsys, "verify", "--family", family, "--p", str(p),
                                  "--theorem", "conjecture", "--theorem", "roots", "--k", "2")
         assert code in (EXIT_OK, EXIT_VIOLATION), err
         assert "cover_S" in out and "cover_X" in out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (family, p)
+        assert counts == {"min_line_cover": 2}, (family, p)
 
 
 # stdout digests of random sweeps that decode through the paths the p = 11

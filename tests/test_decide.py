@@ -11,6 +11,7 @@ takes the squared comparison whenever t = (p+1)^2 - |S| - |X| >= 0.
 import hashlib
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
@@ -34,7 +35,14 @@ from primeplane.bounds import (
     evaluate,
 )
 from primeplane.cli import EXIT_OK, main
-from primeplane.plane import DUAL, PRIMAL, LineSubgroup, orthogonal_directions, tables
+from primeplane.plane import (
+    DUAL,
+    PRIMAL,
+    LineSubgroup,
+    min_line_cover,
+    orthogonal_directions,
+    tables,
+)
 from primeplane.search import hunt, make_space, sweep
 
 # -- the reference evaluators ------------------------------------------------------
@@ -367,6 +375,20 @@ def check_against_reference(pair):
             expected = REFERENCE[name](pair, param)
             assert decide(name, pair, param) == expected.verdict, (name, param)
             assert evaluate(name, pair, param).to_json() == expected.to_json(), (name, param)
+
+
+@settings(max_examples=200, deadline=None)
+@given(support_pairs().filter(lambda pair: pair.rank == 2 and pair.p <= 7))
+def test_exact_covers_answer_as_the_bounded_search(pair):
+    # verify hands the checks a pair that carries its exact covers
+    exact = replace(pair, covers=(min_line_cover(pair.S), min_line_cover(pair.X)))
+    for side in (PRIMAL, DUAL):
+        assert [exact.covered(side, b) for b in range(pair.p + 1)] == \
+            [pair.covered(side, b) for b in range(pair.p + 1)], side
+    for name in ("conjecture", "roots", "asym2", "asym3"):
+        for param in params(name, pair.p):
+            assert evaluate(name, exact, param).to_json() == \
+                evaluate(name, pair, param).to_json(), (name, param)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

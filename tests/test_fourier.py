@@ -657,6 +657,9 @@ def test_int_kernel_matches_per_character_route_and_transform(p):
         int_support_masks(p, 3, [1] * p**3)
     with pytest.raises(ValueError):
         int_support_masks(p, 2, [1] * p)
+    # p's cached line table must not vouch for a float equal to p
+    with pytest.raises(ValueError):
+        int_support_masks(float(p), 2, [1] * p**2)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])

@@ -88,6 +88,31 @@ def test_lines_partition_plane():
             assert len(seen) == p * p
 
 
+def plain_tables(p):
+    """Reference route for tables(p): one pass over the points per
+    direction, setting each point's bit in its line's mask."""
+    coset_masks, coset_id = [], []
+    for d in range(p + 1):
+        masks = [0] * p
+        ids = [0] * (p * p)
+        for x in range(p):
+            for y in range(p):
+                idx = x * p + y
+                c = x if d == p else (y - d * x) % p
+                masks[c] |= 1 << idx
+                ids[idx] = c
+        coset_masks.append(tuple(masks))
+        coset_id.append(tuple(ids))
+    return tuple(coset_masks), tuple(coset_id)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_tables_match_plain_loop(p):
+    T = tables(p)
+    assert (T.coset_masks, T.coset_id) == plain_tables(p)
+    assert T.line_masks == tuple(m for masks in T.coset_masks for m in masks)
+
+
 def test_two_points_share_exactly_one_line():
     p = 3
     T = tables(p)

@@ -545,3 +545,53 @@ def test_decoding_matches_reference_routes(mode):
             if ints is not None:
                 assert space.int_values_at(ordinal, ints) == \
                     tuple(int(v.rational_value()) for v in values)
+
+
+@pytest.mark.parametrize("p, rank, base", [(2, 2, 2), (2, 2, 3), (2, 2, 4), (3, 2, 2),
+                                           (3, 2, 3), (5, 1, 2), (5, 1, 3), (5, 1, 4)])
+def test_exhaustive_stream_matches_per_ordinal_decode(p, rank, base):
+    alphabet = (0, 1, -1, 2)[:base]
+    space = make_space(p, alphabet=alphabet, rank=rank)
+    count = space.candidate_count
+    streamed = list(space.int_values_in(alphabet, 0, count))
+    assert streamed == [space.int_values_at(o, alphabet) for o in range(count)]
+    full = list(search._candidates(space, 0, count))
+    assert [o for o, _, _ in full] == [o for o in range(count) if any(streamed[o])]
+    # a chunk that starts past 0 skips ahead to its first ordinal
+    for a, b in [(1, count), (count // 3, count // 2), (count - 1, count), (5, 5)]:
+        assert list(space.int_values_in(alphabet, a, b)) == streamed[a:b]
+        assert list(search._candidates(space, a, b)) == [c for c in full if a <= c[0] < b]
+
+
+@pytest.mark.parametrize("collect", [True, False])
+def test_row_tally_lists_violations_by_ordinal_then_label(monkeypatch, collect):
+    # no check is violated at p = 3, so a patched decide plants violations:
+    # one support pair violates two labels, a second pair a third label
+    space = make_space(3, alphabet=(-1, 1))
+    checks = ["product", "meshulam", "rational", "kp1", "coset-counts"]
+    items = search._check_items(space, checks, None, None)
+    pair_of = [int_support_masks(3, 2, space.int_values_at(o, (-1, 1)))
+               for o in range(space.candidate_count)]
+    planted = {pair_of[7]: {"product", "kp1"}, pair_of[13]: {"meshulam"}}
+    assert len(planted) == 2
+    rows = [(ordinal, tuple((VIOLATED, False) if label in planted.get(pair_of[ordinal], ())
+                            else outcome for label, outcome in zip(checks, outcomes)))
+            for ordinal, outcomes in oracle_rows(space, items)]
+    decide = search.bounds.decide
+
+    def planting(name, pair, param):
+        if name in planted.get((pair.S.mask, pair.X.mask), ()):
+            return VIOLATED
+        return decide(name, pair, param)
+
+    monkeypatch.setattr(search.bounds, "decide", planting)
+    expected = oracle_sweep(space, items, rows)
+    if collect:
+        assert expected["exception_ordinals"]["rational"]
+    else:
+        del expected["exception_ordinals"]
+    assert sweep(space, checks, collect_exceptions=collect).to_json() == expected
+    # each planted pair first holds at its own ordinal, and both recur
+    found = [(v["ordinal"], v["check"]) for v in expected["violations"]]
+    assert found[:3] == [(7, "product"), (7, "kp1"), (13, "meshulam")]
+    assert len({o for o, _ in found}) > 2
