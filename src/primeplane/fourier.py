@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, islice, product, repeat
 from math import lcm
-from operator import itemgetter
-from typing import List, Optional, Sequence, Tuple, Union
+from operator import itemgetter, or_
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .cyclotomic import (
     CycNum,
@@ -412,7 +412,8 @@ def int_support_masks(p: int, rank: int, values: Sequence[int]) -> Tuple[int, in
     only one outside it costs all p, so the work is at most (p + 1) * p^2
     integer additions at rank 2, however large the support.  The test
     suite checks this route against one pass over the support per
-    direction, against one pass per character, and against the transform.
+    direction, against one pass per character, and against the transform;
+    in turn it is the oracle of int_support_stream, at every ordinal.
     """
     lines = _line_getters(p, rank)  # validates p and rank
     n = p**rank
@@ -427,6 +428,90 @@ def int_support_masks(p: int, rank: int, values: Sequence[int]) -> Tuple[int, in
                 x_mask |= mask
                 break
     return s_mask, x_mask
+
+
+#: the most assignments a low block of int_support_stream holds
+_LOW_BLOCK = 1024
+
+
+def _line_keys(lines, values: Sequence[int]) -> Iterator[Tuple[int, ...]]:
+    """For each direction of _line_getters, the p line sums of `values`
+    less the sum on line 0: the key is all zeros iff the direction is out
+    of the transform's support, and it is linear in the values."""
+    for first, rest, _ in lines:
+        base = sum(first(values))
+        yield tuple([sum(line(values)) - base for line in rest])
+
+
+def _low_block(lines, ints: Sequence[int], r: int, n: int):
+    """(s_masks, by_total, by_key) over the assignments of `ints` to
+    points 0..r-1, numbered with point 0 fastest: each one's support
+    mask, its indices grouped by value total, and per direction grouped
+    by _line_keys."""
+    s_masks: List[int] = []
+    by_total: Dict[int, List[int]] = {}
+    by_key: List[Dict[tuple, List[int]]] = [{} for _ in lines]
+    pad = (0,) * (n - r)
+    bits = _point_bits(n)
+    for index, low in enumerate(product(ints, repeat=r)):
+        values = low[::-1] + pad
+        s_masks.append(sum(compress(bits, values)))
+        by_total.setdefault(sum(values), []).append(index)
+        for groups, key in zip(by_key, _line_keys(lines, values)):
+            groups.setdefault(key, []).append(index)
+    return s_masks, by_total, by_key
+
+
+def int_support_stream(p: int, rank: int, ints: Sequence[int], start: int,
+                       stop: int) -> Iterator[Tuple[int, int, int]]:
+    """(ordinal, s_mask, x_mask) for each nonzero candidate with
+    start <= ordinal < stop of the exhaustive space over `ints`, in
+    ordinal order: candidate o takes ints[digit i of o in base len(ints)]
+    at point i, so point 0 varies fastest.  The masks are those of
+    int_support_masks, decided a block of candidates at a time.
+
+    The points split into a low block 0..r-1, with r the largest r <= n
+    for which B**r <= _LOW_BLOCK (B = len(ints)), and a high block, so
+    that ordinal = h * B**r + l.  Line sums are linear in the values, so
+    a candidate's line sums are its low assignment's plus its high one's:
+    direction d is out of the transform's support iff the low key of d
+    (_line_keys) is the negated high key, and w = 0 iff the low total is
+    the negated high total.  The low keys are grouped once; per high
+    assignment a row of B**r masks starts full, and only the low
+    assignments found under the negated keys lose a bit, so the Python
+    work per high assignment is O((p + 1) * p) sums plus one step per bit
+    cleared.  Memory is the low block's tables, O(B**r * (p + 1)), and
+    one row.
+    """
+    lines = _line_getters(p, rank)  # validates p and rank
+    n, base = p**rank, len(ints)
+    r = 0
+    while r < n and base ** (r + 1) <= _LOW_BLOCK:
+        r += 1
+    width = base**r
+    if start >= stop:
+        return
+    s_low, by_total, by_key = _low_block(lines, ints, r, n)
+    clears = [(groups, ~mask) for groups, (_, _, mask) in zip(by_key, lines)]
+    full, head, bits = (1 << n) - 1, (0,) * r, _point_bits(n)
+    # the high block's values are negated, so that its keys and total are
+    # the ones a low assignment must have for the sum to cancel
+    negated = tuple(-v for v in ints)
+    first_high = start // width
+    highs = islice(product(negated, repeat=n - r), first_high, -(-stop // width))
+    for h, high in enumerate(highs, first_high):
+        values = head + high[::-1]
+        x_row = [full] * width
+        for index in by_total.get(sum(values), ()):
+            x_row[index] &= ~1
+        for (groups, keep), key in zip(clears, _line_keys(lines, values)):
+            for index in groups.get(key, ()):
+                x_row[index] &= keep
+        first = h * width
+        lo, hi = max(start - first, 0), min(stop - first, width)
+        s_row = list(map(or_, repeat(sum(compress(bits, values))), s_low[lo:hi]))
+        # a zero S mask is the zero candidate, the one that is skipped
+        yield from compress(zip(range(first + lo, first + hi), s_row, x_row[lo:hi]), s_row)
 
 
 # -- convolution -----------------------------------------------------------------

@@ -6,9 +6,11 @@ Candidates are enumerated by a mixed-radix counter over the point index
 (point 0 is the least significant digit), so witness identities are
 reproducible and the lexicographically least witness is always found
 first.  Sweeps over all-integer alphabets use the integer support kernel
-from the fourier module; everything else goes through the exact CycNum
-transform.  Sweeps and hunts run their checks once per distinct support
-pair, and a sweep tallies each distinct row of verdicts once.
+from the fourier module, which decides an exhaustive space a block of
+candidates at a time; everything else goes through the exact CycNum
+transform, over value tuples streamed from itertools.product.  Sweeps
+and hunts run their checks once per distinct support pair, and a sweep
+tallies each distinct row of verdicts once.
 """
 
 from __future__ import annotations
@@ -18,12 +20,12 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, product, repeat
+from itertools import islice, product
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .cyclotomic import CycNum, check_prime, format_value, parse_value
-from .fourier import GFunc, fourier_transform, int_support_masks, twist
+from .fourier import GFunc, fourier_transform, int_support_masks, int_support_stream, twist
 from .plane import (
     DUAL,
     PRIMAL,
@@ -391,18 +393,41 @@ class SearchSpace:
         return values
 
     def int_values_at(self, ordinal: int, ints: Tuple[int, ...]) -> Tuple[int, ...]:
-        """values_at with `ints` (the int_alphabet) in place of the alphabet."""
+        """values_at with `ints` (the int_alphabet) in place of the alphabet:
+        random mode's integer decode, and the tests' oracle for the
+        exhaustive block stream."""
         return tuple(map(ints.__getitem__, self._decode(ordinal)[0]))
 
-    def int_values_in(self, ints: Tuple[int, ...], start: int,
-                      stop: int) -> Iterator[Tuple[int, ...]]:
-        """int_values_at for each ordinal in [start, stop).  An exhaustive
-        space streams them from itertools.product, which varies its last
-        position fastest, so its tuple k reversed is candidate k; islice
-        skips to `start` in C.  Random mode seeds each ordinal apart."""
+    def values_in(self, start: int, stop: int) -> Iterator[Tuple[int, Tuple[CycNum, ...]]]:
+        """(ordinal, values_at(ordinal)) for each nonzero candidate with
+        start <= ordinal < stop, in ordinal order.
+
+        An exhaustive space streams each character's value tuples from
+        itertools.product, which varies its last position fastest, so its
+        tuple k reversed is counter k; islice skips to the chunk's first
+        in C.  The zero candidate is the counter whose every digit is the
+        zero letter's index (none without a zero letter), under every
+        character, since a twist keeps zero at zero.  Random mode decodes
+        and tests each ordinal apart."""
         if self.mode == "random":
-            return map(self.int_values_at, range(start, stop), repeat(ints))
-        return map(_REVERSED, islice(product(ints, repeat=self.n_points), start, stop))
+            for ordinal in range(start, stop):
+                values = self.values_at(ordinal)
+                if any(values):
+                    yield ordinal, values
+            return
+        p, rank, n, count = self.p, self.rank, self.n_points, self.base_count
+        base, zero = len(self.alphabet), CycNum.zero(p)
+        zero_counter = sum(self.alphabet.index(zero) * base**i for i in range(n)) \
+            if zero in self.alphabet else -1
+        for chi in range(start // count, -(-stop // count)):
+            first = chi * count
+            lo = max(start - first, 0)
+            rows = islice(product(self.alphabet, repeat=n), lo, min(stop - first, count))
+            for counter, values in enumerate(map(_REVERSED, rows), lo):
+                if counter != zero_counter:
+                    if self.char_twist:
+                        values = twist(GFunc(p, rank, PRIMAL, values), chi).values
+                    yield first + counter, values
 
     def gfunc_at(self, ordinal: int) -> GFunc:
         return GFunc(self.p, self.rank, PRIMAL, self.values_at(ordinal))
@@ -509,22 +534,24 @@ def _candidates(space: SearchSpace, start: int, stop: int):
     """Yield (ordinal, s_mask, x_mask) for each nonzero candidate with
     start <= ordinal < stop, in ordinal order.
 
-    All-integer alphabets take the integer support kernel; everything else
-    goes through the exact CycNum transform.
+    All-integer alphabets take the integer support kernel: an exhaustive
+    space a block of candidates at a time (fourier.int_support_stream),
+    a random one per candidate.  Everything else goes through the exact
+    CycNum transform.
     """
     p, rank = space.p, space.rank
     ints = space.int_alphabet()
-    if ints is not None:
-        for ordinal, int_values in enumerate(space.int_values_in(ints, start, stop), start):
+    if ints is None:
+        for ordinal, values in space.values_in(start, stop):
+            func = GFunc(p, rank, PRIMAL, values)
+            yield ordinal, func.support_mask, fourier_transform(func).support_mask
+    elif space.mode == "exhaustive":
+        yield from int_support_stream(p, rank, ints, start, stop)
+    else:
+        for ordinal in range(start, stop):
+            int_values = space.int_values_at(ordinal, ints)
             if any(int_values):
                 yield (ordinal, *int_support_masks(p, rank, int_values))
-        return
-    for ordinal in range(start, stop):
-        values = space.values_at(ordinal)
-        if all(v.is_zero() for v in values):
-            continue
-        func = GFunc(p, rank, PRIMAL, values)
-        yield ordinal, func.support_mask, fourier_transform(func).support_mask
 
 
 def _outcomes(space: SearchSpace, items: Sequence[Tuple[str, str, object]],

@@ -3,6 +3,7 @@
 import concurrent.futures
 import os
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,13 @@ import pytest
 from primeplane import search
 from primeplane.bounds import EQUALITY, EXCEPTION, VIOLATED
 from primeplane.cyclotomic import CycNum, root_of_unity
-from primeplane.fourier import GFunc, fourier_transform, int_support_masks, pair_exponents
+from primeplane.fourier import (
+    GFunc,
+    fourier_transform,
+    int_support_masks,
+    int_support_stream,
+    pair_exponents,
+)
 from primeplane.plane import DUAL, PRIMAL, Coset, LineSubgroup, Point, coset_from_id
 from primeplane.search import (
     SearchSpace,
@@ -547,20 +554,75 @@ def test_decoding_matches_reference_routes(mode):
                     tuple(int(v.rational_value()) for v in values)
 
 
-@pytest.mark.parametrize("p, rank, base", [(2, 2, 2), (2, 2, 3), (2, 2, 4), (3, 2, 2),
-                                           (3, 2, 3), (5, 1, 2), (5, 1, 3), (5, 1, 4)])
-def test_exhaustive_stream_matches_per_ordinal_decode(p, rank, base):
-    alphabet = (0, 1, -1, 2)[:base]
+STREAM_SPACES = [
+    pytest.param(p, rank, (0, 1, -1, 2)[:base], id=f"{p}-{rank}-{base}")
+    for p, rank, base in [(2, 2, 2), (2, 2, 3), (2, 2, 4), (3, 2, 2), (3, 2, 3),
+                          (5, 1, 2), (5, 1, 3), (5, 1, 4)]
+] + [
+    pytest.param(p, rank, alphabet, id=f"{p}-{rank}-[{','.join(map(str, alphabet))}]")
+    for p, rank in [(2, 2), (3, 2), (5, 1), (7, 1), (11, 1)]
+    for alphabet in [(-1, 0, 1), (0, 1, 2, -3), (1, 2), (5,), (0,)]
+    if len(alphabet) ** p**rank <= 4**9
+]
+
+
+@pytest.mark.parametrize("p, rank, alphabet", STREAM_SPACES)
+def test_exhaustive_stream_matches_per_ordinal_decode(p, rank, alphabet):
+    # the block stream against the per-candidate kernel, at every ordinal
     space = make_space(p, alphabet=alphabet, rank=rank)
-    count = space.candidate_count
-    streamed = list(space.int_values_in(alphabet, 0, count))
-    assert streamed == [space.int_values_at(o, alphabet) for o in range(count)]
-    full = list(search._candidates(space, 0, count))
-    assert [o for o, _, _ in full] == [o for o in range(count) if any(streamed[o])]
-    # a chunk that starts past 0 skips ahead to its first ordinal
-    for a, b in [(1, count), (count // 3, count // 2), (count - 1, count), (5, 5)]:
-        assert list(space.int_values_in(alphabet, a, b)) == streamed[a:b]
-        assert list(search._candidates(space, a, b)) == [c for c in full if a <= c[0] < b]
+    count, n = space.candidate_count, p**rank
+    full = [(o, *int_support_masks(p, rank, values)) for o in range(count)
+            for values in [space.int_values_at(o, alphabet)] if any(values)]
+    assert list(int_support_stream(p, rank, alphabet, 0, count)) == full
+    assert list(search._candidates(space, 0, count)) == full
+    # chunks that start or end inside a low block, span several, or are empty
+    width = max(len(alphabet) ** r for r in range(n + 1) if len(alphabet) ** r <= 1024)
+    for a, b in [(1, count), (width - 1, width + 1), (width // 2, 3 * width + 5),
+                 (count // 3, count // 2), (count - 1, count), (5, 5), (count, count)]:
+        a, b = min(a, count), min(b, count)
+        expected = [c for c in full if a <= c[0] < b]
+        assert list(int_support_stream(p, rank, alphabet, a, b)) == expected, (a, b)
+        assert list(search._candidates(space, a, b)) == expected, (a, b)
+
+
+def test_exhaustive_stream_memory_is_bounded():
+    # the low block's tables and one row of masks at a time: nothing is
+    # kept per high assignment or per key
+    p = 11
+    int_support_masks(p, 1, (1,) * p)  # the cached line getters
+    tracemalloc.start()
+    try:
+        nonzero = sum(1 for _ in int_support_stream(p, 1, (-1, 0, 1), 0, 3**p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nonzero == 3**p - 1
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("p, rank, alphabet, twist", [
+    (3, 1, (0, 1, "z"), False), (5, 1, ("1/2", "z", 0), False), (3, 2, (0, "z"), False),
+    (3, 2, ("z", "1/2"), False), (2, 2, (0, 1, "z"), True), (2, 2, (1, "1/2"), True),
+    (3, 1, (0, "z", 2), True), (3, 1, (1, "1/2"), True),
+])
+def test_exact_stream_matches_per_ordinal_route(p, rank, alphabet, twist):
+    space = make_space(p, alphabet=alphabet, rank=rank, char_twist=twist)
+    assert space.int_alphabet() is None
+    count, base = space.candidate_count, space.base_count
+    full = []
+    for ordinal in range(count):
+        values = space.values_at(ordinal)
+        if all(v.is_zero() for v in values):
+            continue
+        f = GFunc(p, rank, PRIMAL, values)
+        full.append((ordinal, f.support_mask, fourier_transform(f).support_mask))
+    assert list(search._candidates(space, 0, count)) == full
+    # chunks that cross a character, span several, or are empty
+    for a, b in [(1, count), (base - 1, base + 1), (base // 2, 2 * base + 3),
+                 (count // 3, count // 2), (count - 1, count), (5, 5)]:
+        a, b = min(a, count), min(b, count)
+        assert list(search._candidates(space, a, b)) == \
+            [c for c in full if a <= c[0] < b], (a, b)
 
 
 @pytest.mark.parametrize("collect", [True, False])
