@@ -533,15 +533,6 @@ def _either_covered(pair: SupportPair, b: int) -> bool:
     return pair.covered(PRIMAL, b) or pair.covered(DUAL, b)
 
 
-def _clause_detail(pair: SupportPair, b: int, verdict: str) -> bool:
-    """cover_clause_applies for a report: decide ran the clause exactly when
-    the inequality failed, so an exception is the clause and a violation
-    its absence; a holding inequality needs the bounded search here."""
-    if verdict in (EXCEPTION, VIOLATED):
-        return verdict == EXCEPTION
-    return _either_covered(pair, b)
-
-
 def _product(pair: SupportPair, n: int) -> Tuple[int, int, int]:
     """|S||X| >= n."""
     return pair.s_size * pair.x_size, n, 1
@@ -682,7 +673,7 @@ def decide_conjecture(pair: SupportPair, k: int) -> str:
 def report_conjecture(pair: SupportPair, k: int, verdict: str) -> BoundReport:
     threshold = min(k, pair.p + 1 - k)
     return _report("conjecture", verdict, _linear(pair, k), k=k, cover_threshold=threshold,
-                   cover_clause_applies=_clause_detail(pair, threshold - 1, verdict))
+                   cover_clause_applies=_either_covered(pair, threshold - 1))
 
 
 def decide_roots(pair: SupportPair, param=None) -> str:
@@ -695,7 +686,7 @@ def decide_roots(pair: SupportPair, param=None) -> str:
 def report_roots(pair: SupportPair, param, verdict: str) -> BoundReport:
     a, b = pair.s_size, pair.x_size
     return _report("roots", verdict, _roots(pair), S_size=a, X_size=b,
-                   cover_clause_applies=_clause_detail(pair, (pair.p - 1) // 2, verdict),
+                   cover_clause_applies=_either_covered(pair, (pair.p - 1) // 2),
                    squared_compare=a + b <= (pair.p + 1)**2)
 
 

@@ -1,13 +1,17 @@
 """Batch command-line front end.
 
 Subcommands: verify, sweep, hunt, frontier, geometry, classify,
-emit-curves.  Every report embeds the run configuration and the package
-version, and identical configurations produce byte-identical output.
+emit-curves.  Every JSON report is one envelope, {version, config,
+<result>}, and identical configurations produce byte-identical output.
+The config echoes the subcommand, every flag with a value and `theorems`,
+over six fixed values (rank, mode, seed, budget, char_twist, jobs) that
+appear even on subcommands without those flags, for byte identity with
+the digests recorded in perfbench/expected.json.
 Exit codes: 0 on success, 2 when a violation witness was found, 64 on
 usage errors (bad flags, malformed literals, exceeded ceilings, an
-unreadable --file or unwritable --out), 70 when an internal invariant
-check fails, 75 when an exact plane search (minimum blocking set,
-minimum line cover) runs out of its node budget.
+unreadable --file or unwritable --out) and when memory runs out, 70 when
+an internal invariant check fails, 75 when an exact plane search (minimum
+blocking set, minimum line cover) runs out of its node budget.
 """
 
 from __future__ import annotations
@@ -16,13 +20,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from functools import lru_cache
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from . import __version__, bounds, search
-from .bounds import VIOLATED, BoundReport, classify_exception
+from .bounds import VIOLATED, classify_exception
 from .cyclotomic import check_prime
 from .fourier import GFunc
 from .plane import (
@@ -44,6 +48,13 @@ EXIT_BUDGET = 75
 
 CEILING_ENV = "PRIMEPLANE_CEILING"
 
+# Every report's config has always carried these six values, whatever the
+# subcommand (even "rank": 2 on a rank-1 verify), and the recorded report
+# digests depend on them; flags given override them.
+_CONFIG_DEFAULTS = {"rank": 2, "mode": "exhaustive", "seed": 0, "budget": 10000,
+                    "char_twist": False, "jobs": 1}
+
+
 def _default_checks(func: GFunc) -> List[str]:
     return [spec.name for spec in bounds.CHECKS.values()
             if spec.default and func.rank in spec.ranks and func.p >= spec.min_p
@@ -53,40 +64,8 @@ def _default_checks(func: GFunc) -> List[str]:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self._fail(message))
-
-    def _fail(self, message) -> int:
         print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return EXIT_USAGE
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    p: Optional[int] = None
-    function: Optional[str] = None
-    file: Optional[str] = None
-    family: Optional[str] = None
-    m: Optional[int] = None
-    n: Optional[int] = None
-    theorems: Optional[List[str]] = None
-    k: Optional[int] = None
-    epsilon: Optional[str] = None
-    alphabet: Optional[str] = None
-    rank: int = 2
-    mode: str = "exhaustive"
-    seed: int = 0
-    budget: int = 10000
-    char_twist: bool = False
-    ceiling: Optional[int] = None
-    query: Optional[str] = None
-    points: Optional[str] = None
-    out: Optional[str] = None
-    format: Optional[str] = None
-    jobs: int = 1
-
-    def to_json(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
+        raise SystemExit(EXIT_USAGE)
 
 
 def _emit(text: str, args) -> None:
@@ -96,7 +75,16 @@ def _emit(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(payload: dict, args) -> None:
+def _emit_report(args, key: str, body) -> None:
+    """Write {version, config, key: body} as sorted JSON.  The config is
+    _CONFIG_DEFAULTS overlaid with every parsed value that is set, with the
+    --theorem list as `theorems`."""
+    config = dict(_CONFIG_DEFAULTS)
+    config.update((name, value) for name, value in vars(args).items()
+                  if value is not None and name not in ("handler", "theorem"))
+    if getattr(args, "theorem", None):
+        config["theorems"] = args.theorem
+    payload = {"version": __version__, "config": config, key: body}
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args)
 
 
@@ -110,18 +98,6 @@ def _ceiling(args) -> int:
         except ValueError as exc:
             raise ValueError(f"{CEILING_ENV} must be an integer, got {env!r}") from exc
     return search.DEFAULT_CEILING
-
-
-def _config_from(args, sub: str) -> RunConfig:
-    cfg = RunConfig(subcommand=sub)
-    for name in vars(cfg):
-        if name in ("subcommand", "theorems"):
-            continue
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if hasattr(args, "theorem") and args.theorem:
-        cfg.theorems = list(args.theorem)
-    return cfg
 
 
 def _load_function(args) -> GFunc:
@@ -161,14 +137,6 @@ def _space_from(args) -> SearchSpace:
                       ceiling=_ceiling(args))
 
 
-def _reports_payload(cfg: RunConfig, reports: Sequence[BoundReport]) -> dict:
-    return {
-        "version": __version__,
-        "config": cfg.to_json(),
-        "reports": [r.to_json() for r in reports],
-    }
-
-
 # -- subcommands --------------------------------------------------------------
 
 
@@ -178,52 +146,39 @@ def _cmd_verify(args) -> int:
     params = {"k": args.k, "eps": args.epsilon}
     reports = bounds.verify(func, [(name, params.get(bounds.CHECKS[name].param))
                                    for name in names])
-    cfg = _config_from(args, "verify")
-    _emit_json(_reports_payload(cfg, reports), args)
+    _emit_report(args, "reports", [r.to_json() for r in reports])
     return EXIT_VIOLATION if any(r.verdict == VIOLATED for r in reports) else EXIT_OK
 
 
 def _cmd_classify(args) -> int:
-    func = _load_function(args)
-    desc = classify_exception(func)
-    cfg = _config_from(args, "classify")
-    payload = {
-        "version": __version__,
-        "config": cfg.to_json(),
-        "classification": None if desc is None else desc.to_json(),
-    }
-    _emit_json(payload, args)
+    desc = classify_exception(_load_function(args))
+    _emit_report(args, "classification", None if desc is None else desc.to_json())
     return EXIT_OK
 
 
+# The --points geometry queries, in --query order.  Each result builder
+# looks the plane function up when it runs, so a patched module name is seen.
+_POINT_QUERIES = {
+    "directions": lambda pts: {"directions": sorted(directions_determined(pts)),
+                               "size": pts.size},
+    "pencil": lambda pts: asdict(pencil_stability(pts)),
+    "rich-direction": lambda pts: {"direction": rich_direction_search(pts), "size": pts.size},
+    "bounded-direction": lambda pts: {"direction": bounded_line_direction(pts),
+                                      "size": pts.size},
+}
+
+
 def _cmd_geometry(args) -> int:
-    cfg = _config_from(args, "geometry")
-    result: dict
     if args.query == "blocking-min":
         if args.p is None:
             raise ValueError("blocking-min requires --p")
         size, witness = min_blocking_size(args.p)
         result = {"minimum": size, "witness": witness.literal()}
+    elif not args.points:
+        raise ValueError(f"query {args.query!r} requires --points")
     else:
-        if not args.points:
-            raise ValueError(f"query {args.query!r} requires --points")
-        pts = parse_pointset(args.points)
-        if args.query == "directions":
-            result = {"directions": sorted(directions_determined(pts)),
-                      "size": pts.size}
-        elif args.query == "pencil":
-            rep = pencil_stability(pts)
-            result = {"k": rep.k, "m": rep.m, "bound": rep.bound,
-                      "holds": rep.holds, "is_blocking": rep.is_blocking,
-                      "size": rep.size}
-        elif args.query == "rich-direction":
-            result = {"direction": rich_direction_search(pts), "size": pts.size}
-        elif args.query == "bounded-direction":
-            result = {"direction": bounded_line_direction(pts), "size": pts.size}
-        else:
-            raise ValueError(f"unknown geometry query {args.query!r}")
-    payload = {"version": __version__, "config": cfg.to_json(), "result": result}
-    _emit_json(payload, args)
+        result = _POINT_QUERIES[args.query](parse_pointset(args.points))
+    _emit_report(args, "result", result)
     return EXIT_OK
 
 
@@ -232,9 +187,7 @@ def _cmd_sweep(args) -> int:
     if not args.theorem:
         raise ValueError("sweep requires at least one --theorem")
     result = sweep(space, list(args.theorem), k=args.k, eps=args.epsilon, jobs=args.jobs)
-    cfg = _config_from(args, "sweep")
-    payload = {"version": __version__, "config": cfg.to_json(), "sweep": result.to_json()}
-    _emit_json(payload, args)
+    _emit_report(args, "sweep", result.to_json())
     return EXIT_VIOLATION if result.violations else EXIT_OK
 
 
@@ -243,19 +196,14 @@ def _cmd_hunt(args) -> int:
     if not args.theorem or len(args.theorem) != 1:
         raise ValueError("hunt requires exactly one --theorem")
     result = hunt(args.theorem[0], space, k=args.k, eps=args.epsilon)
-    cfg = _config_from(args, "hunt")
-    payload = {"version": __version__, "config": cfg.to_json(), "hunt": result.to_json()}
-    _emit_json(payload, args)
+    _emit_report(args, "hunt", result.to_json())
     return EXIT_VIOLATION if result.found else EXIT_OK
 
 
 def _cmd_frontier(args) -> int:
-    space = _space_from(args)
-    result = frontier(space)
-    cfg = _config_from(args, "frontier")
-    if (args.format or "csv") == "json":
-        _emit_json({"version": __version__, "config": cfg.to_json(),
-                    "frontier": result.to_json()}, args)
+    result = frontier(_space_from(args))
+    if args.format == "json":
+        _emit_report(args, "frontier", result.to_json())
     else:
         _emit(result.to_csv(), args)
     return EXIT_OK
@@ -341,29 +289,22 @@ def _parser_for(checks: Tuple[str, ...]) -> _Parser:
     sp.set_defaults(handler=_cmd_classify)
 
     sp = subs.add_parser("geometry", help="plane geometry queries")
-    sp.add_argument("--query", required=True,
-                    choices=("blocking-min", "directions", "pencil",
-                             "rich-direction", "bounded-direction"))
+    sp.add_argument("--query", required=True, choices=("blocking-min", *_POINT_QUERIES))
     sp.add_argument("--p", type=int, help="prime order (blocking-min)")
     sp.add_argument("--points", help="point-set literal 'p; (x,y),...'")
     _add_common_output(sp)
     sp.set_defaults(handler=_cmd_geometry)
 
-    sp = subs.add_parser("sweep", help="evaluate checks over a candidate space")
-    _add_space_args(sp)
-    sp.add_argument("--theorem", action="append", help="check id (repeatable)")
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--epsilon", default=None)
-    _add_common_output(sp)
-    sp.set_defaults(handler=_cmd_sweep)
-
-    sp = subs.add_parser("hunt", help="search a space for a violation witness")
-    _add_space_args(sp)
-    sp.add_argument("--theorem", action="append", help="check id (exactly one)")
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--epsilon", default=None)
-    _add_common_output(sp)
-    sp.set_defaults(handler=_cmd_hunt)
+    for name, handler, summary, count in (
+            ("sweep", _cmd_sweep, "evaluate checks over a candidate space", "repeatable"),
+            ("hunt", _cmd_hunt, "search a space for a violation witness", "exactly one")):
+        sp = subs.add_parser(name, help=summary)
+        _add_space_args(sp)
+        sp.add_argument("--theorem", action="append", help=f"check id ({count})")
+        sp.add_argument("--k", type=int, default=None)
+        sp.add_argument("--epsilon", default=None)
+        _add_common_output(sp)
+        sp.set_defaults(handler=handler)
 
     sp = subs.add_parser("frontier", help="map attained (|S|, |X|) pairs")
     _add_space_args(sp)
@@ -389,6 +330,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"primeplane: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print(f"primeplane: error: out of memory in {args.subcommand}; "
+              f"try a smaller p or space", file=sys.stderr)
         return EXIT_USAGE
     except SearchBudgetExceeded as exc:
         print(f"primeplane: error: {exc}", file=sys.stderr)

@@ -5,12 +5,13 @@ attained (|S|, |X|) frontier with witnesses.
 Candidates are enumerated by a mixed-radix counter over the point index
 (point 0 is the least significant digit), so witness identities are
 reproducible and the lexicographically least witness is always found
-first.  Sweeps over all-integer alphabets use the integer support kernel
-from the fourier module, which decides an exhaustive space a block of
-candidates at a time; everything else goes through the exact CycNum
-transform, over value tuples streamed from itertools.product.  Sweeps
-and hunts run their checks once per distinct support pair, and a sweep
-tallies each distinct row of verdicts once.
+first.  Sweeps over all-rational alphabets, scaled to integers by the lcm
+of their denominators, use the integer support kernel from the fourier
+module, which decides an exhaustive space a block of candidates at a
+time; everything else goes through the exact CycNum transform, over
+value tuples streamed from itertools.product.  Sweeps and hunts run their
+checks once per distinct support pair, and a sweep tallies each distinct
+row of verdicts once.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, product
+from math import lcm
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -352,18 +354,14 @@ class SearchSpace:
         return self.base_count * (self.n_points if self.char_twist else 1)
 
     def int_alphabet(self) -> Optional[Tuple[int, ...]]:
-        """Plain-integer view of the alphabet when one exists (and no twist)."""
-        if self.char_twist:
+        """The alphabet times the lcm of its denominators, as plain ints,
+        when it is all-rational without a twist; None otherwise.  Scaling a
+        function scales its transform, so neither support changes."""
+        if not self.all_rational():
             return None
-        out = []
-        for v in self.alphabet:
-            if not v.is_rational():
-                return None
-            r = v.rational_value()
-            if r.denominator != 1:
-                return None
-            out.append(int(r))
-        return tuple(out)
+        values = [v.rational_value() for v in self.alphabet]
+        scale = lcm(*(r.denominator for r in values))
+        return tuple(int(r * scale) for r in values)
 
     def all_rational(self) -> bool:
         return not self.char_twist and all(v.is_rational() for v in self.alphabet)
@@ -534,10 +532,10 @@ def _candidates(space: SearchSpace, start: int, stop: int):
     """Yield (ordinal, s_mask, x_mask) for each nonzero candidate with
     start <= ordinal < stop, in ordinal order.
 
-    All-integer alphabets take the integer support kernel: an exhaustive
-    space a block of candidates at a time (fourier.int_support_stream),
-    a random one per candidate.  Everything else goes through the exact
-    CycNum transform.
+    All-rational alphabets, scaled to integers (int_alphabet), take the
+    integer support kernel: an exhaustive space a block of candidates at
+    a time (fourier.int_support_stream), a random one per candidate.
+    Everything else goes through the exact CycNum transform.
     """
     p, rank = space.p, space.rank
     ints = space.int_alphabet()
@@ -740,8 +738,11 @@ class HuntResult:
         }
 
 
-def hunt(name: str, space: SearchSpace, *, k: Optional[int] = None, eps=None,
-         clause_cap: int = 100) -> HuntResult:
+#: the most cover-clause ordinals a hunt lists; it counts the rest
+CLAUSE_CAP = 100
+
+
+def hunt(name: str, space: SearchSpace, *, k: Optional[int] = None, eps=None) -> HuntResult:
     """Scan the space for the first genuine violation of one check.
 
     For the checks with a cover clause (conjecture and roots) the
@@ -761,7 +762,7 @@ def hunt(name: str, space: SearchSpace, *, k: Optional[int] = None, eps=None,
         counts[verdict] += 1
         if verdict == EXCEPTION and cover_clause:
             clause_count += 1
-            if len(clause_ordinals) < clause_cap:
+            if len(clause_ordinals) < CLAUSE_CAP:
                 clause_ordinals.append(ordinal)
         if verdict == VIOLATED:
             return HuntResult(label, ordinal, space.literal_at(ordinal), n_checked,

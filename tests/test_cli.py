@@ -443,6 +443,15 @@ def child(*argv, preexec_fn=None):
                           capture_output=True, text=True, timeout=60, preexec_fn=preexec_fn)
 
 
+def address_space_cap(limit):
+    """A preexec_fn for child() that caps the child's address space at
+    `limit` bytes; skips the test where the platform has no such limit."""
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("resource.RLIMIT_AS is not available on this platform")
+    return lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
 def run_child(*argv):
     done = child(*argv)
     assert done.returncode == EXIT_OK, done.stderr
@@ -508,17 +517,22 @@ def test_exact_cover_of_a_dense_p13_support_stops_at_the_node_budget():
 ], ids=["classify-p101", "char-twist-p71"])
 def test_large_p_classify_within_128_mb(argv, digest):
     # each digest is that of an unlimited run
-    resource = pytest.importorskip("resource")
-    if not hasattr(resource, "RLIMIT_AS"):
-        pytest.skip("resource.RLIMIT_AS is not available on this platform")
-    limit = 128 << 20
-
-    def cap_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-    done = child(*argv, preexec_fn=cap_address_space)
+    done = child(*argv, preexec_fn=address_space_cap(128 << 20))
     assert done.returncode == EXIT_OK, done.stderr
     assert hashlib.sha256(done.stdout.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--p", "2147483647", "--mode", "random", "--budget", "1",
+     "--theorem", "product"),
+    ("geometry", "--query", "blocking-min", "--p", "2147483647"),
+], ids=["sweep", "blocking-min"])
+def test_out_of_memory_is_a_usage_error(argv):
+    # the plane tables at this p do not fit in 1 GB; run only under the cap
+    done = child(*argv, preexec_fn=address_space_cap(1 << 30))
+    assert done.returncode == EXIT_USAGE, (done.returncode, done.stderr)
+    assert "Traceback" not in done.stderr and done.stdout == ""
+    assert done.stderr.startswith("primeplane: error: out of memory")
 
 
 def test_zero_denominator_epsilon_is_a_usage_error(capsys):
@@ -561,6 +575,56 @@ def test_jobs_above_one_only_on_sweep(capsys):
             f"--jobs must be 1, got 2\n"
         code, out, err = run_cli(capsys, argv[0], "--p", "2", *argv[1:], "--jobs", "1")
         assert code == EXIT_OK and out, (argv, err)
+
+
+# stdout digests of the report envelopes that no benchmark command covers:
+# the four --points geometry queries, a rank-1 verify (whose config still
+# echoes the space defaults) and a classify from a literal
+ENVELOPE_SHA256 = {
+    ("geometry", "--query", "directions", "--points", "3; (0,0),(1,0),(1,1)"):
+        "29e83f5bc92d32e09c3dae85a43c76b05b5a69f3ba2fc0cd10be10fd926cf317",
+    ("geometry", "--query", "pencil", "--points", "3; (0,0),(1,0),(2,0)"):
+        "f8adba2576eddb15f04fa01a09a276e71258a70278682c323e2adeaee45050ea",
+    ("geometry", "--query", "rich-direction",
+     "--points", "3; (0,0),(0,1),(0,2),(1,0),(1,1),(1,2),(2,0),(2,1)"):
+        "74be3ef585a819577f1b90ee7553f95c7ed1c96011320f489d3982be22ca23e2",
+    ("geometry", "--query", "bounded-direction", "--points", "5; (0,0),(1,2),(3,3)"):
+        "1ea62555150010b1384d8c9aac970cb68926ee4bd38f90642d66288464fb1f4a",
+    ("verify", "--function", "5; 1; 1,1,0,0,0"):
+        "47a40dc03b26283c80fe51feb8d189b3a83c3365b3a154e30b8ee9b169773c36",
+    ("classify", "--function", "3; 2; 1,1,1,0,0,0,0,0,0"):
+        "171148e5fdcf66edc7307ee703ce2d6ad38c9cceedab2624b45b3f45f28a36fb",
+}
+
+
+def test_envelope_bytes(capsys):
+    for argv, digest in ENVELOPE_SHA256.items():
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_OK, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+# stdout digests over fractional alphabets, recorded when they took the
+# exact CycNum transform; they now take the integer kernel
+FRACTIONAL_SHA256 = {
+    ("sweep", "--p", "3", "--mode", "exhaustive", "--alphabet=-1/2,0,1",
+     "--theorem", "product", "--theorem", "meshulam"):
+        "3a6124ba18be853fbcd9c79a20d09e425397cff88104b5e9376fbe0c6f6c17c8",
+    ("frontier", "--p", "7", "--rank", "1", "--mode", "exhaustive",
+     "--alphabet=1/2,0,-1/3", "--format", "json"):
+        "3bd3979f46e1fe133ffcc362d79d8f29e5d7405b5b67323fbb40c77821d1de86",
+    ("sweep", "--p", "5", "--mode", "random", "--seed", "2", "--budget", "300",
+     "--alphabet=-1/2,0,1,3/4", "--theorem", "product", "--theorem", "kp1",
+     "--theorem", "coset-counts"):
+        "c0b58fb0a89d6f7a6e550d23d5397f76adffd757e1faacab61ddc794252f1e17",
+}
+
+
+def test_fractional_alphabet_bytes(capsys):
+    for argv, digest in FRACTIONAL_SHA256.items():
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_OK, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_byte_identical_reruns(capsys):

@@ -625,6 +625,39 @@ def test_exact_stream_matches_per_ordinal_route(p, rank, alphabet, twist):
             [c for c in full if a <= c[0] < b], (a, b)
 
 
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+@pytest.mark.parametrize("p, rank, alphabet, ints", [
+    (2, 2, ("-1/2", 0, "1/3"), (-3, 0, 2)), (7, 1, ("-1/2", 0, "1/3"), (-3, 0, 2)),
+    (3, 2, ("1/2", "3/4"), (2, 3)), (11, 1, ("1/2", "3/4"), (2, 3)),
+])
+def test_fractional_alphabet_takes_the_integer_kernel(p, rank, alphabet, ints, mode):
+    # the alphabet times the lcm of its denominators has the same supports
+    space = make_space(p, alphabet=alphabet, rank=rank, mode=mode, seed=3, budget=300)
+    assert space.int_alphabet() == ints
+    count = space.candidate_count
+    full = []
+    for ordinal in range(count):
+        values = space.values_at(ordinal)
+        if all(v.is_zero() for v in values):
+            continue
+        f = GFunc(p, rank, PRIMAL, values)
+        full.append((ordinal, f.support_mask, fourier_transform(f).support_mask))
+    assert list(search._candidates(space, 0, count)) == full
+    # chunks that start or end inside a block, span several, or are empty
+    for a, b in [(1, count), (700, 800), (count // 3, count // 2), (count - 1, count), (5, 5)]:
+        a, b = min(a, count), min(b, count)
+        assert list(search._candidates(space, a, b)) == \
+            [c for c in full if a <= c[0] < b], (a, b)
+    # witnesses print the unscaled letters
+    letters = set()
+    for ordinal, literal in frontier(space).attained.values():
+        values = GFunc.from_literal(literal).values
+        assert values == space.values_at(ordinal)
+        letters.update(values)
+    assert letters <= set(space.alphabet)
+    assert any(v.rational_value().denominator > 1 for v in letters)
+
+
 @pytest.mark.parametrize("collect", [True, False])
 def test_row_tally_lists_violations_by_ordinal_then_label(monkeypatch, collect):
     # no check is violated at p = 3, so a patched decide plants violations:
