@@ -804,10 +804,11 @@ class CheckSpec:
     names: "k", "eps", "H" (an optional primal LineSubgroup) or None.
     `report(pair, param, verdict)` builds the BoundReport of that verdict.
     `rational` marks a check that needs a rational-valued function,
-    `default` puts it in verify's default run wherever rank, p and
-    rationality allow, `cover_clause` marks a check whose exception is a
-    cover clause (verify then reports the exact covers, and hunt counts
-    its exceptions), and `curve(p)` gives its emit-curves rows.
+    `cover_clause` marks a check whose exception is a cover clause (verify
+    then reports the exact covers, and hunt counts its exceptions), and
+    `curve(p)` gives its emit-curves rows.  Verify's default run holds the
+    checks with neither a parameter nor a cover clause, wherever rank, p
+    and rationality allow.
     """
 
     name: str
@@ -817,7 +818,6 @@ class CheckSpec:
     min_p: int = 2
     param: Optional[str] = None
     rational: bool = False
-    default: bool = False
     cover_clause: bool = False
     curve: Optional[Callable[[int], List[Tuple[str, int, str]]]] = None
 
@@ -853,20 +853,19 @@ class CheckSpec:
 CHECKS: Dict[str, CheckSpec] = {spec.name: spec for spec in (
     CheckSpec("product", (1, 2), decide_product,
               lambda pair, _, v: _report("product", v, _product(pair, pair.p**pair.rank)),
-              default=True,
               curve=lambda p: _grid_curve("product", p, lambda s: Fraction(p * p, s))),
     CheckSpec("birotao", (1,), decide_birotao,
-              lambda pair, _, v: _report("birotao", v, _birotao(pair)), default=True),
+              lambda pair, _, v: _report("birotao", v, _birotao(pair))),
     CheckSpec("meshulam", (2,), decide_meshulam,
-              lambda pair, _, v: _report("meshulam", v, _linear(pair, 1)), default=True,
+              lambda pair, _, v: _report("meshulam", v, _linear(pair, 1)),
               curve=lambda p: _linear_curve("meshulam", p, 1)),
     CheckSpec("rational", (2,), decide_rational, report_rational, min_p=3, rational=True,
-              default=True, curve=lambda p: _linear_curve("rational", p, 2)),
-    CheckSpec("kp1", (2,), decide_kp1, report_kp1, min_p=3, default=True,
+              curve=lambda p: _linear_curve("rational", p, 2)),
+    CheckSpec("kp1", (2,), decide_kp1, report_kp1, min_p=3,
               curve=lambda p: _linear_curve("kp1", p, p - 1)),
-    CheckSpec("kp2", (2,), decide_kp2, report_kp2, min_p=3, default=True,
+    CheckSpec("kp2", (2,), decide_kp2, report_kp2, min_p=3,
               curve=lambda p: _linear_curve("kp2", p, p - 2)),
-    CheckSpec("product3", (2,), decide_product3, report_product3, min_p=3, default=True,
+    CheckSpec("product3", (2,), decide_product3, report_product3, min_p=3,
               curve=lambda p: _grid_curve("product3", p,
                                           lambda s: Fraction(3 * p * (p - 2), s))),
     # (p + 1 - sqrt(s))^2 as a float; s <= p^2 keeps the root positive

@@ -57,8 +57,8 @@ _CONFIG_DEFAULTS = {"rank": 2, "mode": "exhaustive", "seed": 0, "budget": 10000,
 
 def _default_checks(func: GFunc) -> List[str]:
     return [spec.name for spec in bounds.CHECKS.values()
-            if spec.default and func.rank in spec.ranks and func.p >= spec.min_p
-            and (not spec.rational or func.is_rational_valued())]
+            if spec.param is None and not spec.cover_clause and func.rank in spec.ranks
+            and func.p >= spec.min_p and (not spec.rational or func.is_rational_valued())]
 
 
 class _Parser(argparse.ArgumentParser):

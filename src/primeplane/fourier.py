@@ -149,11 +149,7 @@ class GFunc:
 
     @property
     def support_mask(self) -> int:
-        mask = 0
-        for i, v in enumerate(self.values):
-            if not v.is_zero():
-                mask |= 1 << i
-        return mask
+        return sum(compress(_point_bits(len(self.values)), self.values))
 
     @property
     def support_size(self) -> int:
@@ -268,46 +264,46 @@ def _line_sum_tables(p: int, rank: int) -> Tuple[LineTable, ...]:
 
 
 @lru_cache(maxsize=None)
-def _slice_picks(p: int, sign: int) -> Tuple[Optional[itemgetter], ...]:
+def _slice_picks(p: int) -> Tuple[Optional[itemgetter], ...]:
     """pick[t] for t = 1..p-1 (row 0 unused), taking the output at t*d from
     the p line sums L_d(k) of its direction d when the values are rational:
-    output exponent j is L_d(k) for sign*t*k = j mod p."""
-    return (None,) + tuple(itemgetter(*[j * (sign * pow(t, -1, p) % p) % p for j in range(p)])
+    output exponent j is L_d(k) for -t*k = j mod p."""
+    return (None,) + tuple(itemgetter(*[j * pow(-t, -1, p) % p for j in range(p)])
                            for t in range(1, p))
 
 
 @lru_cache(maxsize=None)
-def _slice_gathers(p: int, sign: int) -> Tuple[tuple, ...]:
+def _slice_gathers(p: int) -> Tuple[tuple, ...]:
     """gathers[t] for t = 1..p-1 (row 0 unused), the cyclotomic counterpart
     of _slice_picks, cached apart so that rational transforms never build
     its p*p*(p-1) indices.  Output exponent j collects coefficient e of
-    L_d(k) when e + sign*t*k = j mod p; gathers[t][j](flat) are those
-    terms when flat[k*(p-1) + e] holds coefficient e of L_d(k).  For p = 2
-    every value is rational, so no gathers are built there (an itemgetter
-    of one index would not return a tuple).
+    L_d(k) when e - t*k = j mod p; gathers[t][j](flat) are those terms
+    when flat[k*(p-1) + e] holds coefficient e of L_d(k).  For p = 2 every
+    value is rational, so no gathers are built there (an itemgetter of one
+    index would not return a tuple).
     """
     rows = [()]
     for t in range(1, p):
-        u = sign * pow(t, -1, p) % p
+        u = pow(-t, -1, p)
         rows.append(tuple(itemgetter(*[(j - e) * u % p * (p - 1) + e for e in range(p - 1)])
                           for j in range(p)))
     return tuple(rows)
 
 
-def _transform(values: Sequence[CycNum], p: int, rank: int, sign: int,
-               scale: int) -> List[CycNum]:
-    """out[v] = (1/scale) * sum_u values[u] * zeta^(sign * <v, u>), by line sums.
+def _transform(values: Sequence[CycNum], p: int, rank: int, scale: int) -> List[CycNum]:
+    """out[v] = (1/scale) * sum_u values[u] * zeta^(-<v, u>), by line sums.
 
     For v = t*d, with d one of the directions of _line_sum_tables,
-    sum_u values[u] zeta^(sign*t*<d, u>) = sum_k L_d(k) zeta^(sign*t*k),
+    sum_u values[u] zeta^(-t*<d, u>) = sum_k L_d(k) zeta^(-t*k),
     where L_d(k) sums the values on the line <d, u> = k: the discrete
     projection-slice theorem (the finite Radon transform).  The values are
     summed along the p lines of each direction once, and each of the p - 1
     outputs on that direction gathers those p sums by t (_slice_picks, or
-    _slice_gathers for cyclotomic values);
-    v = 0 takes the total.  That is O(p^3) integer operations at rank 2
-    when the values are rational and O(p^4) when they are not, against
-    O(p^4) and O(p^5) for one pass over the support per output.
+    _slice_gathers for cyclotomic values); v = 0 takes the total.  That is
+    O(p^3) integer operations at rank 2 when the values are rational and
+    O(p^4) when they are not, against O(p^4) and O(p^5) for one pass over
+    the support per output.  The sums with zeta^(+<v, u>) are these read
+    at -v (_at_multiple), so both directions share one table per prime.
     """
     scaled, den = _scaled_int_coeffs(values)
     divisor = den * scale
@@ -316,7 +312,7 @@ def _transform(values: Sequence[CycNum], p: int, rank: int, sign: int,
     if not support:
         return [CycNum.zero(p)] * n
     rational = not any(any(c[1:]) for _, c in support)
-    slices = _slice_picks(p, sign) if rational else _slice_gathers(p, sign)
+    slices = _slice_picks(p) if rational else _slice_gathers(p)
     out = [None] * n
     out[0] = _make(p, tuple(map(sum, zip(*(c for _, c in support)))), divisor)
     for line_of, _, points in _line_sum_tables(p, rank):
@@ -338,27 +334,29 @@ def _transform(values: Sequence[CycNum], p: int, rank: int, sign: int,
     return out
 
 
+def _at_multiple(values: Sequence, p: int, j: int) -> list:
+    """The values read at j*g: index x*p + y (x = 0 at rank 1) gets (j*x, j*y)'s."""
+    return [values[j * (g // p) % p * p + j * g % p] for g in range(len(values))]
+
+
 def fourier_transform(f: GFunc) -> GFunc:
     """Exact transform; the result lives on the opposite side."""
-    out = _transform(f.values, f.p, f.rank, -1, len(f.values))
+    out = _transform(f.values, f.p, f.rank, len(f.values))
     return GFunc(f.p, f.rank, opposite_side(f.side), out)
 
 
 def inverse_transform(u: GFunc) -> GFunc:
-    """Inversion formula f(g) = sum_w u(w) chi_w(g); input must be dual-side."""
+    """Inversion f(g) = sum_w u(w) chi_w(g), the forward sums read at -g."""
     if u.side != DUAL:
         raise ValueError("inverse transform expects a dual-side function")
-    return GFunc(u.p, u.rank, PRIMAL, _transform(u.values, u.p, u.rank, 1, 1))
+    return GFunc(u.p, u.rank, PRIMAL, _at_multiple(_transform(u.values, u.p, u.rank, 1), u.p, -1))
 
 
 def double_transform(f: GFunc) -> GFunc:
     """The transform taken twice, in O(|G|): by inversion it is
     g -> f(-g)/|G|, on f's own side."""
-    p, n = f.p, len(f.values)
-    scale = Fraction(1, n)
-    # index x*p + y at rank 2 (x = 0 at rank 1) maps to that of (-x, -y)
-    return GFunc(p, f.rank, f.side,
-                 [f.values[(-(g // p) % p) * p + (-g % p)] * scale for g in range(n)])
+    scale = Fraction(1, len(f.values))
+    return GFunc(f.p, f.rank, f.side, [v * scale for v in _at_multiple(f.values, f.p, -1)])
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -563,11 +561,10 @@ def line_sums(hat: GFunc, chi: Point, direction: int) -> List[CycNum]:
     inverse transform of hat's slice through chi.  The orthogonal-subgroup
     sum behind coset restriction and the two-line decompositions,
     sum_{psi = t*gen} hat(chi psi) psi(g), is R[<gen, g>] for every g.
-    R[a] is read as the forward-sign sum at -a, so that cyclotomic values
-    reuse the _slice_gathers that fourier_transform builds."""
+    R[a] is the forward sum read at -a, so that cyclotomic values reuse
+    the _slice_gathers that fourier_transform builds."""
     line = restrict_to_coset(hat, chi, LineSubgroup(hat.p, direction, hat.side))
-    out = _transform(line.values, hat.p, 1, -1, 1)
-    return out[:1] + out[:0:-1]
+    return _at_multiple(_transform(line.values, hat.p, 1, 1), hat.p, -1)
 
 
 def _require_plane_primal(f: GFunc):
@@ -645,10 +642,7 @@ def galois_twist(u: GFunc, j: int) -> GFunc:
     p = u.p
     if j % p == 0:
         raise ValueError("Galois exponent must be a unit modulo p")
-    out = [None] * len(u.values)
-    for w, v in enumerate(u.values):
-        out[j * (w // p) % p * p + j * w % p] = v.galois(j)
-    return GFunc(p, u.rank, DUAL, out)
+    return GFunc(p, u.rank, DUAL, [v.galois(j) for v in _at_multiple(u.values, p, pow(j, -1, p))])
 
 
 def rational_support_closure(f: GFunc) -> bool:

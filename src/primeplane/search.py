@@ -580,13 +580,13 @@ def _outcomes(space: SearchSpace, items: Sequence[Tuple[str, str, object]],
 
 def _run_range(space: SearchSpace, items: Sequence[Tuple[str, str, object]],
                start: int, stop: int, collect_exceptions: bool):
-    """(counts, violations, equalities, exceptions, n_nonzero) over one
-    ordinal range.  Each distinct verdict row is tallied once, with its
-    count and first ordinal; only rows with a violation, or an exception
-    when those are collected, are read label by label per candidate."""
+    """(tally, violations, exceptions) over one ordinal range.  The tally
+    maps each distinct verdict row, in order of first ordinal, to [count,
+    first ordinal, listed]; only listed rows, those with a violation or
+    with an exception when those are collected, are read label by label
+    per candidate."""
     labels = [label for label, _, _ in items]
     listed = {VIOLATED, EXCEPTION} if collect_exceptions else {VIOLATED}
-    # row -> [count, first ordinal, whether the row holds a listed verdict]
     tally: Dict[tuple, list] = {}
     violations: List[Tuple[str, int, str]] = []
     exceptions: Dict[str, List[int]] = {label: [] for label in labels} \
@@ -602,18 +602,7 @@ def _run_range(space: SearchSpace, items: Sequence[Tuple[str, str, object]],
                     violations.append((label, ordinal, space.literal_at(ordinal)))
                 elif verdict == EXCEPTION and collect_exceptions:
                     exceptions[label].append(ordinal)
-    # rows in order of first ordinal: each label's first equality row comes first
-    counts = {label: Counter() for label in labels}
-    first_equality: Dict[str, int] = {}
-    for row, (count, first, _) in tally.items():
-        for label, verdict in zip(labels, row):
-            counts[label][verdict] += count
-            if verdict == EQUALITY:
-                first_equality.setdefault(label, first)
-    equalities = {label: (ordinal, space.literal_at(ordinal))
-                  for label, ordinal in first_equality.items()}
-    n_nonzero = sum(count for count, _, _ in tally.values())
-    return counts, violations, equalities, exceptions, n_nonzero
+    return tally, violations, exceptions
 
 
 def _sweep_worker(args):
@@ -642,30 +631,34 @@ def sweep(space: SearchSpace, checks: Sequence[str], *, k: Optional[int] = None,
         args = [(space.to_json(), items, a, b, collect_exceptions) for a, b in ranges]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_sweep_worker, args))
-    counts = {label: Counter() for label, _, _ in items}
+    labels = [label for label, _, _ in items]
+    # the parts run in ordinal order, so merged rows keep first-ordinal order
+    tally: Dict[tuple, list] = {}
     violations: List[Tuple[str, int, str]] = []
-    equalities: Dict[str, Tuple[int, str]] = {}
-    exceptions: Dict[str, List[int]] = {label: [] for label, _, _ in items}
-    n_nonzero = 0
-    for part_counts, part_viol, part_eq, part_exc, part_nonzero in parts:
-        for label, counter in part_counts.items():
-            counts[label].update(counter)
+    exceptions: Dict[str, List[int]] = {label: [] for label in labels}
+    for part_tally, part_viol, part_exc in parts:
+        for row, (count, first, listed) in part_tally.items():
+            tally.setdefault(row, [0, first, listed])[0] += count
         violations.extend(part_viol)
-        for label, pair in part_eq.items():
-            if label not in equalities or pair[0] < equalities[label][0]:
-                equalities[label] = pair
         for label, ords in part_exc.items():
             exceptions[label].extend(ords)
-        n_nonzero += part_nonzero
+    counts = {label: Counter() for label in labels}
+    first_equality: Dict[str, int] = {}
+    for row, (count, first, _) in tally.items():
+        for label, verdict in zip(labels, row):
+            counts[label][verdict] += count
+            if verdict == EQUALITY:
+                first_equality.setdefault(label, first)
     return SweepResult(
         space=space.describe(),
-        checks=tuple(label for label, _, _ in items),
+        checks=tuple(labels),
         counts={label: dict(c) for label, c in counts.items()},
         violations=violations,
-        equality_witnesses=equalities,
+        equality_witnesses={label: (ordinal, space.literal_at(ordinal))
+                            for label, ordinal in first_equality.items()},
         exception_ordinals=exceptions if collect_exceptions else None,
         n_candidates=total,
-        n_nonzero=n_nonzero,
+        n_nonzero=sum(count for count, _, _ in tally.values()),
     )
 
 

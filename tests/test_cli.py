@@ -432,14 +432,14 @@ def test_sweep_decides_cover_clauses_without_exact_covers(capsys, monkeypatch):
     assert counts["covered_by_lines"] > 0
 
 
-def child(*argv, preexec_fn=None):
+def child(*argv, preexec_fn=None, cwd=None):
     """The CLI in a child process, so that a hang becomes a timeout failure
     and an uncaught exception shows as a traceback on stderr.  preexec_fn
-    runs in the child before the CLI starts."""
+    runs in the child before the CLI starts; cwd is its working directory."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(primeplane.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run([sys.executable, "-m", "primeplane.cli", *argv], env=env,
+    return subprocess.run([sys.executable, "-m", "primeplane.cli", *argv], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=60, preexec_fn=preexec_fn)
 
 
@@ -520,6 +520,37 @@ def test_large_p_classify_within_128_mb(argv, digest):
     done = child(*argv, preexec_fn=address_space_cap(128 << 20))
     assert done.returncode == EXIT_OK, done.stderr
     assert hashlib.sha256(done.stdout.encode()).hexdigest() == digest
+
+
+def three_point_literal(p):
+    """1 at index 0, z at index 1 and 1 at index p: a support in two
+    parallel lines but in no one line, so classify takes the primal-cover
+    route (the transform, line_sums, then the inverse transform)."""
+    values = ["0"] * (p * p)
+    values[0], values[1], values[p] = "1", "z", "1"
+    return f"{p}; 2; " + ",".join(values)
+
+
+def test_primal_cover_classify_bytes(capsys):
+    code, out, err = run_cli(capsys, "classify", "--function", three_point_literal(23))
+    assert code == EXIT_OK, err
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "9dc122dc2114daf4ad536ec51f17f59c832eca8747f4b8b86e8e73089f9baa33"
+    desc = json.loads(out)["classification"]
+    assert (desc["kind"], desc["cover_side"]) == ("two-parallel-lines", PRIMAL)
+
+
+def test_primal_cover_classify_within_144_mb(tmp_path):
+    # The forward and the inverse transform once built a gather table of
+    # p*p*(p-1) indices each, and under this limit the run exited 64 out
+    # of memory.  The digest is that of an unlimited run; the file name is
+    # relative because config echoes it.
+    (tmp_path / "three_point.txt").write_text(three_point_literal(101))
+    done = child("classify", "--file", "three_point.txt", cwd=tmp_path,
+                 preexec_fn=address_space_cap(144 << 20))
+    assert done.returncode == EXIT_OK, done.stderr
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == \
+        "ffb0d52460f5ff88af222fbec64f04b50bf33d18dc42d8fc3c076b1c8630a0bf"
 
 
 @pytest.mark.parametrize("argv", [

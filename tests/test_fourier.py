@@ -244,7 +244,10 @@ def test_rational_transforms_build_no_cyclotomic_gathers():
     assert fourier_transform(f) == reference_transform(f)
     assert fourier._slice_gathers.cache_info().currsize == 0
     assert fourier._slice_picks.cache_info().currsize > 0
-    fourier_transform(GFunc(p, 2, PRIMAL, [root_of_unity(p, 1)] + [0] * (p * p - 1)))
+    fh = fourier_transform(GFunc(p, 2, PRIMAL, [root_of_unity(p, 1)] + [0] * (p * p - 1)))
+    assert fourier._slice_gathers.cache_info().currsize == 1
+    # the inverse reads the forward sums at -g, so it builds no second table
+    assert fourier_transform(inverse_transform(fh)) == fh
     assert fourier._slice_gathers.cache_info().currsize == 1
 
 

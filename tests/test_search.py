@@ -1,6 +1,7 @@
 """Gallery constructions, candidate spaces, sweeps, frontier and hunts."""
 
 import concurrent.futures
+import json
 import os
 import random
 import tracemalloc
@@ -162,6 +163,15 @@ def test_sweep_starts_at_most_one_worker_per_cpu(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert sweep(space, ["product", "kp1"], jobs=1000).to_json() == serial
     assert started == [2, 3, 3]
+    # 64 chunks of 308 ordinals: the first equalities of kp1 (ordinal 377)
+    # and rational (1121) lie in later chunks, so the merge must keep them
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    checks = ["product", "kp1", "rational"]
+    serial = sweep(space, checks).to_json()
+    assert {label: w["ordinal"] for label, w in serial["equality_witnesses"].items()} == \
+        {"product": 0, "kp1": 377, "rational": 1121}
+    assert json.dumps(sweep(space, checks, jobs=64).to_json()) == json.dumps(serial)
+    assert started == [2, 3, 3, 64] and chunks == [2, 3, 3, 64]
 
 
 def test_sweep_requires_rational_alphabet_for_rational_check():
