@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
+from operator import add, floordiv, mul, neg, sub
 from typing import Sequence, Tuple, Union
 
 Rational = Union[int, Fraction]
@@ -137,7 +139,7 @@ class CycNum:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _combine(self, other, 1)
+        return _combine(self, other, add)
 
     __radd__ = __add__
 
@@ -145,7 +147,7 @@ class CycNum:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _combine(self, other, -1)
+        return _combine(self, other, sub)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -154,7 +156,7 @@ class CycNum:
         return other - self
 
     def __neg__(self):
-        return _make(self.p, tuple(-c for c in self.num), self.den)
+        return _make(self.p, tuple(map(neg, self.num)), self.den)
 
     def __mul__(self, other):
         if isinstance(other, CycNum):
@@ -170,7 +172,7 @@ class CycNum:
                         acc[s - p if s >= p else s] += a * b
             return _reduced_over(p, acc, self.den * other.den)
         if _is_rational(other):
-            return _make(self.p, tuple(c * other.numerator for c in self.num),
+            return _make(self.p, tuple(map(mul, self.num, repeat(other.numerator))),
                          self.den * other.denominator)
         return NotImplemented
 
@@ -183,7 +185,7 @@ class CycNum:
             n, d = other.numerator, other.denominator
             if n < 0:
                 n, d = -n, -d
-            return _make(self.p, tuple(c * d for c in self.num), self.den * n)
+            return _make(self.p, tuple(map(mul, self.num, repeat(d))), self.den * n)
         return NotImplemented
 
     def __pow__(self, n: int) -> "CycNum":
@@ -287,7 +289,7 @@ def _make(p: int, num: Tuple[int, ...], den: int) -> CycNum:
     if den != 1:
         g = gcd(den, *num)
         if g != 1:
-            num = tuple(c // g for c in num)
+            num = tuple(map(floordiv, num, repeat(g)))
             den //= g
     x = _new(CycNum)
     _set_p(x, p)
@@ -296,14 +298,15 @@ def _make(p: int, num: Tuple[int, ...], den: int) -> CycNum:
     return x
 
 
-def _combine(x: CycNum, y: CycNum, sign: int) -> CycNum:
-    """x + sign*y, over the lcm of the two denominators."""
+def _combine(x: CycNum, y: CycNum, op) -> CycNum:
+    """x + y or x - y for op add or sub, over the lcm of the two denominators."""
     a, b = x.den, y.den
     if a == b:
-        return _make(x.p, tuple(u + sign * v for u, v in zip(x.num, y.num)), a)
+        return _make(x.p, tuple(map(op, x.num, y.num)), a)
     g = gcd(a, b)
-    mx, my = b // g, sign * (a // g)
-    return _make(x.p, tuple(u * mx + v * my for u, v in zip(x.num, y.num)), a * mx)
+    mx, my = b // g, a // g
+    return _make(x.p, tuple(map(op, map(mul, x.num, repeat(mx)), map(mul, y.num, repeat(my)))),
+                 a * mx)
 
 
 def _reduced_over(p: int, acc: Sequence[int], den: int) -> CycNum:
@@ -311,7 +314,7 @@ def _reduced_over(p: int, acc: Sequence[int], den: int) -> CycNum:
     rewritten into the basis by 1 + zeta + ... + zeta^(p-1) = 0 and reduced."""
     top = acc[p - 1]
     if top:
-        return _make(p, tuple(c - top for c in acc[: p - 1]), den)
+        return _make(p, tuple(map(sub, acc[: p - 1], repeat(top))), den)
     return _make(p, tuple(acc[: p - 1]), den)
 
 
@@ -326,27 +329,20 @@ def root_of_unity(p: int, k: int) -> CycNum:
 
 
 def format_value(x: CycNum) -> str:
-    """Render a value in the CLI grammar: rationals and z^k terms joined by +/-."""
-    parts = []
-    for k, c in enumerate(x.coeffs):
+    """Render a value in the CLI grammar: rationals and z^k terms joined by +/-.
+    Each term is its numerator over den, reduced by one gcd."""
+    den = x.den
+    out = []
+    for k, c in enumerate(x.num):
         if not c:
             continue
-        f = Fraction(c)
-        sign = "-" if f < 0 else "+"
-        mag = abs(f)
-        if k == 0:
-            body = str(mag)
-        else:
+        g = gcd(c, den)
+        mag = str(abs(c) // g) if den == g else f"{abs(c) // g}/{den // g}"
+        if k:
             zpow = "z" if k == 1 else f"z^{k}"
-            body = zpow if mag == 1 else f"{mag}*{zpow}"
-        parts.append((sign, body))
-    if not parts:
-        return "0"
-    first_sign, first_body = parts[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        out += sign + body
-    return out
+            mag = zpow if mag == "1" else f"{mag}*{zpow}"
+        out.append(("-" if c < 0 else "+" if out else "") + mag)
+    return "".join(out) or "0"
 
 
 def parse_value(text: str, p: int) -> CycNum:

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, islice, product, repeat
+from itertools import chain, compress, islice, product, repeat
 from math import lcm
-from operator import itemgetter, or_
+from operator import itemgetter, lshift, or_
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .cyclotomic import (
@@ -272,22 +272,17 @@ def _slice_picks(p: int) -> Tuple[Optional[itemgetter], ...]:
                            for t in range(1, p))
 
 
-@lru_cache(maxsize=None)
-def _slice_gathers(p: int) -> Tuple[tuple, ...]:
-    """gathers[t] for t = 1..p-1 (row 0 unused), the cyclotomic counterpart
-    of _slice_picks, cached apart so that rational transforms never build
-    its p*p*(p-1) indices.  Output exponent j collects coefficient e of
-    L_d(k) when e - t*k = j mod p; gathers[t][j](flat) are those terms
-    when flat[k*(p-1) + e] holds coefficient e of L_d(k).  For p = 2 every
-    value is rational, so no gathers are built there (an itemgetter of one
-    index would not return a tuple).
-    """
-    rows = [()]
-    for t in range(1, p):
-        u = pow(-t, -1, p)
-        rows.append(tuple(itemgetter(*[(j - e) * u % p * (p - 1) + e for e in range(p - 1)])
-                          for j in range(p)))
-    return tuple(rows)
+@lru_cache(maxsize=16)
+def _packing(p: int, width: int) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...], itemgetter]:
+    """(slots, shifts, cut) for exponent vectors packed `width` bytes a
+    slot, W = 8 * width bits: slots[e] = e*W places coefficient e;
+    shifts[t][k] = ((-t*k) mod p)*W multiplies line k's sum by
+    zeta^(-t*k) before the fold (row 0 unused); cut takes the p slots of a
+    big-endian p*width-byte string, slot 0 first.  O(p^2) ints per entry."""
+    bits = 8 * width
+    shifts = ((),) + tuple(tuple((-t * k) % p * bits for k in range(p)) for t in range(1, p))
+    cut = itemgetter(*[slice((p - 1 - e) * width, (p - e) * width) for e in range(p)])
+    return tuple(range(0, p * bits, bits)), shifts, cut
 
 
 def _transform(values: Sequence[CycNum], p: int, rank: int, scale: int) -> List[CycNum]:
@@ -298,12 +293,23 @@ def _transform(values: Sequence[CycNum], p: int, rank: int, scale: int) -> List[
     where L_d(k) sums the values on the line <d, u> = k: the discrete
     projection-slice theorem (the finite Radon transform).  The values are
     summed along the p lines of each direction once, and each of the p - 1
-    outputs on that direction gathers those p sums by t (_slice_picks, or
-    _slice_gathers for cyclotomic values); v = 0 takes the total.  That is
-    O(p^3) integer operations at rank 2 when the values are rational and
-    O(p^4) when they are not, against O(p^4) and O(p^5) for one pass over
-    the support per output.  The sums with zeta^(+<v, u>) are these read
-    at -v (_at_multiple), so both directions share one table per prime.
+    outputs on that direction combines those p sums by t; v = 0 takes the
+    total.  The sums with zeta^(+<v, u>) are these read at -v
+    (_at_multiple), so one routine serves both directions.
+
+    Rational values sum their one coefficient and _slice_picks permutes
+    the p sums.  Cyclotomic values are packed, one int per value, by
+    cyclic Kronecker substitution: slot e of W bits holds the coefficient
+    of zeta^e plus a bias B = max |coefficient|, so every slot is
+    nonnegative, and W is the whole bytes that hold 2*B*p^rank, the
+    largest slot of an output.  A line's sum starts from p^(rank-1)
+    biases in every slot, as if each of its points carried one, and adds
+    one int per support point; multiplying by zeta^m is a shift by m*W
+    bits, and one fold at p*W bits wraps the exponents >= p.  So output t
+    is one C-level shifted sum, its bytes are cut into the p slots, and
+    _reduced_over cancels the bias, which every slot carries p^rank times
+    because 1 + zeta + ... + zeta^(p-1) = 0.  Either way that is O(p^3)
+    big-int operations at rank 2, and no table beyond O(p^2) is kept.
     """
     scaled, den = _scaled_int_coeffs(values)
     divisor = den * scale
@@ -311,26 +317,36 @@ def _transform(values: Sequence[CycNum], p: int, rank: int, scale: int) -> List[
     n = len(values)
     if not support:
         return [CycNum.zero(p)] * n
-    rational = not any(any(c[1:]) for _, c in support)
-    slices = _slice_picks(p) if rational else _slice_gathers(p)
     out = [None] * n
     out[0] = _make(p, tuple(map(sum, zip(*(c for _, c in support)))), divisor)
-    for line_of, _, points in _line_sum_tables(p, rank):
-        if rational:
+    if not any(any(c[1:]) for _, c in support):
+        picks = _slice_picks(p)
+        for line_of, _, points in _line_sum_tables(p, rank):
             sums = [0] * p
             for u, c in support:
                 sums[line_of[u]] += c[0]
             for t in range(1, p):
-                out[points[t]] = _reduced_over(p, slices[t](sums), divisor)
-        else:
-            flat = [0] * (p * (p - 1))
-            for u, c in support:
-                base = line_of[u] * (p - 1)
-                for e, x in enumerate(c):
-                    if x:
-                        flat[base + e] += x
-            for t in range(1, p):
-                out[points[t]] = _reduced_over(p, [sum(g(flat)) for g in slices[t]], divisor)
+                out[points[t]] = _reduced_over(p, picks[t](sums), divisor)
+        return out
+    bias = max(map(abs, chain.from_iterable(c for _, c in support)))
+    width = ((2 * bias * p**rank).bit_length() + 7) // 8
+    slots, shifts, cut = _packing(p, width)
+    bits, size = 8 * width, p * width
+    low = (1 << p * bits) - 1
+    start = p ** (rank - 1) * bias * (low // ((1 << bits) - 1))
+    packed = [(u, sum(map(lshift, c, slots))) for u, c in support]
+
+    def value(x: int) -> CycNum:
+        x = (x & low) + (x >> p * bits)
+        parts = cut(x.to_bytes(size, "big"))
+        return _reduced_over(p, list(map(int.from_bytes, parts, repeat("big", p))), divisor)
+
+    for line_of, _, points in _line_sum_tables(p, rank):
+        sums = [start] * p
+        for u, x in packed:
+            sums[line_of[u]] += x
+        for t in range(1, p):
+            out[points[t]] = value(sum(map(lshift, sums, shifts[t])))
     return out
 
 
@@ -561,8 +577,8 @@ def line_sums(hat: GFunc, chi: Point, direction: int) -> List[CycNum]:
     inverse transform of hat's slice through chi.  The orthogonal-subgroup
     sum behind coset restriction and the two-line decompositions,
     sum_{psi = t*gen} hat(chi psi) psi(g), is R[<gen, g>] for every g.
-    R[a] is the forward sum read at -a, so that cyclotomic values reuse
-    the _slice_gathers that fourier_transform builds."""
+    R[a] is the forward sum read at -a: the one routine of
+    fourier_transform, at rank 1, with no table of its own."""
     line = restrict_to_coset(hat, chi, LineSubgroup(hat.p, direction, hat.side))
     return _at_multiple(_transform(line.values, hat.p, 1, 1), hat.p, -1)
 

@@ -552,6 +552,10 @@ def _candidates(space: SearchSpace, start: int, stop: int):
                 yield (ordinal, *int_support_masks(p, rank, int_values))
 
 
+#: the most support pairs the memo of _outcomes holds before it is cleared
+_MEMO_LIMIT = 2**16
+
+
 def _outcomes(space: SearchSpace, items: Sequence[Tuple[str, str, object]],
               start: int, stop: int):
     """Yield (ordinal, verdicts) for each nonzero candidate, one verdict per
@@ -561,8 +565,10 @@ def _outcomes(space: SearchSpace, items: Sequence[Tuple[str, str, object]],
     run once per distinct support pair, all on one SupportPair.  Only the
     rational check reads rationality, and _check_items admits it only for
     all-rational spaces, so the space answers for every candidate.  The memo keeps one int key
-    and one interned tuple per pair, which keeps it small where no pair
-    recurs.
+    and one interned tuple per pair, and it is cleared when it holds
+    _MEMO_LIMIT pairs, so memory does not grow with the space where pairs
+    do not recur; a verdict row is a function of its key, so clearing
+    changes no output.
     """
     p, rank, n = space.p, space.rank, space.n_points
     rational = space.all_rational()
@@ -572,6 +578,8 @@ def _outcomes(space: SearchSpace, items: Sequence[Tuple[str, str, object]],
         key = (s_mask << n) | x_mask
         value = memo.get(key)
         if value is None:
+            if len(memo) >= _MEMO_LIMIT:
+                memo.clear()
             pair = bounds.SupportPair.from_masks(p, rank, s_mask, x_mask, rational)
             value = tuple([bounds.decide(name, pair, param) for _, name, param in items])
             value = memo[key] = interned.setdefault(value, value)

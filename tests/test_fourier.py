@@ -1,6 +1,8 @@
 """Transforms, convolution, coset-restriction identities, Galois action."""
 
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -235,20 +237,105 @@ def test_line_sum_transforms_match_the_double_loop(f):
         assert inverse_transform(fh) == f
 
 
-def test_rational_transforms_build_no_cyclotomic_gathers():
-    # the gathers hold p*p*(p-1) indices; transforming rational values needs
-    # only the picks
-    fourier._slice_gathers.cache_clear()
-    p = 7
-    f = GFunc(p, 2, PRIMAL, [(3 * i) % 5 - 2 for i in range(p * p)])
-    assert fourier_transform(f) == reference_transform(f)
-    assert fourier._slice_gathers.cache_info().currsize == 0
-    assert fourier._slice_picks.cache_info().currsize > 0
-    fh = fourier_transform(GFunc(p, 2, PRIMAL, [root_of_unity(p, 1)] + [0] * (p * p - 1)))
-    assert fourier._slice_gathers.cache_info().currsize == 1
-    # the inverse reads the forward sums at -g, so it builds no second table
-    assert fourier_transform(inverse_transform(fh)) == fh
-    assert fourier._slice_gathers.cache_info().currsize == 1
+def packed_inputs(p, rank, rng, size, big=False):
+    """A function on `size` random points with cyclotomic values over mixed
+    denominators; with big, every value has a coefficient of at least 2^70,
+    so the packed slots are wider than 64 bits."""
+    n = p**rank
+    values = [0] * n
+    for u in rng.sample(range(n), min(size, n)):
+        coeffs = [Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7])) for _ in range(p - 1)]
+        if big:
+            coeffs[rng.randrange(p - 1)] = rng.choice([-1, 1]) * rng.randint(2**70, 2**90)
+        values[u] = CycNum(p, coeffs)
+    return values
+
+
+def assert_packed_route_matches_the_double_loop(values, p, rank):
+    for side in (PRIMAL, DUAL):
+        f = GFunc(p, rank, side, values)
+        assert fourier_transform(f) == reference_transform(f), f.to_literal()
+        if side == DUAL:
+            assert inverse_transform(f) == reference_inverse(f), f.to_literal()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 23])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_packed_transform_matches_the_double_loop(p, rank):
+    rng = random.Random(31 * p + rank)
+    for size, big in [(1, False), (3, False), (9, False), (4, True), (7, True)]:
+        assert_packed_route_matches_the_double_loop(packed_inputs(p, rank, rng, size, big),
+                                                    p, rank)
+    if rank == 2 and p < 23:
+        # every single point, so each output sums one packed value
+        for u in range(p * p):
+            values = [0] * (p * p)
+            values[u] = CycNum(p, [Fraction(-2, 3)] + [0] * (p - 3) + [5])
+            assert_packed_route_matches_the_double_loop(values, p, rank)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 23])
+def test_packed_transform_of_lines_that_sum_to_zero(p):
+    # v and -v on two points of each line of direction d: every line sum of
+    # d is zero, so the p - 1 outputs on d are 0, and only the bias is left
+    rng = random.Random(90 + p)
+    line_of = tables(p).coset_id
+    for d in (1, p):
+        values = [0] * (p * p)
+        for k in range(p):
+            u, w = rng.sample([g for g in range(p * p) if line_of[d][g] == k], 2)
+            v = CycNum(p, [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(p - 1)])
+            values[u], values[w] = v + 2**70, -v - 2**70
+        f = GFunc(p, 2, PRIMAL, values)
+        fh = fourier_transform(f)
+        assert fh == reference_transform(f)
+        _, _, points = fourier._line_sum_tables(p, 2)[d]
+        assert all(fh.values[points[t]].is_zero() for t in range(p))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 23])
+def test_line_sums_and_galois_twist_read_the_packed_sums(p):
+    rng = random.Random(170 + p)
+    for big in (False, True):
+        values = packed_inputs(p, 2, rng, p + 1, big)
+        for side in (PRIMAL, DUAL):
+            hat = GFunc(p, 2, side, values)
+            for d in (0, p - 1, p):
+                chi = Point.from_index(p, rng.randrange(p * p), side)
+                line = restrict_to_coset(hat, chi, LineSubgroup(p, d, side))
+                assert line_sums(hat, chi, d) == \
+                    list(reference_inverse(GFunc(p, 1, DUAL, line.values)).values)
+        f = GFunc(p, 2, PRIMAL, values)
+        fh = fourier_transform(f)
+        for j in (2, p - 1):
+            # sigma_j(fhat(w)) is the transform of sigma_j(f) at j*w
+            conjugated = GFunc(p, 2, PRIMAL, [v.galois(j) for v in f.values])
+            assert galois_twist(fh, j) == reference_transform(conjugated)
+
+
+def test_cyclotomic_transform_keeps_no_gather_table():
+    # the packed route caches O(p^2) shift amounts per slot width, where a
+    # gather table of p*p*(p-1) indices, one per prime whatever the rank,
+    # would stay behind at about 39 MB; a rank-1 transform reads the same
+    # caches and runs in milliseconds under tracemalloc
+    p = 101
+    for cached in vars(fourier).values():
+        if getattr(cached, "__module__", None) == fourier.__name__ and \
+                hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+    f = GFunc(p, 1, PRIMAL, [1, root_of_unity(p, 1)] + [0] * (p - 3) + [Fraction(1, 3)])
+    fourier_transform(GFunc(p, 1, PRIMAL, [1] + [0] * (p - 1)))  # the rational picks
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fh = fourier_transform(f)
+        assert fh == reference_transform(f)
+        del fh
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 5 * 2**20
 
 
 def test_inverse_of_constant_dual():

@@ -610,6 +610,36 @@ def test_exhaustive_stream_memory_is_bounded():
     assert peak < 2 * 2**20
 
 
+def test_sweep_memo_is_capped():
+    # over {0, 1} a function is its own support, so every support pair of
+    # the p = 5 rank-2 space is distinct and an uncapped memo grows with the
+    # slice: 2^17 ordinals peaked at 10.5 MB uncapped, 5.4 MB capped
+    space = make_space(5, alphabet=(0, 1), rank=2)
+    items = search._check_items(space, ["product", "meshulam"], None, None)
+    assert search._MEMO_LIMIT == 2**16
+    search._run_range(space, items, 0, 100, False)  # the cached tables
+    tracemalloc.start()
+    try:
+        tally, _, _ = search._run_range(space, items, 0, 2**17, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(count for count, _, _ in tally.values()) == 2**17 - 1
+    assert peak < 8 * 2**20
+
+
+def test_capped_memo_changes_no_output(monkeypatch):
+    space = make_space(5, alphabet=(0, 1), rank=2)
+    checks = ["product", "meshulam", "rational", "kp1", "kp2", "product3", "coset-counts"]
+    items = search._check_items(space, checks, None, None)
+    monkeypatch.setattr(search, "_MEMO_LIMIT", 2**30)
+    uncapped = search._run_range(space, items, 0, 2**14, True)
+    monkeypatch.setattr(search, "_MEMO_LIMIT", 64)
+    assert search._run_range(space, items, 0, 2**14, True) == uncapped
+    tally, _, exceptions = uncapped
+    assert len(tally) > 1 and any(exceptions.values())
+
+
 @pytest.mark.parametrize("p, rank, alphabet, twist", [
     (3, 1, (0, 1, "z"), False), (5, 1, ("1/2", "z", 0), False), (3, 2, (0, "z"), False),
     (3, 2, ("z", "1/2"), False), (2, 2, (0, 1, "z"), True), (2, 2, (1, "1/2"), True),
