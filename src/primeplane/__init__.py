@@ -23,7 +23,6 @@ from .plane import (
     covered_by_lines,
     directions_determined,
     is_blocking_set,
-    lines_in_direction,
     min_blocking_size,
     min_line_cover,
     one_line_cover,
@@ -43,11 +42,8 @@ from .fourier import (
     fourier_transform,
     galois_twist,
     inverse_transform,
-    line_diff_convolution,
-    quad_diff_convolution,
     rational_support_closure,
     restrict_to_coset,
-    shifted_line_diff,
     twist,
 )
 from .bounds import (

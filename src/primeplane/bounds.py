@@ -112,16 +112,6 @@ class SupportPair:
                               min(filter(None, s_counts)), self.p - s_counts.count(0),
                               min(filter(None, x_counts)), self.p - x_counts.count(0))
 
-    def line_count(self, g: Point, direction: int) -> int:
-        """Number of support points on the direction-d line through g."""
-        line = Coset.through(g, LineSubgroup(self.p, direction, PRIMAL))
-        return self.S.line_counts[direction][line.coset_id]
-
-    def isolated_count(self, direction: int) -> int:
-        """Number of dual lines orthogonal to the given primal direction
-        that contain exactly one point of the transform support."""
-        return self.X.line_counts[orthogonal_directions(self.p)[direction]].count(1)
-
 
 def profile(f: GFunc) -> SupportPair:
     """The support pair of a nonzero rank-2 function, whose stats(d) give

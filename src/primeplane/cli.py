@@ -10,8 +10,10 @@ the digests recorded in perfbench/expected.json.
 Exit codes: 0 on success, 2 when a violation witness was found, 64 on
 usage errors (bad flags, malformed literals, exceeded ceilings, an
 unreadable --file or unwritable --out) and when memory runs out, 70 when
-an internal invariant check fails, 75 when an exact plane search (minimum
-blocking set, minimum line cover) runs out of its node budget.
+an internal invariant check fails, 75 when the exact minimum line cover
+search runs out of its node budget.  `geometry --query blocking-min`
+runs no search: it prints the theorem's 2p - 1 with the two axes as its
+witness.
 """
 
 from __future__ import annotations

@@ -113,17 +113,6 @@ class CycNum:
         value = _as_coeff(value)
         return _make(p, (value.numerator,) + (0,) * (p - 2), value.denominator)
 
-    @classmethod
-    def from_exponent_vector(cls, p: int, acc: Sequence[Rational]) -> "CycNum":
-        """Reduce coefficients of 1, zeta, ..., zeta^(p-1) (length p) to the basis."""
-        check_prime(p)
-        if len(acc) != p:
-            raise ValueError(f"need {p} exponent coefficients, got {len(acc)}")
-        top = acc[p - 1]
-        if top:
-            return cls(p, tuple(c - top for c in acc[: p - 1]))
-        return cls(p, tuple(acc[: p - 1]))
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):
@@ -224,10 +213,6 @@ class CycNum:
             if c:
                 acc[(j * t) % p] += c
         return _reduced_over(p, acc, self.den)
-
-    def conjugate(self) -> "CycNum":
-        """Complex conjugation, i.e. zeta -> zeta^(p-1)."""
-        return self.galois(self.p - 1)
 
     # -- predicates ----------------------------------------------------------
 

@@ -673,37 +673,3 @@ def rational_support_closure(f: GFunc) -> bool:
         raise ValueError("requires a rational-valued function")
     fh = fourier_transform(f)
     return all(galois_twist(fh, j) == fh for j in range(2, f.p))
-
-
-# -- diagnostic probes -------------------------------------------------------------
-
-
-def line_diff_convolution(f: GFunc, H: LineSubgroup, g: Point, g0: Point) -> GFunc:
-    """f convolved with f restricted to the difference of two parallel
-    lines: f * (f . (1_{g+H} - 1_{g0+H}))."""
-    _require_plane_primal(f)
-    ind = coset_indicator(Coset.through(g, H)) - coset_indicator(Coset.through(g0, H))
-    return convolution(f, f * ind)
-
-
-def shifted_line_diff(f: GFunc, H: LineSubgroup, gamma: Point, g: Point) -> GFunc:
-    """f restricted to the difference of a line and its gamma-shift:
-    f . (1_{g+gamma+H} - 1_{g+H}); gamma must lie outside H."""
-    _require_plane_primal(f)
-    if H.contains(gamma):
-        raise ValueError("gamma must lie outside the subgroup")
-    ind = coset_indicator(Coset.through(g + gamma, H)) - coset_indicator(Coset.through(g, H))
-    return f * ind
-
-
-def quad_diff_convolution(f: GFunc, H: LineSubgroup, gamma: Point,
-                          g1: Point, g2: Point, g3: Point, g4: Point) -> GFunc:
-    """f * (F_{g1} * F_{g2} - F_{g3} * F_{g4}) for the shifted line
-    differences F_g; requires g1 + g2 = g3 + g4."""
-    if g1 + g2 != g3 + g4:
-        raise ValueError("requires g1 + g2 = g3 + g4")
-    F1 = shifted_line_diff(f, H, gamma, g1)
-    F2 = shifted_line_diff(f, H, gamma, g2)
-    F3 = shifted_line_diff(f, H, gamma, g3)
-    F4 = shifted_line_diff(f, H, gamma, g4)
-    return convolution(f, convolution(F1, F2) - convolution(F3, F4))

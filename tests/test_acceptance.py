@@ -40,6 +40,7 @@ from primeplane.plane import (
     PointSet,
     bounded_line_direction,
     directions_determined,
+    is_blocking_set,
     min_blocking_size,
     one_line_cover,
     pencil_stability,
@@ -134,6 +135,10 @@ def test_c05_minimum_blocking_sets():
     assert size3 == 5 and witness3.size == 5
     size5, witness5 = min_blocking_size(5)
     assert size5 == 9 and witness5.size == 9
+    assert is_blocking_set(witness3) and is_blocking_set(witness5)
+    # no 4 of the 9 points of AG(2, 3) block, so neither does any smaller set
+    assert not any(is_blocking_set(PointSet.from_pairs(3, [divmod(i, 3) for i in combo]))
+                   for combo in itertools.combinations(range(9), 4))
     print("\nACCEPTANCE C5 PASS - exact minimum blocking sets: "
           "min(3) = 5 and min(5) = 9, matching 2p-1")
 

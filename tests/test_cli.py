@@ -18,7 +18,7 @@ from primeplane import bounds, cli
 from primeplane.cli import (EXIT_BUDGET, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION,
                             main)
 from primeplane.cyclotomic import parse_value
-from primeplane.plane import DUAL, PRIMAL, PointSet
+from primeplane.plane import DUAL, PRIMAL, PointSet, is_blocking_set, parse_pointset
 from primeplane.search import (construct, make_space, two_nonparallel_lines_function,
                                two_parallel_lines_function)
 
@@ -86,6 +86,18 @@ def test_geometry_blocking_min(capsys):
     code, payload = run_json(capsys, "geometry", "--query", "blocking-min", "--p", "3")
     assert code == EXIT_OK
     assert payload["result"]["minimum"] == 5
+
+
+def test_blocking_min_prints_the_theorem_value(capsys):
+    # from p = 7 on the branch-and-bound search this replaced ran out of its
+    # node budget and exited 75
+    for p, minimum in ((7, 13), (11, 21), (13, 25)):
+        code, payload = run_json(capsys, "geometry", "--query", "blocking-min", "--p", str(p))
+        assert code == EXIT_OK
+        assert payload["result"]["minimum"] == minimum == 2 * p - 1
+        witness = parse_pointset(payload["result"]["witness"])
+        assert witness.p == p and witness.size == minimum
+        assert is_blocking_set(witness)
 
 
 def test_geometry_directions_and_pencil(capsys):
@@ -432,15 +444,17 @@ def test_sweep_decides_cover_clauses_without_exact_covers(capsys, monkeypatch):
     assert counts["covered_by_lines"] > 0
 
 
-def child(*argv, preexec_fn=None, cwd=None):
+def child(*argv, preexec_fn=None, cwd=None, timeout=60):
     """The CLI in a child process, so that a hang becomes a timeout failure
-    and an uncaught exception shows as a traceback on stderr.  preexec_fn
-    runs in the child before the CLI starts; cwd is its working directory."""
+    (after `timeout` seconds) and an uncaught exception shows as a
+    traceback on stderr.  preexec_fn runs in the child before the CLI
+    starts; cwd is its working directory."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(primeplane.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run([sys.executable, "-m", "primeplane.cli", *argv], env=env, cwd=cwd,
-                          capture_output=True, text=True, timeout=60, preexec_fn=preexec_fn)
+                          capture_output=True, text=True, timeout=timeout,
+                          preexec_fn=preexec_fn)
 
 
 def address_space_cap(limit):
@@ -488,11 +502,6 @@ def assert_budget_exit(done, search):
     assert done.returncode == EXIT_BUDGET, (done.returncode, done.stderr)
     assert "Traceback" not in done.stderr and done.stdout == ""
     assert done.stderr.startswith(f"primeplane: error: {search} search at p = ")
-
-
-def test_blocking_min_p7_stops_at_the_node_budget():
-    assert_budget_exit(child("geometry", "--query", "blocking-min", "--p", "7"),
-                       "minimum blocking set")
 
 
 def test_exact_cover_of_a_dense_p13_support_stops_at_the_node_budget():
@@ -559,11 +568,26 @@ def test_primal_cover_classify_within_144_mb(tmp_path):
     ("geometry", "--query", "blocking-min", "--p", "2147483647"),
 ], ids=["sweep", "blocking-min"])
 def test_out_of_memory_is_a_usage_error(argv):
-    # the plane tables at this p do not fit in 1 GB; run only under the cap
+    # neither the plane tables (sweep) nor one mask of p^2 bits (blocking-min)
+    # fits in 1 GB at this p; run only under the cap
     done = child(*argv, preexec_fn=address_space_cap(1 << 30))
     assert done.returncode == EXIT_USAGE, (done.returncode, done.stderr)
     assert "Traceback" not in done.stderr and done.stdout == ""
     assert done.stderr.startswith("primeplane: error: out of memory")
+
+
+def test_blocking_min_p1009_within_256_mb():
+    # The witness is the two axes, 2017 of the 1,018,081 points.  A line
+    # table at this p would hold about 127 GB, and listing the witness by
+    # one whole-mask shift per point took about 30 s.
+    done = child("geometry", "--query", "blocking-min", "--p", "1009",
+                 preexec_fn=address_space_cap(256 << 20), timeout=20)
+    assert done.returncode == EXIT_OK, done.stderr
+    result = json.loads(done.stdout)["result"]
+    assert result["minimum"] == 2017
+    witness = parse_pointset(result["witness"])
+    assert witness.size == 2017
+    assert all(x == 0 or y == 0 for x, y in witness.pairs())
 
 
 def test_zero_denominator_epsilon_is_a_usage_error(capsys):

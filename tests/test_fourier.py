@@ -23,13 +23,10 @@ from primeplane.fourier import (
     galois_twist,
     int_support_masks,
     inverse_transform,
-    line_diff_convolution,
     line_sums,
     pair_exponents,
-    quad_diff_convolution,
     rational_support_closure,
     restrict_to_coset,
-    shifted_line_diff,
     twist,
 )
 from primeplane.plane import (
@@ -189,7 +186,8 @@ def _reference_sum(f, sign, scale):
             e = sign * exps[w][u] % p
             for t, c in enumerate(coeffs):
                 acc[(t + e) % p] += c
-        out.append(CycNum.from_exponent_vector(p, [c / scale for c in acc]))
+        # reduced to the basis by 1 + zeta + ... + zeta^(p-1) = 0
+        out.append(CycNum(p, [(c - acc[p - 1]) / scale for c in acc[:p - 1]]))
     return out
 
 
@@ -572,6 +570,31 @@ def test_rational_closure_example_and_rejection():
     vals[0] = root_of_unity(p, 1)
     with pytest.raises(ValueError):
         rational_support_closure(GFunc(p, 2, PRIMAL, vals))
+
+
+def line_diff_convolution(f, H, g, g0):
+    """f convolved with f restricted to the difference of two parallel
+    lines: f * (f . (1_{g+H} - 1_{g0+H}))."""
+    ind = coset_indicator(Coset.through(g, H)) - coset_indicator(Coset.through(g0, H))
+    return convolution(f, f * ind)
+
+
+def shifted_line_diff(f, H, gamma, g):
+    """f restricted to the difference of a line and its gamma-shift:
+    f . (1_{g+gamma+H} - 1_{g+H}); gamma must lie outside H."""
+    if H.contains(gamma):
+        raise ValueError("gamma must lie outside the subgroup")
+    ind = coset_indicator(Coset.through(g + gamma, H)) - coset_indicator(Coset.through(g, H))
+    return f * ind
+
+
+def quad_diff_convolution(f, H, gamma, g1, g2, g3, g4):
+    """f * (F_{g1} * F_{g2} - F_{g3} * F_{g4}) for the shifted line
+    differences F_g; requires g1 + g2 = g3 + g4."""
+    if g1 + g2 != g3 + g4:
+        raise ValueError("requires g1 + g2 = g3 + g4")
+    F1, F2, F3, F4 = (shifted_line_diff(f, H, gamma, g) for g in (g1, g2, g3, g4))
+    return convolution(f, convolution(F1, F2) - convolution(F3, F4))
 
 
 def test_line_diff_probe():

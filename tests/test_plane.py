@@ -13,15 +13,14 @@ from primeplane.plane import (
     Point,
     PointSet,
     SearchBudgetExceeded,
-    _blocking_search,
+    _direction_of_indices,
     all_subgroups,
     bounded_line_direction,
+    coset_from_id,
     coset_of,
     covered_by_lines,
-    direction_through,
     directions_determined,
     is_blocking_set,
-    lines_in_direction,
     min_blocking_size,
     min_line_cover,
     one_line_cover,
@@ -78,7 +77,7 @@ def test_orthogonal_of_horizontal_is_vertical():
 def test_lines_partition_plane():
     for p in (3, 5):
         for sub in all_subgroups(p):
-            lines = lines_in_direction(sub)
+            lines = [coset_from_id(p, sub.direction, j) for j in range(p)]
             assert len(lines) == p
             seen = set()
             for line in lines:
@@ -125,7 +124,7 @@ def test_two_points_share_exactly_one_line():
             if (m >> a.index & 1) and (m >> b.index & 1)
         ]
         assert len(shared) == 1
-        assert shared[0][0] == direction_through(a, b)
+        assert shared[0][0] == _direction_of_indices(p, a.index, b.index)
 
 
 def test_coset_of_example():
@@ -185,8 +184,9 @@ def lines_through(T, idx):
 
 
 def plain_blocking_search(p, seed_mask):
-    """Reference route for _blocking_search: branch over every point of the
-    first unmet line at every depth, pruning only by ceil(unmet / (p + 1))."""
+    """The smallest blocking set below the blocking set seed_mask, or the
+    seed, as (size, mask): branch over every point of the first unmet line
+    at every depth, pruning only by ceil(unmet / (p + 1))."""
     T = tables(p)
     line_masks = T.line_masks
     best = [seed_mask.bit_count(), seed_mask]
@@ -212,25 +212,16 @@ def plain_blocking_search(p, seed_mask):
 
 
 def test_blocking_search_matches_plain_search():
-    # seeded with the whole plane, so the answer 2p - 1 must be found by the
-    # search rather than inherited from the two-line seed
+    # seeded with the whole plane, so the search proves the theorem's 2p - 1
+    # by computation rather than inheriting it from a two-line seed
     for p in (2, 3, 5):
         full = PointSet.full(p).mask
-        for size, mask in (_blocking_search(p, full), plain_blocking_search(p, full)):
-            assert size == 2 * p - 1 == mask.bit_count(), p
-            assert is_blocking_set(PointSet(p, PRIMAL, mask)), p
-
-
-def test_blocking_search_node_count_p5(monkeypatch):
-    # Output cannot show every over-pruning: branching on one point at depth
-    # 2 as well still finds x = 0 plus y = 0.  The exact node count can:
-    # fewer nodes means a branch was cut that neither the bound nor the
-    # symmetry justifies, more means one of them was lost.
-    monkeypatch.setattr(plane, "NODE_BUDGET", 7113)
-    assert min_blocking_size(5)[0] == 9
-    monkeypatch.setattr(plane, "NODE_BUDGET", 7112)
-    with pytest.raises(SearchBudgetExceeded, match="blocking set search at p = 5"):
-        min_blocking_size(5)
+        size, mask = plain_blocking_search(p, full)
+        assert size == 2 * p - 1 == mask.bit_count(), p
+        assert is_blocking_set(PointSet(p, PRIMAL, mask)), p
+        theorem, witness = min_blocking_size(p)
+        assert theorem == size == witness.size, p
+        assert is_blocking_set(witness), p
 
 
 def test_min_line_cover_stops_at_the_node_budget(monkeypatch):
@@ -412,9 +403,23 @@ def test_pointset_set_algebra():
     assert (a | b).size == 3
     assert (a & b).pairs() == ((1, 1),)
     assert (a - b).pairs() == ((0, 0),)
-    assert a.complement().size == 7
+    assert PointSet(3, PRIMAL, ~a.mask & ((1 << 9) - 1)).size == 7
     with pytest.raises(ValueError):
         a | PointSet.from_pairs(3, [(0, 0)], side=DUAL)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 31])
+def test_indices_match_plain_loop(p):
+    rng = random.Random(p)
+    n = p * p
+    masks = [0, (1 << n) - 1, 1, 1 << (n - 1)]
+    masks += [rng.getrandbits(n) for _ in range(20)]
+    masks += [sum(1 << i for i in rng.sample(range(n), rng.randint(1, p))) for _ in range(20)]
+    for mask in masks:
+        P = PointSet(p, DUAL, mask)
+        plain = tuple(i for i in range(n) if mask >> i & 1)
+        assert P.indices() == plain, (p, mask)
+        assert P.pairs() == tuple((i // p, i % p) for i in plain)
 
 
 def test_orthogonal_direction_involution():
