@@ -19,18 +19,15 @@ from .plane import (
     SearchBudgetExceeded,
     all_subgroups,
     bounded_line_direction,
-    coset_of,
     covered_by_lines,
     directions_determined,
     is_blocking_set,
     min_blocking_size,
     min_line_cover,
     one_line_cover,
-    orthogonal,
     parse_pointset,
     pencil_stability,
     rich_direction_search,
-    two_line_cover,
 )
 from .fourier import (
     GFunc,
@@ -50,19 +47,8 @@ from .bounds import (
     BoundReport,
     ExceptionDescriptor,
     SupportPair,
-    check_asym2,
-    check_asym3,
-    check_birotao,
-    check_conjecture,
-    check_coset_counts,
-    check_kp1,
-    check_kp2,
-    check_meshulam,
-    check_product,
-    check_product3,
+    check,
     check_quasicharacter,
-    check_rational,
-    check_roots,
     classify_exception,
     profile,
     sumset_size,

@@ -16,7 +16,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import partial
 from itertools import repeat
 from operator import methodcaller, sub
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -297,10 +296,6 @@ def _full_line_split(P: PointSet, direction: int) -> List[int]:
     return ids
 
 
-def _line_rep_point(p: int, direction: int, coset_id: int, side: str) -> Point:
-    return coset_from_id(p, direction, coset_id, side).rep
-
-
 def _classify_one_primal_line(f: GFunc, fhat: GFunc, S: PointSet, X: PointSet,
                               d: int) -> ExceptionDescriptor:
     p = f.p
@@ -308,7 +303,7 @@ def _classify_one_primal_line(f: GFunc, fhat: GFunc, S: PointSet, X: PointSet,
     coset = Coset.through(g0, LineSubgroup(p, d, PRIMAL))
     od = orthogonal_directions(p)[d]
     ids = _full_line_split(X, od)
-    chars = tuple(_line_rep_point(p, od, j, DUAL) for j in ids)
+    chars = tuple(coset_from_id(p, od, j, DUAL).rep for j in ids)
     coeffs = tuple(fhat.value(chi) * p for chi in chars)
     if any(c.is_zero() for c in coeffs):
         raise RuntimeError("vanishing coefficient in a coset-character recovery")
@@ -320,10 +315,10 @@ def _classify_one_primal_line(f: GFunc, fhat: GFunc, S: PointSet, X: PointSet,
 
 def _classify_one_dual_line(f: GFunc, S: PointSet, X: PointSet, e: int) -> ExceptionDescriptor:
     p = f.p
-    chi = _line_rep_point(p, e, X.line_counts[e].index(X.size), DUAL)
+    chi = coset_from_id(p, e, X.line_counts[e].index(X.size), DUAL).rep
     d = orthogonal_directions(p)[e]
     ids = _full_line_split(S, d)
-    offsets = tuple(_line_rep_point(p, d, j, PRIMAL) for j in ids)
+    offsets = tuple(coset_from_id(p, d, j, PRIMAL).rep for j in ids)
     if chi.is_origin():
         coeffs = tuple(f.value(g) for g in offsets)
         return ExceptionDescriptor(kind=KIND_H_PERIODIC, p=p, cover_side=DUAL, direction=d,
@@ -347,8 +342,8 @@ def _classify_two_lines(func: GFunc, hat: GFunc, Xs: PointSet,
     hat_side, func_side = hat.side, func.side
     if d1 == d2:
         prim_dir = orthogonal_directions(p)[d1]
-        chi1 = _line_rep_point(p, d1, j1, hat_side)
-        chi2 = _line_rep_point(p, d2, j2, hat_side)
+        chi1 = coset_from_id(p, d1, j1, hat_side).rep
+        chi2 = coset_from_id(p, d2, j2, hat_side).rep
         # <gen, g> is constant on the lines of prim_dir; read it as in twist
         a, b = divmod(LineSubgroup(p, d1, hat_side).generator.index, p)
         comps = []
@@ -932,22 +927,9 @@ def verify(f: GFunc, checks: Sequence[Tuple[str, object]]) -> List[BoundReport]:
 
 
 def check(name: str, f: GFunc, param=None) -> BoundReport:
-    """verify() with one check."""
+    """verify() with one check: the function route of every named check,
+    e.g. check("conjecture", f, 2) or check("asym2", f, Fraction(1, 2))."""
     return verify(f, [(name, param)])[0]
-
-
-check_product = partial(check, "product")
-check_birotao = partial(check, "birotao")
-check_meshulam = partial(check, "meshulam")
-check_rational = partial(check, "rational")
-check_kp1 = partial(check, "kp1")
-check_kp2 = partial(check, "kp2")
-check_product3 = partial(check, "product3")
-check_conjecture = partial(check, "conjecture")
-check_roots = partial(check, "roots")
-check_asym2 = partial(check, "asym2")
-check_asym3 = partial(check, "asym3")
-check_coset_counts = partial(check, "coset-counts")
 
 
 def check_quasicharacter(h: GFunc, A: Iterable[int]) -> BoundReport:

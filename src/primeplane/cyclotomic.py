@@ -68,8 +68,9 @@ class CycNum:
 
     The coefficients are stored as integer numerators ``num`` over one
     positive denominator ``den``, in lowest terms: gcd(den, *num) == 1, so
-    zero has den == 1.  Instances are immutable and hashable; arithmetic is
-    closed over the field, runs on ints only and always returns reduced
+    zero has den == 1.  Instances are immutable and hashable, a rational
+    value hashing as its Fraction, and pickle as (p, num, den); arithmetic
+    is closed over the field, runs on ints only and always returns reduced
     values.
     """
 
@@ -238,7 +239,13 @@ class CycNum:
         return self.p == other.p and self.den == other.den and self.num == other.num
 
     def __hash__(self):
+        # a rational value equals its Fraction, so it hashes as one
+        if self.is_rational():
+            return hash(Fraction(self.num[0], self.den))
         return hash((self.p, self.num, self.den))
+
+    def __reduce__(self):
+        return _make, (self.p, self.num, self.den)
 
     # -- output ---------------------------------------------------------------
 

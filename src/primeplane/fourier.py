@@ -39,8 +39,6 @@ from .plane import (
 )
 
 ValueLike = Union[CycNum, int, Fraction]
-#: (line_of, mask, points) for one direction; see _line_sum_tables
-LineTable = Tuple[Tuple[int, ...], int, Tuple[int, ...]]
 
 
 @lru_cache(maxsize=None)
@@ -245,21 +243,39 @@ def _scaled_int_coeffs(values: Sequence[CycNum]) -> Tuple[List[Tuple[int, ...]],
             for v in values], den
 
 
-@lru_cache(maxsize=None)
-def _line_sum_tables(p: int, rank: int) -> Tuple[LineTable, ...]:
-    """(line_of, mask, points) for each direction d of the plane: line_of
-    is plane.tables(p).coset_id[d], which is <w_d, g> mod p for
-    w_d = (-d, 1), or (1, 0) at d = p; points[t] is the index of the
-    multiple t*w_d, and mask has the bits of the p - 1 nonzero ones.  The
-    pairing is symmetric, so the same table serves either side.  Rank 1
-    has the one direction w = 1."""
+@lru_cache(maxsize=None, typed=True)
+def _line_table(p: int, rank: int) -> Tuple[tuple, ...]:
+    """(line_of, first, rest, mask, points) for each direction d of the
+    plane.  line_of is plane.tables(p).coset_id[d], which is <w_d, g> mod p
+    for w_d = (-d, 1), or (1, 0) at d = p; points[t] is the index of the
+    multiple t*w_d, and mask has the bits of the p - 1 nonzero ones.  first
+    and rest pick the values on line 0 and on lines 1..p-1, so
+    sum(getter(values)) is one line's sum.  The pairing is symmetric, so
+    the same table serves either side.  Rank 1 has the one direction
+    w = 1, whose lines are single points, picked as one-item slices so
+    that the sum applies there too.
+
+    Raises ValueError unless p is a usable prime and rank is 1 or 2, so a
+    cached table vouches for both; the cache is typed, so that 3.0 never
+    finds the entry of 3."""
+    check_prime(p)
+    if rank not in (1, 2):
+        raise ValueError("rank must be 1 or 2")
     if rank == 1:
-        return ((tuple(range(p)), (1 << p) - 2, tuple(range(p))),)
+        ids = tuple(range(p))
+        getters = [itemgetter(slice(g, g + 1)) for g in ids]
+        return ((ids, getters[0], tuple(getters[1:]), (1 << p) - 2, ids),)
+    indices = tuple(range(p * p))  # one int object per point, shared by the getters
     out = []
     for d, line_of in enumerate(tables(p).coset_id):
         a, b = (1, 0) if d == p else (-d % p, 1)
         points = tuple((t * a) % p * p + (t * b) % p for t in range(p))
-        out.append((line_of, sum(1 << w for w in points[1:]), points))
+        lines: List[List[int]] = [[] for _ in range(p)]
+        for g, j in zip(indices, line_of):
+            lines[j].append(g)
+        getters = [itemgetter(*members) for members in lines]
+        out.append((line_of, getters[0], tuple(getters[1:]), sum(1 << w for w in points[1:]),
+                    points))
     return tuple(out)
 
 
@@ -288,7 +304,7 @@ def _packing(p: int, width: int) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, ...]
 def _transform(values: Sequence[CycNum], p: int, rank: int, scale: int) -> List[CycNum]:
     """out[v] = (1/scale) * sum_u values[u] * zeta^(-<v, u>), by line sums.
 
-    For v = t*d, with d one of the directions of _line_sum_tables,
+    For v = t*d, with d one of the directions of _line_table,
     sum_u values[u] zeta^(-t*<d, u>) = sum_k L_d(k) zeta^(-t*k),
     where L_d(k) sums the values on the line <d, u> = k: the discrete
     projection-slice theorem (the finite Radon transform).  The values are
@@ -321,7 +337,7 @@ def _transform(values: Sequence[CycNum], p: int, rank: int, scale: int) -> List[
     out[0] = _make(p, tuple(map(sum, zip(*(c for _, c in support)))), divisor)
     if not any(any(c[1:]) for _, c in support):
         picks = _slice_picks(p)
-        for line_of, _, points in _line_sum_tables(p, rank):
+        for line_of, _, _, _, points in _line_table(p, rank):
             sums = [0] * p
             for u, c in support:
                 sums[line_of[u]] += c[0]
@@ -341,7 +357,7 @@ def _transform(values: Sequence[CycNum], p: int, rank: int, scale: int) -> List[
         parts = cut(x.to_bytes(size, "big"))
         return _reduced_over(p, list(map(int.from_bytes, parts, repeat("big", p))), divisor)
 
-    for line_of, _, points in _line_sum_tables(p, rank):
+    for line_of, _, _, _, points in _line_table(p, rank):
         sums = [start] * p
         for u, x in packed:
             sums[line_of[u]] += x
@@ -375,32 +391,6 @@ def double_transform(f: GFunc) -> GFunc:
     return GFunc(f.p, f.rank, f.side, [v * scale for v in _at_multiple(f.values, f.p, -1)])
 
 
-@lru_cache(maxsize=None, typed=True)
-def _line_getters(p: int, rank: int) -> Tuple[Tuple[itemgetter, Tuple[itemgetter, ...], int], ...]:
-    """(first, rest, mask) for each direction of _line_sum_tables: first
-    and rest pick the values on line 0 and on lines 1..p-1, so
-    sum(getter(values)) is one line's sum.  A rank-1 line is one point,
-    picked as a one-item slice so that the sum applies there too.
-
-    Raises ValueError unless p is a usable prime and rank is 1 or 2, so a
-    cached table vouches for both; the cache is typed, so that 3.0 never
-    finds the entry of 3."""
-    check_prime(p)
-    if rank not in (1, 2):
-        raise ValueError("rank must be 1 or 2")
-    out = []
-    for line_of, mask, _ in _line_sum_tables(p, rank):
-        if rank == 1:
-            getters = [itemgetter(slice(g, g + 1)) for g in range(p)]
-        else:
-            lines: List[List[int]] = [[] for _ in range(p)]
-            for g, j in enumerate(line_of):
-                lines[j].append(g)
-            getters = [itemgetter(*points) for points in lines]
-        out.append((getters[0], tuple(getters[1:]), mask))
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def _point_bits(n: int) -> Tuple[int, ...]:
     """bits[g] = 1 << g: compress(bits, values) yields the support's bits."""
@@ -429,13 +419,13 @@ def int_support_masks(p: int, rank: int, values: Sequence[int]) -> Tuple[int, in
     direction, against one pass per character, and against the transform;
     in turn it is the oracle of int_support_stream, at every ordinal.
     """
-    lines = _line_getters(p, rank)  # validates p and rank
+    lines = _line_table(p, rank)  # validates p and rank
     n = p**rank
     if len(values) != n:
         raise ValueError(f"need {n} values, got {len(values)}")
     s_mask = sum(compress(_point_bits(n), values))
     x_mask = 1 if sum(values) else 0
-    for first, rest, mask in lines:
+    for _, first, rest, mask, _ in lines:
         total = sum(first(values))
         for line in rest:
             if sum(line(values)) != total:
@@ -449,10 +439,10 @@ _LOW_BLOCK = 1024
 
 
 def _line_keys(lines, values: Sequence[int]) -> Iterator[Tuple[int, ...]]:
-    """For each direction of _line_getters, the p line sums of `values`
+    """For each direction of _line_table, the p line sums of `values`
     less the sum on line 0: the key is all zeros iff the direction is out
     of the transform's support, and it is linear in the values."""
-    for first, rest, _ in lines:
+    for _, first, rest, _, _ in lines:
         base = sum(first(values))
         yield tuple([sum(line(values)) - base for line in rest])
 
@@ -497,7 +487,7 @@ def int_support_stream(p: int, rank: int, ints: Sequence[int], start: int,
     cleared.  Memory is the low block's tables, O(B**r * (p + 1)), and
     one row.
     """
-    lines = _line_getters(p, rank)  # validates p and rank
+    lines = _line_table(p, rank)  # validates p and rank
     n, base = p**rank, len(ints)
     r = 0
     while r < n and base ** (r + 1) <= _LOW_BLOCK:
@@ -506,7 +496,7 @@ def int_support_stream(p: int, rank: int, ints: Sequence[int], start: int,
     if start >= stop:
         return
     s_low, by_total, by_key = _low_block(lines, ints, r, n)
-    clears = [(groups, ~mask) for groups, (_, _, mask) in zip(by_key, lines)]
+    clears = [(groups, ~mask) for groups, (_, _, _, mask, _) in zip(by_key, lines)]
     full, head, bits = (1 << n) - 1, (0,) * r, _point_bits(n)
     # the high block's values are negated, so that its keys and total are
     # the ones a low assignment must have for the sum to cancel

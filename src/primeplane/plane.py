@@ -159,10 +159,6 @@ def all_subgroups(p: int, side: str = PRIMAL) -> Tuple[LineSubgroup, ...]:
     return tuple(LineSubgroup(p, d, side) for d in range(p + 1))
 
 
-def orthogonal(subgroup: LineSubgroup) -> LineSubgroup:
-    return subgroup.orthogonal()
-
-
 def _canonical_rep(subgroup: LineSubgroup, point: Point) -> Tuple[int, int]:
     p, d = subgroup.p, subgroup.direction
     if d == p:
@@ -187,6 +183,7 @@ class Coset:
 
     @classmethod
     def through(cls, point: Point, subgroup: LineSubgroup) -> "Coset":
+        """The line through `point` in the given direction; sides must match."""
         return cls(subgroup, point)
 
     @property
@@ -213,11 +210,6 @@ class Coset:
 
     def mask(self) -> int:
         return tables(self.p).coset_masks[self.direction][self.coset_id]
-
-
-def coset_of(point: Point, subgroup: LineSubgroup) -> Coset:
-    """The line through `point` in the given direction; sides must match."""
-    return Coset.through(point, subgroup)
 
 
 def coset_from_id(p: int, direction: int, coset_id: int, side: str = PRIMAL) -> Coset:
@@ -251,12 +243,15 @@ class PointSet:
 
     @classmethod
     def from_pairs(cls, p: int, pairs: Iterable[Tuple[int, int]], side: str = PRIMAL) -> "PointSet":
-        mask = 0
+        """The set of the given (x, y) points, repeats allowed, built in a
+        bytearray and read as one int: linear in the pairs and the p^2 bits."""
+        buf = bytearray((check_prime(p) * p + 7) // 8)
         for x, y in pairs:
             if not (0 <= x < p and 0 <= y < p):
                 raise ValueError(f"coordinates out of range mod {p}: ({x}, {y})")
-            mask |= 1 << (x * p + y)
-        return cls(p, side, mask)
+            idx = x * p + y
+            buf[idx >> 3] |= 1 << (idx & 7)
+        return cls(p, side, int.from_bytes(buf, "little"))
 
     @cached_property
     def size(self) -> int:
@@ -500,7 +495,7 @@ def rich_direction_search(P: PointSet) -> Optional[int]:
     size = P.size
     if not (3 * p + 7 <= 2 * size and size <= 2 * p + 7):
         raise ValueError(f"need (3p+7)/2 <= |P| <= 2p+7, got |P|={size}")
-    if two_line_cover(P):
+    if covered_by_lines(P, 2):
         raise ValueError("P must not be contained in a union of two lines")
     for d, counts in enumerate(P.line_counts):
         worst = max(counts)
@@ -627,10 +622,6 @@ def covered_by_lines(P: PointSet, count: int) -> bool:
     if count < 0:
         raise ValueError("count must be nonnegative")
     return _cover_search(P.p, P.mask, count, tables(P.p))
-
-
-def two_line_cover(P: PointSet) -> bool:
-    return covered_by_lines(P, 2)
 
 
 def min_line_cover(P: PointSet) -> int:

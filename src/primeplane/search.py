@@ -21,7 +21,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, product
+from itertools import islice, product, repeat
 from math import lcm
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -445,19 +445,6 @@ class SearchSpace:
             "candidates": self.candidate_count,
         }
 
-    def to_json(self) -> dict:
-        """describe() plus what from_json needs to rebuild the space exactly."""
-        out = self.describe()
-        out.update(budget=self.budget, ceiling=self.ceiling)
-        return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SearchSpace":
-        return make_space(obj["p"], alphabet=obj["alphabet"], rank=obj["rank"],
-                          mode=obj["mode"], seed=obj["seed"],
-                          budget=obj["budget"],
-                          char_twist=obj["char_twist"], ceiling=obj["ceiling"])
-
 
 def make_space(p: int, alphabet: Iterable = (-1, 0, 1), rank: int = 2,
                mode: str = "exhaustive", seed: int = 0, budget: int = 10000,
@@ -613,11 +600,6 @@ def _run_range(space: SearchSpace, items: Sequence[Tuple[str, str, object]],
     return tally, violations, exceptions
 
 
-def _sweep_worker(args):
-    space_json, items, start, stop, collect = args
-    return _run_range(SearchSpace.from_json(space_json), items, start, stop, collect)
-
-
 def sweep(space: SearchSpace, checks: Sequence[str], *, k: Optional[int] = None,
           eps=None, jobs: int = 1, collect_exceptions: bool = False) -> SweepResult:
     """Evaluate the named checks over every candidate in the space.
@@ -635,10 +617,12 @@ def sweep(space: SearchSpace, checks: Sequence[str], *, k: Optional[int] = None,
         from concurrent.futures import ProcessPoolExecutor
 
         chunk = -(-total // workers)
-        ranges = [(i, min(i + chunk, total)) for i in range(0, total, chunk)]
-        args = [(space.to_json(), items, a, b, collect_exceptions) for a, b in ranges]
+        starts = range(0, total, chunk)
+        stops = [min(a + chunk, total) for a in starts]
+        # the space pickles as it is: its alphabet's CycNums reduce to _make
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_sweep_worker, args))
+            parts = list(pool.map(_run_range, repeat(space), repeat(items), starts, stops,
+                                  repeat(collect_exceptions)))
     labels = [label for label, _, _ in items]
     # the parts run in ordinal order, so merged rows keep first-ordinal order
     tally: Dict[tuple, list] = {}

@@ -15,8 +15,7 @@ from primeplane.bounds import (
     EQUALITY,
     HOLDS,
     VIOLATED,
-    check_kp1,
-    check_rational,
+    check,
     classify_exception,
 )
 from primeplane.cyclotomic import CycNum, root_of_unity
@@ -39,13 +38,13 @@ from primeplane.plane import (
     Point,
     PointSet,
     bounded_line_direction,
+    covered_by_lines,
     directions_determined,
     is_blocking_set,
     min_blocking_size,
     one_line_cover,
     pencil_stability,
     rich_direction_search,
-    two_line_cover,
 )
 from primeplane.search import (
     character_cosets,
@@ -79,8 +78,8 @@ def test_c01_exhaustive_p3_sweep_no_violations_and_all_exceptions_classified():
     assert result.n_candidates == 3**9 == 19683
     assert result.n_nonzero == 19682
     assert result.violations == [], result.violations
-    for check in ("product", "meshulam", "rational", "kp1", "kp2", "product3"):
-        assert VIOLATED not in result.counts[check]
+    for name in ("product", "meshulam", "rational", "kp1", "kp2", "product3"):
+        assert VIOLATED not in result.counts[name]
     exceptional = set()
     for ords in result.exception_ordinals.values():
         exceptional.update(ords)
@@ -120,11 +119,10 @@ def test_c03_construction_gallery_exact_sizes():
 
 def test_c04_equality_harvesting_at_p3():
     space, result = exhaustive_p3_sweep()
-    for check in ("rational", "kp1"):
-        assert check in result.equality_witnesses, result.equality_witnesses
-        ordinal, literal = result.equality_witnesses[check]
-        f = GFunc.from_literal(literal)
-        rep = check_rational(f) if check == "rational" else check_kp1(f)
+    for name in ("rational", "kp1"):
+        assert name in result.equality_witnesses, result.equality_witnesses
+        ordinal, literal = result.equality_witnesses[name]
+        rep = check(name, GFunc.from_literal(literal))
         assert rep.verdict == EQUALITY
     print("\nACCEPTANCE C4 PASS - p=3 sweep harvests holds-with-equality "
           "witnesses for both the rational and the k=p-1 bounds")
@@ -198,7 +196,7 @@ def test_c07_line_lemmas_exhaustive_p3_and_randomized_p5_p7():
             if 2 <= size <= 4 * p and not one_line_cover(P):
                 assert bounded_line_direction(P) is not None
                 hits["bounded"] += 1
-            if 3 * p + 7 <= 2 * size and size <= 2 * p + 7 and not two_line_cover(P):
+            if 3 * p + 7 <= 2 * size and size <= 2 * p + 7 and not covered_by_lines(P, 2):
                 assert rich_direction_search(P) is not None
                 hits["rich"] += 1
     assert hits["pencil"] == 100000
@@ -364,10 +362,8 @@ def test_c10_asymptotic_statements_gallery_and_p3_sweep():
         f3 = triple_subgroups(p).func
         min3 = min(f3.support_size, fourier_transform(f3).support_size)
         assert min3 == 3 * (p - 1) < 3 * p
-        from primeplane.bounds import check_asym2, check_asym3
-
-        assert check_asym2(f2, Fraction(1, 2)).verdict in (HOLDS, EQUALITY)
-        assert check_asym3(f3, Fraction(1, 2)).verdict in (HOLDS, EQUALITY)
+        assert check("asym2", f2, Fraction(1, 2)).verdict in (HOLDS, EQUALITY)
+        assert check("asym3", f3, Fraction(1, 2)).verdict in (HOLDS, EQUALITY)
     # exhaustive p=3 sweep of the three-line statement at two epsilons
     space = make_space(3, alphabet=(-1, 0, 1))
     for eps in (Fraction(1, 4), Fraction(1, 2)):

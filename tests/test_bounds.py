@@ -13,19 +13,8 @@ from primeplane.bounds import (
     HOLDS,
     VIOLATED,
     SupportPair,
-    check_asym2,
-    check_asym3,
-    check_birotao,
-    check_conjecture,
-    check_coset_counts,
-    check_kp1,
-    check_kp2,
-    check_meshulam,
-    check_product,
-    check_product3,
+    check,
     check_quasicharacter,
-    check_rational,
-    check_roots,
     classify_exception,
     profile,
     sumset_size,
@@ -39,6 +28,7 @@ from primeplane.plane import (
     LineSubgroup,
     Point,
     PointSet,
+    covered_by_lines,
     orthogonal_direction,
 )
 from primeplane.search import (
@@ -163,35 +153,35 @@ def test_product_bound_rank1_example():
     f = GFunc(p, 1, PRIMAL, [1, 1, 0, 0, 0])
     fh = fourier_transform(f)
     assert fh.support_size == p  # (1 + zeta^-a)/5 never vanishes for odd p
-    rep = check_birotao(f)
+    rep = check("birotao", f)
     assert rep.verdict == HOLDS and rep.lhs == 7 and rep.rhs == 6
 
 
 def test_product_equality_for_character_coset():
     p = 5
-    rep = check_product(character_coset(p, direction=1, character=(2, 3)).func)
+    rep = check("product", character_coset(p, direction=1, character=(2, 3)).func)
     assert rep.verdict == EQUALITY
     assert rep.lhs == p * p
 
 
 def test_meshulam_examples():
     p = 3
-    rep = check_meshulam(subgroup_indicator(p))
+    rep = check("meshulam", subgroup_indicator(p))
     assert rep.verdict == EQUALITY  # 3 + 3/3 = 4
-    rep2 = check_meshulam(GFunc.delta(p, 2, 0))
+    rep2 = check("meshulam", GFunc.delta(p, 2, 0))
     assert rep2.verdict == EQUALITY  # 1 + 9/3 = 4
 
 
 def test_rational_equality_example():
     p = 3
-    rep = check_rational(diff_of_subgroups(p).func)
+    rep = check("rational", diff_of_subgroups(p).func)
     assert rep.verdict == EQUALITY
     assert rep.lhs == rep.rhs == p + 1
 
 
 def test_rational_exception_branches():
     p = 5
-    rep = check_rational(subgroup_indicator(p))
+    rep = check("rational", subgroup_indicator(p))
     assert rep.verdict == EXCEPTION
     assert rep.details["stated_support_matches"]
     assert "nonzero value sum" in rep.details["note"]
@@ -200,12 +190,12 @@ def test_rational_exception_branches():
     sub = LineSubgroup(p, 0)
     f = coset_indicator(Coset.through(Point(p, 0, 0), sub)) - \
         coset_indicator(Coset.through(Point(p, 0, 1), sub))
-    rep2 = check_rational(f)
+    rep2 = check("rational", f)
     assert rep2.verdict == EXCEPTION
     assert rep2.details["stated_support_matches"]
     assert "zero value sum" in rep2.details["note"]
 
-    rep3 = check_rational(GFunc.constant(p, 2, 2, PRIMAL))
+    rep3 = check("rational", GFunc.constant(p, 2, 2, PRIMAL))
     assert rep3.verdict == EXCEPTION
     assert rep3.details["stated_support_matches"]
     assert "constant" in rep3.details["note"]
@@ -216,16 +206,16 @@ def test_rational_rejects_nonrational():
     vals = [CycNum.zero(p)] * 9
     vals[0] = root_of_unity(p, 1)
     with pytest.raises(ValueError):
-        check_rational(GFunc(p, 2, PRIMAL, vals))
+        check("rational", GFunc(p, 2, PRIMAL, vals))
 
 
 def test_kp1_equality_and_exception():
     p = 5
-    rep = check_kp1(pm_two_cosets(p).func)
+    rep = check("kp1", pm_two_cosets(p).func)
     assert rep.verdict == EQUALITY
     assert rep.lhs == rep.rhs == p + 1
 
-    rep2 = check_kp1(character_coset(p, character=(1, 2)).func)
+    rep2 = check("kp1", character_coset(p, character=(1, 2)).func)
     assert rep2.verdict == EXCEPTION
     assert rep2.exception is not None
     assert rep2.exception.kind == "single-coset-character"
@@ -237,13 +227,13 @@ def test_kp2_and_product3_exceptions():
     chi = Point(p, 1, 2, DUAL)
     # one character on two parallel cosets: near-coset structure
     f = character_cosets(p, 0, [(0, 0), (0, 1)], (1, 2), [1, 2]).func
-    rep = check_kp2(f)
+    rep = check("kp2", f)
     assert rep.verdict == EXCEPTION
     assert rep.details["structure"]["large_cosets"]
-    rep2 = check_product3(f)
+    rep2 = check("product3", f)
     assert rep2.verdict == EXCEPTION
 
-    rep3 = check_product3(GFunc.delta(p, 2, 0))
+    rep3 = check("product3", GFunc.delta(p, 2, 0))
     assert rep3.verdict == EXCEPTION
     assert rep3.details["reason"] == "min support size at most 2"
 
@@ -252,14 +242,14 @@ def test_kp2_min_branch():
     # a function with both supports large: min >= 3(p-1)/2 branch applies
     p = 3
     f = GFunc(p, 2, PRIMAL, [1, 1, 1, 1, -1, 0, 0, 1, -1])
-    rep = check_kp2(f)
+    rep = check("kp2", f)
     assert rep.verdict in (HOLDS, EQUALITY)
 
 
 def test_product3_bound_values():
     p = 5
     f = triple_subgroups(p).func
-    rep = check_product3(f)
+    rep = check("product3", f)
     assert rep.verdict in (HOLDS, EQUALITY)
     assert rep.lhs == (3 * (p - 1)) ** 2
     assert rep.rhs == 3 * p * (p - 2)
@@ -273,8 +263,8 @@ def test_conjecture_reduces_to_meshulam_at_k1():
         if not any(vals):
             continue
         f = GFunc(p, 2, PRIMAL, vals)
-        r1 = check_conjecture(f, 1)
-        r2 = check_meshulam(f)
+        r1 = check("conjecture", f, 1)
+        r2 = check("meshulam", f)
         assert r1.lhs == r2.lhs and r1.rhs == r2.rhs
 
 
@@ -288,9 +278,9 @@ def test_conjecture_implication_low_to_high_k():
             continue
         f = GFunc(p, 2, PRIMAL, vals)
         for k in range(1, (p + 1) // 2):
-            rk = check_conjecture(f, k)
+            rk = check("conjecture", f, k)
             if rk.verdict in (HOLDS, EQUALITY):
-                rmirror = check_conjecture(f, p + 1 - k)
+                rmirror = check("conjecture", f, p + 1 - k)
                 assert rmirror.verdict in (HOLDS, EQUALITY)
 
 
@@ -304,16 +294,16 @@ def test_conjecture_implication_upper_range():
             continue
         f = GFunc(p, 2, PRIMAL, vals)
         for k in range((p + 1) // 2 + 1, p):
-            rk = check_conjecture(f, k)
+            rk = check("conjecture", f, k)
             if rk.verdict in (HOLDS, EQUALITY):
-                rnext = check_conjecture(f, k + 1)
+                rnext = check("conjecture", f, k + 1)
                 assert rnext.verdict in (HOLDS, EQUALITY)
 
 
 def test_conjecture_cover_details_and_k_validation():
     p = 5
     f = character_coset(p).func
-    rep = check_conjecture(f, 2)
+    rep = check("conjecture", f, 2)
     assert rep.details["cover_S"] == 1
     assert rep.details["cover_X"] == 1
     assert rep.details["cover_clause_applies"]
@@ -321,7 +311,7 @@ def test_conjecture_cover_details_and_k_validation():
     # a bool is an int in Python, but not a k
     for k in (0, p + 1, True):
         with pytest.raises(ValueError):
-            check_conjecture(f, k)
+            check("conjecture", f, k)
 
 
 def test_conjecture_lattice_witnesses():
@@ -338,14 +328,14 @@ def test_conjecture_lattice_witnesses():
 def test_roots_verdicts():
     p = 3
     # delta attains equality: sqrt(1) + sqrt(9) = 4 = p+1
-    rep = check_roots(GFunc.delta(p, 2, 0))
+    rep = check("roots", GFunc.delta(p, 2, 0))
     assert rep.verdict == EQUALITY
     # subgroup indicator fails the inequality but sits on one line
-    rep2 = check_roots(subgroup_indicator(p))
+    rep2 = check("roots", subgroup_indicator(p))
     assert rep2.verdict == EXCEPTION
     assert rep2.details["cover_clause_applies"]
     # full plane holds comfortably
-    rep3 = check_roots(GFunc.constant(p, 1, 2, PRIMAL))
+    rep3 = check("roots", GFunc.constant(p, 1, 2, PRIMAL))
     assert rep3.verdict in (HOLDS, EQUALITY)
 
 
@@ -354,24 +344,24 @@ def test_asym2_remark_and_exception():
     f = diff_of_subgroups(p).func
     # 2(p-1) < 2p shows the constant 2 is unreachable
     assert min(f.support_size, fourier_transform(f).support_size) == 2 * (p - 1) < 2 * p
-    rep = check_asym2(f, Fraction(1, 2))
+    rep = check("asym2", f, Fraction(1, 2))
     assert rep.verdict in (HOLDS, EQUALITY)
     assert "advisory" in rep.details  # p < 31
 
-    rep2 = check_asym2(character_coset(p).func, Fraction(1, 2))
+    rep2 = check("asym2", character_coset(p).func, Fraction(1, 2))
     assert rep2.verdict == EXCEPTION
 
     with pytest.raises(ValueError):
-        check_asym2(f, Fraction(3, 2))
+        check("asym2", f, Fraction(3, 2))
     with pytest.raises(ValueError):
-        check_asym2(f, 0)
+        check("asym2", f, 0)
 
 
 def test_asym2_tight_at_eps_one_over_p():
     # min = 2(p-1) = 2(1 - 1/p)p: the coefficient 2 cannot be improved
     for p in (5, 13, 31):
         f = diff_of_subgroups(p).func
-        rep = check_asym2(f, Fraction(1, p))
+        rep = check("asym2", f, Fraction(1, p))
         assert rep.verdict == EQUALITY
         assert rep.lhs == 2 * (p - 1)
 
@@ -381,11 +371,11 @@ def test_asym3_remark_and_exception():
     f = triple_subgroups(p).func
     fh = fourier_transform(f)
     assert f.support_size == fh.support_size == 3 * (p - 1) < 3 * p
-    rep = check_asym3(f, Fraction(1, 2))
+    rep = check("asym3", f, Fraction(1, 2))
     assert rep.verdict in (HOLDS, EQUALITY)
 
     two_lines = character_cosets(p, 0, [(0, 0), (0, 1)], (0, 0), [1, 1]).func
-    rep2 = check_asym3(two_lines, Fraction(1, 2))
+    rep2 = check("asym3", two_lines, Fraction(1, 2))
     assert rep2.verdict == EXCEPTION
 
 
@@ -406,11 +396,11 @@ def test_coset_counts_lemma():
         vals = [rng.choice([-1, 0, 1]) for _ in range(9)]
         if not any(vals):
             continue
-        rep = check_coset_counts(GFunc(p, 2, PRIMAL, vals))
+        rep = check("coset-counts", GFunc(p, 2, PRIMAL, vals))
         assert rep.verdict != VIOLATED
     # subgroup indicator at its own direction: K_X = 1 >= p+1-p
     f = subgroup_indicator(p, 0)
-    rep = check_coset_counts(f, LineSubgroup(p, 0))
+    rep = check("coset-counts", f, LineSubgroup(p, 0))
     assert rep.verdict != VIOLATED
     rows = rep.details["inequalities"]
     kx = [r for r in rows if r["quantity"] == "K_X"][0]
@@ -427,37 +417,36 @@ def test_coset_counts_lemma():
 def test_coset_counts_admits_only_a_primal_subgroup_of_the_plane(H, admitted):
     f = subgroup_indicator(3, 0)
     if admitted:
-        assert check_coset_counts(f, H).verdict != VIOLATED
+        assert check("coset-counts", f, H).verdict != VIOLATED
     else:
         with pytest.raises(ValueError, match="H must be None or a primal LineSubgroup"):
-            check_coset_counts(f, H)
+            check("coset-counts", f, H)
 
 
 def test_coset_counts_on_gallery_families():
     for p in (5, 7):
         for func in (diff_of_subgroups(p).func, pm_two_cosets(p).func,
                      triple_subgroups(p).func):
-            rep = check_coset_counts(func)
+            rep = check("coset-counts", func)
             assert rep.verdict != VIOLATED
 
 
 def test_zero_function_rejected():
     with pytest.raises(ValueError):
-        check_product(GFunc.zero(3, 2, PRIMAL))
+        check("product", GFunc.zero(3, 2, PRIMAL))
 
 
 def test_rank1_rejected_by_plane_checks():
     h = GFunc(5, 1, PRIMAL, [1, 0, 0, 0, 0])
-    for check in (check_meshulam, check_rational, check_kp1, check_kp2,
-                  check_product3, check_roots, check_coset_counts):
+    for name in ("meshulam", "rational", "kp1", "kp2", "product3", "roots", "coset-counts"):
         with pytest.raises(ValueError):
-            check(h)
+            check(name, h)
     with pytest.raises(ValueError):
-        check_conjecture(h, 2)
+        check("conjecture", h, 2)
     with pytest.raises(ValueError):
-        check_asym2(h, Fraction(1, 2))
+        check("asym2", h, Fraction(1, 2))
     # while the rank-agnostic product bound accepts rank 1
-    assert check_product(h).verdict in (HOLDS, EQUALITY)
+    assert check("product", h).verdict in (HOLDS, EQUALITY)
 
 
 # -- classifier ------------------------------------------------------------------
@@ -613,10 +602,8 @@ def test_classify_returns_none_for_spread_function():
     p = 3
     f = GFunc(p, 2, PRIMAL, [1, 1, 0, 1, -1, 1, 0, 1, 1])
     fh = fourier_transform(f)
-    from primeplane.plane import two_line_cover
-
-    if not two_line_cover(f.support()) and not two_line_cover(
-            PointSet(p, DUAL, fh.support_mask)):
+    if not covered_by_lines(f.support(), 2) and not covered_by_lines(
+            PointSet(p, DUAL, fh.support_mask), 2):
         assert classify_exception(f) is None
 
 

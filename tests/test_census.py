@@ -26,11 +26,11 @@ from primeplane.bounds import (
 from primeplane.plane import (
     DUAL,
     PRIMAL,
+    Coset,
     LineSubgroup,
     Point,
     PointSet,
     bounded_line_direction,
-    coset_of,
     directions_determined,
     is_blocking_set,
     one_line_cover,
@@ -290,7 +290,7 @@ def test_support_pair_predicates_match_mask_scans(p, data):
         isolated = pair.X.line_counts[orthogonal_direction(p, e)].count(1)
         assert isolated == reference_isolated_count(X, e)
     g = Point.from_index(p, data.draw(st.integers(0, p * p - 1)))
-    assert pair.S.line_counts[d][coset_of(g, LineSubgroup(p, d)).coset_id] == \
+    assert pair.S.line_counts[d][Coset.through(g, LineSubgroup(p, d)).coset_id] == \
         reference_line_count(S, g, d)
     assert _orthogonal_coset_pair(p, S, X) == reference_orthogonal_coset_pair(p, S, X)
     assert _coset_pair_exception(p, S, X) == reference_coset_pair_exception(p, S, X)

@@ -1,6 +1,7 @@
 """Exact arithmetic in Q(zeta_p): reduction, field axioms, Galois maps."""
 
 import json
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -199,6 +200,34 @@ def test_json_round_trip():
     blob = json.dumps(x.to_json())
     assert CycNum.from_json(json.loads(blob)) == x
     assert x.to_json()["coeffs"][0] == "-1/1"
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 23])
+def test_rational_values_hash_as_their_fractions(p):
+    for r in (0, 1, -3, 10**25, Fraction(1, 2), Fraction(-7, 3), Fraction(10**25 + 1, 6)):
+        x = CycNum.from_rational(p, r)
+        assert hash(x) == hash(x.rational_value()) == hash(Fraction(r))
+        assert len({x, x.rational_value()}) == 1
+    assert len({CycNum.one(p), 1, CycNum.zero(p), 0}) == 2
+    if p > 2:
+        # an irrational value keeps its hash
+        z = root_of_unity(p, 1) * Fraction(3, 2)
+        assert hash(z) == hash((z.p, z.num, z.den))
+
+
+def test_pickle_round_trip():
+    p = 7
+    values = [
+        CycNum.zero(p),
+        CycNum.from_rational(p, Fraction(-5, 6)),
+        root_of_unity(p, 3) * Fraction(2, 9) - Fraction(1, 4),
+        root_of_unity(p, 2) * (10**25 + 1) + CycNum.one(p),
+    ]
+    for x in values:
+        again = pickle.loads(pickle.dumps(x))
+        assert type(again) is CycNum
+        assert (again.p, again.num, again.den) == (x.p, x.num, x.den)
+        assert again == x and hash(again) == hash(x)
 
 
 def test_literal_round_trip():

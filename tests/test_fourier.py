@@ -37,7 +37,6 @@ from primeplane.plane import (
     Point,
     all_subgroups,
     opposite_side,
-    orthogonal,
     tables,
 )
 from primeplane.search import diff_of_subgroups, pm_two_cosets, triple_subgroups
@@ -69,7 +68,7 @@ def test_subgroup_indicator_closed_form():
         for H in all_subgroups(p):
             f = coset_indicator(Coset.through(Point(p, 0, 0), H))
             fh = fourier_transform(f)
-            perp = set(orthogonal(H).members())
+            perp = set(H.orthogonal().members())
             for w in range(p * p):
                 chi = Point.from_index(p, w, DUAL)
                 expected = Fraction(1, p) if chi in perp else 0
@@ -84,7 +83,7 @@ def test_coset_indicator_closed_form():
     fh = fourier_transform(f)
     for w in range(p * p):
         chi = Point.from_index(p, w, DUAL)
-        if orthogonal(H).contains(chi):
+        if H.orthogonal().contains(chi):
             expected = root_of_unity(p, (p - chi.pair(g)) % p) * Fraction(1, p)
         else:
             expected = CycNum.zero(p)
@@ -104,7 +103,7 @@ def test_character_coset_transform_is_evaluation_on_dual_coset():
         vals[z.index] = c * root_of_unity(p, psi.pair(z))
     f = GFunc(p, 2, PRIMAL, vals)
     fh = fourier_transform(f)
-    perp = orthogonal(H)
+    perp = H.orthogonal()
     for w in range(p * p):
         chi = Point.from_index(p, w, DUAL)
         shifted = Point.of(p, chi.x - psi.x, chi.y - psi.y, DUAL)
@@ -126,7 +125,7 @@ def test_coset_restriction_of_constant_function():
         H = LineSubgroup(p, d)
         g = Point(p, 2, 3)
         got = coset_restriction_transform(f, g, H)
-        perp = orthogonal(H)
+        perp = H.orthogonal()
         for w in range(p * p):
             chi = Point.from_index(p, w, DUAL)
             if perp.contains(chi):
@@ -287,7 +286,7 @@ def test_packed_transform_of_lines_that_sum_to_zero(p):
         f = GFunc(p, 2, PRIMAL, values)
         fh = fourier_transform(f)
         assert fh == reference_transform(f)
-        _, _, points = fourier._line_sum_tables(p, 2)[d]
+        *_, points = fourier._line_table(p, 2)[d]
         assert all(fh.values[points[t]].is_zero() for t in range(p))
 
 
@@ -533,7 +532,7 @@ def test_restriction_transform_relation():
         lhs = sliced_hat.values[restriction_label] * \
             root_of_unity(p, (p - chi.pair(g)) % p)
         total = CycNum.zero(p)
-        for psi in orthogonal(H).members():
+        for psi in H.orthogonal().members():
             val = fh.value(chi + psi)
             if not val.is_zero():
                 total = total + val * root_of_unity(p, psi.pair(g))
@@ -614,7 +613,7 @@ def test_line_diff_probe():
         for w in range(p * p):
             chi = Point.from_index(p, w, DUAL)
             total = CycNum.zero(p)
-            for psi in orthogonal(H).members():
+            for psi in H.orthogonal().members():
                 val = fh.value(chi + psi)
                 if not val.is_zero():
                     diff = root_of_unity(p, psi.pair(g)) - root_of_unity(p, psi.pair(g0))
@@ -638,7 +637,7 @@ def test_shifted_line_diff_probe():
     for w in range(p * p):
         chi = Point.from_index(p, w, DUAL)
         total = CycNum.zero(p)
-        for psi in orthogonal(H).members():
+        for psi in H.orthogonal().members():
             val = fh.value(chi + psi)
             if not val.is_zero():
                 factor = root_of_unity(p, psi.pair(gamma)) - CycNum.one(p)
@@ -782,9 +781,9 @@ def test_line_sums_run_on_the_plane_lines(p):
     # times that id
     coset_id = tables(p).coset_id
     exps = pair_exponents(p, 2)
-    line_tables = fourier._line_sum_tables(p, 2)
+    line_tables = fourier._line_table(p, 2)
     assert len(line_tables) == p + 1
-    for d, (line_of, mask, points) in enumerate(line_tables):
+    for d, (line_of, _, _, mask, points) in enumerate(line_tables):
         assert line_of is coset_id[d]
         assert mask == sum(1 << w for w in points[1:])
         for t in range(p):

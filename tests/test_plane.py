@@ -9,6 +9,7 @@ from primeplane import plane
 from primeplane.plane import (
     DUAL,
     PRIMAL,
+    Coset,
     LineSubgroup,
     Point,
     PointSet,
@@ -17,21 +18,18 @@ from primeplane.plane import (
     all_subgroups,
     bounded_line_direction,
     coset_from_id,
-    coset_of,
     covered_by_lines,
     directions_determined,
     is_blocking_set,
     min_blocking_size,
     min_line_cover,
     one_line_cover,
-    orthogonal,
     orthogonal_direction,
     orthogonal_directions,
     parse_pointset,
     pencil_stability,
     rich_direction_search,
     tables,
-    two_line_cover,
 )
 from primeplane.search import _candidates, make_space
 
@@ -59,9 +57,9 @@ def test_p5_generators_up_to_scaling():
 def test_orthogonal_involution_and_size():
     for p in (3, 5, 7):
         for sub in all_subgroups(p):
-            perp = orthogonal(sub)
+            perp = sub.orthogonal()
             assert perp.side == DUAL
-            assert orthogonal(perp) == sub
+            assert perp.orthogonal() == sub
             assert len(perp.members()) == p
             # every pairing between the subgroup and its orthogonal vanishes
             for h in sub.members():
@@ -71,7 +69,7 @@ def test_orthogonal_involution_and_size():
 
 def test_orthogonal_of_horizontal_is_vertical():
     H = LineSubgroup(5, 0)
-    assert orthogonal(H).generator == Point(5, 0, 1, DUAL)
+    assert H.orthogonal().generator == Point(5, 0, 1, DUAL)
 
 
 def test_lines_partition_plane():
@@ -128,14 +126,35 @@ def test_two_points_share_exactly_one_line():
 
 
 def test_coset_of_example():
-    got = coset_of(Point(3, 1, 2), LineSubgroup(3, 0))
+    got = Coset.through(Point(3, 1, 2), LineSubgroup(3, 0))
     assert set(got.members()) == {Point(3, 0, 2), Point(3, 1, 2), Point(3, 2, 2)}
     assert got.rep == Point(3, 0, 2)
 
 
+def test_from_pairs_matches_the_or_loop():
+    rng = random.Random(23)
+    for p in (2, 3, 5, 11, 13):
+        for size in (0, 1, 5, 3 * p * p):
+            pairs = [(rng.randrange(p), rng.randrange(p)) for _ in range(size)]
+            pairs += pairs[: size // 3]  # repeats
+            mask = 0
+            for x, y in pairs:
+                mask |= 1 << (x * p + y)
+            assert PointSet.from_pairs(p, pairs).mask == mask, (p, size)
+    assert PointSet.from_pairs(5, []) == PointSet.empty(5)
+    for bad in [(5, 0), (0, -1)]:
+        with pytest.raises(ValueError):
+            PointSet.from_pairs(5, [(0, 0), bad])
+
+
+def test_parse_pointset_reads_the_p3001_axes_witness():
+    _, witness = min_blocking_size(3001)
+    assert parse_pointset(witness.literal()) == witness
+
+
 def test_coset_side_mismatch_rejected():
     with pytest.raises(ValueError):
-        coset_of(Point(3, 1, 2, DUAL), LineSubgroup(3, 0))
+        Coset.through(Point(3, 1, 2, DUAL), LineSubgroup(3, 0))
 
 
 def test_point_count_per_line():
@@ -308,7 +327,7 @@ def test_rich_direction_preconditions():
     extra = PointSet.from_pairs(p, [(1, 1), (2, 2)])
     P = two_lines | extra
     assert P.size == 11
-    if two_line_cover(P):
+    if covered_by_lines(P, 2):
         with pytest.raises(ValueError):
             rich_direction_search(P)
 
@@ -316,10 +335,10 @@ def test_rich_direction_preconditions():
 def test_line_covers():
     p = 3
     assert one_line_cover(PointSet.from_pairs(p, [(0, 0), (1, 1)]))
-    assert two_line_cover(PointSet.from_pairs(p, [(0, 0), (1, 1)]))
-    assert not two_line_cover(PointSet.full(p))
+    assert covered_by_lines(PointSet.from_pairs(p, [(0, 0), (1, 1)]), 2)
+    assert not covered_by_lines(PointSet.full(p), 2)
     parallel = PointSet(p, PRIMAL, tables(p).coset_masks[0][0] | tables(p).coset_masks[0][1])
-    assert two_line_cover(parallel)
+    assert covered_by_lines(parallel, 2)
     assert min_line_cover(parallel) == 2
     assert min_line_cover(PointSet.full(p)) == p
     assert min_line_cover(PointSet.empty(p)) == 0

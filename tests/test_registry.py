@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from primeplane import bounds, cli, search
+from primeplane import cli, search
 from primeplane.bounds import CHECKS, HOLDS, BoundReport, CheckSpec, SupportPair, check, evaluate
 from primeplane.cli import EXIT_OK, EXIT_USAGE, main
 from primeplane.fourier import GFunc, fourier_transform, int_support_masks
@@ -71,13 +71,6 @@ def test_function_route_matches_evaluate(name):
             (b.theorem, b.verdict, b.lhs, b.rhs, b.details), (name, f.to_literal())
         compared += 1
     assert compared >= 10
-
-
-def test_aliases_are_the_function_route():
-    f = construct("diff-of-subgroups", 5).func
-    assert bounds.check_kp1(f).to_json() == check("kp1", f).to_json()
-    assert bounds.check_conjecture(f, 3).to_json() == check("conjecture", f, 3).to_json()
-    assert bounds.check_asym3(f, "1/3").to_json() == check("asym3", f, Fraction(1, 3)).to_json()
 
 
 def test_verify_theorem_choices_are_the_registry():

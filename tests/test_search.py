@@ -3,6 +3,7 @@
 import concurrent.futures
 import json
 import os
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -21,7 +22,6 @@ from primeplane.fourier import (
 )
 from primeplane.plane import DUAL, PRIMAL, Coset, LineSubgroup, Point, coset_from_id
 from primeplane.search import (
-    SearchSpace,
     attainable_lattice,
     character_coset,
     character_cosets,
@@ -148,10 +148,10 @@ def test_sweep_starts_at_most_one_worker_per_cpu(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, args):
-            args = list(args)
+        def map(self, fn, *iterables):
+            args = list(zip(*iterables))
             chunks.append(len(args))
-            return map(fn, args)
+            return (fn(*a) for a in args)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
@@ -256,15 +256,19 @@ def test_hunt_conjecture_includes_cover_stats():
     assert result.check == "conjecture[k=2]"
 
 
-def test_space_json_round_trip():
-    space = make_space(5, alphabet=("-1", "0", "1", "z"), mode="random",
-                       seed=3, budget=50, char_twist=False)
-    again = SearchSpace.from_json(space.to_json())
-    assert again.to_json() == space.to_json()
-    assert [space.values_at(i) for i in range(5)] == [again.values_at(i) for i in range(5)]
-    assert again == space
-    exhaustive = make_space(3, alphabet=(0, 1), budget=7)
-    assert SearchSpace.from_json(exhaustive.to_json()) == exhaustive
+def test_space_pickle_round_trip():
+    # --jobs workers receive the space pickled; its CycNums reduce to _make
+    spaces = [
+        make_space(5, alphabet=("-1", "0", "1", "z"), mode="random", seed=3, budget=50),
+        make_space(3, alphabet=("0", "1/2", "z^2"), mode="random", seed=4, budget=40,
+                   char_twist=True),
+        make_space(3, alphabet=(0, 1), budget=7, ceiling=600),
+    ]
+    for space in spaces:
+        again = pickle.loads(pickle.dumps(space))
+        assert again == space and hash(again) == hash(space)
+        assert again.ceiling == space.ceiling and again.describe() == space.describe()
+        assert [space.values_at(i) for i in range(5)] == [again.values_at(i) for i in range(5)]
 
 
 # -- the support-pair memo against a plain per-candidate loop ---------------------
@@ -383,6 +387,18 @@ def test_sweep_parallel_every_check_matches_serial():
     kwargs = dict(k=2, eps="1/2", collect_exceptions=True)
     assert sweep(space, ALL_CHECKS, jobs=2, **kwargs).to_json() == \
         sweep(space, ALL_CHECKS, **kwargs).to_json()
+
+
+@pytest.mark.parametrize("space", [
+    make_space(3, alphabet=("0", "1", "z")),
+    make_space(3, alphabet=(0, 1), char_twist=True),
+], ids=["irrational", "twisted"])
+def test_sweep_parallel_exact_route_matches_serial(space):
+    # both spaces take the exact CycNum route and lie above the 4,096
+    # serial cutoff, so jobs=2 ships the pickled space to a pool
+    assert space.candidate_count in (19683, 4608)
+    checks = ["product", "meshulam", "roots"]
+    assert sweep(space, checks, jobs=2).to_json() == sweep(space, checks, jobs=1).to_json()
 
 
 # -- gallery builders against their reference loops ------------------------------
