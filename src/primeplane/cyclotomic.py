@@ -232,8 +232,11 @@ class CycNum:
         return Fraction(self.num[0], self.den)
 
     def __eq__(self, other):
+        # Q(zeta_p) meets Q(zeta_q) in Q, so across fields only rationals are equal
+        if isinstance(other, CycNum) and other.p != self.p and other.is_rational():
+            other = other.rational_value()
         if _is_rational(other):
-            other = CycNum.from_rational(self.p, other)
+            return self.is_rational() and self.rational_value() == other
         if not isinstance(other, CycNum):
             return NotImplemented
         return self.p == other.p and self.den == other.den and self.num == other.num

@@ -5,13 +5,13 @@ attained (|S|, |X|) frontier with witnesses.
 Candidates are enumerated by a mixed-radix counter over the point index
 (point 0 is the least significant digit), so witness identities are
 reproducible and the lexicographically least witness is always found
-first.  Sweeps over all-rational alphabets, scaled to integers by the lcm
-of their denominators, use the integer support kernel from the fourier
+first.  A twisted candidate is decided untwisted, its X then translated.
+Sweeps over all-rational alphabets, scaled to integers by the lcm of
+their denominators, use the integer support kernel from the fourier
 module, which decides an exhaustive space a block of candidates at a
-time; everything else goes through the exact CycNum transform, over
-value tuples streamed from itertools.product.  Sweeps and hunts run their
-checks once per distinct support pair, and a sweep tallies each distinct
-row of verdicts once.
+time; other alphabets go through the exact CycNum transform.  Sweeps and
+hunts run their checks once per distinct support pair, and a sweep
+tallies each distinct row of verdicts once.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import islice, product, repeat
 from math import lcm
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cyclotomic import CycNum, check_prime, format_value, parse_value
 from .fourier import GFunc, fourier_transform, int_support_masks, int_support_stream, twist
@@ -355,9 +355,9 @@ class SearchSpace:
 
     def int_alphabet(self) -> Optional[Tuple[int, ...]]:
         """The alphabet times the lcm of its denominators, as plain ints,
-        when it is all-rational without a twist; None otherwise.  Scaling a
-        function scales its transform, so neither support changes."""
-        if not self.all_rational():
+        when every letter is rational, twist or not; None otherwise.  Scaling
+        a function scales its transform, so neither support changes."""
+        if not all(v.is_rational() for v in self.alphabet):
             return None
         values = [v.rational_value() for v in self.alphabet]
         scale = lcm(*(r.denominator for r in values))
@@ -374,7 +374,7 @@ class SearchSpace:
             rng = random.Random((self.seed << 32) ^ ordinal)
             digits = _random_digits(rng, base, n)
             return digits, rng.randrange(n) if self.char_twist else 0
-        chi_index, counter = divmod(ordinal, self.base_count) if self.char_twist else (0, ordinal)
+        chi_index, counter = divmod(ordinal, self.base_count)
         digits = [0] * n
         for i in range(n):
             counter, digits[i] = divmod(counter, base)
@@ -389,43 +389,6 @@ class SearchSpace:
         if self.char_twist:
             return twist(GFunc(self.p, self.rank, PRIMAL, values), chi_index).values
         return values
-
-    def int_values_at(self, ordinal: int, ints: Tuple[int, ...]) -> Tuple[int, ...]:
-        """values_at with `ints` (the int_alphabet) in place of the alphabet:
-        random mode's integer decode, and the tests' oracle for the
-        exhaustive block stream."""
-        return tuple(map(ints.__getitem__, self._decode(ordinal)[0]))
-
-    def values_in(self, start: int, stop: int) -> Iterator[Tuple[int, Tuple[CycNum, ...]]]:
-        """(ordinal, values_at(ordinal)) for each nonzero candidate with
-        start <= ordinal < stop, in ordinal order.
-
-        An exhaustive space streams each character's value tuples from
-        itertools.product, which varies its last position fastest, so its
-        tuple k reversed is counter k; islice skips to the chunk's first
-        in C.  The zero candidate is the counter whose every digit is the
-        zero letter's index (none without a zero letter), under every
-        character, since a twist keeps zero at zero.  Random mode decodes
-        and tests each ordinal apart."""
-        if self.mode == "random":
-            for ordinal in range(start, stop):
-                values = self.values_at(ordinal)
-                if any(values):
-                    yield ordinal, values
-            return
-        p, rank, n, count = self.p, self.rank, self.n_points, self.base_count
-        base, zero = len(self.alphabet), CycNum.zero(p)
-        zero_counter = sum(self.alphabet.index(zero) * base**i for i in range(n)) \
-            if zero in self.alphabet else -1
-        for chi in range(start // count, -(-stop // count)):
-            first = chi * count
-            lo = max(start - first, 0)
-            rows = islice(product(self.alphabet, repeat=n), lo, min(stop - first, count))
-            for counter, values in enumerate(map(_REVERSED, rows), lo):
-                if counter != zero_counter:
-                    if self.char_twist:
-                        values = twist(GFunc(p, rank, PRIMAL, values), chi).values
-                    yield first + counter, values
 
     def gfunc_at(self, ordinal: int) -> GFunc:
         return GFunc(self.p, self.rank, PRIMAL, self.values_at(ordinal))
@@ -476,7 +439,8 @@ def _check_items(space: SearchSpace, checks: Sequence[str],
         spec = bounds.spec_for(name, space.rank)
         value = spec.admit(space.p, {"k": k, "eps": eps}.get(spec.param))
         if spec.rational and not space.all_rational():
-            raise ValueError(f"the {name} check needs an all-rational alphabet")
+            need = "an untwisted space" if space.char_twist else "an all-rational alphabet"
+            raise ValueError(f"the {name} check needs {need}")
         if value is None:
             items.append((name, name, None))
         else:
@@ -515,28 +479,59 @@ class SweepResult:
         return out
 
 
+def _translate(p: int, rank: int, mask: int, chi: int) -> int:
+    """`mask` moved by the character chi = cx*p + cy (cx = 0 at rank 1):
+    bit x*p + y goes to ((x + cx) % p)*p + (y + cy) % p.  Each p-bit row
+    rotates by cy, then the rows rotate by cx."""
+    n, (cx, cy) = p**rank, divmod(chi, p)
+    full = (1 << n) - 1
+    stay = full // ((1 << p) - 1) * ((1 << p - cy) - 1)  # the bits that do not wrap in their row
+    mask = (mask & stay) << cy | (mask & ~stay) >> p - cy
+    return (mask << cx * p | mask >> n - cx * p) & full
+
+
+def _exact_masks(p: int, rank: int, values: Sequence[CycNum]) -> Tuple[int, int]:
+    """(S mask, X mask) by the exact CycNum transform; (0, 0) for zero."""
+    func = GFunc(p, rank, PRIMAL, values)
+    return func.support_mask, func.support_mask and fourier_transform(func).support_mask
+
+
 def _candidates(space: SearchSpace, start: int, stop: int):
     """Yield (ordinal, s_mask, x_mask) for each nonzero candidate with
     start <= ordinal < stop, in ordinal order.
 
-    All-rational alphabets, scaled to integers (int_alphabet), take the
-    integer support kernel: an exhaustive space a block of candidates at
-    a time (fourier.int_support_stream), a random one per candidate.
-    Everything else goes through the exact CycNum transform.
+    f twisted by chi has transform w -> hat f(w - chi): f's S, and f's X
+    translated by chi (_translate, skipped for chi = 0).  So f is decided
+    untwisted, by the integer kernel over int_alphabet or else the exact
+    CycNum transform.  A random space decodes each ordinal to (digits,
+    chi); an exhaustive one runs one stream per character, by
+    fourier.int_support_stream or over itertools.product's tuples (last
+    position fastest, so tuple k reversed is counter k).
     """
     p, rank = space.p, space.rank
     ints = space.int_alphabet()
-    if ints is None:
-        for ordinal, values in space.values_in(start, stop):
-            func = GFunc(p, rank, PRIMAL, values)
-            yield ordinal, func.support_mask, fourier_transform(func).support_mask
-    elif space.mode == "exhaustive":
-        yield from int_support_stream(p, rank, ints, start, stop)
-    else:
+    if space.mode == "random":
+        letters, masks = (ints, int_support_masks) if ints else (space.alphabet, _exact_masks)
         for ordinal in range(start, stop):
-            int_values = space.int_values_at(ordinal, ints)
-            if any(int_values):
-                yield (ordinal, *int_support_masks(p, rank, int_values))
+            digits, chi = space._decode(ordinal)
+            s_mask, x_mask = masks(p, rank, tuple(map(letters.__getitem__, digits)))
+            if s_mask:
+                yield ordinal, s_mask, _translate(p, rank, x_mask, chi) if chi else x_mask
+        return
+    count = space.base_count
+    for chi in range(start // count, -(-stop // count)):
+        first = chi * count
+        lo, hi = max(start - first, 0), min(stop - first, count)
+        if ints is None:
+            rows = map(_REVERSED, islice(product(space.alphabet, repeat=space.n_points), lo, hi))
+            stream = filter(itemgetter(1), ((counter, *_exact_masks(p, rank, values))
+                                            for counter, values in enumerate(rows, lo)))
+        else:
+            stream = int_support_stream(p, rank, ints, lo, hi)
+        if chi:
+            stream = ((first + counter, s_mask, _translate(p, rank, x_mask, chi))
+                      for counter, s_mask, x_mask in stream)
+        yield from stream
 
 
 #: the most support pairs the memo of _outcomes holds before it is cleared

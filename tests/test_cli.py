@@ -599,6 +599,19 @@ def test_zero_denominator_epsilon_is_a_usage_error(capsys):
         assert err.startswith("primeplane: error: ") and "1/0" in err
 
 
+
+def test_rational_check_under_a_twist_names_the_twist(capsys):
+    # {0, 1} is rational, but a character twist makes the values irrational
+    argv = ("sweep", "--p", "3", "--alphabet=0,1", "--theorem", "rational")
+    code, out, err = run_cli(capsys, *argv, "--char-twist")
+    assert code == EXIT_USAGE and out == ""
+    assert err == "primeplane: error: the rational check needs an untwisted space\n"
+    code, out, err = run_cli(capsys, *argv[:3], "--alphabet=0,z", *argv[4:])
+    assert code == EXIT_USAGE
+    assert err == "primeplane: error: the rational check needs an all-rational alphabet\n"
+    assert run_cli(capsys, *argv)[0] == EXIT_OK
+
+
 def test_bad_parameters_rejected_on_an_empty_space(capsys):
     # alphabet {0}: no nonzero candidate, so nothing is ever evaluated
     empty = ("sweep", "--p", "3", "--alphabet", "0")

@@ -215,6 +215,23 @@ def test_rational_values_hash_as_their_fractions(p):
         assert hash(z) == hash((z.p, z.num, z.den))
 
 
+
+def test_equality_across_fields_is_transitive():
+    # Q(zeta_p) and Q(zeta_q) meet in Q: rational values compare across
+    # fields as their Fractions, and irrational ones only within a field
+    one3, one5 = CycNum.one(3), CycNum.one(5)
+    assert one3 == 1 == one5 and one3 == one5 and not one3 != one5
+    assert len({1, one3, one5}) == len({one3, one5, 1}) == 1
+    assert CycNum.zero(3) == CycNum.zero(5) == CycNum.zero(2) == 0
+    assert len({CycNum.zero(3), CycNum.zero(5), 0}) == len({0, CycNum.zero(5), CycNum.zero(3)}) == 1
+    half = Fraction(1, 2)
+    assert CycNum.from_rational(3, half) == CycNum.from_rational(7, half) == half
+    assert CycNum.from_rational(3, half) != CycNum.from_rational(7, Fraction(1, 3))
+    z3, z5 = root_of_unity(3, 1), root_of_unity(5, 1)
+    assert z3 != z5 and z5 != z3 and z3 != 1 and len({z3, z5}) == 2
+    assert z3 != CycNum.one(5) and CycNum.one(5) != z3
+
+
 def test_pickle_round_trip():
     p = 7
     values = [

@@ -19,6 +19,7 @@ from primeplane.fourier import (
     int_support_masks,
     int_support_stream,
     pair_exponents,
+    twist,
 )
 from primeplane.plane import DUAL, PRIMAL, Coset, LineSubgroup, Point, coset_from_id
 from primeplane.search import (
@@ -192,8 +193,8 @@ def test_char_twist_space():
     space = make_space(3, alphabet=(0, 1), rank=2, char_twist=True)
     assert space.candidate_count == 512 * 9
     # twisted candidates are plain candidates scaled by a character
-    vals = space.values_at(3 * 512 + 5)
-    assert len(vals) == 9
+    plain = make_space(3, alphabet=(0, 1), rank=2).gfunc_at(5)
+    assert space.values_at(3 * 512 + 5) == twist(plain, 3).values
     res = sweep(make_space(3, alphabet=(0, 1), rank=1, char_twist=True),
                 ["product", "birotao"])
     assert not res.violations
@@ -213,6 +214,11 @@ def test_frontier_examples():
     assert csv.splitlines()[0] == "S_size,X_size,witness_literal"
 
 
+def int_values_at(space, ordinal, ints):
+    """Candidate `ordinal` untwisted, over `ints` (the scaled alphabet)."""
+    return tuple(ints[d] for d in space._decode(ordinal)[0])
+
+
 def test_kernel_route_matches_exact_route_in_sweep():
     # the integer kernel and the CycNum transform agree candidate by candidate
     space = make_space(3, alphabet=(-1, 0, 1))
@@ -221,7 +227,7 @@ def test_kernel_route_matches_exact_route_in_sweep():
     rng = random.Random(99)
     for _ in range(50):
         ordinal = rng.randrange(space.candidate_count)
-        int_vals = space.int_values_at(ordinal, ints)
+        int_vals = int_values_at(space, ordinal, ints)
         f = space.gfunc_at(ordinal)
         s_mask, x_mask = int_support_masks(3, 2, int_vals)
         assert s_mask == f.support_mask
@@ -375,8 +381,8 @@ def test_memo_evaluates_once_per_check_per_support_pair(monkeypatch):
         space = make_space(3, alphabet=alphabet)
         calls.clear()
         result = sweep(space, checks)
-        pairs = {int_support_masks(3, 2, space.int_values_at(o, alphabet))
-                 for o in range(space.candidate_count) if any(space.int_values_at(o, alphabet))}
+        pairs = {int_support_masks(3, 2, int_values_at(space, o, alphabet))
+                 for o in range(space.candidate_count) if any(int_values_at(space, o, alphabet))}
         assert len(calls) == len(checks) * len(pairs)
         assert (len(pairs) < result.n_nonzero) == (alphabet == (-1, 1))
         assert all(sum(c.values()) == result.n_nonzero for c in result.counts.values())
@@ -394,7 +400,8 @@ def test_sweep_parallel_every_check_matches_serial():
     make_space(3, alphabet=(0, 1), char_twist=True),
 ], ids=["irrational", "twisted"])
 def test_sweep_parallel_exact_route_matches_serial(space):
-    # both spaces take the exact CycNum route and lie above the 4,096
+    # the irrational space takes the exact CycNum route, the twisted one
+    # the block stream with translated X masks; both lie above the 4,096
     # serial cutoff, so jobs=2 ships the pickled space to a pool
     assert space.candidate_count in (19683, 4608)
     checks = ["product", "meshulam", "roots"]
@@ -565,19 +572,20 @@ def power_values(space, ordinal):
 def test_decoding_matches_reference_routes(mode):
     rng = random.Random(5)
     reference = randrange_values if mode == "random" else power_values
-    for p, rank, alphabet, twist in [(2, 2, (0, 1), True), (3, 2, (-1, 0, 1), False),
-                                     (3, 1, (0, 1, "z", 2, "1/2"), True),
-                                     (5, 2, (-2, -1, 0, 1, 2), False), (5, 1, (7,), False)]:
+    for p, rank, alphabet, twisted in [(2, 2, (0, 1), True), (3, 2, (-1, 0, 1), False),
+                                        (3, 1, (0, 1, "z", 2, "1/2"), True),
+                                        (5, 2, (-2, -1, 0, 1, 2), False), (5, 1, (7,), False)]:
         space = make_space(p, alphabet=alphabet, rank=rank, mode=mode, seed=rng.randrange(99),
-                           budget=200, char_twist=twist, ceiling=10**18)
+                           budget=200, char_twist=twisted, ceiling=10**18)
         ints = space.int_alphabet()
         count = space.candidate_count
         for ordinal in sorted(rng.sample(range(count), min(20, count))):
             values = space.values_at(ordinal)
-            assert values == reference(space, ordinal), (p, rank, alphabet, twist, ordinal)
+            assert values == reference(space, ordinal), (p, rank, alphabet, twisted, ordinal)
             if ints is not None:
-                assert space.int_values_at(ordinal, ints) == \
-                    tuple(int(v.rational_value()) for v in values)
+                # the kernel reads the untwisted ints; the twist is put back here
+                plain = GFunc(p, rank, PRIMAL, int_values_at(space, ordinal, ints))
+                assert twist(plain, space._decode(ordinal)[1]).values == values
 
 
 STREAM_SPACES = [
@@ -598,7 +606,7 @@ def test_exhaustive_stream_matches_per_ordinal_decode(p, rank, alphabet):
     space = make_space(p, alphabet=alphabet, rank=rank)
     count, n = space.candidate_count, p**rank
     full = [(o, *int_support_masks(p, rank, values)) for o in range(count)
-            for values in [space.int_values_at(o, alphabet)] if any(values)]
+            for values in [int_values_at(space, o, alphabet)] if any(values)]
     assert list(int_support_stream(p, rank, alphabet, 0, count)) == full
     assert list(search._candidates(space, 0, count)) == full
     # chunks that start or end inside a low block, span several, or are empty
@@ -663,7 +671,9 @@ def test_capped_memo_changes_no_output(monkeypatch):
 ])
 def test_exact_stream_matches_per_ordinal_route(p, rank, alphabet, twist):
     space = make_space(p, alphabet=alphabet, rank=rank, char_twist=twist)
-    assert space.int_alphabet() is None
+    # a twisted rational alphabet takes the integer kernel and translates X;
+    # at p = 2, z = -1 is rational
+    assert (space.int_alphabet() is None) == ("z" in alphabet and p > 2)
     count, base = space.candidate_count, space.base_count
     full = []
     for ordinal in range(count):
@@ -679,6 +689,49 @@ def test_exact_stream_matches_per_ordinal_route(p, rank, alphabet, twist):
         a, b = min(a, count), min(b, count)
         assert list(search._candidates(space, a, b)) == \
             [c for c in full if a <= c[0] < b], (a, b)
+
+
+@pytest.mark.parametrize("p, rank, mode, alphabet", [
+    (2, 1, "exhaustive", (-1, "1/2")), (2, 2, "exhaustive", (0, 1, "-1/3")),
+    (3, 1, "exhaustive", (0, "1/2", 2)), (3, 2, "exhaustive", (1, "-1/2")),
+    (5, 1, "exhaustive", ("1/2", 0, -1)), (5, 1, "exhaustive", (1, 2)),
+    (2, 2, "random", (0, "1/2")), (3, 2, "random", (-1, 0, 1)), (5, 1, "random", (1, "-1/3")),
+    (5, 2, "random", (0, 1, "1/2")), (5, 2, "random", (-1, "z", 1)),
+])
+def test_twisted_candidates_translate_the_untwisted_masks(p, rank, mode, alphabet):
+    # _candidates decides each candidate untwisted and translates X by chi;
+    # the reference transforms the twisted function itself
+    space = make_space(p, alphabet=alphabet, rank=rank, mode=mode, seed=7, budget=300,
+                       char_twist=True)
+    assert (space.int_alphabet() is None) == ("z" in alphabet)
+    count = space.candidate_count
+    full = []
+    for ordinal in range(count):
+        f = space.gfunc_at(ordinal)
+        if f.support_mask:
+            full.append((ordinal, f.support_mask, fourier_transform(f).support_mask))
+    assert list(search._candidates(space, 0, count)) == full
+    # chunks that cross a character, span several, or are empty
+    base = space.base_count if mode == "exhaustive" else 100
+    for a, b in [(1, count), (base - 1, base + 1), (base // 2, 2 * base + 3),
+                 (count // 3, count // 2), (count - 1, count), (5, 5)]:
+        a, b = min(a, count), min(b, count)
+        assert list(search._candidates(space, a, b)) == \
+            [c for c in full if a <= c[0] < b], (a, b)
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_translate_matches_a_per_bit_translate(p, rank):
+    n = p**rank
+    rng = random.Random(10 * p + rank)
+    masks = [0, 1, 1 << n - 1, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(20)]
+    for chi in range(n):
+        cx, cy = divmod(chi, p)
+        for mask in masks:
+            moved = sum(1 << (w // p + cx) % p * p + (w + cy) % p
+                        for w in range(n) if mask >> w & 1)
+            assert search._translate(p, rank, mask, chi) == moved, (chi, mask)
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "random"])
@@ -721,7 +774,7 @@ def test_row_tally_lists_violations_by_ordinal_then_label(monkeypatch, collect):
     space = make_space(3, alphabet=(-1, 1))
     checks = ["product", "meshulam", "rational", "kp1", "coset-counts"]
     items = search._check_items(space, checks, None, None)
-    pair_of = [int_support_masks(3, 2, space.int_values_at(o, (-1, 1)))
+    pair_of = [int_support_masks(3, 2, int_values_at(space, o, (-1, 1)))
                for o in range(space.candidate_count)]
     planted = {pair_of[7]: {"product", "kp1"}, pair_of[13]: {"meshulam"}}
     assert len(planted) == 2
