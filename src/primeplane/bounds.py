@@ -16,8 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import repeat
-from operator import methodcaller, sub
+from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cyclotomic import CycNum, check_prime, format_value
@@ -65,13 +64,22 @@ class DirectionStats(NamedTuple):
     K_X: int
 
 
+#: the most point sets SupportPair.from_masks keeps with their censuses
+_POINT_SETS = 16
+_point_set = lru_cache(maxsize=_POINT_SETS)(PointSet)
+
+
 @dataclass(frozen=True)
 class SupportPair:
     """The pair (supp f, supp of the transform) that every check decides from.
 
     S and X are None at rank 1, where checks read only the sizes.  At
     rank 2 the per-direction structure comes from the line census
-    `PointSet.line_counts` of S and X, counted once per pair.  `covers`
+    `PointSet.line_counts` of S and X and its summary
+    `PointSet.line_profile`, counted once per distinct set, not once per
+    pair: `from_masks` takes both sets from a cache of the _POINT_SETS most
+    recently used sets, so a transform support that recurs across
+    candidates keeps its census.  `covers`
     holds the exact minimum line covers of S and X where a caller has
     computed them.
     """
@@ -90,7 +98,7 @@ class SupportPair:
                    rational: bool) -> "SupportPair":
         S = X = None
         if rank == 2:
-            S, X = PointSet(p, PRIMAL, s_mask), PointSet(p, DUAL, x_mask)
+            S, X = _point_set(p, PRIMAL, s_mask), _point_set(p, DUAL, x_mask)
         return cls(p, rank, S, X, s_mask.bit_count(), x_mask.bit_count(), rational)
 
     def covered(self, side: str, b: int) -> bool:
@@ -105,11 +113,9 @@ class SupportPair:
     def stats(self, direction: int) -> DirectionStats:
         """n_S, K_S over the primal direction's lines and n_X, K_X over
         the orthogonal dual direction's lines."""
-        s_counts = self.S.line_counts[direction]
-        x_counts = self.X.line_counts[orthogonal_directions(self.p)[direction]]
-        return DirectionStats(direction,
-                              min(filter(None, s_counts)), self.p - s_counts.count(0),
-                              min(filter(None, x_counts)), self.p - x_counts.count(0))
+        (n_S, z_S), (n_X, z_X) = self.S.line_profile, self.X.line_profile
+        d, e = direction, orthogonal_directions(self.p)[direction]
+        return DirectionStats(d, n_S[d], self.p - z_S[d], n_X[e], self.p - z_X[e])
 
 
 def profile(f: GFunc) -> SupportPair:
@@ -732,14 +738,12 @@ def decide_coset_counts(pair: SupportPair, H: Optional[LineSubgroup] = None) -> 
     inequality holds, strictly, wherever the K_X one does, strictly (and
     |S| likewise with K_S), so the tightest slack has the sign of the least
     K slack.  With z_S, z_X the lines that S and X miss (K = p - z), the K
-    slacks are n_S - z_X - 1 and n_X - z_S - 1."""
+    slacks are n_S - z_X - 1 and n_X - z_S - 1, read from the two sets'
+    `line_profile`s."""
     dirs = range(pair.p + 1) if H is None else (H.direction,)
-    s_rows = list(map(pair.S.line_counts.__getitem__, dirs))
-    x_rows = list(map(pair.X.line_counts.__getitem__,
-                      map(orthogonal_directions(pair.p).__getitem__, dirs)))
-    n_S, n_X = (map(min, map(filter, repeat(None), rows)) for rows in (s_rows, x_rows))
-    z_S, z_X = (map(methodcaller("count", 0), rows) for rows in (s_rows, x_rows))
-    return _ineq_verdict(min(min(map(sub, n_S, z_X)), min(map(sub, n_X, z_S))), 1)
+    orth = orthogonal_directions(pair.p)
+    (n_S, z_S), (n_X, z_X) = pair.S.line_profile, pair.X.line_profile
+    return _ineq_verdict(min(min(n_S[d] - z_X[orth[d]], n_X[orth[d]] - z_S[d]) for d in dirs), 1)
 
 
 def report_coset_counts(pair: SupportPair, H: Optional[LineSubgroup], verdict: str) -> BoundReport:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import repeat
-from operator import and_
+from operator import and_, methodcaller
 from typing import FrozenSet, Iterable, Optional, Tuple
 
 from .cyclotomic import check_prime
@@ -262,9 +262,19 @@ class PointSet:
         """line_counts[d][j]: the number of points of the set on line j of
         direction d (coset ids as in coset_from_id).  Every structural
         query on a set's lines reads this one census."""
-        p = self.p
-        counts = tuple(map(int.bit_count, map(and_, tables(p).line_masks, repeat(self.mask))))
-        return tuple(counts[i:i + p] for i in range(0, p * (p + 1), p))
+        counts = map(int.bit_count, map(and_, tables(self.p).line_masks, repeat(self.mask)))
+        return tuple(zip(*[counts] * self.p))
+
+    @cached_property
+    def line_profile(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """(least, empty), read from the census once: least[d] is the fewest
+        points on a line of direction d that meets the set (0 for the empty
+        set) and empty[d] the number of lines of direction d that miss it."""
+        rows = self.line_counts
+        empty = tuple(map(methodcaller("count", 0), rows))
+        if any(empty):
+            return tuple(min(filter(None, row), default=0) for row in rows), empty
+        return tuple(map(min, rows)), empty
 
     def contains(self, pt: Point) -> bool:
         if pt.p != self.p or pt.side != self.side:
@@ -410,7 +420,7 @@ def directions_determined(P: PointSet) -> FrozenSet[int]:
 
 def is_blocking_set(P: PointSet) -> bool:
     """True iff P meets every one of the p(p+1) lines."""
-    return all(0 not in counts for counts in P.line_counts)
+    return not any(P.line_profile[1])
 
 
 def min_blocking_size(p: int) -> Tuple[int, PointSet]:
@@ -449,14 +459,8 @@ class PencilReport:
 
 def pencil_stability(P: PointSet) -> PencilReport:
     p = P.p
-    k = 0
-    m = 0
-    for counts in P.line_counts:
-        u = counts.count(0)
-        if u:
-            k += 1
-            if u > m:
-                m = u
+    unblocked = list(filter(None, P.line_profile[1]))
+    k, m = len(unblocked), max(unblocked, default=0)
     bound = 2 * p - 1 if k == 0 else 2 * p - k - m
     return PencilReport(size=P.size, k=k, m=m, bound=bound,
                         holds=P.size >= bound, is_blocking=(k == 0))

@@ -1,4 +1,5 @@
-"""The line census `PointSet.line_counts` against mask scans.
+"""The line census `PointSet.line_counts` and its summary
+`PointSet.line_profile` against mask scans.
 
 Every structural predicate in `bounds` and every geometry query in
 `plane` reads the census of a point set.  The reference_* functions
@@ -8,6 +9,7 @@ compare both routes at p = 2, 3, 5, 7 on random masks and on the sets
 that line predicates turn on, which random masks almost never hit.
 """
 
+import inspect
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primeplane import bounds
 from primeplane.bounds import (
     SupportPair,
     _coset_pair_exception,
@@ -49,6 +52,13 @@ def reference_line_counts(P: PointSet) -> Tuple[Tuple[int, ...], ...]:
     """The census as one comprehension over the line masks."""
     return tuple(tuple((m & P.mask).bit_count() for m in masks)
                  for masks in tables(P.p).coset_masks)
+
+
+def reference_line_profile(P: PointSet) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """(least, empty) recounted from the comprehension's census."""
+    rows = reference_line_counts(P)
+    return (tuple(min([c for c in row if c] or [0]) for row in rows),
+            tuple(sum(1 for c in row if c == 0) for row in rows))
 
 
 def reference_support_profile(S: PointSet, X: PointSet) -> List[Tuple[int, int, int, int]]:
@@ -245,6 +255,61 @@ def test_line_counts_match_the_comprehension(p, data):
     for P in (PointSet.empty(p), PointSet.full(p), data.draw(point_sets(p))):
         assert P.line_counts == reference_line_counts(P)
         assert P.size == P.mask.bit_count()
+
+
+def sparse_set(data, p: int, side: str) -> PointSet:
+    """At most p points, too few to block every line: some line is empty."""
+    points = data.draw(st.lists(st.integers(0, p * p - 1), min_size=1, max_size=p))
+    return PointSet(p, side, sum(1 << i for i in set(points)))
+
+
+@pytest.mark.parametrize("p", PRIMES + (11, 13))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_line_profile_matches_a_recount(p, data):
+    side = data.draw(st.sampled_from((PRIMAL, DUAL)))
+    drawn = (data.draw(point_sets(p, side)), sparse_set(data, p, side),
+             PointSet(p, side, data.draw(st.integers(0, (1 << (p * p)) - 1))))
+    for P in drawn:
+        assert P.line_profile == reference_line_profile(P)
+    assert any(drawn[1].line_profile[1])
+
+
+@pytest.mark.parametrize("p", PRIMES + (11, 13))
+@pytest.mark.parametrize("side", (PRIMAL, DUAL))
+def test_line_profile_of_fixed_sets(p, side):
+    empty, full = PointSet.empty(p, side), PointSet.full(p, side)
+    assert empty.line_profile == ((0,) * (p + 1), (p,) * (p + 1))
+    assert full.line_profile == ((p,) * (p + 1), (0,) * (p + 1))
+    for i in range(p * p):
+        point = PointSet(p, side, 1 << i)
+        assert point.line_profile == ((1,) * (p + 1), (p - 1,) * (p + 1))
+    for d, masks in enumerate(tables(p).coset_masks):
+        for line in masks:
+            # p points on a line of direction d, one on every other line
+            least, empty_lines = PointSet(p, side, line).line_profile
+            assert least == tuple(p if e == d else 1 for e in range(p + 1))
+            assert empty_lines == tuple(p - 1 if e == d else 0 for e in range(p + 1))
+
+
+def test_support_pairs_share_their_point_sets():
+    # the sets of a pair come from one bounded cache keyed by (p, side, mask)
+    first = SupportPair.from_masks(5, 2, 7, 9, True)
+    again = SupportPair.from_masks(5, 2, 7, 11, False)
+    assert again.S is first.S
+    assert SupportPair.from_masks(5, 2, 3, 9, True).X is first.X
+    assert SupportPair.from_masks(5, 2, 9, 7, True).S is not first.X
+    assert SupportPair.from_masks(7, 2, 7, 9, True).S is not first.S
+
+
+def test_point_set_cache_is_a_module_constant():
+    assert bounds._POINT_SETS == 16
+    assert bounds._point_set.cache_info().maxsize == bounds._POINT_SETS
+    assert list(inspect.signature(SupportPair.from_masks).parameters) == \
+        ["p", "rank", "s_mask", "x_mask", "rational"]
+    for mask in range(1, 100):
+        SupportPair.from_masks(5, 2, mask, mask, True)
+    assert bounds._point_set.cache_info().currsize == bounds._POINT_SETS
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -32,6 +32,7 @@ from primeplane.bounds import (
     _orthogonal_coset_pair,
     _periodic_directions,
     decide,
+    decide_coset_counts,
     evaluate,
 )
 from primeplane.cli import EXIT_OK, main
@@ -231,12 +232,21 @@ def reference_asym3(pair, eps):
     return reference_asym("asym3", pair, eps, 3, 4, 3, Fraction(1, 6), 2, None)
 
 
+def recount_stats(pair, d):
+    """(n_S, K_S, n_X, K_X) in direction d, recounted from the line masks."""
+    masks = tables(pair.p).coset_masks
+    s_counts = [(m & pair.S.mask).bit_count() for m in masks[d]]
+    x_counts = [(m & pair.X.mask).bit_count() for m in masks[orthogonal_directions(pair.p)[d]]]
+    return (min(c for c in s_counts if c), sum(1 for c in s_counts if c),
+            min(c for c in x_counts if c), sum(1 for c in x_counts if c))
+
+
 def reference_coset_counts(pair, H=None):
     p, s_size, x_size = pair.p, pair.s_size, pair.x_size
     rows = []
     tightest = None
     for d in (range(p + 1) if H is None else [H.direction]):
-        _, n_S, K_S, n_X, K_X = pair.stats(d)
+        n_S, K_S, n_X, K_X = recount_stats(pair, d)
         for label, lhs, rhs in (("K_X", K_X, p + 1 - n_S), ("X", x_size, n_X * (p + 1 - n_S)),
                                 ("K_S", K_S, p + 1 - n_X), ("S", s_size, n_S * (p + 1 - n_X))):
             slack = lhs - rhs
@@ -403,6 +413,62 @@ def test_decide_matches_the_fraction_evaluators_at_every_size_pair(p):
             s_mask = sum(1 << i for i in s_order[:s])
             x_mask = sum(1 << i for i in x_order[:x])
             check_against_reference(SupportPair.from_masks(p, 2, s_mask, x_mask, True))
+
+
+# -- coset counts on either branch of the line profile ---------------------------------
+
+
+@st.composite
+def dense_or_sparse_pairs(draw):
+    """(sparse sides, pair): a dense side misses fewer than p points, so it
+    meets every line; a sparse side has at most p points, too few to block
+    every line, so some line of it is empty."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    n = p * p
+    sparse = draw(st.sampled_from([(), ("S",), ("X",), ("S", "X")]))
+
+    def side_mask(name):
+        if name in sparse:
+            return sum(1 << i for i in draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                                     max_size=p, unique=True)))
+        missing = draw(st.lists(st.integers(0, n - 1), max_size=p - 1, unique=True))
+        return (1 << n) - 1 - sum(1 << i for i in missing)
+
+    s_mask, x_mask = side_mask("S"), side_mask("X")
+    return sparse, SupportPair.from_masks(p, 2, s_mask, x_mask, draw(st.booleans()))
+
+
+def check_coset_counts(pair):
+    for d in range(pair.p + 1):
+        assert pair.stats(d) == (d, *recount_stats(pair, d))
+    for H in params("coset-counts", pair.p):
+        expected = reference_coset_counts(pair, H)
+        assert decide_coset_counts(pair, H) == expected.verdict, H
+        assert evaluate("coset-counts", pair, H).to_json() == expected.to_json(), H
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_or_sparse_pairs())
+def test_coset_counts_on_dense_and_sparse_pairs(case):
+    sparse, pair = case
+    assert any(pair.S.line_profile[1]) == ("S" in sparse)
+    assert any(pair.X.line_profile[1]) == ("X" in sparse)
+    check_coset_counts(pair)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_coset_counts_hold_with_equality_at_slack_zero(p):
+    # a point or a line against the full plane: n_S - z_X - 1 = 0 in the
+    # directions where the small side has one point per line, and
+    # n_X - z_S - 1 = 0 in the line's own direction
+    full = (1 << p * p) - 1
+    small_sets = [1, 1 << p * p - 1] + [masks[p // 2] for masks in tables(p).coset_masks]
+    for small in small_sets:
+        for s_mask, x_mask in ((small, full), (full, small)):
+            pair = SupportPair.from_masks(p, 2, s_mask, x_mask, True)
+            for H in params("coset-counts", p):
+                assert decide_coset_counts(pair, H) == EQUALITY, (small, H)
+            check_coset_counts(pair)
 
 
 # -- reports -------------------------------------------------------------------------

@@ -652,6 +652,28 @@ def test_sweep_memo_is_capped():
     assert peak < 8 * 2**20
 
 
+def test_point_set_cache_keeps_sweep_memory_flat(monkeypatch):
+    # no support set recurs among these p = 23 candidates; SupportPair.from_masks
+    # keeps at most 16 point sets with their censuses, so with the memo held
+    # small the peak stays flat as the chunk grows: 0.11 MB at 150 and at 600
+    # candidates, where an unbounded cache of sets peaked at 0.81 and 2.8 MB
+    monkeypatch.setattr(search, "_MEMO_LIMIT", 64)
+    checks = ["product", "meshulam", "rational", "kp1", "kp2", "product3", "coset-counts"]
+    peaks = []
+    for budget in (150, 600):
+        space = make_space(23, alphabet=(-1, 0, 1), mode="random", seed=1, budget=budget)
+        items = search._check_items(space, checks, None, None)
+        search._run_range(space, items, 0, 20, False)  # the cached tables
+        tracemalloc.start()
+        try:
+            tally, _, _ = search._run_range(space, items, 0, budget, False)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert sum(count for count, _, _ in tally.values()) == budget
+    assert max(peaks) < 2**19
+
+
 def test_capped_memo_changes_no_output(monkeypatch):
     space = make_space(5, alphabet=(0, 1), rank=2)
     checks = ["product", "meshulam", "rational", "kp1", "kp2", "product3", "coset-counts"]
