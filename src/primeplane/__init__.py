@@ -17,29 +17,19 @@ from .plane import (
     Point,
     PointSet,
     SearchBudgetExceeded,
-    all_subgroups,
     bounded_line_direction,
     covered_by_lines,
     directions_determined,
-    is_blocking_set,
     min_blocking_size,
     min_line_cover,
-    one_line_cover,
     parse_pointset,
     pencil_stability,
     rich_direction_search,
 )
 from .fourier import (
     GFunc,
-    convolution,
-    coset_indicator,
-    coset_restriction_transform,
-    coset_sum_identity,
-    dual_convolution,
     fourier_transform,
-    galois_twist,
     inverse_transform,
-    rational_support_closure,
     restrict_to_coset,
     twist,
 )
@@ -48,10 +38,7 @@ from .bounds import (
     ExceptionDescriptor,
     SupportPair,
     check,
-    check_quasicharacter,
     classify_exception,
-    profile,
-    sumset_size,
 )
 from .search import (
     Construction,

@@ -17,9 +17,9 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .cyclotomic import CycNum, check_prime, format_value
+from .cyclotomic import CycNum, format_value
 from .fourier import (
     GFunc,
     double_transform,
@@ -116,17 +116,6 @@ class SupportPair:
         (n_S, z_S), (n_X, z_X) = self.S.line_profile, self.X.line_profile
         d, e = direction, orthogonal_directions(self.p)[direction]
         return DirectionStats(d, n_S[d], self.p - z_S[d], n_X[e], self.p - z_X[e])
-
-
-def profile(f: GFunc) -> SupportPair:
-    """The support pair of a nonzero rank-2 function, whose stats(d) give
-    the per-direction counts."""
-    if f.rank != 2 or f.side != PRIMAL:
-        raise ValueError("profile requires a rank-2 primal function")
-    if f.is_zero_function():
-        raise ValueError("zero function has no profile")
-    return SupportPair.from_masks(f.p, 2, f.support_mask, fourier_transform(f).support_mask,
-                                  f.is_rational_valued())
 
 
 # -- reports -----------------------------------------------------------------
@@ -766,22 +755,20 @@ def report_coset_counts(pair: SupportPair, H: Optional[LineSubgroup], verdict: s
 # -- the check registry ------------------------------------------------------------
 
 
-def _grid_curve(label: str, p: int, x_of) -> List[Tuple[str, int, str]]:
-    """emit-curves rows (label, s, x) for x = x_of(s) >= 0 on 1 <= s <= p^2."""
-    rows = []
+def _grid_curve(label: str, p: int, x_of) -> Iterator[Tuple[str, int, str]]:
+    """emit-curves rows (label, s, x) for x = x_of(s) >= 0 on 1 <= s <= p^2,
+    one at a time."""
     for s in range(1, p * p + 1):
         x = x_of(s)
         if x >= 0:
-            rows.append((label, s, str(x)))
-    return rows
+            yield label, s, str(x)
 
 
-def _linear_curve(label: str, p: int, k: int) -> List[Tuple[str, int, str]]:
+def _linear_curve(label: str, p: int, k: int) -> Iterator[Tuple[str, int, str]]:
     """emit-curves rows of the family at k, x = (p+1-k)(p+1-s/k); none
     outside 1 <= k <= p."""
-    if not 1 <= k <= p:
-        return []
-    return _grid_curve(label, p, lambda s: (p + 1 - k) * (p + 1 - Fraction(s, k)))
+    if 1 <= k <= p:
+        yield from _grid_curve(label, p, lambda s: (p + 1 - k) * (p + 1 - Fraction(s, k)))
 
 
 @dataclass(frozen=True)
@@ -795,7 +782,7 @@ class CheckSpec:
     `rational` marks a check that needs a rational-valued function,
     `cover_clause` marks a check whose exception is a cover clause (verify
     then reports the exact covers, and hunt counts its exceptions), and
-    `curve(p)` gives its emit-curves rows.  Verify's default run holds the
+    `curve(p)` yields its emit-curves rows.  Verify's default run holds the
     checks with neither a parameter nor a cover clause, wherever rank, p
     and rationality allow.
     """
@@ -808,7 +795,7 @@ class CheckSpec:
     param: Optional[str] = None
     rational: bool = False
     cover_clause: bool = False
-    curve: Optional[Callable[[int], List[Tuple[str, int, str]]]] = None
+    curve: Optional[Callable[[int], Iterator[Tuple[str, int, str]]]] = None
 
     def admit(self, p: int, value):
         """The check's parameter parsed from `value` and range-checked for
@@ -863,8 +850,8 @@ CHECKS: Dict[str, CheckSpec] = {spec.name: spec for spec in (
                                           lambda s: (p + 1 - s**0.5) * (p + 1 - s**0.5))),
     CheckSpec("conjecture", (2,), decide_conjecture, report_conjecture, param="k",
               cover_clause=True,
-              curve=lambda p: [row for k in range(1, p + 1)
-                               for row in _linear_curve(f"conjecture_k={k}", p, k)]),
+              curve=lambda p: (row for k in range(1, p + 1)
+                               for row in _linear_curve(f"conjecture_k={k}", p, k))),
     CheckSpec("asym2", (2,), ASYM2.decide, ASYM2.report, param="eps"),
     CheckSpec("asym3", (2,), ASYM3.decide, ASYM3.report, param="eps"),
     # H, when given, restricts coset-counts to one direction
@@ -934,59 +921,3 @@ def check(name: str, f: GFunc, param=None) -> BoundReport:
     """verify() with one check: the function route of every named check,
     e.g. check("conjecture", f, 2) or check("asym2", f, Fraction(1, 2))."""
     return verify(f, [(name, param)])[0]
-
-
-def check_quasicharacter(h: GFunc, A: Iterable[int]) -> BoundReport:
-    """For rank-1 h multiplicative on sums within A (|A| > 2p/3): its
-    transform support has size 1 or at least |A|.  When the hypothesis
-    fails the report carries verdict 'exception' and makes no claim."""
-    if h.rank != 1:
-        raise ValueError("the quasicharacter bound applies to rank-1 functions")
-    if h.is_zero_function():
-        raise ValueError("bounds are stated for nonzero functions")
-    p = h.p
-    A = sorted(set(A))
-    if any(not 0 <= a < p for a in A):
-        raise ValueError("A must consist of residues mod p")
-    if 3 * len(A) <= 2 * p:
-        raise ValueError(f"need |A| > 2p/3, got |A|={len(A)}")
-    by_sum: Dict[int, CycNum] = {}
-    hypothesis = True
-    for i, a1 in enumerate(A):
-        for a2 in A[i:]:
-            s = (a1 + a2) % p
-            prod = h.values[a1] * h.values[a2]
-            if s in by_sum:
-                if by_sum[s] != prod:
-                    hypothesis = False
-                    break
-            else:
-                by_sum[s] = prod
-        if not hypothesis:
-            break
-    x = fourier_transform(h).support_size
-    details = {"hypothesis_holds": hypothesis, "A_size": len(A), "transform_support": x}
-    ineq = (x, len(A), 1)
-    if not hypothesis:
-        details["note"] = "hypothesis fails; no claim"
-        return _report("quasicharacter", EXCEPTION, ineq, **details)
-    if x == 1:
-        return _report("quasicharacter", HOLDS, (x, 1, 1), **details)
-    report = _report("quasicharacter", _ineq_verdict(*ineq), ineq, **details)
-    if report.verdict == VIOLATED:
-        report.witness = h
-    return report
-
-
-def sumset_size(A: Iterable[int], B: Iterable[int], p: int) -> int:
-    """|A + B| in F_p; asserts the Cauchy-Davenport floor min(p, |A|+|B|-1)."""
-    check_prime(p)
-    A = sorted({a % p for a in A})
-    B = sorted({b % p for b in B})
-    if not A or not B:
-        raise ValueError("sumset requires nonempty sets")
-    out = {(a + b) % p for a in A for b in B}
-    floor = min(p, len(A) + len(B) - 1)
-    if len(out) < floor:
-        raise ArithmeticError("Cauchy-Davenport bound failed; arithmetic is broken")
-    return len(out)

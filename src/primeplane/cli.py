@@ -24,8 +24,9 @@ import os
 import sys
 from dataclasses import asdict
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import __version__, bounds, search
 from .bounds import VIOLATED, classify_exception
@@ -70,11 +71,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _emit(text: str, args) -> None:
+def _emit(chunks: Iterable[str], args) -> None:
+    """Write the chunks to --out, or to stdout, as they come."""
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as out:
+            out.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _emit_report(args, key: str, body) -> None:
@@ -87,7 +90,7 @@ def _emit_report(args, key: str, body) -> None:
     if getattr(args, "theorem", None):
         config["theorems"] = args.theorem
     payload = {"version": __version__, "config": config, key: body}
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args)
+    _emit((json.dumps(payload, indent=2, sort_keys=True) + "\n",), args)
 
 
 def _ceiling(args) -> int:
@@ -207,24 +210,27 @@ def _cmd_frontier(args) -> int:
     if args.format == "json":
         _emit_report(args, "frontier", result.to_json())
     else:
-        _emit(result.to_csv(), args)
+        _emit((result.to_csv(),), args)
     return EXIT_OK
 
 
-def _curve_rows(p: int):
-    """Exact sample rows for every bound curve on the integer min-axis grid."""
-    rows = [row for spec in bounds.CHECKS.values() if spec.curve for row in spec.curve(p)]
-    rows.extend(("lattice", s, str(x)) for s, x in search.attainable_lattice(p))
-    return rows
+def _curve_rows(p: int) -> Iterator[Tuple[str, int, str]]:
+    """Exact sample rows for every bound curve on the integer min-axis grid,
+    one at a time."""
+    for spec in bounds.CHECKS.values():
+        if spec.curve:
+            yield from spec.curve(p)
+    for s, x in search.attainable_lattice(p):
+        yield "lattice", s, str(x)
 
 
 def _cmd_emit_curves(args) -> int:
+    """Write the CSV a row at a time, as the rows are computed."""
     if args.p is None:
         raise ValueError("emit-curves requires --p")
     check_prime(args.p)
-    lines = ["curve,s,x"]
-    lines.extend(f"{name},{s},{x}" for name, s, x in _curve_rows(args.p))
-    _emit("\n".join(lines) + "\n", args)
+    rows = (f"{name},{s},{x}\n" for name, s, x in _curve_rows(args.p))
+    _emit(chain(("curve,s,x\n",), rows), args)
     return EXIT_OK
 
 

@@ -1,11 +1,7 @@
 """Exact Fourier analysis on F_p and F_p^2 with values in Q(zeta_p).
 
 Normalization: hat(f)(w) = (1/|G|) * sum_g f(g) * conj(chi_w(g)), with
-inversion f(g) = sum_w hat(f)(w) * chi_w(g).  The primal-side convolution
-carries the 1/|G| factor and the dual-side convolution does not; the two
-are kept exactly in this asymmetric form so that the transform identities
-hat(f1 * f2) = hat(f1) hat(f2) and hat(f1 f2) = hat(f1) * hat(f2) hold
-with no rescaling.
+inversion f(g) = sum_w hat(f)(w) * chi_w(g).
 """
 
 from __future__ import annotations
@@ -28,12 +24,10 @@ from .cyclotomic import (
 from .plane import (
     DUAL,
     PRIMAL,
-    Coset,
     LineSubgroup,
     Point,
     PointSet,
     check_side,
-    coset_from_id,
     opposite_side,
     tables,
 )
@@ -50,10 +44,6 @@ def pair_exponents(p: int, rank: int) -> Tuple[Tuple[int, ...], ...]:
         raise ValueError("rank must be 1 or 2")
     n = p**rank
     return tuple(tuple((w // p * (g // p) + w * g) % p for g in range(n)) for w in range(n))
-
-
-def _add_index(p: int, i: int, j: int) -> int:
-    return (i // p + j // p) % p * p + (i + j) % p
 
 
 class GFunc:
@@ -218,13 +208,6 @@ def twist(f: GFunc, chi: int) -> GFunc:
     a, b = divmod(chi, p)
     return GFunc(p, f.rank, f.side, [v.times_root(a * (g // p) + b * g)
                                      for g, v in enumerate(f.values)])
-
-
-def coset_indicator(coset: Coset) -> GFunc:
-    vals = [0] * coset.p**2
-    for pt in coset.members():
-        vals[pt.index] = 1
-    return GFunc(coset.p, 2, coset.side, vals)
 
 
 # -- transforms ----------------------------------------------------------------
@@ -407,8 +390,8 @@ def int_support_masks(p: int, rank: int, values: Sequence[int]) -> Tuple[int, in
     exponent 0, so w is in the support iff the value sum is nonzero.  For
     w = t*d with t != 0 the coefficients are the p line sums of f across
     the direction d (the level sets of <d, g>), permuted by t, so the whole
-    punctured line through d is in the support or out of it together; this
-    is the Galois closure that rational_support_closure checks.
+    punctured line through d is in the support or out of it together: the
+    Galois closure of a rational function's transform support.
 
     Each line sum is one C-level sum over a cached itemgetter of the line's
     p points, and a direction stops at the first sum that differs from its
@@ -518,46 +501,6 @@ def int_support_stream(p: int, rank: int, ints: Sequence[int], start: int,
         yield from compress(zip(range(first + lo, first + hi), s_row, x_row[lo:hi]), s_row)
 
 
-# -- convolution -----------------------------------------------------------------
-
-
-def convolution(f1: GFunc, f2: GFunc) -> GFunc:
-    """Primal-side convolution, normalized by 1/|G|."""
-    f1._require_like(f2)
-    if f1.side != PRIMAL:
-        raise ValueError("convolution is defined on the primal side")
-    return _convolve(f1, f2, normalize=True)
-
-
-def dual_convolution(u1: GFunc, u2: GFunc) -> GFunc:
-    """Dual-side convolution; deliberately carries no 1/|G| factor."""
-    u1._require_like(u2)
-    if u1.side != DUAL:
-        raise ValueError("dual convolution is defined on the dual side")
-    return _convolve(u1, u2, normalize=False)
-
-
-def _convolve(f1: GFunc, f2: GFunc, normalize: bool) -> GFunc:
-    p, rank = f1.p, f1.rank
-    n = len(f1.values)
-    scaled1, den1 = _scaled_int_coeffs(f1.values)
-    scaled2, den2 = _scaled_int_coeffs(f2.values)
-    supp1 = [(i, c) for i, c in enumerate(scaled1) if any(c)]
-    supp2 = [(i, c) for i, c in enumerate(scaled2) if any(c)]
-    acc = [[0] * p for _ in range(n)]
-    for i1, c1 in supp1:
-        for i2, c2 in supp2:
-            row = acc[_add_index(p, i1, i2)]
-            for t1, a in enumerate(c1):
-                if a:
-                    for t2, b in enumerate(c2):
-                        if b:
-                            s = t1 + t2
-                            row[s - p if s >= p else s] += a * b
-    divisor = den1 * den2 * (n if normalize else 1)
-    return GFunc(p, rank, f1.side, [_reduced_over(p, row, divisor) for row in acc])
-
-
 # -- coset restriction ----------------------------------------------------------
 
 
@@ -573,58 +516,6 @@ def line_sums(hat: GFunc, chi: Point, direction: int) -> List[CycNum]:
     return _at_multiple(_transform(line.values, hat.p, 1, 1), hat.p, -1)
 
 
-def _require_plane_primal(f: GFunc):
-    if f.rank != 2 or f.side != PRIMAL:
-        raise ValueError("operation requires a rank-2 primal function")
-
-
-def coset_restriction_transform(f: GFunc, g: Point, H: LineSubgroup,
-                                fhat: Optional[GFunc] = None) -> GFunc:
-    """Transform of f * 1_{g+H}, evaluated through the orthogonal subgroup:
-    (1/|H^perp|) sum_{psi in H^perp} hat(f)(chi psi) psi(g).  At chi =
-    rep + s*gen on a line of H^perp's direction that is R[a] zeta^(-s*a)
-    for a = <gen, g> and R the line_sums of hat(f) through rep."""
-    _require_plane_primal(f)
-    if g.p != f.p or g.side != PRIMAL or H.p != f.p or H.side != PRIMAL:
-        raise ValueError("offset and subgroup must be primal with matching p")
-    if fhat is None:
-        fhat = fourier_transform(f)
-    p = f.p
-    perp = H.orthogonal()
-    gen = perp.generator
-    a = gen.pair(g)
-    inv = Fraction(1, p)
-    vals = [None] * (p * p)
-    for j in range(p):
-        rep = coset_from_id(p, perp.direction, j, DUAL).rep
-        total = line_sums(fhat, rep, perp.direction)[a] * inv
-        for s in range(p):
-            vals[(rep.x + s * gen.x) % p * p + (rep.y + s * gen.y) % p] = total.times_root(-s * a)
-    return GFunc(p, 2, DUAL, vals)
-
-
-def coset_sum_identity(f: GFunc, g: Point, H: LineSubgroup, chi: Point,
-                       fhat: Optional[GFunc] = None) -> bool:
-    """Check that the orthogonal-subgroup sum at chi equals the direct
-    coset sum: sum_psi hat(f)(chi psi) psi(g) =
-    (conj(chi)(g)/|H|) sum_h f(g+h) conj(chi)(h)."""
-    _require_plane_primal(f)
-    if chi.side != DUAL or chi.p != f.p:
-        raise ValueError("chi must be a dual point with matching p")
-    if fhat is None:
-        fhat = fourier_transform(f)
-    p = f.p
-    perp = H.orthogonal()
-    lhs = line_sums(fhat, chi, perp.direction)[perp.generator.pair(g)]
-    rhs = CycNum.zero(p)
-    for h in H.members():
-        val = f.value(g + h)
-        if not val.is_zero():
-            rhs = rhs + val.times_root(-chi.pair(h))
-    rhs = rhs.times_root(-chi.pair(g)) * Fraction(1, p)
-    return lhs == rhs
-
-
 def restrict_to_coset(f: GFunc, g: Point, H: LineSubgroup) -> GFunc:
     """The rank-1 slice t -> f(g + t * gen(H)) along the generator of H,
     for a rank-2 f on either side with g and H on that side."""
@@ -634,32 +525,3 @@ def restrict_to_coset(f: GFunc, g: Point, H: LineSubgroup) -> GFunc:
     gen, vals = H.generator, f.values
     return GFunc(p, 1, f.side, [vals[(g.x + t * gen.x) % p * p + (g.y + t * gen.y) % p]
                                 for t in range(p)])
-
-
-# -- Galois action ---------------------------------------------------------------
-
-
-def galois_twist(u: GFunc, j: int) -> GFunc:
-    """Apply the Galois map zeta -> zeta^j to the values while relabeling
-    each character by its j-th power; fixes the transform of any
-    rational-valued function."""
-    if u.side != DUAL:
-        raise ValueError("galois_twist expects a dual-side function")
-    p = u.p
-    if j % p == 0:
-        raise ValueError("Galois exponent must be a unit modulo p")
-    return GFunc(p, u.rank, DUAL, [v.galois(j) for v in _at_multiple(u.values, p, pow(j, -1, p))])
-
-
-def rational_support_closure(f: GFunc) -> bool:
-    """For rational-valued f, the transform commutes with every Galois
-    map, so its support is closed under chi -> chi^j; equivalently the
-    support together with the principal character is a union of lines
-    through the dual origin.  Returns True iff every Galois twist fixes
-    the transform.  The support's closure then follows with no further
-    check: galois_twist(fh, j) == fh says fh(j*w) = sigma_j(fh(w)), and
-    sigma_j is a field automorphism, so it is nonzero wherever fh(w) is."""
-    if not f.is_rational_valued():
-        raise ValueError("requires a rational-valued function")
-    fh = fourier_transform(f)
-    return all(galois_twist(fh, j) == fh for j in range(2, f.p))

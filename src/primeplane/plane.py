@@ -153,12 +153,6 @@ class LineSubgroup:
                             opposite_side(self.side))
 
 
-def all_subgroups(p: int, side: str = PRIMAL) -> Tuple[LineSubgroup, ...]:
-    """The p+1 nonzero proper subgroups, indexed by direction."""
-    check_prime(p)
-    return tuple(LineSubgroup(p, d, side) for d in range(p + 1))
-
-
 def _canonical_rep(subgroup: LineSubgroup, point: Point) -> Tuple[int, int]:
     p, d = subgroup.p, subgroup.direction
     if d == p:
@@ -418,11 +412,6 @@ def directions_determined(P: PointSet) -> FrozenSet[int]:
 # -- blocking sets ------------------------------------------------------------
 
 
-def is_blocking_set(P: PointSet) -> bool:
-    """True iff P meets every one of the p(p+1) lines."""
-    return not any(P.line_profile[1])
-
-
 def min_blocking_size(p: int) -> Tuple[int, PointSet]:
     """The minimum size of a blocking set, 2p - 1, with the lines x = 0 and
     y = 0 as the witness.
@@ -509,11 +498,6 @@ def rich_direction_search(P: PointSet) -> Optional[int]:
 
 
 # -- line covers ---------------------------------------------------------------
-
-
-def one_line_cover(P: PointSet) -> bool:
-    """True iff some single line contains P."""
-    return any(P.size in counts for counts in P.line_counts)
 
 
 def canonical_two_line_pair(P: PointSet) -> Optional[Tuple[Tuple[int, int], Tuple[int, int]]]:

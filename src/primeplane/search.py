@@ -34,7 +34,6 @@ from .plane import (
     Coset,
     LineSubgroup,
     Point,
-    tables,
 )
 from . import bounds
 from .bounds import EQUALITY, EXCEPTION, VIOLATED
@@ -160,86 +159,6 @@ def sharp_pair_2d(p: int, m: int, n: int) -> Construction:
             vals[x * p + y] = f1.values[x] * f2.values[y]
     return Construction("sharp2d", GFunc(p, 2, PRIMAL, vals),
                         (m * (p + 1 - n), n * (p + 1 - m)))
-
-
-def coset_characters(p: int, direction: int, offset: Tuple[int, int],
-                     characters: Sequence[Tuple[int, int]],
-                     coefficients: Sequence) -> Construction:
-    """Sum of scaled characters restricted to one line; the characters
-    must come from pairwise distinct orthogonal-direction cosets."""
-    check_prime(p)
-    if len(characters) != len(coefficients) or not characters:
-        raise ValueError("need matching nonempty characters and coefficients")
-    sub = LineSubgroup(p, direction, PRIMAL)
-    chis = tuple(Point.of(p, a, b, DUAL) for a, b in characters)
-    perp = sub.orthogonal()
-    reps = {Coset.through(chi, LineSubgroup(p, perp.direction, DUAL)).rep for chi in chis}
-    if len(reps) != len(chis):
-        raise ValueError("characters must lie in distinct orthogonal cosets")
-    desc = bounds.ExceptionDescriptor(
-        kind=bounds.KIND_CHARACTERS_ON_ONE_COSET, p=p, direction=direction,
-        offsets=(Point.of(p, *offset),), characters=chis,
-        coefficients=_nonzero_coefficients(p, coefficients))
-    return Construction("coset-characters", desc.reconstruct())
-
-
-def character_cosets(p: int, direction: int, offsets: Sequence[Tuple[int, int]],
-                     character: Tuple[int, int], coefficients: Sequence) -> Construction:
-    """One character scaled coset-by-coset on distinct parallel lines."""
-    check_prime(p)
-    if len(offsets) != len(coefficients) or not offsets:
-        raise ValueError("need matching nonempty offsets and coefficients")
-    sub = LineSubgroup(p, direction, PRIMAL)
-    points = tuple(Point.of(p, *g) for g in offsets)
-    if len({Coset.through(g, sub).rep for g in points}) != len(points):
-        raise ValueError("offsets must lie in distinct cosets")
-    chi = Point.of(p, character[0], character[1], DUAL)
-    desc = bounds.ExceptionDescriptor(
-        kind=bounds.KIND_CHARACTER_ON_COSETS, p=p, direction=direction, offsets=points,
-        characters=(chi,), coefficients=_nonzero_coefficients(p, coefficients))
-    return Construction("character-cosets", desc.reconstruct())
-
-
-def two_parallel_lines_function(p: int, direction: int,
-                                char1: Tuple[int, int], char2: Tuple[int, int],
-                                coset_values1: Sequence, coset_values2: Sequence) -> Construction:
-    """chi1 * f1 + chi2 * f2 with f1, f2 constant on the direction's
-    cosets (given by per-coset values in canonical coset order); the
-    transform support lies in two parallel dual lines."""
-    check_prime(p)
-    sub = LineSubgroup(p, direction, PRIMAL)
-    chi1 = Point.of(p, *char1, side=DUAL)
-    chi2 = Point.of(p, *char2, side=DUAL)
-    perp_dir = sub.orthogonal().direction
-    rep1 = Coset.through(chi1, LineSubgroup(p, perp_dir, DUAL)).rep
-    rep2 = Coset.through(chi2, LineSubgroup(p, perp_dir, DUAL)).rep
-    if rep1 == rep2:
-        raise ValueError("characters must lie in distinct orthogonal cosets")
-    if len(coset_values1) != p or len(coset_values2) != p:
-        raise ValueError(f"need {p} per-coset values for each component")
-    ids = tables(p).coset_id[direction]
-    comps = tuple(GFunc(p, 2, PRIMAL, [values[j] for j in ids])
-                  for values in (coset_values1, coset_values2))
-    desc = bounds.ExceptionDescriptor(kind=bounds.KIND_TWO_PARALLEL, p=p, direction=direction,
-                                      characters=(chi1, chi2), components=comps)
-    return Construction("two-parallel", desc.reconstruct())
-
-
-def two_nonparallel_lines_function(p: int, d1: int, d2: int, character: Tuple[int, int],
-                                   values1: Sequence, values2: Sequence) -> Construction:
-    """chi(h1+h2) * (f1(h1) + f2(h2)) over the decomposition into two
-    distinct directions; the transform support lies in two nonparallel
-    dual lines."""
-    check_prime(p)
-    if d1 == d2:
-        raise ValueError("directions must be distinct")
-    if len(values1) != p or len(values2) != p:
-        raise ValueError(f"need {p} values per component")
-    desc = bounds.ExceptionDescriptor(
-        kind=bounds.KIND_TWO_NONPARALLEL, p=p, directions=(d1, d2),
-        characters=(Point.of(p, *character, side=DUAL),),
-        components=(GFunc(p, 1, PRIMAL, values1), GFunc(p, 1, PRIMAL, values2)))
-    return Construction("two-nonparallel", desc.reconstruct())
 
 
 GALLERY = {

@@ -19,17 +19,7 @@ from primeplane.bounds import (
     classify_exception,
 )
 from primeplane.cyclotomic import CycNum, root_of_unity
-from primeplane.fourier import (
-    GFunc,
-    convolution,
-    coset_indicator,
-    coset_restriction_transform,
-    coset_sum_identity,
-    dual_convolution,
-    fourier_transform,
-    inverse_transform,
-    rational_support_closure,
-)
+from primeplane.fourier import GFunc, fourier_transform, inverse_transform
 from primeplane.plane import (
     DUAL,
     PRIMAL,
@@ -40,23 +30,28 @@ from primeplane.plane import (
     bounded_line_direction,
     covered_by_lines,
     directions_determined,
-    is_blocking_set,
     min_blocking_size,
-    one_line_cover,
     pencil_stability,
     rich_direction_search,
 )
 from primeplane.search import (
-    character_cosets,
-    coset_characters,
     diff_of_subgroups,
     frontier,
     make_space,
     pm_two_cosets,
     sweep,
     triple_subgroups,
-    two_nonparallel_lines_function,
-    two_parallel_lines_function,
+)
+from reference import (
+    character_on_cosets,
+    characters_on_one_coset,
+    convolve,
+    coset_indicator,
+    coset_restriction_transform,
+    coset_sum_identity,
+    rational_support_closure,
+    two_nonparallel_lines,
+    two_parallel_lines,
 )
 
 _SWEEP_CACHE = {}
@@ -133,10 +128,11 @@ def test_c05_minimum_blocking_sets():
     assert size3 == 5 and witness3.size == 5
     size5, witness5 = min_blocking_size(5)
     assert size5 == 9 and witness5.size == 9
-    assert is_blocking_set(witness3) and is_blocking_set(witness5)
+    # a set blocks iff no direction has a line that misses it
+    assert not any(witness3.line_profile[1]) and not any(witness5.line_profile[1])
     # no 4 of the 9 points of AG(2, 3) block, so neither does any smaller set
-    assert not any(is_blocking_set(PointSet.from_pairs(3, [divmod(i, 3) for i in combo]))
-                   for combo in itertools.combinations(range(9), 4))
+    assert all(any(PointSet.from_pairs(3, [divmod(i, 3) for i in combo]).line_profile[1])
+               for combo in itertools.combinations(range(9), 4))
     print("\nACCEPTANCE C5 PASS - exact minimum blocking sets: "
           "min(3) = 5 and min(5) = 9, matching 2p-1")
 
@@ -150,7 +146,7 @@ def test_c06_determined_directions_floor_p5():
             for i in combo:
                 mask |= 1 << i
             P = PointSet(p, PRIMAL, mask)
-            if one_line_cover(P):
+            if covered_by_lines(P, 1):
                 continue
             checked += 1
             d = len(directions_determined(P))
@@ -169,7 +165,7 @@ def test_c07_line_lemmas_exhaustive_p3_and_randomized_p5_p7():
     bounded_checked = 0
     for mask in range(1, 1 << 9):
         P = PointSet(3, PRIMAL, mask)
-        if not 2 <= P.size <= 12 or one_line_cover(P):
+        if not 2 <= P.size <= 12 or covered_by_lines(P, 1):
             continue
         assert bounded_line_direction(P) is not None
         bounded_checked += 1
@@ -193,7 +189,7 @@ def test_c07_line_lemmas_exhaustive_p3_and_randomized_p5_p7():
             P = PointSet(p, PRIMAL, mask)
             assert pencil_stability(P).holds
             hits["pencil"] += 1
-            if 2 <= size <= 4 * p and not one_line_cover(P):
+            if 2 <= size <= 4 * p and not covered_by_lines(P, 1):
                 assert bounded_line_direction(P) is not None
                 hits["bounded"] += 1
             if 3 * p + 7 <= 2 * size and size <= 2 * p + 7 and not covered_by_lines(P, 2):
@@ -232,8 +228,8 @@ def test_c08_identity_suite_1000_functions_per_prime():
             fh = fourier_transform(f)
             assert inverse_transform(fh) == f
             assert f.support_size * fh.support_size >= p * p
-            assert fourier_transform(convolution(f, prev)) == fh * prev_hat
-            assert fourier_transform(f * prev) == dual_convolution(fh, prev_hat)
+            assert fourier_transform(convolve(f, prev, True)) == fh * prev_hat
+            assert fourier_transform(f * prev) == convolve(fh, prev_hat, False)
             g = Point.from_index(p, rng.randrange(p * p))
             H = LineSubgroup(p, rng.randrange(p + 1))
             chi = Point.from_index(p, rng.randrange(p * p), DUAL)
@@ -277,8 +273,8 @@ def test_c09_classifier_round_trips_1000_per_form():
                 perp_dir = LineSubgroup(p, d).orthogonal().direction
                 chis = _rand_distinct_cosets(p, perp_dir, k, rng, side=DUAL)
                 coeffs = [rng.choice([1, 2, -1, -2]) for _ in range(k)]
-                f = coset_characters(p, d, (rng.randrange(p), rng.randrange(p)),
-                                     chis, coeffs).func
+                f = characters_on_one_coset(p, d, (rng.randrange(p), rng.randrange(p)),
+                                            chis, coeffs)
                 desc = classify_exception(f)
                 if k == 1 and LineSubgroup(p, d).orthogonal().contains(
                         Point(p, *chis[0], side=DUAL)):
@@ -294,7 +290,7 @@ def test_c09_classifier_round_trips_1000_per_form():
                 offsets = _rand_distinct_cosets(p, d, k, rng)
                 chi = (rng.randrange(p), rng.randrange(p))
                 coeffs = [rng.choice([1, 2, -1, -2]) for _ in range(k)]
-                f = character_cosets(p, d, offsets, chi, coeffs).func
+                f = character_on_cosets(p, d, offsets, chi, coeffs)
                 desc = classify_exception(f)
                 assert desc is not None
                 in_perp = LineSubgroup(p, d).orthogonal().contains(
@@ -317,8 +313,7 @@ def test_c09_classifier_round_trips_1000_per_form():
                 occupied = {j for j in range(p) if vals1[j] or vals2[j]}
                 if len(occupied) < 2:
                     vals1[(next(iter(occupied)) + 1) % p] = 3
-                f = two_parallel_lines_function(p, d, chis[0], chis[1],
-                                                vals1, vals2).func
+                f = two_parallel_lines(p, d, chis[0], chis[1], vals1, vals2)
                 desc = classify_exception(f)
                 assert desc is not None
                 assert desc.kind == "two-parallel-lines"
@@ -336,7 +331,7 @@ def test_c09_classifier_round_trips_1000_per_form():
                 for idx in rng.sample(range(p), 2):
                     vals1[idx] = rng.choice([1, 2, 3])
                 vals2[rng.randrange(p)] = rng.choice([1, -1, 2])
-                f = two_nonparallel_lines_function(p, d, d2, chi, vals1, vals2).func
+                f = two_nonparallel_lines(p, d, d2, chi, vals1, vals2)
                 desc = classify_exception(f)
                 assert desc is not None
                 if desc.kind == "two-nonparallel-lines":

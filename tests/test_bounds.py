@@ -14,13 +14,10 @@ from primeplane.bounds import (
     VIOLATED,
     SupportPair,
     check,
-    check_quasicharacter,
     classify_exception,
-    profile,
-    sumset_size,
 )
 from primeplane.cyclotomic import CycNum, root_of_unity
-from primeplane.fourier import GFunc, coset_indicator, fourier_transform
+from primeplane.fourier import GFunc, fourier_transform
 from primeplane.plane import (
     DUAL,
     PRIMAL,
@@ -31,20 +28,25 @@ from primeplane.plane import (
     covered_by_lines,
     orthogonal_direction,
 )
-from primeplane.search import (
-    character_cosets,
-    character_coset,
-    coset_characters,
-    diff_of_subgroups,
-    pm_two_cosets,
-    triple_subgroups,
-    two_nonparallel_lines_function,
-    two_parallel_lines_function,
+from primeplane.search import character_coset, diff_of_subgroups, pm_two_cosets, triple_subgroups
+from reference import (
+    character_on_cosets,
+    characters_on_one_coset,
+    coset_indicator,
+    quasicharacter,
+    two_nonparallel_lines,
+    two_parallel_lines,
 )
 
 
 def subgroup_indicator(p, d=0):
     return coset_indicator(Coset.through(Point(p, 0, 0), LineSubgroup(p, d)))
+
+
+def profile(f):
+    """The support pair of a nonzero rank-2 primal function."""
+    return SupportPair.from_masks(f.p, 2, f.support_mask, fourier_transform(f).support_mask,
+                                  f.is_rational_valued())
 
 
 def line_count(pair, g, direction):
@@ -140,11 +142,6 @@ def test_profile_line_count_and_isolated():
     assert isolated_count(prof, 0) == 0
 
 
-def test_profile_rejects_zero():
-    with pytest.raises(ValueError):
-        profile(GFunc.zero(3, 2, PRIMAL))
-
-
 # -- elementary bounds -----------------------------------------------------------
 
 
@@ -226,7 +223,7 @@ def test_kp2_and_product3_exceptions():
     sub = LineSubgroup(p, 0)
     chi = Point(p, 1, 2, DUAL)
     # one character on two parallel cosets: near-coset structure
-    f = character_cosets(p, 0, [(0, 0), (0, 1)], (1, 2), [1, 2]).func
+    f = character_on_cosets(p, 0, [(0, 0), (0, 1)], (1, 2), [1, 2])
     rep = check("kp2", f)
     assert rep.verdict == EXCEPTION
     assert rep.details["structure"]["large_cosets"]
@@ -374,7 +371,7 @@ def test_asym3_remark_and_exception():
     rep = check("asym3", f, Fraction(1, 2))
     assert rep.verdict in (HOLDS, EQUALITY)
 
-    two_lines = character_cosets(p, 0, [(0, 0), (0, 1)], (0, 0), [1, 1]).func
+    two_lines = character_on_cosets(p, 0, [(0, 0), (0, 1)], (0, 0), [1, 1])
     rep2 = check("asym3", two_lines, Fraction(1, 2))
     assert rep2.verdict == EXCEPTION
 
@@ -471,7 +468,7 @@ def test_classify_coset_characters_round_trip():
                     seen.add(rep)
                     chis.append(chi)
             coeffs = [rng.choice([1, 2, -1]) for _ in range(k)]
-            f = coset_characters(p, d, offset, chis, coeffs).func
+            f = characters_on_one_coset(p, d, offset, chis, coeffs)
             desc = classify_exception(f)
             assert desc is not None
             if k == 1 and LineSubgroup(p, d).orthogonal().contains(
@@ -504,7 +501,7 @@ def test_classify_character_cosets_round_trip():
                     offsets.append(g)
             chi = (rng.randrange(p), rng.randrange(p))
             coeffs = [rng.choice([1, -2, 3]) for _ in range(k)]
-            f = character_cosets(p, d, offsets, chi, coeffs).func
+            f = character_on_cosets(p, d, offsets, chi, coeffs)
             desc = classify_exception(f)
             assert desc is not None
             if chi == (0, 0):
@@ -543,7 +540,7 @@ def test_classify_two_parallel_round_trip_and_sandwich():
         vals2 = [rng.choice([0, 1, -1]) for _ in range(p)]
         if not any(vals1) or not any(vals2):
             continue
-        f = two_parallel_lines_function(p, d, c1, c2, vals1, vals2).func
+        f = two_parallel_lines(p, d, c1, c2, vals1, vals2)
         desc = classify_exception(f)
         assert desc is not None
         assert desc.kind in ("two-parallel-lines", "single-coset-character",
@@ -569,7 +566,7 @@ def test_classify_two_nonparallel_round_trip_and_sandwich():
         for idx in rng.sample(range(p), 2):
             vals1[idx] = rng.choice([1, 2])
         vals2[rng.randrange(p)] = rng.choice([1, -1])
-        f = two_nonparallel_lines_function(p, d1, d2, chi, vals1, vals2).func
+        f = two_nonparallel_lines(p, d1, d2, chi, vals1, vals2)
         if f.is_zero_function():
             continue
         desc = classify_exception(f)
@@ -640,9 +637,7 @@ def test_quasicharacter_scaled_character():
     chi_vals = [root_of_unity(p, (3 * x) % p) * 2 for x in range(p)]
     h = GFunc(p, 1, PRIMAL, chi_vals)
     A = range(5)  # |A| = 5 > 14/3
-    rep = check_quasicharacter(h, A)
-    assert rep.verdict == HOLDS
-    assert rep.details["transform_support"] == 1
+    assert quasicharacter(h, A) == (True, 1)
 
 
 def test_quasicharacter_character_on_A_noise_off():
@@ -650,35 +645,16 @@ def test_quasicharacter_character_on_A_noise_off():
     vals = [root_of_unity(p, (2 * x) % p) for x in range(p)]
     vals[6] = CycNum.from_rational(p, 5)  # off A, arbitrary
     h = GFunc(p, 1, PRIMAL, vals)
-    rep = check_quasicharacter(h, range(6))
-    assert rep.verdict in (HOLDS, EQUALITY)
-    x = rep.details["transform_support"]
+    hypothesis, x = quasicharacter(h, range(6))
+    assert hypothesis
     assert x == 1 or x >= 6
 
 
 def test_quasicharacter_hypothesis_failure():
     p = 7
     h = GFunc(p, 1, PRIMAL, [1, 2, 4, 1, 1, 1, 1])
-    rep = check_quasicharacter(h, range(5))
-    assert rep.verdict == EXCEPTION
-    assert not rep.details["hypothesis_holds"]
-
-
-def test_quasicharacter_validation():
-    p = 7
-    h = GFunc(p, 1, PRIMAL, [1] * p)
-    with pytest.raises(ValueError):
-        check_quasicharacter(h, range(4))  # |A| = 4 <= 2p/3
-    with pytest.raises(ValueError):
-        check_quasicharacter(GFunc.zero(p, 1, PRIMAL), range(5))
-
-
-def test_sumset_bound():
-    assert sumset_size([0], [0], 5) == 1
-    assert sumset_size([0, 1], [0, 1], 5) == 3
-    assert sumset_size(range(5), [2], 5) == 5
-    with pytest.raises(ValueError):
-        sumset_size([], [1], 5)
+    hypothesis, _ = quasicharacter(h, range(5))
+    assert not hypothesis
 
 
 def test_exhaustive_quasicharacter_p5():
@@ -689,5 +665,5 @@ def test_exhaustive_quasicharacter_p5():
         vals = [(counter // 3**i) % 3 for i in range(p)]
         if not any(vals):
             continue
-        rep = check_quasicharacter(GFunc(p, 1, PRIMAL, vals), A)
-        assert rep.verdict != VIOLATED
+        hypothesis, x = quasicharacter(GFunc(p, 1, PRIMAL, vals), A)
+        assert not hypothesis or x == 1 or x >= len(A), vals

@@ -34,9 +34,8 @@ from primeplane.plane import (
     Point,
     PointSet,
     bounded_line_direction,
+    covered_by_lines,
     directions_determined,
-    is_blocking_set,
-    one_line_cover,
     orthogonal_direction,
     pencil_stability,
     tables,
@@ -317,8 +316,8 @@ def test_point_set_cache_is_a_module_constant():
 @given(data=st.data())
 def test_plane_queries_match_mask_scans(p, data):
     P = data.draw(point_sets(p))
-    assert is_blocking_set(P) == reference_is_blocking_set(P)
-    assert one_line_cover(P) == reference_one_line_cover(P)
+    assert (not any(P.line_profile[1])) == reference_is_blocking_set(P)
+    assert covered_by_lines(P, 1) == reference_one_line_cover(P)
     report = pencil_stability(P)
     assert (report.k, report.m) == reference_pencil_stability(P)
     if P.size >= 2:

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
@@ -18,9 +19,9 @@ from primeplane import bounds, cli
 from primeplane.cli import (EXIT_BUDGET, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION,
                             main)
 from primeplane.cyclotomic import parse_value
-from primeplane.plane import DUAL, PRIMAL, PointSet, is_blocking_set, parse_pointset
-from primeplane.search import (construct, make_space, two_nonparallel_lines_function,
-                               two_parallel_lines_function)
+from primeplane.plane import DUAL, PRIMAL, PointSet, parse_pointset
+from primeplane.search import construct, make_space
+from reference import two_nonparallel_lines, two_parallel_lines
 
 
 def run_cli(capsys, *argv):
@@ -97,7 +98,7 @@ def test_blocking_min_prints_the_theorem_value(capsys):
         assert payload["result"]["minimum"] == minimum == 2 * p - 1
         witness = parse_pointset(payload["result"]["witness"])
         assert witness.p == p and witness.size == minimum
-        assert is_blocking_set(witness)
+        assert not any(witness.line_profile[1])  # no line misses it
 
 
 def test_geometry_directions_and_pencil(capsys):
@@ -232,6 +233,23 @@ def test_emit_curves_order_and_bytes_at_p2_p3(capsys):
                          "conjecture_k=1", "conjecture_k=2", "conjecture_k=3", "lattice"]
 
 
+def test_emit_curves_streams_its_rows(tmp_path):
+    # the 9,569 rows at p = 23 are written as they are computed; joined into
+    # one string first they peaked at 2.2 MB here, and at p = 101 ran out of
+    # a 64 MiB address-space cap
+    out = tmp_path / "curves.csv"
+    cli.build_parser()  # the parser is built once per process, outside the measurement
+    tracemalloc.start()
+    try:
+        assert main(["emit-curves", "--p", "23", "--out", str(out)]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "a72d44b0c437d6411b41da3195d8922e87b9458c8277fa64b1527f65f173042e"
+
+
 # stdout digests of `verify --theorem conjecture --theorem roots --k 2`, whose
 # reports print the exact minimum line covers cover_S and cover_X
 COVER_VERIFY_SHA256 = {
@@ -341,16 +359,16 @@ def two_line_literals():
     component values: a primal-cover nonparallel pair, and cyclotomic
     dual-cover parallel and nonparallel pairs."""
     z = parse_value("z", 7)
-    parallel = two_parallel_lines_function(7, 2, (1, 3), (4, 0), [1, 0, 0, 2, 0, z, 0],
-                                           [0, -1, 0, 0, 0, 0, 3])
-    nonparallel = two_nonparallel_lines_function(7, 1, 4, (2, 5), [0, 1, 0, z, 0, 0, 2],
-                                                 [3, 0, 0, 0, -1, 0, 0])
+    parallel = two_parallel_lines(7, 2, (1, 3), (4, 0), [1, 0, 0, 2, 0, z, 0],
+                                  [0, -1, 0, 0, 0, 0, 3])
+    nonparallel = two_nonparallel_lines(7, 1, 4, (2, 5), [0, 1, 0, z, 0, 0, 2],
+                                        [3, 0, 0, 0, -1, 0, 0])
     return {
         "5; 2; 1,6,7,8,0,2,0,0,0,0,3,0,0,0,0,4,0,0,0,0,5,0,0,0,0":
             "b359d490eda6eba262db0f26148898c257adfbf8847ab2170df8710d52b6d837",
-        parallel.func.to_literal():
+        parallel.to_literal():
             "fd1d5861bec5325bf7e7341695839741267764ef243f6b92394d1cac8ce75201",
-        nonparallel.func.to_literal():
+        nonparallel.to_literal():
             "e771faf062521f215d9c2cec89342d73d70d2b3748ad8144f91f9f3e9168333e",
     }
 

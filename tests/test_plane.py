@@ -15,15 +15,12 @@ from primeplane.plane import (
     PointSet,
     SearchBudgetExceeded,
     _direction_of_indices,
-    all_subgroups,
     bounded_line_direction,
     coset_from_id,
     covered_by_lines,
     directions_determined,
-    is_blocking_set,
     min_blocking_size,
     min_line_cover,
-    one_line_cover,
     orthogonal_direction,
     orthogonal_directions,
     parse_pointset,
@@ -36,7 +33,7 @@ from primeplane.search import _candidates, make_space
 
 def test_subgroup_count_and_partition():
     for p in (2, 3, 5, 7):
-        subs = all_subgroups(p)
+        subs = [LineSubgroup(p, d) for d in range(p + 1)]
         assert len(subs) == p + 1
         seen = {}
         for sub in subs:
@@ -49,14 +46,14 @@ def test_subgroup_count_and_partition():
 
 
 def test_p5_generators_up_to_scaling():
-    gens = [sub.generator for sub in all_subgroups(5)]
+    gens = [LineSubgroup(5, d).generator for d in range(6)]
     expected = [(1, 0), (1, 1), (1, 2), (1, 3), (1, 4), (0, 1)]
     assert [(g.x, g.y) for g in gens] == expected
 
 
 def test_orthogonal_involution_and_size():
     for p in (3, 5, 7):
-        for sub in all_subgroups(p):
+        for sub in [LineSubgroup(p, d) for d in range(p + 1)]:
             perp = sub.orthogonal()
             assert perp.side == DUAL
             assert perp.orthogonal() == sub
@@ -74,7 +71,7 @@ def test_orthogonal_of_horizontal_is_vertical():
 
 def test_lines_partition_plane():
     for p in (3, 5):
-        for sub in all_subgroups(p):
+        for sub in [LineSubgroup(p, d) for d in range(p + 1)]:
             lines = [coset_from_id(p, sub.direction, j) for j in range(p)]
             assert len(lines) == p
             seen = set()
@@ -178,14 +175,19 @@ def test_directions_determined_examples():
     assert directions_determined(big) == frozenset(range(6))
 
 
+def blocks(P):
+    """Whether P meets every line: no direction has a line that misses it."""
+    return not any(P.line_profile[1])
+
+
 def test_blocking_examples():
     for p in (2, 3, 5):
         two_lines = PointSet(p, PRIMAL,
                              tables(p).coset_masks[0][0] | tables(p).coset_masks[p][0])
         assert two_lines.size == 2 * p - 1
-        assert is_blocking_set(two_lines)
+        assert blocks(two_lines)
         one_line = PointSet(p, PRIMAL, tables(p).coset_masks[0][0])
-        assert not is_blocking_set(one_line)
+        assert not blocks(one_line)
 
 
 def test_min_blocking_small():
@@ -193,7 +195,7 @@ def test_min_blocking_small():
         size, witness = min_blocking_size(p)
         assert size == 2 * p - 1
         assert witness.size == size
-        assert is_blocking_set(witness)
+        assert blocks(witness)
 
 
 def lines_through(T, idx):
@@ -237,10 +239,10 @@ def test_blocking_search_matches_plain_search():
         full = PointSet.full(p).mask
         size, mask = plain_blocking_search(p, full)
         assert size == 2 * p - 1 == mask.bit_count(), p
-        assert is_blocking_set(PointSet(p, PRIMAL, mask)), p
+        assert blocks(PointSet(p, PRIMAL, mask)), p
         theorem, witness = min_blocking_size(p)
         assert theorem == size == witness.size, p
-        assert is_blocking_set(witness), p
+        assert blocks(witness), p
 
 
 def test_min_line_cover_stops_at_the_node_budget(monkeypatch):
@@ -300,7 +302,7 @@ def test_bounded_line_direction_exhaustive_p3():
         P = PointSet(p, PRIMAL, mask)
         if not 2 <= P.size <= 4 * p:
             continue
-        if one_line_cover(P):
+        if covered_by_lines(P, 1):
             continue
         assert bounded_line_direction(P) is not None
 
@@ -334,7 +336,7 @@ def test_rich_direction_preconditions():
 
 def test_line_covers():
     p = 3
-    assert one_line_cover(PointSet.from_pairs(p, [(0, 0), (1, 1)]))
+    assert covered_by_lines(PointSet.from_pairs(p, [(0, 0), (1, 1)]), 1)
     assert covered_by_lines(PointSet.from_pairs(p, [(0, 0), (1, 1)]), 2)
     assert not covered_by_lines(PointSet.full(p), 2)
     parallel = PointSet(p, PRIMAL, tables(p).coset_masks[0][0] | tables(p).coset_masks[0][1])

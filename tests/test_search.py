@@ -25,9 +25,7 @@ from primeplane.plane import DUAL, PRIMAL, Coset, LineSubgroup, Point, coset_fro
 from primeplane.search import (
     attainable_lattice,
     character_coset,
-    character_cosets,
     construct,
-    coset_characters,
     diff_of_subgroups,
     frontier,
     hunt,
@@ -36,8 +34,12 @@ from primeplane.search import (
     sharp_pair_1d,
     sweep,
     triple_subgroups,
-    two_nonparallel_lines_function,
-    two_parallel_lines_function,
+)
+from reference import (
+    character_on_cosets,
+    characters_on_one_coset,
+    two_nonparallel_lines,
+    two_parallel_lines,
 )
 
 
@@ -410,9 +412,9 @@ def test_sweep_parallel_exact_route_matches_serial(space):
 
 # -- gallery builders against their reference loops ------------------------------
 #
-# The structured builders go through bounds.ExceptionDescriptor.reconstruct;
-# the reference_* functions build the same forms with their own loops, a
-# route independent of the descriptor.
+# character_coset and the descriptor builders of reference.py go through
+# bounds.ExceptionDescriptor.reconstruct; the reference_* functions build
+# the same forms with their own loops, a route independent of the descriptor.
 
 
 def _cyc(p, v):
@@ -509,21 +511,21 @@ def test_builders_match_reference_loops(p, kind):
         n = rng.randint(1, p)
         chis = [point_on(rng, p, perp, j, DUAL) for j in rng.sample(range(p), n)]
         coeffs = [random_value(rng, p, kind, nonzero=True) for _ in chis]
-        assert coset_characters(p, d, offset, chis, coeffs).func == \
+        assert characters_on_one_coset(p, d, offset, chis, coeffs) == \
             reference_coset_characters(p, d, offset, chis, coeffs)
 
         offsets = [point_on(rng, p, d, j) for j in rng.sample(range(p), n)]
-        assert character_cosets(p, d, offsets, character, coeffs).func == \
+        assert character_on_cosets(p, d, offsets, character, coeffs) == \
             reference_character_cosets(p, d, offsets, character, coeffs)
 
         char1, char2 = (point_on(rng, p, perp, j, DUAL) for j in rng.sample(range(p), 2))
         vals1 = [random_value(rng, p, kind) for _ in range(p)]
         vals2 = [random_value(rng, p, kind) for _ in range(p)]
-        assert two_parallel_lines_function(p, d, char1, char2, vals1, vals2).func == \
+        assert two_parallel_lines(p, d, char1, char2, vals1, vals2) == \
             reference_two_parallel(p, d, char1, char2, vals1, vals2)
 
         d2 = rng.choice([e for e in range(p + 1) if e != d])
-        assert two_nonparallel_lines_function(p, d, d2, character, vals1, vals2).func == \
+        assert two_nonparallel_lines(p, d, d2, character, vals1, vals2) == \
             reference_two_nonparallel(p, d, d2, character, vals1, vals2)
 
 
