@@ -73,21 +73,22 @@ _point_set = lru_cache(maxsize=_POINT_SETS)(PointSet)
 class SupportPair:
     """The pair (supp f, supp of the transform) that every check decides from.
 
-    S and X are None at rank 1, where checks read only the sizes.  At
-    rank 2 the per-direction structure comes from the line census
-    `PointSet.line_counts` of S and X and its summary
-    `PointSet.line_profile`, counted once per distinct set, not once per
-    pair: `from_masks` takes both sets from a cache of the _POINT_SETS most
-    recently used sets, so a transform support that recurs across
-    candidates keeps its census.  `covers`
-    holds the exact minimum line covers of S and X where a caller has
-    computed them.
+    A pair holds the two masks and their sizes, and each check reads the
+    sizes first: an exception can hold only in a narrow window of sizes,
+    so most candidates are decided without a point set.  S and X are
+    built only when a check reads them, as rank-2 PointSets (None at rank
+    1, where checks read only the sizes), and taken from a cache of the
+    _POINT_SETS most recently used sets, so a transform support that
+    recurs across candidates keeps its line census.  A set counts its
+    lines once, on its first read of `PointSet.line_counts` or
+    `PointSet.line_profile`.  `covers` holds the exact minimum line covers
+    of S and X where a caller has computed them.
     """
 
     p: int
     rank: int
-    S: Optional[PointSet]
-    X: Optional[PointSet]
+    s_mask: int
+    x_mask: int
     s_size: int
     x_size: int
     rational: bool
@@ -96,10 +97,15 @@ class SupportPair:
     @classmethod
     def from_masks(cls, p: int, rank: int, s_mask: int, x_mask: int,
                    rational: bool) -> "SupportPair":
-        S = X = None
-        if rank == 2:
-            S, X = _point_set(p, PRIMAL, s_mask), _point_set(p, DUAL, x_mask)
-        return cls(p, rank, S, X, s_mask.bit_count(), x_mask.bit_count(), rational)
+        return cls(p, rank, s_mask, x_mask, s_mask.bit_count(), x_mask.bit_count(), rational)
+
+    @property
+    def S(self) -> Optional[PointSet]:
+        return _point_set(self.p, PRIMAL, self.s_mask) if self.rank == 2 else None
+
+    @property
+    def X(self) -> Optional[PointSet]:
+        return _point_set(self.p, DUAL, self.x_mask) if self.rank == 2 else None
 
     def covered(self, side: str, b: int) -> bool:
         """True iff b lines cover S (primal) or X (dual): read from the
@@ -201,12 +207,6 @@ class ExceptionDescriptor:
     coefficients: Tuple[CycNum, ...] = ()
     components: Tuple[GFunc, ...] = ()
     details: Tuple[Tuple[str, object], ...] = ()
-
-    def detail(self, key: str):
-        for k, v in self.details:
-            if k == key:
-                return v
-        return None
 
     def reconstruct(self) -> GFunc:
         p = self.p
@@ -521,7 +521,9 @@ def _product(pair: SupportPair, n: int) -> Tuple[int, int, int]:
 def _linear(pair: SupportPair, k: int) -> Tuple[int, int, int]:
     """The paper's family lo/k + hi/(p+1-k) >= p + 1, times k(p+1-k).  The
     named checks take k = 1 (meshulam), 2 (rational), p-2 (kp2), p-1 (kp1)."""
-    p, (lo, hi) = pair.p, sorted((pair.s_size, pair.x_size))
+    p, lo, hi = pair.p, pair.s_size, pair.x_size
+    if lo > hi:
+        lo, hi = hi, lo
     j = p + 1 - k
     return lo * j + hi * k, (p + 1) * k * j, k * j
 
@@ -560,7 +562,8 @@ def decide_rational(pair: SupportPair, param=None) -> str:
     # k = 2, except H-periodic f
     if not pair.rational:
         raise ValueError("the rational bound requires a rational-valued function")
-    if _periodic_directions(pair.p, pair.X):
+    # a periodic X lies in one line: at most p points
+    if pair.x_size <= pair.p and _periodic_directions(pair.p, pair.X):
         return EXCEPTION
     return _ineq_verdict(*_linear(pair, 2))
 
@@ -584,10 +587,11 @@ def report_rational(pair: SupportPair, param, verdict: str) -> BoundReport:
 
 
 def decide_kp1(pair: SupportPair, param=None) -> str:
-    # k = p - 1, except orthogonal coset pairs
-    if _orthogonal_coset_pair(pair.p, pair.S, pair.X) is not None:
+    # k = p - 1, except orthogonal coset pairs, whose sides are lines
+    p = pair.p
+    if pair.s_size == pair.x_size == p and _orthogonal_coset_pair(p, pair.S, pair.X) is not None:
         return EXCEPTION
-    return _ineq_verdict(*_linear(pair, pair.p - 1))
+    return _ineq_verdict(*_linear(pair, p - 1))
 
 
 def report_kp1(pair: SupportPair, param, verdict: str) -> BoundReport:
@@ -598,9 +602,17 @@ def report_kp1(pair: SupportPair, param, verdict: str) -> BoundReport:
     return _report("kp1", EXCEPTION, ineq, orthogonal_pair_directions=list(directions))
 
 
+def _near_coset(pair: SupportPair) -> bool:
+    """The near-coset exception of kp2 and product3; its smaller side lies
+    in one line with at most one point missing, so p - 1 <= min <= p."""
+    p = pair.p
+    return p - 1 <= min(pair.s_size, pair.x_size) <= p and \
+        _coset_pair_exception(p, pair.S, pair.X) is not None
+
+
 def decide_kp2(pair: SupportPair, param=None) -> str:
     # k = p - 2, else the min branch, except near-coset structure
-    if _coset_pair_exception(pair.p, pair.S, pair.X) is not None:
+    if _near_coset(pair):
         return EXCEPTION
     primary = _ineq_verdict(*_linear(pair, pair.p - 2))
     return primary if primary != VIOLATED else _ineq_verdict(*_kp2_min(pair))
@@ -621,10 +633,9 @@ def report_kp2(pair: SupportPair, param, verdict: str) -> BoundReport:
 
 def decide_product3(pair: SupportPair, param=None) -> str:
     # |S||X| >= 3p(p-2), except m <= 2 or near-coset structure
-    p = pair.p
-    if min(pair.s_size, pair.x_size) <= 2 or \
-            _coset_pair_exception(p, pair.S, pair.X) is not None:
+    if min(pair.s_size, pair.x_size) <= 2 or _near_coset(pair):
         return EXCEPTION
+    p = pair.p
     return _ineq_verdict(*_product(pair, 3 * p * (p - 2)))
 
 
@@ -867,15 +878,9 @@ def spec_for(name: str, rank: int) -> CheckSpec:
     return spec
 
 
-def decide(name: str, pair: SupportPair, param=None) -> str:
-    """The verdict of a named check on one support pair.  `param` must
-    already have passed the check's `admit`, which fails bad values once
-    per run rather than once per candidate."""
-    return spec_for(name, pair.rank).decide(pair, param)
-
-
 def evaluate(name: str, pair: SupportPair, param=None) -> BoundReport:
-    """decide() with the check's report around the verdict."""
+    """The report of a named check on one support pair, around its
+    verdict; `param` must already have passed the check's `admit`."""
     spec = spec_for(name, pair.rank)
     return spec.report(pair, param, spec.decide(pair, param))
 

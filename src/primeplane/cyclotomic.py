@@ -199,22 +199,6 @@ class CycNum:
         acc = self.num + (0,)
         return _reduced_over(self.p, acc[-k:] + acc[:-k], self.den)
 
-    # -- field automorphisms ------------------------------------------------
-
-    def galois(self, j: int) -> "CycNum":
-        """Apply the automorphism zeta -> zeta^j; j must be a unit mod p."""
-        p = self.p
-        j %= p
-        if j == 0:
-            raise ValueError("Galois exponent must be a unit modulo p")
-        if j == 1:
-            return self
-        acc = [0] * p
-        for t, c in enumerate(self.num):
-            if c:
-                acc[(j * t) % p] += c
-        return _reduced_over(p, acc, self.den)
-
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -260,10 +244,6 @@ class CycNum:
             g = gcd(c, den)
             coeffs.append(f"{c // g}/{den // g}")
         return {"p": self.p, "coeffs": coeffs}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CycNum":
-        return cls(obj["p"], [Fraction(c) for c in obj["coeffs"]])
 
     def __repr__(self):
         return f"CycNum({self.p}, {format_value(self)!r})"

@@ -83,16 +83,6 @@ class GFunc:
         return cls(p, rank, side, (0,) * p**rank)
 
     @classmethod
-    def constant(cls, p: int, value: ValueLike, rank: int = 2, side: str = PRIMAL) -> "GFunc":
-        return cls(p, rank, side, (value,) * p**rank)
-
-    @classmethod
-    def delta(cls, p: int, rank: int = 2, at: int = 0, side: str = PRIMAL) -> "GFunc":
-        vals = [0] * p**rank
-        vals[at] = 1
-        return cls(p, rank, side, vals)
-
-    @classmethod
     def from_literal(cls, text: str, side: str = PRIMAL) -> "GFunc":
         """Parse the literal 'p; rank; v0,v1,...' with cyclotomic value terms."""
         parts = text.split(";")
@@ -120,11 +110,6 @@ class GFunc:
             "side": self.side,
             "values": [v.to_json() for v in self.values],
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "GFunc":
-        values = [CycNum.from_json(v) for v in obj["values"]]
-        return cls(obj["p"], obj["rank"], obj["side"], values)
 
     # -- access ------------------------------------------------------------
 
@@ -227,16 +212,12 @@ def _scaled_int_coeffs(values: Sequence[CycNum]) -> Tuple[List[Tuple[int, ...]],
 
 
 @lru_cache(maxsize=None, typed=True)
-def _line_table(p: int, rank: int) -> Tuple[tuple, ...]:
-    """(line_of, first, rest, mask, points) for each direction d of the
-    plane.  line_of is plane.tables(p).coset_id[d], which is <w_d, g> mod p
-    for w_d = (-d, 1), or (1, 0) at d = p; points[t] is the index of the
-    multiple t*w_d, and mask has the bits of the p - 1 nonzero ones.  first
-    and rest pick the values on line 0 and on lines 1..p-1, so
-    sum(getter(values)) is one line's sum.  The pairing is symmetric, so
-    the same table serves either side.  Rank 1 has the one direction
-    w = 1, whose lines are single points, picked as one-item slices so
-    that the sum applies there too.
+def _line_table(p: int, rank: int) -> Tuple[Tuple[tuple, tuple], ...]:
+    """(line_of, points) for each direction d of the plane.  line_of is
+    plane.tables(p).coset_id[d], which is <w_d, g> mod p for w_d = (-d, 1),
+    or (1, 0) at d = p, and points[t] is the index of the multiple t*w_d.
+    The pairing is symmetric, so the same table serves either side.  Rank
+    1 has the one direction w = 1, whose lines are single points.
 
     Raises ValueError unless p is a usable prime and rank is 1 or 2, so a
     cached table vouches for both; the cache is typed, so that 3.0 never
@@ -246,19 +227,35 @@ def _line_table(p: int, rank: int) -> Tuple[tuple, ...]:
         raise ValueError("rank must be 1 or 2")
     if rank == 1:
         ids = tuple(range(p))
-        getters = [itemgetter(slice(g, g + 1)) for g in ids]
-        return ((ids, getters[0], tuple(getters[1:]), (1 << p) - 2, ids),)
-    indices = tuple(range(p * p))  # one int object per point, shared by the getters
+        return ((ids, ids),)
     out = []
     for d, line_of in enumerate(tables(p).coset_id):
         a, b = (1, 0) if d == p else (-d % p, 1)
-        points = tuple((t * a) % p * p + (t * b) % p for t in range(p))
-        lines: List[List[int]] = [[] for _ in range(p)]
-        for g, j in zip(indices, line_of):
-            lines[j].append(g)
-        getters = [itemgetter(*members) for members in lines]
-        out.append((line_of, getters[0], tuple(getters[1:]), sum(1 << w for w in points[1:]),
-                    points))
+        out.append((line_of, tuple((t * a) % p * p + (t * b) % p for t in range(p))))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _line_getters(p: int, rank: int) -> Tuple[tuple, ...]:
+    """(first, rest, mask) for each direction of _line_table, for the
+    integer kernels alone: first and rest pick the values on line 0 and on
+    lines 1..p-1, so sum(getter(values)) is one line's sum, and mask has
+    the bits of the p - 1 nonzero multiples of the direction.  At rank 1
+    each line is one point, picked as a one-item slice so that the sum
+    applies there too.  O(p^3) references at rank 2, which the exact
+    transform does not pay for."""
+    table = _line_table(p, rank)  # validates p and rank
+    indices = tuple(range(p**rank))  # one int object per point, shared by the getters
+    out = []
+    for line_of, points in table:
+        if rank == 1:
+            getters = [itemgetter(slice(g, g + 1)) for g in indices]
+        else:
+            lines: List[List[int]] = [[] for _ in range(p)]
+            for g, j in zip(indices, line_of):
+                lines[j].append(g)
+            getters = [itemgetter(*members) for members in lines]
+        out.append((getters[0], tuple(getters[1:]), sum(1 << w for w in points[1:])))
     return tuple(out)
 
 
@@ -320,7 +317,7 @@ def _transform(values: Sequence[CycNum], p: int, rank: int, scale: int) -> List[
     out[0] = _make(p, tuple(map(sum, zip(*(c for _, c in support)))), divisor)
     if not any(any(c[1:]) for _, c in support):
         picks = _slice_picks(p)
-        for line_of, _, _, _, points in _line_table(p, rank):
+        for line_of, points in _line_table(p, rank):
             sums = [0] * p
             for u, c in support:
                 sums[line_of[u]] += c[0]
@@ -340,7 +337,7 @@ def _transform(values: Sequence[CycNum], p: int, rank: int, scale: int) -> List[
         parts = cut(x.to_bytes(size, "big"))
         return _reduced_over(p, list(map(int.from_bytes, parts, repeat("big", p))), divisor)
 
-    for line_of, _, _, _, points in _line_table(p, rank):
+    for line_of, points in _line_table(p, rank):
         sums = [start] * p
         for u, x in packed:
             sums[line_of[u]] += x
@@ -394,24 +391,30 @@ def int_support_masks(p: int, rank: int, values: Sequence[int]) -> Tuple[int, in
     Galois closure of a rational function's transform support.
 
     Each line sum is one C-level sum over a cached itemgetter of the line's
-    p points, and a direction stops at the first sum that differs from its
-    first line's: a direction in the support usually costs two sums, and
-    only one outside it costs all p, so the work is at most (p + 1) * p^2
-    integer additions at rank 2, however large the support.  The test
+    p points.  The p sums of a direction add up to the value sum, so they
+    are all equal only if the first is that total over p: a direction
+    whose first sum is not is in the support after one sum.  Otherwise
+    it stops at the first sum that differs from its first line's, and
+    only one outside the support costs all p, so the work is at most
+    (p + 1) * p^2 integer additions at rank 2, however large the support.  The test
     suite checks this route against one pass over the support per
     direction, against one pass per character, and against the transform;
     in turn it is the oracle of int_support_stream, at every ordinal.
     """
-    lines = _line_table(p, rank)  # validates p and rank
+    lines = _line_getters(p, rank)  # validates p and rank
     n = p**rank
     if len(values) != n:
         raise ValueError(f"need {n} values, got {len(values)}")
     s_mask = sum(compress(_point_bits(n), values))
-    x_mask = 1 if sum(values) else 0
-    for _, first, rest, mask, _ in lines:
-        total = sum(first(values))
-        for line in rest:
-            if sum(line(values)) != total:
+    total = sum(values)
+    x_mask = 1 if total else 0
+    for first, rest, mask in lines:
+        line = sum(first(values))
+        if line * p != total:
+            x_mask |= mask
+            continue
+        for other in rest:
+            if sum(other(values)) != line:
                 x_mask |= mask
                 break
     return s_mask, x_mask
@@ -422,10 +425,10 @@ _LOW_BLOCK = 1024
 
 
 def _line_keys(lines, values: Sequence[int]) -> Iterator[Tuple[int, ...]]:
-    """For each direction of _line_table, the p line sums of `values`
+    """For each direction of _line_getters, the p line sums of `values`
     less the sum on line 0: the key is all zeros iff the direction is out
     of the transform's support, and it is linear in the values."""
-    for _, first, rest, _, _ in lines:
+    for first, rest, _ in lines:
         base = sum(first(values))
         yield tuple([sum(line(values)) - base for line in rest])
 
@@ -470,7 +473,7 @@ def int_support_stream(p: int, rank: int, ints: Sequence[int], start: int,
     cleared.  Memory is the low block's tables, O(B**r * (p + 1)), and
     one row.
     """
-    lines = _line_table(p, rank)  # validates p and rank
+    lines = _line_getters(p, rank)  # validates p and rank
     n, base = p**rank, len(ints)
     r = 0
     while r < n and base ** (r + 1) <= _LOW_BLOCK:
@@ -479,7 +482,7 @@ def int_support_stream(p: int, rank: int, ints: Sequence[int], start: int,
     if start >= stop:
         return
     s_low, by_total, by_key = _low_block(lines, ints, r, n)
-    clears = [(groups, ~mask) for groups, (_, _, _, mask, _) in zip(by_key, lines)]
+    clears = [(groups, ~mask) for groups, (_, _, mask) in zip(by_key, lines)]
     full, head, bits = (1 << n) - 1, (0,) * r, _point_bits(n)
     # the high block's values are negated, so that its keys and total are
     # the ones a low assignment must have for the sum to cancel

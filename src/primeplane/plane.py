@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import repeat
 from operator import and_, methodcaller
 from typing import FrozenSet, Iterable, Optional, Tuple
@@ -141,17 +141,6 @@ class LineSubgroup:
         g = self.generator
         return tuple(g.scaled(t) for t in range(self.p))
 
-    def contains(self, pt: Point) -> bool:
-        if pt.p != self.p or pt.side != self.side:
-            raise ValueError("side or order mismatch")
-        if self.direction == self.p:
-            return pt.x == 0
-        return pt.y == (self.direction * pt.x) % self.p
-
-    def orthogonal(self) -> "LineSubgroup":
-        return LineSubgroup(self.p, orthogonal_direction(self.p, self.direction),
-                            opposite_side(self.side))
-
 
 def _canonical_rep(subgroup: LineSubgroup, point: Point) -> Tuple[int, int]:
     p, d = subgroup.p, subgroup.direction
@@ -199,9 +188,6 @@ class Coset:
     def members(self) -> Tuple[Point, ...]:
         return tuple(self.rep + h for h in self.subgroup.members())
 
-    def contains(self, pt: Point) -> bool:
-        return self.subgroup.contains(pt - self.rep)
-
     def mask(self) -> int:
         return tables(self.p).coset_masks[self.direction][self.coset_id]
 
@@ -247,33 +233,32 @@ class PointSet:
             buf[idx >> 3] |= 1 << (idx & 7)
         return cls(p, side, int.from_bytes(buf, "little"))
 
-    @cached_property
+    @property
     def size(self) -> int:
         return self.mask.bit_count()
 
-    @cached_property
-    def line_counts(self) -> Tuple[Tuple[int, ...], ...]:
-        """line_counts[d][j]: the number of points of the set on line j of
-        direction d (coset ids as in coset_from_id).  Every structural
-        query on a set's lines reads this one census."""
-        counts = map(int.bit_count, map(and_, tables(self.p).line_masks, repeat(self.mask)))
-        return tuple(zip(*[counts] * self.p))
+    def __getattr__(self, name: str):
+        """line_counts and line_profile, counted together on the first read
+        of either and kept in the instance dict, where later reads find them
+        without a call.
 
-    @cached_property
-    def line_profile(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """(least, empty), read from the census once: least[d] is the fewest
-        points on a line of direction d that meets the set (0 for the empty
-        set) and empty[d] the number of lines of direction d that miss it."""
-        rows = self.line_counts
+        line_counts[d][j] is the number of points of the set on line j of
+        direction d (coset ids as in coset_from_id); every structural query
+        on a set's lines reads this one census.  line_profile is (least,
+        empty): least[d] is the fewest points on a line of direction d that
+        meets the set (0 for the empty set) and empty[d] the number of lines
+        of direction d that miss it."""
+        if name not in ("line_counts", "line_profile"):
+            raise AttributeError(f"'PointSet' object has no attribute {name!r}")
+        counts = map(int.bit_count, map(and_, tables(self.p).line_masks, repeat(self.mask)))
+        rows = tuple(zip(*[counts] * self.p))
         empty = tuple(map(methodcaller("count", 0), rows))
         if any(empty):
-            return tuple(min(filter(None, row), default=0) for row in rows), empty
-        return tuple(map(min, rows)), empty
-
-    def contains(self, pt: Point) -> bool:
-        if pt.p != self.p or pt.side != self.side:
-            raise ValueError("point does not match the set's p and side")
-        return bool(self.mask >> pt.index & 1)
+            least = tuple(min(filter(None, row), default=0) for row in rows)
+        else:
+            least = tuple(map(min, rows))
+        self.__dict__.update(line_counts=rows, line_profile=(least, empty))
+        return self.__dict__[name]
 
     def indices(self) -> Tuple[int, ...]:
         """The point indices in increasing order, read from the mask's binary

@@ -285,12 +285,17 @@ class SearchSpace:
     def all_rational(self) -> bool:
         return not self.char_twist and all(v.is_rational() for v in self.alphabet)
 
-    def _decode(self, ordinal: int) -> Tuple[Sequence[int], int]:
+    def _decode(self, ordinal: int,
+                rng: Optional[random.Random] = None) -> Tuple[Sequence[int], int]:
         """(digits, chi_index) of candidate `ordinal`: one alphabet index per
-        point, and the twisting character's index (0 without a twist)."""
+        point, and the twisting character's index (0 without a twist).  A
+        random space seeds `rng` by the ordinal, which leaves it in the state
+        random.Random(seed) starts from, so a range can reuse one generator."""
         n, base = self.n_points, len(self.alphabet)
         if self.mode == "random":
-            rng = random.Random((self.seed << 32) ^ ordinal)
+            if rng is None:
+                rng = random.Random()
+            rng.seed((self.seed << 32) ^ ordinal)
             digits = _random_digits(rng, base, n)
             return digits, rng.randrange(n) if self.char_twist else 0
         chi_index, counter = divmod(ordinal, self.base_count)
@@ -431,9 +436,10 @@ def _candidates(space: SearchSpace, start: int, stop: int):
     ints = space.int_alphabet()
     if space.mode == "random":
         letters, masks = (ints, int_support_masks) if ints else (space.alphabet, _exact_masks)
+        rng = random.Random()
         for ordinal in range(start, stop):
-            digits, chi = space._decode(ordinal)
-            s_mask, x_mask = masks(p, rank, tuple(map(letters.__getitem__, digits)))
+            digits, chi = space._decode(ordinal, rng)
+            s_mask, x_mask = masks(p, rank, [letters[d] for d in digits])
             if s_mask:
                 yield ordinal, s_mask, _translate(p, rank, x_mask, chi) if chi else x_mask
         return
@@ -460,12 +466,14 @@ _MEMO_LIMIT = 2**16
 def _outcomes(space: SearchSpace, items: Sequence[Tuple[str, str, object]],
               start: int, stop: int):
     """Yield (ordinal, verdicts) for each nonzero candidate, one verdict per
-    check item, each from bounds.decide; no BoundReport is built.
+    check item, each from its check's decide; no BoundReport is built.
 
-    Every verdict is a function of the two supports alone, so the checks
-    run once per distinct support pair, all on one SupportPair.  Only the
-    rational check reads rationality, and _check_items admits it only for
-    all-rational spaces, so the space answers for every candidate.  The memo keeps one int key
+    Each item resolves to its (decide, param) once per run.  Every verdict
+    is a function of the two supports alone, so the checks run once per
+    distinct support pair, all on one SupportPair, which builds a point set
+    only when a check reads it.  Only the rational check reads
+    rationality, and _check_items admits it only for all-rational spaces,
+    so the space answers for every candidate.  The memo keeps one int key
     and one interned tuple per pair, and it is cleared when it holds
     _MEMO_LIMIT pairs, so memory does not grow with the space where pairs
     do not recur; a verdict row is a function of its key, so clearing
@@ -473,6 +481,7 @@ def _outcomes(space: SearchSpace, items: Sequence[Tuple[str, str, object]],
     """
     p, rank, n = space.p, space.rank, space.n_points
     rational = space.all_rational()
+    row = [(bounds.CHECKS[name].decide, param) for _, name, param in items]
     memo: Dict[int, tuple] = {}
     interned: Dict[tuple, tuple] = {}
     for ordinal, s_mask, x_mask in _candidates(space, start, stop):
@@ -482,7 +491,7 @@ def _outcomes(space: SearchSpace, items: Sequence[Tuple[str, str, object]],
             if len(memo) >= _MEMO_LIMIT:
                 memo.clear()
             pair = bounds.SupportPair.from_masks(p, rank, s_mask, x_mask, rational)
-            value = tuple([bounds.decide(name, pair, param) for _, name, param in items])
+            value = tuple([decide(pair, param) for decide, param in row])
             value = memo[key] = interned.setdefault(value, value)
         yield ordinal, value
 

@@ -1,6 +1,6 @@
 """Plain oracles for the tests: the proof's tools that the program itself
-never runs, written out once here so that the tests can check the
-package's live routes through them.
+never runs, and the methods it never calls, written out once here so
+that the tests can check the package's live routes through them.
 
 They assume valid input and check none of it.  The transform is
 normalized as in the package, hat(f)(w) = (1/|G|) sum_g f(g) conj(chi_w(g)).
@@ -13,11 +13,16 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from primeplane.bounds import (
+    EXCEPTION,
     KIND_CHARACTER_ON_COSETS,
     KIND_CHARACTERS_ON_ONE_COSET,
     KIND_TWO_NONPARALLEL,
     KIND_TWO_PARALLEL,
     ExceptionDescriptor,
+    _coset_pair_exception,
+    _orthogonal_coset_pair,
+    _periodic_directions,
+    spec_for,
 )
 from primeplane.cyclotomic import CycNum, _reduced_over
 from primeplane.fourier import (
@@ -27,7 +32,75 @@ from primeplane.fourier import (
     fourier_transform,
     line_sums,
 )
-from primeplane.plane import DUAL, PRIMAL, Point, coset_from_id, tables
+from primeplane.plane import (
+    DUAL,
+    PRIMAL,
+    LineSubgroup,
+    Point,
+    PointSet,
+    coset_from_id,
+    opposite_side,
+    orthogonal_direction,
+    tables,
+)
+
+
+# -- methods the program never calls, written as functions ------------------------------
+
+
+def galois(x, j):
+    """x under the automorphism zeta -> zeta^j; j must be a unit mod p."""
+    p = x.p
+    j %= p
+    if j == 0:
+        raise ValueError("Galois exponent must be a unit modulo p")
+    if j == 1:
+        return x
+    acc = [0] * p
+    for t, c in enumerate(x.num):
+        if c:
+            acc[(j * t) % p] += c
+    return _reduced_over(p, acc, x.den)
+
+
+def cycnum_from_json(obj):
+    """The inverse of CycNum.to_json."""
+    return CycNum(obj["p"], [Fraction(c) for c in obj["coeffs"]])
+
+
+def gfunc_from_json(obj):
+    """The inverse of GFunc.to_json."""
+    return GFunc(obj["p"], obj["rank"], obj["side"], [cycnum_from_json(v) for v in obj["values"]])
+
+
+def delta(p, rank=2, at=0, side=PRIMAL):
+    """1 at index `at`, 0 elsewhere."""
+    values = [0] * p**rank
+    values[at] = 1
+    return GFunc(p, rank, side, values)
+
+
+def constant(p, value, rank=2, side=PRIMAL):
+    return GFunc(p, rank, side, (value,) * p**rank)
+
+
+def orthogonal(H):
+    """The subgroup orthogonal to the line subgroup H, on the other side."""
+    return LineSubgroup(H.p, orthogonal_direction(H.p, H.direction), opposite_side(H.side))
+
+
+def contains(H, pt):
+    """Whether the line subgroup H holds the point, which must share its p and side."""
+    if pt.p != H.p or pt.side != H.side:
+        raise ValueError("side or order mismatch")
+    if H.direction == H.p:
+        return pt.x == 0
+    return pt.y == (H.direction * pt.x) % H.p
+
+
+def detail(desc, key):
+    """The value of an ExceptionDescriptor's detail, or None."""
+    return dict(desc.details).get(key)
 
 
 def convolve(f1, f2, normalize):
@@ -67,7 +140,7 @@ def coset_restriction_transform(f, g, H, fhat=None):
     for a = <gen, g> and R the line_sums of hat(f) through rep."""
     fhat = fourier_transform(f) if fhat is None else fhat
     p = f.p
-    perp = H.orthogonal()
+    perp = orthogonal(H)
     gen = perp.generator
     a = gen.pair(g)
     vals = [None] * (p * p)
@@ -84,7 +157,7 @@ def coset_sum_identity(f, g, H, chi, fhat=None):
     sum: sum_psi hat(f)(chi psi) psi(g) =
     (conj(chi)(g)/|H|) sum_h f(g+h) conj(chi)(h)."""
     fhat = fourier_transform(f) if fhat is None else fhat
-    perp = H.orthogonal()
+    perp = orthogonal(H)
     lhs = line_sums(fhat, chi, perp.direction)[perp.generator.pair(g)]
     rhs = CycNum.zero(f.p)
     for h in H.members():
@@ -96,7 +169,7 @@ def galois_twist(u, j):
     """The Galois map zeta -> zeta^j on the values of a dual function,
     each character relabeled by its j-th power."""
     p = u.p
-    return GFunc(p, u.rank, DUAL, [v.galois(j) for v in _at_multiple(u.values, p, pow(j, -1, p))])
+    return GFunc(p, u.rank, DUAL, [galois(v, j) for v in _at_multiple(u.values, p, pow(j, -1, p))])
 
 
 def rational_support_closure(f):
@@ -118,6 +191,24 @@ def quasicharacter(h, A):
         product = h.values[a1] * h.values[a2]
         hypothesis = hypothesis and by_sum.setdefault((a1 + a2) % h.p, product) == product
     return hypothesis, fourier_transform(h).support_size
+
+
+def decide(name, pair, param=None):
+    """The verdict of one named check on one support pair, looked up by
+    name in the registry on every call: the per-check oracle of the row
+    that search._outcomes resolves once per run.  The structural
+    exceptions of rational, kp1, kp2 and product3 are tested first, on
+    point sets built here whatever the sizes, so a size gate in a check's
+    decide that skipped a real exception would show."""
+    spec = spec_for(name, pair.rank)
+    if pair.rank == 2 and (pair.rational or not spec.rational):
+        p = pair.p
+        S, X = PointSet(p, PRIMAL, pair.s_mask), PointSet(p, DUAL, pair.x_mask)
+        if name == "rational" and _periodic_directions(p, X) or \
+                name == "kp1" and _orthogonal_coset_pair(p, S, X) is not None or \
+                name in ("kp2", "product3") and _coset_pair_exception(p, S, X) is not None:
+            return EXCEPTION
+    return spec.decide(pair, param)
 
 
 # -- the exceptional forms, built by their descriptors ---------------------------------

@@ -48,7 +48,10 @@ from reference import (
     convolve,
     coset_indicator,
     coset_restriction_transform,
+    contains,
     coset_sum_identity,
+    detail,
+    orthogonal,
     rational_support_closure,
     two_nonparallel_lines,
     two_parallel_lines,
@@ -270,13 +273,13 @@ def test_c09_classifier_round_trips_1000_per_form():
             d = rng.randrange(p + 1)
             if form == "coset-characters":
                 k = rng.choice([1, 2]) if p == 3 else rng.choice([1, 2, 3])
-                perp_dir = LineSubgroup(p, d).orthogonal().direction
+                perp_dir = orthogonal(LineSubgroup(p, d)).direction
                 chis = _rand_distinct_cosets(p, perp_dir, k, rng, side=DUAL)
                 coeffs = [rng.choice([1, 2, -1, -2]) for _ in range(k)]
                 f = characters_on_one_coset(p, d, (rng.randrange(p), rng.randrange(p)),
                                             chis, coeffs)
                 desc = classify_exception(f)
-                if k == 1 and LineSubgroup(p, d).orthogonal().contains(
+                if k == 1 and contains(orthogonal(LineSubgroup(p, d)),
                         Point(p, *chis[0], side=DUAL)):
                     expected = "H-periodic"
                 else:
@@ -293,7 +296,7 @@ def test_c09_classifier_round_trips_1000_per_form():
                 f = character_on_cosets(p, d, offsets, chi, coeffs)
                 desc = classify_exception(f)
                 assert desc is not None
-                in_perp = LineSubgroup(p, d).orthogonal().contains(
+                in_perp = contains(orthogonal(LineSubgroup(p, d)),
                     Point(p, *chi, side=DUAL))
                 if in_perp:
                     assert desc.kind == "H-periodic"
@@ -302,7 +305,7 @@ def test_c09_classifier_round_trips_1000_per_form():
                                          else "character-on-cosets")
                 assert desc.direction == d
             elif form == "two-parallel":
-                perp_dir = LineSubgroup(p, d).orthogonal().direction
+                perp_dir = orthogonal(LineSubgroup(p, d)).direction
                 chis = _rand_distinct_cosets(p, perp_dir, 2, rng, side=DUAL)
                 vals1 = [0] * p
                 vals2 = [0] * p
@@ -318,8 +321,8 @@ def test_c09_classifier_round_trips_1000_per_form():
                 assert desc is not None
                 assert desc.kind == "two-parallel-lines"
                 assert desc.direction == d
-                n_union = desc.detail("support_union")
-                s = desc.detail("support_size")
+                n_union = detail(desc, "support_union")
+                s = detail(desc, "support_size")
                 assert n_union * (p - 1) <= s * p and s <= n_union
             else:
                 d2 = rng.randrange(p + 1)
@@ -336,9 +339,9 @@ def test_c09_classifier_round_trips_1000_per_form():
                 assert desc is not None
                 if desc.kind == "two-nonparallel-lines":
                     nonparallel_kind += 1
-                    if desc.detail("component_supports"):
-                        n1, n2 = desc.detail("component_supports")
-                        s = desc.detail("support_size")
+                    if detail(desc, "component_supports"):
+                        n1, n2 = detail(desc, "component_supports")
+                        s = detail(desc, "support_size")
                         assert s <= p * n1 + p * n2
                         assert Fraction(p * n1 + p * n2) <= s + Fraction(2 * s * s, p * p)
             assert desc.reconstruct() == f

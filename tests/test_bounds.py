@@ -32,7 +32,12 @@ from primeplane.search import character_coset, diff_of_subgroups, pm_two_cosets,
 from reference import (
     character_on_cosets,
     characters_on_one_coset,
+    constant,
+    contains,
     coset_indicator,
+    delta,
+    detail,
+    orthogonal,
     quasicharacter,
     two_nonparallel_lines,
     two_parallel_lines,
@@ -76,7 +81,7 @@ def test_profile_of_subgroup_indicator():
 
 def test_profile_of_delta():
     p = 3
-    prof = profile(GFunc.delta(p, 2, 0))
+    prof = profile(delta(p, 2, 0))
     assert prof.X.size == p * p
     for d in range(p + 1):
         st = prof.stats(d)
@@ -165,7 +170,7 @@ def test_meshulam_examples():
     p = 3
     rep = check("meshulam", subgroup_indicator(p))
     assert rep.verdict == EQUALITY  # 3 + 3/3 = 4
-    rep2 = check("meshulam", GFunc.delta(p, 2, 0))
+    rep2 = check("meshulam", delta(p, 2, 0))
     assert rep2.verdict == EQUALITY  # 1 + 9/3 = 4
 
 
@@ -192,7 +197,7 @@ def test_rational_exception_branches():
     assert rep2.details["stated_support_matches"]
     assert "zero value sum" in rep2.details["note"]
 
-    rep3 = check("rational", GFunc.constant(p, 2, 2, PRIMAL))
+    rep3 = check("rational", constant(p, 2, 2, PRIMAL))
     assert rep3.verdict == EXCEPTION
     assert rep3.details["stated_support_matches"]
     assert "constant" in rep3.details["note"]
@@ -230,7 +235,7 @@ def test_kp2_and_product3_exceptions():
     rep2 = check("product3", f)
     assert rep2.verdict == EXCEPTION
 
-    rep3 = check("product3", GFunc.delta(p, 2, 0))
+    rep3 = check("product3", delta(p, 2, 0))
     assert rep3.verdict == EXCEPTION
     assert rep3.details["reason"] == "min support size at most 2"
 
@@ -325,14 +330,14 @@ def test_conjecture_lattice_witnesses():
 def test_roots_verdicts():
     p = 3
     # delta attains equality: sqrt(1) + sqrt(9) = 4 = p+1
-    rep = check("roots", GFunc.delta(p, 2, 0))
+    rep = check("roots", delta(p, 2, 0))
     assert rep.verdict == EQUALITY
     # subgroup indicator fails the inequality but sits on one line
     rep2 = check("roots", subgroup_indicator(p))
     assert rep2.verdict == EXCEPTION
     assert rep2.details["cover_clause_applies"]
     # full plane holds comfortably
-    rep3 = check("roots", GFunc.constant(p, 1, 2, PRIMAL))
+    rep3 = check("roots", constant(p, 1, 2, PRIMAL))
     assert rep3.verdict in (HOLDS, EQUALITY)
 
 
@@ -456,7 +461,7 @@ def test_classify_coset_characters_round_trip():
         for _ in range(5):
             d = rng.randrange(p + 1)
             offset = (rng.randrange(p), rng.randrange(p))
-            perp_dir = LineSubgroup(p, d).orthogonal().direction
+            perp_dir = orthogonal(LineSubgroup(p, d)).direction
             # pick characters in distinct orthogonal cosets
             chis = []
             seen = set()
@@ -471,7 +476,7 @@ def test_classify_coset_characters_round_trip():
             f = characters_on_one_coset(p, d, offset, chis, coeffs)
             desc = classify_exception(f)
             assert desc is not None
-            if k == 1 and LineSubgroup(p, d).orthogonal().contains(
+            if k == 1 and contains(orthogonal(LineSubgroup(p, d)),
                     Point(p, *chis[0], side=DUAL)):
                 # the transform line passes through the origin, so the
                 # periodicity branch wins
@@ -528,7 +533,7 @@ def test_classify_two_parallel_round_trip_and_sandwich():
     p = 5
     for _ in range(8):
         d = rng.randrange(p + 1)
-        perp_dir = LineSubgroup(p, d).orthogonal().direction
+        perp_dir = orthogonal(LineSubgroup(p, d)).direction
         while True:
             c1 = (rng.randrange(p), rng.randrange(p))
             c2 = (rng.randrange(p), rng.randrange(p))
@@ -549,8 +554,8 @@ def test_classify_two_parallel_round_trip_and_sandwich():
                              "characters-on-one-coset")
         assert desc.reconstruct() == f
         if desc.kind == "two-parallel-lines":
-            n_union = desc.detail("support_union")
-            s = desc.detail("support_size")
+            n_union = detail(desc, "support_union")
+            s = detail(desc, "support_size")
             assert n_union * (p - 1) <= s * p and s <= n_union
 
 
@@ -572,9 +577,9 @@ def test_classify_two_nonparallel_round_trip_and_sandwich():
         desc = classify_exception(f)
         assert desc is not None
         assert desc.reconstruct() == f
-        if desc.kind == "two-nonparallel-lines" and desc.detail("component_supports"):
-            n1, n2 = desc.detail("component_supports")
-            s = desc.detail("support_size")
+        if desc.kind == "two-nonparallel-lines" and detail(desc, "component_supports"):
+            n1, n2 = detail(desc, "component_supports")
+            s = detail(desc, "support_size")
             assert s <= p * n1 + p * n2
             assert Fraction(p * n1 + p * n2) <= s + Fraction(2 * s * s, p * p)
             found_sandwich = True

@@ -306,8 +306,12 @@ def test_point_set_cache_is_a_module_constant():
     assert bounds._point_set.cache_info().maxsize == bounds._POINT_SETS
     assert list(inspect.signature(SupportPair.from_masks).parameters) == \
         ["p", "rank", "s_mask", "x_mask", "rational"]
-    for mask in range(1, 100):
-        SupportPair.from_masks(5, 2, mask, mask, True)
+    # a pair builds its sets only when a check reads them
+    bounds._point_set.cache_clear()
+    pairs = [SupportPair.from_masks(5, 2, mask, mask, True) for mask in range(1, 100)]
+    assert bounds._point_set.cache_info().currsize == 0
+    for pair in pairs:
+        assert (pair.S.mask, pair.X.mask) == (pair.s_mask, pair.x_mask)
     assert bounds._point_set.cache_info().currsize == bounds._POINT_SETS
 
 

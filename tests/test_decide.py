@@ -1,6 +1,6 @@
 """The integer decisions against the Fraction evaluators they replaced.
 
-`bounds.decide` makes every verdict from integer comparisons, and
+Each check's decide makes its verdict from integer comparisons, and
 `bounds.evaluate` builds its report around that verdict.  The
 reference_* functions below are the earlier evaluators, which decided by
 comparing Fraction values and built the report on the way; they are the
@@ -9,6 +9,7 @@ takes the squared comparison whenever t = (p+1)^2 - |S| - |X| >= 0.
 """
 
 import hashlib
+import json
 import random
 from collections import Counter
 from dataclasses import replace
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primeplane import bounds
+from primeplane import bounds, search
 from primeplane.bounds import (
     CHECKS,
     EQUALITY,
@@ -31,7 +32,6 @@ from primeplane.bounds import (
     _coset_pair_exception,
     _orthogonal_coset_pair,
     _periodic_directions,
-    decide,
     decide_coset_counts,
     evaluate,
 )
@@ -45,6 +45,7 @@ from primeplane.plane import (
     tables,
 )
 from primeplane.search import hunt, make_space, sweep
+from reference import decide
 
 # -- the reference evaluators ------------------------------------------------------
 
@@ -413,6 +414,96 @@ def test_decide_matches_the_fraction_evaluators_at_every_size_pair(p):
             s_mask = sum(1 << i for i in s_order[:s])
             x_mask = sum(1 << i for i in x_order[:x])
             check_against_reference(SupportPair.from_masks(p, 2, s_mask, x_mask, True))
+
+
+# -- the sweep's row against the per-check oracle ---------------------------------------
+
+
+def sized(draw, base, size, n):
+    """A mask of min(size, n) points: some of base's, or all of them and others."""
+    size = min(size, n)
+    rng = draw(st.randoms(use_true_random=False))
+    inside = [i for i in range(n) if base >> i & 1]
+    outside = [i for i in range(n) if not base >> i & 1]
+    points = rng.sample(inside, size) if size <= len(inside) else \
+        inside + rng.sample(outside, size - len(inside))
+    return sum(1 << i for i in points)
+
+
+@st.composite
+def gate_edges(draw):
+    """(p, rank, s_mask, x_mask) at the edges of the checks' size gates:
+    |X| in {p - 1, p, p + 1} on an orthogonal subgroup (rational's periodic
+    X); |S| = |X| = p, on a line and its orthogonal lines or anywhere
+    (kp1); the smaller side of size 2, 3, p - 2, p - 1, p or p + 1 on a
+    line, against one or two orthogonal lines (the near cosets of kp2 and
+    product3); and two small sides, where the cover-clause inequalities
+    fail."""
+    p = draw(st.sampled_from(PRIMES))
+    n = p * p
+    if draw(st.integers(0, 5)) == 0:
+        return p, 1, draw(st.integers(1, (1 << p) - 1)), draw(st.integers(1, (1 << p) - 1))
+    lines = tables(p).line_masks
+    d = draw(st.integers(0, p))
+    od = orthogonal_directions(p)[d]
+    line = lines[d * p + draw(st.integers(0, p - 1))]
+    ids = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=2, unique=True))
+    orth_lines = sum(lines[od * p + j] for j in ids)
+    kind = draw(st.sampled_from(["periodic", "coset-pair", "near-coset", "clause"]))
+    if kind == "periodic":
+        s_mask = draw(point_masks(p))
+        x_mask = sized(draw, lines[od * p], draw(st.sampled_from([p - 1, p, p + 1])), n)
+    elif kind == "coset-pair":
+        s_mask = line if draw(st.booleans()) else sized(draw, 0, p, n)
+        x_mask = lines[od * p + ids[0]] if draw(st.booleans()) else sized(draw, 0, p, n)
+    elif kind == "near-coset":
+        m = draw(st.sampled_from([m for m in (2, 3, p - 2, p - 1, p, p + 1) if m >= 1]))
+        s_mask = sized(draw, line, m, n)
+        x_mask = sized(draw, orth_lines, orth_lines.bit_count() + draw(st.integers(-1, 1)), n)
+    else:
+        s_mask = sized(draw, line | orth_lines, draw(st.integers(1, 2 * p)), n)
+        x_mask = sized(draw, lines[draw(st.integers(0, len(lines) - 1))],
+                       draw(st.integers(1, 2 * p)), n)
+    if draw(st.booleans()):
+        s_mask, x_mask = x_mask, s_mask
+    return p, 2, s_mask, x_mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(gate_edges(), st.booleans())
+def test_sweep_row_matches_the_per_check_oracle(case, rational_letters):
+    # search._outcomes resolves each check's decide once per run; here it
+    # decides one pair, fed in place of a space's candidates, with every
+    # check and parameter, and each verdict must be the oracle's
+    p, rank, s_mask, x_mask = case
+    space = make_space(p, alphabet=(-1, 0, 1) if rational_letters else (0, 1, "z"),
+                       rank=rank, mode="random", budget=2)
+    rational = space.all_rational()
+    items = [(name, name, param) for name, spec in CHECKS.items()
+             if rank in spec.ranks and p >= spec.min_p and (rational or not spec.rational)
+             for param in params(name, p)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_candidates",
+                      lambda *_: iter([(0, s_mask, x_mask), (1, s_mask, x_mask)]))
+        (_, row), (_, again) = search._outcomes(space, items, 0, 2)
+    assert again is row
+    pair = SupportPair.from_masks(p, rank, s_mask, x_mask, rational)
+    for (name, _, param), verdict in zip(items, row):
+        assert verdict == decide(name, pair, param), (name, param)
+
+
+def test_every_structure_window_fires_on_the_binary_p3_space(capsys):
+    # the exceptions of rational, kp1, kp2 and product3 all occur among the
+    # 511 nonzero {0, 1} functions at p = 3; the digest is CI's
+    assert main(["sweep", "--p", "3", "--mode", "exhaustive", "--alphabet=0,1",
+                 "--theorem", "rational", "--theorem", "kp1", "--theorem", "kp2",
+                 "--theorem", "product3", "--theorem", "coset-counts"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "6493066a2b627a015759dc76b486a64eb0f695f873780821add9d1c29340b941"
+    counts = json.loads(out)["sweep"]["counts"]
+    assert {name: c.get(EXCEPTION, 0) for name, c in counts.items()} == \
+        {"rational": 25, "kp1": 12, "kp2": 24, "product3": 70, "coset-counts": 0}
 
 
 # -- coset counts on either branch of the line profile ---------------------------------

@@ -6,6 +6,7 @@ import os
 import pickle
 import random
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,7 @@ from primeplane.search import (
 from reference import (
     character_on_cosets,
     characters_on_one_coset,
+    orthogonal,
     two_nonparallel_lines,
     two_parallel_lines,
 )
@@ -370,13 +372,18 @@ def test_memoized_runs_match_per_candidate_oracle(space, checks, hunted):
 def test_memo_evaluates_once_per_check_per_support_pair(monkeypatch):
     checks = ["product", "meshulam", "kp1", "roots"]
     calls = []
-    decide = search.bounds.decide
 
-    def counting(name, pair, param):
-        calls.append(name)
-        return decide(name, pair, param)
+    def counting(name, decide):
+        def decide_counted(pair, param):
+            calls.append(name)
+            return decide(pair, param)
+        return decide_counted
 
-    monkeypatch.setattr(search.bounds, "decide", counting)
+    # a sweep resolves each check's decide from the registry once per run
+    for name in checks:
+        spec = search.bounds.CHECKS[name]
+        monkeypatch.setitem(search.bounds.CHECKS, name,
+                            replace(spec, decide=counting(name, spec.decide)))
     # {0, 1}: a function is its own support, so every pair is distinct;
     # {-1, 1}: S is always the whole plane, so pairs recur
     for alphabet in [(0, 1), (-1, 1)]:
@@ -501,7 +508,7 @@ def test_builders_match_reference_loops(p, kind):
     rng = random.Random(1000 * p + len(kind))
     for _ in range(6):
         d = rng.randrange(p + 1)
-        perp = LineSubgroup(p, d, PRIMAL).orthogonal().direction
+        perp = orthogonal(LineSubgroup(p, d, PRIMAL)).direction
         offset = (rng.randrange(p), rng.randrange(p))
         character = (rng.randrange(p), rng.randrange(p))
         c = random_value(rng, p, kind, nonzero=True)
@@ -805,14 +812,18 @@ def test_row_tally_lists_violations_by_ordinal_then_label(monkeypatch, collect):
     rows = [(ordinal, tuple((VIOLATED, False) if label in planted.get(pair_of[ordinal], ())
                             else outcome for label, outcome in zip(checks, outcomes)))
             for ordinal, outcomes in oracle_rows(space, items)]
-    decide = search.bounds.decide
 
-    def planting(name, pair, param):
-        if name in planted.get((pair.S.mask, pair.X.mask), ()):
-            return VIOLATED
-        return decide(name, pair, param)
+    def planting(name, decide):
+        def decide_planted(pair, param):
+            if name in planted.get((pair.s_mask, pair.x_mask), ()):
+                return VIOLATED
+            return decide(pair, param)
+        return decide_planted
 
-    monkeypatch.setattr(search.bounds, "decide", planting)
+    for name in checks:
+        spec = search.bounds.CHECKS[name]
+        monkeypatch.setitem(search.bounds.CHECKS, name,
+                            replace(spec, decide=planting(name, spec.decide)))
     expected = oracle_sweep(space, items, rows)
     if collect:
         assert expected["exception_ordinals"]["rational"]
