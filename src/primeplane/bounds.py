@@ -14,9 +14,9 @@ class of its bound: the structural test runs first.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cyclotomic import CycNum, format_value
@@ -35,6 +35,7 @@ from .plane import (
     LineSubgroup,
     Point,
     PointSet,
+    _Record,
     canonical_two_line_pair,
     coset_from_id,
     covered_by_lines,
@@ -69,8 +70,7 @@ _POINT_SETS = 16
 _point_set = lru_cache(maxsize=_POINT_SETS)(PointSet)
 
 
-@dataclass(frozen=True)
-class SupportPair:
+class SupportPair(NamedTuple):
     """The pair (supp f, supp of the transform) that every check decides from.
 
     A pair holds the two masks and their sizes, and each check reads the
@@ -141,15 +141,25 @@ def _jsonable(obj):
     return obj
 
 
-@dataclass
-class BoundReport:
-    theorem: str
-    verdict: str
-    lhs: Fraction
-    rhs: Fraction
-    exception: Optional["ExceptionDescriptor"] = None
-    witness: Optional[GFunc] = None
-    details: dict = field(default_factory=dict)
+class BoundReport(_Record):
+    """One check's verdict on one function, with the two sides of its
+    inequality; verify sets the witness or the exception structure after
+    the verdict, and adds to `details`, which defaults to a new dict."""
+
+    __slots__ = _fields = ("theorem", "verdict", "lhs", "rhs", "exception", "witness",
+                           "details")
+    _values = property(attrgetter(*_fields))
+
+    def __init__(self, theorem: str, verdict: str, lhs: Fraction, rhs: Fraction,
+                 exception: Optional["ExceptionDescriptor"] = None,
+                 witness: Optional[GFunc] = None, details: Optional[dict] = None):
+        self.theorem = theorem
+        self.verdict = verdict
+        self.lhs = lhs
+        self.rhs = rhs
+        self.exception = exception
+        self.witness = witness
+        self.details = {} if details is None else details
 
     def to_json(self) -> dict:
         out = {
@@ -186,8 +196,7 @@ KIND_TWO_PARALLEL = "two-parallel-lines"
 KIND_TWO_NONPARALLEL = "two-nonparallel-lines"
 
 
-@dataclass(frozen=True)
-class ExceptionDescriptor:
+class ExceptionDescriptor(NamedTuple):
     """Explicit structure of a function whose support or transform
     support is covered by at most two lines.
 
@@ -782,8 +791,7 @@ def _linear_curve(label: str, p: int, k: int) -> Iterator[Tuple[str, int, str]]:
         yield from _grid_curve(label, p, lambda s: (p + 1 - k) * (p + 1 - Fraction(s, k)))
 
 
-@dataclass(frozen=True)
-class CheckSpec:
+class CheckSpec(NamedTuple):
     """One named support-size check.
 
     `decide(pair, param)` gives its verdict, in integer arithmetic, from a
@@ -907,7 +915,7 @@ def verify(f: GFunc, checks: Sequence[Tuple[str, object]]) -> List[BoundReport]:
                                   f.is_rational_valued())
     if any(spec.cover_clause for spec, _ in admitted):
         # the reports print the exact covers, so every clause reads them
-        pair = replace(pair, covers=(min_line_cover(pair.S), min_line_cover(pair.X)))
+        pair = pair._replace(covers=(min_line_cover(pair.S), min_line_cover(pair.X)))
     reports = [spec.report(pair, param, spec.decide(pair, param)) for spec, param in admitted]
     structure = None
     if f.rank == 2 and any(r.verdict == EXCEPTION for r in reports):

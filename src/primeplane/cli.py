@@ -22,16 +22,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from functools import lru_cache
+from importlib import import_module
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from . import __version__, bounds, search
-from .bounds import VIOLATED, classify_exception
+from . import __version__
 from .cyclotomic import check_prime
-from .fourier import GFunc
 from .plane import (
     SearchBudgetExceeded,
     bounded_line_direction,
@@ -41,7 +39,38 @@ from .plane import (
     pencil_stability,
     rich_direction_search,
 )
-from .search import SearchSpace, construct, hunt, frontier, make_space, sweep
+
+# The modules that only some subcommands run.  A handler imports its modules
+# through _load, so that a launch loads only what its subcommand runs.  The
+# functions listed with a module are called by their bare names here, so
+# that a caller who patches one on this module (a test, the benchmark's
+# tracer) is heard.
+_LAZY = {
+    "bounds": ("classify_exception",),
+    "fourier": (),
+    "search": ("construct", "frontier", "hunt", "sweep"),
+}
+
+
+def _load(*modules: str) -> None:
+    """Import each named module of the package and bind it and its _LAZY
+    functions in this module, keeping any name that is bound already."""
+    names = globals()
+    for module in modules:
+        if module not in names:
+            names[module] = import_module(f".{module}", __package__)
+        for name in _LAZY[module]:
+            names.setdefault(name, getattr(names[module], name))
+
+
+def __getattr__(name: str):
+    """A _LAZY name or module, read from outside before a handler loaded it."""
+    for module, lazy in _LAZY.items():
+        if name == module or name in lazy:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
@@ -59,6 +88,7 @@ _CONFIG_DEFAULTS = {"rank": 2, "mode": "exhaustive", "seed": 0, "budget": 10000,
 
 
 def _default_checks(func: GFunc) -> List[str]:
+    _load("bounds")
     return [spec.name for spec in bounds.CHECKS.values()
             if spec.param is None and not spec.cover_clause and func.rank in spec.ranks
             and func.p >= spec.min_p and (not spec.rational or func.is_rational_valued())]
@@ -109,10 +139,11 @@ def _load_function(args) -> GFunc:
     sources = [s for s in (args.function, args.file, args.family) if s]
     if len(sources) != 1:
         raise ValueError("provide exactly one of --function, --file, --family")
+    _load("fourier")
     if args.function:
-        return GFunc.from_literal(args.function)
+        return fourier.GFunc.from_literal(args.function)
     if args.file:
-        return GFunc.from_literal(Path(args.file).read_text(encoding="utf-8").strip())
+        return fourier.GFunc.from_literal(Path(args.file).read_text(encoding="utf-8").strip())
     if args.p is None:
         raise ValueError("--family requires --p")
     params = {}
@@ -124,6 +155,7 @@ def _load_function(args) -> GFunc:
         if args.m is None or args.n is None:
             raise ValueError("sharp2d requires --m and --n")
         params.update(m=args.m, n=args.n)
+    _load("search")
     return construct(args.family, args.p, **params).func
 
 
@@ -137,25 +169,27 @@ def _space_from(args) -> SearchSpace:
     alphabet = [s.strip() for s in (args.alphabet or "-1,0,1").split(",") if s.strip()]
     if not alphabet:
         raise ValueError("alphabet must be nonempty")
-    return make_space(args.p, alphabet=alphabet, rank=args.rank, mode=args.mode,
-                      seed=args.seed, budget=args.budget, char_twist=args.char_twist,
-                      ceiling=_ceiling(args))
+    return search.make_space(args.p, alphabet=alphabet, rank=args.rank, mode=args.mode,
+                             seed=args.seed, budget=args.budget, char_twist=args.char_twist,
+                             ceiling=_ceiling(args))
 
 
 # -- subcommands --------------------------------------------------------------
 
 
 def _cmd_verify(args) -> int:
+    _load("bounds")
     func = _load_function(args)
     names = list(args.theorem) if args.theorem else _default_checks(func)
     params = {"k": args.k, "eps": args.epsilon}
     reports = bounds.verify(func, [(name, params.get(bounds.CHECKS[name].param))
                                    for name in names])
     _emit_report(args, "reports", [r.to_json() for r in reports])
-    return EXIT_VIOLATION if any(r.verdict == VIOLATED for r in reports) else EXIT_OK
+    return EXIT_VIOLATION if any(r.verdict == bounds.VIOLATED for r in reports) else EXIT_OK
 
 
 def _cmd_classify(args) -> int:
+    _load("bounds")
     desc = classify_exception(_load_function(args))
     _emit_report(args, "classification", None if desc is None else desc.to_json())
     return EXIT_OK
@@ -166,7 +200,7 @@ def _cmd_classify(args) -> int:
 _POINT_QUERIES = {
     "directions": lambda pts: {"directions": sorted(directions_determined(pts)),
                                "size": pts.size},
-    "pencil": lambda pts: asdict(pencil_stability(pts)),
+    "pencil": lambda pts: pencil_stability(pts)._asdict(),
     "rich-direction": lambda pts: {"direction": rich_direction_search(pts), "size": pts.size},
     "bounded-direction": lambda pts: {"direction": bounded_line_direction(pts),
                                       "size": pts.size},
@@ -188,6 +222,7 @@ def _cmd_geometry(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _load("search")
     space = _space_from(args)
     if not args.theorem:
         raise ValueError("sweep requires at least one --theorem")
@@ -197,6 +232,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_hunt(args) -> int:
+    _load("search")
     space = _space_from(args)
     if not args.theorem or len(args.theorem) != 1:
         raise ValueError("hunt requires exactly one --theorem")
@@ -206,6 +242,7 @@ def _cmd_hunt(args) -> int:
 
 
 def _cmd_frontier(args) -> int:
+    _load("search")
     result = frontier(_space_from(args))
     if args.format == "json":
         _emit_report(args, "frontier", result.to_json())
@@ -229,6 +266,7 @@ def _cmd_emit_curves(args) -> int:
     if args.p is None:
         raise ValueError("emit-curves requires --p")
     check_prime(args.p)
+    _load("bounds", "search")
     rows = (f"{name},{s},{x}\n" for name, s, x in _curve_rows(args.p))
     _emit(chain(("curve,s,x\n",), rows), args)
     return EXIT_OK
@@ -237,11 +275,31 @@ def _cmd_emit_curves(args) -> int:
 # -- argument wiring ------------------------------------------------------------
 
 
+def _choice(value: str, registry) -> str:
+    """`value` if the registry holds it; otherwise argparse's own error for
+    a value outside `choices`, naming the registry's keys in sorted order."""
+    if value not in registry:
+        choices = ", ".join(map(repr, sorted(registry)))
+        raise argparse.ArgumentTypeError(f"invalid choice: {value!r} (choose from {choices})")
+    return value
+
+
+def _check_id(value: str) -> str:
+    """A verify --theorem value: an id in bounds.CHECKS as it is now."""
+    _load("bounds")
+    return _choice(value, bounds.CHECKS)
+
+
+def _family(value: str) -> str:
+    """A --family value: a name in search.GALLERY as it is now."""
+    _load("search")
+    return _choice(value, search.GALLERY)
+
+
 def _add_function_args(sub):
     sub.add_argument("--function", help="function literal 'p; rank; v0,v1,...'")
     sub.add_argument("--file", help="path to a file holding a function literal")
-    sub.add_argument("--family", choices=sorted(search.GALLERY),
-                     help="construction family name")
+    sub.add_argument("--family", type=_family, help="construction family name")
     sub.add_argument("--p", type=int, help="prime order (for --family)")
     sub.add_argument("--m", type=int, help="family parameter m")
     sub.add_argument("--n", type=int, help="family parameter n")
@@ -269,14 +327,11 @@ def _add_common_output(sub):
     sub.add_argument("--out", help="write output to this path instead of stdout")
 
 
-def build_parser() -> _Parser:
-    """The command's parser, built once per process for each set of
-    registered check ids (the verify --theorem choices)."""
-    return _parser_for(tuple(sorted(bounds.CHECKS)))
-
-
 @lru_cache(maxsize=None)
-def _parser_for(checks: Tuple[str, ...]) -> _Parser:
+def build_parser() -> _Parser:
+    """The command's parser, built once per process.  It checks a verify
+    --theorem or a --family against the registry when it parses one, so a
+    check registered later parses too."""
     parser = _Parser(prog="primeplane",
                      description="Exact support-uncertainty toolkit for prime planes.")
     parser.add_argument("--version", action="version", version=f"primeplane {__version__}")
@@ -284,7 +339,7 @@ def _parser_for(checks: Tuple[str, ...]) -> _Parser:
 
     sp = subs.add_parser("verify", parents=[], help="evaluate bounds on one function")
     _add_function_args(sp)
-    sp.add_argument("--theorem", action="append", choices=checks,
+    sp.add_argument("--theorem", action="append", type=_check_id,
                     help="check id (repeatable)")
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--epsilon", default="1/2")

@@ -236,15 +236,6 @@ class CycNum:
 
     # -- output ---------------------------------------------------------------
 
-    def to_json(self) -> dict:
-        """Each coefficient as an exact 'num/den' string in lowest terms."""
-        den = self.den
-        coeffs = []
-        for c in self.num:
-            g = gcd(c, den)
-            coeffs.append(f"{c // g}/{den // g}")
-        return {"p": self.p, "coeffs": coeffs}
-
     def __repr__(self):
         return f"CycNum({self.p}, {format_value(self)!r})"
 

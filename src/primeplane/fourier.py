@@ -103,14 +103,6 @@ class GFunc:
     def to_literal(self) -> str:
         return f"{self.p}; {self.rank}; " + ",".join(format_value(v) for v in self.values)
 
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "rank": self.rank,
-            "side": self.side,
-            "values": [v.to_json() for v in self.values],
-        }
-
     # -- access ------------------------------------------------------------
 
     def value(self, point: Point) -> CycNum:

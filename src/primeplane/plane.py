@@ -11,12 +11,11 @@ lines literal lines.  Point sets are bitmaps over the p^2 point indices
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from operator import and_, methodcaller
-from typing import FrozenSet, Iterable, Optional, Tuple
+from operator import and_, attrgetter, methodcaller
+from typing import FrozenSet, Iterable, NamedTuple, Optional, Tuple
 
 from .cyclotomic import check_prime
 
@@ -38,24 +37,67 @@ def opposite_side(side: str) -> str:
     return DUAL if side == PRIMAL else PRIMAL
 
 
-@dataclass(frozen=True)
-class Point:
+_setfield = object.__setattr__
+
+
+class _Record:
+    """Equality, repr and pickling for a class whose `_fields` name its
+    __init__ arguments in order and whose `_values` reads them as a tuple:
+    two records are equal when they are of one class with equal fields,
+    repr shows the fields as keywords, and unpickling calls the class on
+    the fields again."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values))
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self):
+        return type(self), self._values
+
+
+class _Frozen(_Record):
+    """An immutable _Record, hashed by its fields: __init__ sets each field
+    once through _setfield, and any later assignment raises."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Point(_Frozen):
     """A point of F_p^2 or of its dual, tagged by side.
 
     A dual point (a, b) labels the character sending a primal point
     (x, y) to zeta^(ax + by).
     """
 
-    p: int
-    x: int
-    y: int
-    side: str = PRIMAL
+    __slots__ = _fields = ("p", "x", "y", "side")
+    _values = property(attrgetter(*_fields))
 
-    def __post_init__(self):
-        check_prime(self.p)
-        check_side(self.side)
-        if not (0 <= self.x < self.p and 0 <= self.y < self.p):
-            raise ValueError(f"coordinates out of range mod {self.p}: ({self.x}, {self.y})")
+    def __init__(self, p: int, x: int, y: int, side: str = PRIMAL):
+        check_prime(p)
+        check_side(side)
+        if not (0 <= x < p and 0 <= y < p):
+            raise ValueError(f"coordinates out of range mod {p}: ({x}, {y})")
+        _setfield(self, "p", p)
+        _setfield(self, "x", x)
+        _setfield(self, "y", y)
+        _setfield(self, "side", side)
 
     @classmethod
     def of(cls, p: int, x: int, y: int, side: str = PRIMAL) -> "Point":
@@ -116,20 +158,21 @@ def orthogonal_directions(p: int) -> Tuple[int, ...]:
     return tuple(orthogonal_direction(p, d) for d in range(p + 1))
 
 
-@dataclass(frozen=True)
-class LineSubgroup:
+class LineSubgroup(_Frozen):
     """One of the p+1 order-p subgroups: slope d for d < p (generated by
     (1, d)); direction index p is the vertical subgroup generated by (0, 1)."""
 
-    p: int
-    direction: int
-    side: str = PRIMAL
+    __slots__ = _fields = ("p", "direction", "side")
+    _values = property(attrgetter(*_fields))
 
-    def __post_init__(self):
-        check_prime(self.p)
-        check_side(self.side)
-        if not 0 <= self.direction <= self.p:
-            raise ValueError(f"direction must lie in [0, {self.p}], got {self.direction}")
+    def __init__(self, p: int, direction: int, side: str = PRIMAL):
+        check_prime(p)
+        check_side(side)
+        if not 0 <= direction <= p:
+            raise ValueError(f"direction must lie in [0, {p}], got {direction}")
+        _setfield(self, "p", p)
+        _setfield(self, "direction", direction)
+        _setfield(self, "side", side)
 
     @property
     def generator(self) -> Point:
@@ -149,20 +192,20 @@ def _canonical_rep(subgroup: LineSubgroup, point: Point) -> Tuple[int, int]:
     return (0, (point.y - d * point.x) % p)
 
 
-@dataclass(frozen=True)
-class Coset:
+class Coset(_Frozen):
     """A line: a subgroup plus its lexicographically least member."""
 
-    subgroup: LineSubgroup
-    rep: Point
+    __slots__ = _fields = ("subgroup", "rep")
+    _values = property(attrgetter(*_fields))
 
-    def __post_init__(self):
-        sub, rep = self.subgroup, self.rep
-        if rep.p != sub.p or rep.side != sub.side:
+    def __init__(self, subgroup: LineSubgroup, rep: Point):
+        if rep.p != subgroup.p or rep.side != subgroup.side:
             raise ValueError("representative must share p and side with the subgroup")
-        canon = _canonical_rep(sub, rep)
+        canon = _canonical_rep(subgroup, rep)
         if (rep.x, rep.y) != canon:
-            object.__setattr__(self, "rep", Point(sub.p, canon[0], canon[1], sub.side))
+            rep = Point(subgroup.p, canon[0], canon[1], subgroup.side)
+        _setfield(self, "subgroup", subgroup)
+        _setfield(self, "rep", rep)
 
     @classmethod
     def through(cls, point: Point, subgroup: LineSubgroup) -> "Coset":
@@ -199,19 +242,21 @@ def coset_from_id(p: int, direction: int, coset_id: int, side: str = PRIMAL) -> 
     return Coset(sub, Point(p, 0, coset_id, side))
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(_Frozen):
     """A subset of the p^2 points of one side, stored as a bitmap."""
 
-    p: int
-    side: str
-    mask: int
+    _fields = ("p", "side", "mask")
+    __slots__ = _fields + ("__dict__",)  # the instance dict holds the line census
+    _values = property(attrgetter(*_fields))
 
-    def __post_init__(self):
-        check_prime(self.p)
-        check_side(self.side)
-        if not 0 <= self.mask < (1 << (self.p * self.p)):
+    def __init__(self, p: int, side: str, mask: int):
+        check_prime(p)
+        check_side(side)
+        if not 0 <= mask < (1 << (p * p)):
             raise ValueError("mask out of range for this plane")
+        _setfield(self, "p", p)
+        _setfield(self, "side", side)
+        _setfield(self, "mask", mask)
 
     @classmethod
     def empty(cls, p: int, side: str = PRIMAL) -> "PointSet":
@@ -414,8 +459,7 @@ def min_blocking_size(p: int) -> Tuple[int, PointSet]:
     return 2 * p - 1, PointSet(p, PRIMAL, column & full | (1 << p) - 1)
 
 
-@dataclass(frozen=True)
-class PencilReport:
+class PencilReport(NamedTuple):
     """Stability data for an almost-blocking set.
 
     k counts the directions with at least one unblocked line, m is the

@@ -19,12 +19,11 @@ from __future__ import annotations
 import os
 import random
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, product, repeat
 from math import lcm
-from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import attrgetter, itemgetter
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cyclotomic import CycNum, check_prime, format_value, parse_value
 from .fourier import GFunc, fourier_transform, int_support_masks, int_support_stream, twist
@@ -34,6 +33,8 @@ from .plane import (
     Coset,
     LineSubgroup,
     Point,
+    _Frozen,
+    _setfield,
 )
 from . import bounds
 from .bounds import EQUALITY, EXCEPTION, VIOLATED
@@ -46,8 +47,7 @@ _REVERSED = itemgetter(slice(None, None, -1))
 # -- construction gallery ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Construction:
+class Construction(NamedTuple):
     """A gallery function together with its expected support sizes, when
     the family has a known exact (|S|, |X|) value."""
 
@@ -219,8 +219,7 @@ def _random_digits(rng: random.Random, base: int, n: int) -> Sequence[int]:
     return digits
 
 
-@dataclass(frozen=True)
-class SearchSpace:
+class SearchSpace(_Frozen):
     """A finite family of candidate functions over a value alphabet.
 
     Exhaustive mode enumerates alphabet^(p^rank) functions (times the
@@ -229,16 +228,16 @@ class SearchSpace:
     seed and the sample ordinal only.
     """
 
-    p: int
-    rank: int = 2
-    alphabet: Tuple[CycNum, ...] = ()
-    mode: str = "exhaustive"
-    seed: int = 0
-    budget: int = 10000
-    char_twist: bool = False
-    ceiling: int = DEFAULT_CEILING
+    __slots__ = _fields = ("p", "rank", "alphabet", "mode", "seed", "budget", "char_twist",
+                           "ceiling")
+    _values = property(attrgetter(*_fields))
 
-    def __post_init__(self):
+    def __init__(self, p: int, rank: int = 2, alphabet: Tuple[CycNum, ...] = (),
+                 mode: str = "exhaustive", seed: int = 0, budget: int = 10000,
+                 char_twist: bool = False, ceiling: int = DEFAULT_CEILING):
+        for name, value in zip(self._fields, (p, rank, alphabet, mode, seed, budget,
+                                              char_twist, ceiling)):
+            _setfield(self, name, value)
         check_prime(self.p)
         if self.rank not in (1, 2):
             raise ValueError("rank must be 1 or 2")
@@ -372,8 +371,7 @@ def _check_items(space: SearchSpace, checks: Sequence[str],
     return items
 
 
-@dataclass
-class SweepResult:
+class SweepResult(NamedTuple):
     space: dict
     checks: Tuple[str, ...]
     counts: Dict[str, Dict[str, int]]
@@ -580,8 +578,7 @@ def sweep(space: SearchSpace, checks: Sequence[str], *, k: Optional[int] = None,
 # -- frontier ---------------------------------------------------------------------
 
 
-@dataclass
-class FrontierMap:
+class FrontierMap(NamedTuple):
     """The attained (|S|, |X|) pairs of a space, each with its first witness."""
 
     space: dict
@@ -620,8 +617,7 @@ def frontier(space: SearchSpace) -> FrontierMap:
 # -- hunting -----------------------------------------------------------------------
 
 
-@dataclass
-class HuntResult:
+class HuntResult(NamedTuple):
     check: str
     witness_ordinal: Optional[int]
     witness_literal: Optional[str]

@@ -11,6 +11,7 @@ hat(f1 f2) = hat(f1) * hat(f2) hold with no rescaling.
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd
 
 from primeplane.bounds import (
     EXCEPTION,
@@ -63,13 +64,27 @@ def galois(x, j):
     return _reduced_over(p, acc, x.den)
 
 
+def cycnum_to_json(x):
+    """Each coefficient as an exact 'num/den' string in lowest terms."""
+    coeffs = []
+    for c in x.num:
+        g = gcd(c, x.den)
+        coeffs.append(f"{c // g}/{x.den // g}")
+    return {"p": x.p, "coeffs": coeffs}
+
+
 def cycnum_from_json(obj):
-    """The inverse of CycNum.to_json."""
+    """The inverse of cycnum_to_json."""
     return CycNum(obj["p"], [Fraction(c) for c in obj["coeffs"]])
 
 
+def gfunc_to_json(f):
+    return {"p": f.p, "rank": f.rank, "side": f.side,
+            "values": [cycnum_to_json(v) for v in f.values]}
+
+
 def gfunc_from_json(obj):
-    """The inverse of GFunc.to_json."""
+    """The inverse of gfunc_to_json."""
     return GFunc(obj["p"], obj["rank"], obj["side"], [cycnum_from_json(v) for v in obj["values"]])
 
 

@@ -12,7 +12,6 @@ import hashlib
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
@@ -392,7 +391,7 @@ def check_against_reference(pair):
 @given(support_pairs().filter(lambda pair: pair.rank == 2 and pair.p <= 7))
 def test_exact_covers_answer_as_the_bounded_search(pair):
     # verify hands the checks a pair that carries its exact covers
-    exact = replace(pair, covers=(min_line_cover(pair.S), min_line_cover(pair.X)))
+    exact = pair._replace(covers=(min_line_cover(pair.S), min_line_cover(pair.X)))
     for side in (PRIMAL, DUAL):
         assert [exact.covered(side, b) for b in range(pair.p + 1)] == \
             [pair.covered(side, b) for b in range(pair.p + 1)], side

@@ -17,8 +17,9 @@ def _names(node):
 
 def unreachable_definitions():
     """(module, name) of each top-level function or class that no chain of
-    names reaches from cli.py or from a module-level statement other than
-    an import.  Names are matched across modules by their bare text, so
+    names reaches from cli.py, from a module-level statement other than an
+    import, or from a module's __getattr__, which the interpreter calls
+    (PEP 562).  Names are matched across modules by their bare text, so
     the count can only err towards reachable."""
     definitions, roots = {}, set()
     for path in sorted(PACKAGE.glob("*.py")):
@@ -27,6 +28,8 @@ def unreachable_definitions():
                 definitions[path.stem, stmt.name] = stmt
                 if path.stem == "cli":
                     roots |= _names(stmt)
+                elif stmt.name == "__getattr__":
+                    roots.add(stmt.name)
             elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
                 roots |= _names(stmt)
     by_name = {}

@@ -73,11 +73,31 @@ def test_function_route_matches_evaluate(name):
     assert compared >= 10
 
 
-def test_verify_theorem_choices_are_the_registry():
+def invalid_choice(option, value, registry):
+    """argparse's error line for a value outside an option's choices."""
+    choices = ", ".join(map(repr, sorted(registry)))
+    return (f"primeplane verify: error: argument {option}: invalid choice: {value!r} "
+            f"(choose from {choices})\n")
+
+
+def test_verify_theorem_choices_are_the_registry(capsys):
     parser = cli.build_parser()
-    verify = next(a for a in parser._subparsers._group_actions[0].choices["verify"]._actions
-                  if a.dest == "theorem")
-    assert list(verify.choices) == sorted(CHECKS)
+    base = ["verify", "--function", "3; 2; 1,0,0,0,0,0,0,0,0"]
+    for name in CHECKS:
+        assert parser.parse_args(base + ["--theorem", name]).theorem == [name]
+    for name in ("nope", "Product", "product ", "coset_counts"):
+        assert main(base + ["--theorem", name]) == EXIT_USAGE
+        assert capsys.readouterr().err.endswith(invalid_choice("--theorem", name, CHECKS))
+
+
+def test_family_choices_are_the_gallery(capsys):
+    parser = cli.build_parser()
+    for sub in ("verify", "classify"):
+        for name in search.GALLERY:
+            assert parser.parse_args([sub, "--family", name, "--p", "3"]).family == name
+    for name in ("nope", "sharp3d"):
+        assert main(["verify", "--family", name, "--p", "3"]) == EXIT_USAGE
+        assert capsys.readouterr().err.endswith(invalid_choice("--family", name, search.GALLERY))
 
 
 def test_default_checks_derived_from_the_registry():

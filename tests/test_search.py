@@ -6,7 +6,6 @@ import os
 import pickle
 import random
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -383,7 +382,7 @@ def test_memo_evaluates_once_per_check_per_support_pair(monkeypatch):
     for name in checks:
         spec = search.bounds.CHECKS[name]
         monkeypatch.setitem(search.bounds.CHECKS, name,
-                            replace(spec, decide=counting(name, spec.decide)))
+                            spec._replace(decide=counting(name, spec.decide)))
     # {0, 1}: a function is its own support, so every pair is distinct;
     # {-1, 1}: S is always the whole plane, so pairs recur
     for alphabet in [(0, 1), (-1, 1)]:
@@ -823,7 +822,7 @@ def test_row_tally_lists_violations_by_ordinal_then_label(monkeypatch, collect):
     for name in checks:
         spec = search.bounds.CHECKS[name]
         monkeypatch.setitem(search.bounds.CHECKS, name,
-                            replace(spec, decide=planting(name, spec.decide)))
+                            spec._replace(decide=planting(name, spec.decide)))
     expected = oracle_sweep(space, items, rows)
     if collect:
         assert expected["exception_ordinals"]["rational"]
