@@ -53,18 +53,6 @@ VIOLATED = "violated"
 # -- support pair ------------------------------------------------------------
 
 
-class DirectionStats(NamedTuple):
-    """Per-direction counting data: n_S/n_X are the smallest positive
-    line intersections with the support and the transform support, K_S
-    and K_X count the met lines."""
-
-    direction: int
-    n_S: int
-    K_S: int
-    n_X: int
-    K_X: int
-
-
 #: the most point sets SupportPair.from_masks keeps with their censuses
 _POINT_SETS = 16
 _point_set = lru_cache(maxsize=_POINT_SETS)(PointSet)
@@ -115,13 +103,6 @@ class SupportPair(NamedTuple):
         if self.covers is not None:
             return self.covers[side == DUAL] <= b
         return covered_by_lines(self.S if side == PRIMAL else self.X, b)
-
-    def stats(self, direction: int) -> DirectionStats:
-        """n_S, K_S over the primal direction's lines and n_X, K_X over
-        the orthogonal dual direction's lines."""
-        (n_S, z_S), (n_X, z_X) = self.S.line_profile, self.X.line_profile
-        d, e = direction, orthogonal_directions(self.p)[direction]
-        return DirectionStats(d, n_S[d], self.p - z_S[d], n_X[e], self.p - z_X[e])
 
 
 # -- reports -----------------------------------------------------------------
@@ -757,10 +738,12 @@ def decide_coset_counts(pair: SupportPair, H: Optional[LineSubgroup] = None) -> 
 
 def report_coset_counts(pair: SupportPair, H: Optional[LineSubgroup], verdict: str) -> BoundReport:
     p, s_size, x_size = pair.p, pair.s_size, pair.x_size
+    orth = orthogonal_directions(p)
+    (least_S, empty_S), (least_X, empty_X) = pair.S.line_profile, pair.X.line_profile
     rows = []
     tightest = None
     for d in (range(p + 1) if H is None else (H.direction,)):
-        _, n_S, K_S, n_X, K_X = pair.stats(d)
+        n_S, K_S, n_X, K_X = least_S[d], p - empty_S[d], least_X[orth[d]], p - empty_X[orth[d]]
         for label, lhs, rhs in (("K_X", K_X, p + 1 - n_S), ("X", x_size, n_X * (p + 1 - n_S)),
                                 ("K_S", K_S, p + 1 - n_X), ("S", s_size, n_S * (p + 1 - n_X))):
             slack = lhs - rhs

@@ -83,8 +83,9 @@ class GFunc:
         return cls(p, rank, side, (0,) * p**rank)
 
     @classmethod
-    def from_literal(cls, text: str, side: str = PRIMAL) -> "GFunc":
-        """Parse the literal 'p; rank; v0,v1,...' with cyclotomic value terms."""
+    def from_literal(cls, text: str) -> "GFunc":
+        """Parse the literal 'p; rank; v0,v1,...' with cyclotomic value terms
+        as a primal function."""
         parts = text.split(";")
         if len(parts) != 3:
             raise ValueError(f"malformed function literal {text!r}")
@@ -96,9 +97,8 @@ class GFunc:
         check_prime(p)
         if rank not in (1, 2):
             raise ValueError("rank must be 1 or 2")
-        items = [s for s in parts[2].split(",")]
-        values = [parse_value(s, p) for s in items]
-        return cls(p, rank, side, values)
+        values = [parse_value(s, p) for s in parts[2].split(",")]
+        return cls(p, rank, PRIMAL, values)
 
     def to_literal(self) -> str:
         return f"{self.p}; {self.rank}; " + ",".join(format_value(v) for v in self.values)

@@ -267,8 +267,8 @@ class PointSet(_Frozen):
         return cls(p, side, (1 << (p * p)) - 1)
 
     @classmethod
-    def from_pairs(cls, p: int, pairs: Iterable[Tuple[int, int]], side: str = PRIMAL) -> "PointSet":
-        """The set of the given (x, y) points, repeats allowed, built in a
+    def from_pairs(cls, p: int, pairs: Iterable[Tuple[int, int]]) -> "PointSet":
+        """The primal set of the given (x, y) points, repeats allowed, built in a
         bytearray and read as one int: linear in the pairs and the p^2 bits."""
         buf = bytearray((check_prime(p) * p + 7) // 8)
         for x, y in pairs:
@@ -276,7 +276,7 @@ class PointSet(_Frozen):
                 raise ValueError(f"coordinates out of range mod {p}: ({x}, {y})")
             idx = x * p + y
             buf[idx >> 3] |= 1 << (idx & 7)
-        return cls(p, side, int.from_bytes(buf, "little"))
+        return cls(p, PRIMAL, int.from_bytes(buf, "little"))
 
     @property
     def size(self) -> int:
@@ -316,38 +316,16 @@ class PointSet(_Frozen):
             i = bits.find("1", i + 1)
         return tuple(out)
 
-    def points(self) -> Tuple[Point, ...]:
-        return tuple(Point.from_index(self.p, i, self.side) for i in self.indices())
-
     def pairs(self) -> Tuple[Tuple[int, int], ...]:
         return tuple((i // self.p, i % self.p) for i in self.indices())
-
-    def _require_like(self, other: "PointSet"):
-        if not isinstance(other, PointSet) or other.p != self.p or other.side != self.side:
-            raise ValueError("point sets must share p and side")
-
-    def __or__(self, other: "PointSet") -> "PointSet":
-        self._require_like(other)
-        return PointSet(self.p, self.side, self.mask | other.mask)
-
-    def __and__(self, other: "PointSet") -> "PointSet":
-        self._require_like(other)
-        return PointSet(self.p, self.side, self.mask & other.mask)
-
-    def __sub__(self, other: "PointSet") -> "PointSet":
-        self._require_like(other)
-        return PointSet(self.p, self.side, self.mask & ~other.mask)
 
     def literal(self) -> str:
         body = ",".join(f"({x},{y})" for x, y in self.pairs())
         return f"{self.p}; {body}" if body else f"{self.p};"
 
-    def to_json(self) -> dict:
-        return {"p": self.p, "side": self.side, "points": [list(xy) for xy in self.pairs()]}
 
-
-def parse_pointset(text: str, side: str = PRIMAL) -> PointSet:
-    """Parse the literal 'p; (x1,y1),(x2,y2),...'."""
+def parse_pointset(text: str) -> PointSet:
+    """Parse the literal 'p; (x1,y1),(x2,y2),...' as a primal set."""
     head, sep, body = text.partition(";")
     if not sep:
         raise ValueError(f"malformed point-set literal {text!r}")
@@ -360,7 +338,7 @@ def parse_pointset(text: str, side: str = PRIMAL) -> PointSet:
     leftover = _PAIR_RE.sub("", body).replace(",", "").strip()
     if leftover:
         raise ValueError(f"malformed point-set literal {text!r}")
-    return PointSet.from_pairs(p, pairs, side)
+    return PointSet.from_pairs(p, pairs)
 
 
 # -- precomputed line tables -------------------------------------------------

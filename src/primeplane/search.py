@@ -22,20 +22,12 @@ from collections import Counter
 from functools import lru_cache
 from itertools import islice, product, repeat
 from math import lcm
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cyclotomic import CycNum, check_prime, format_value, parse_value
 from .fourier import GFunc, fourier_transform, int_support_masks, int_support_stream, twist
-from .plane import (
-    DUAL,
-    PRIMAL,
-    Coset,
-    LineSubgroup,
-    Point,
-    _Frozen,
-    _setfield,
-)
+from .plane import DUAL, PRIMAL, LineSubgroup, Point
 from . import bounds
 from .bounds import EQUALITY, EXCEPTION, VIOLATED
 
@@ -63,60 +55,38 @@ def _subgroup_indicator(p: int, direction: int) -> List[int]:
     return vals
 
 
-def _nonzero_coefficients(p: int, values: Sequence) -> Tuple[CycNum, ...]:
-    cs = tuple(c if isinstance(c, CycNum) else CycNum.from_rational(p, c) for c in values)
-    if any(c.is_zero() for c in cs):
-        raise ValueError("coefficients must be nonzero")
-    return cs
-
-
-def character_coset(p: int, direction: int = 0, offset: Tuple[int, int] = (0, 0),
-                    character: Tuple[int, int] = (1, 1), coefficient=1) -> Construction:
-    """A scaled character restricted to one line; both supports have size p."""
+def character_coset(p: int) -> Construction:
+    """The character (1, 1) on the line y = 0; both supports have size p."""
     check_prime(p)
-    chi = Point.of(p, character[0], character[1], DUAL)
-    g0 = Point.of(p, offset[0], offset[1])
     desc = bounds.ExceptionDescriptor(
-        kind=bounds.KIND_SINGLE_COSET_CHARACTER, p=p, direction=direction, offsets=(g0,),
-        characters=(chi,), coefficients=_nonzero_coefficients(p, [coefficient]))
+        kind=bounds.KIND_SINGLE_COSET_CHARACTER, p=p, direction=0, offsets=(Point(p, 0, 0),),
+        characters=(Point(p, 1, 1, DUAL),), coefficients=(CycNum.one(p),))
     return Construction("character-coset", desc.reconstruct(), (p, p))
 
 
-def diff_of_subgroups(p: int, d1: int = 0, d2: int = 1) -> Construction:
-    """Difference of two distinct subgroup indicators; |S| = |X| = 2(p-1)."""
+def diff_of_subgroups(p: int) -> Construction:
+    """1_{H0} - 1_{H1} for the subgroups of directions 0 and 1; |S| = |X| = 2(p-1)."""
     check_prime(p)
-    if d1 == d2:
-        raise ValueError("subgroups must be distinct")
-    vals = [a - b for a, b in zip(_subgroup_indicator(p, d1), _subgroup_indicator(p, d2))]
+    vals = [a - b for a, b in zip(_subgroup_indicator(p, 0), _subgroup_indicator(p, 1))]
     return Construction("diff-of-subgroups", GFunc(p, 2, PRIMAL, vals),
                         (2 * (p - 1), 2 * (p - 1)))
 
 
-def pm_two_cosets(p: int, direction: int = 0,
-                  g1: Tuple[int, int] = (0, 0), g2: Tuple[int, int] = (0, 1)) -> Construction:
-    """+1 on one line, -1 on a parallel line; |S| = 2p, |X| = p - 1."""
+def pm_two_cosets(p: int) -> Construction:
+    """+1 on the line y = 0, -1 on the line y = 1; |S| = 2p, |X| = p - 1."""
     check_prime(p)
-    sub = LineSubgroup(p, direction, PRIMAL)
-    c1 = Coset.through(Point.of(p, *g1), sub)
-    c2 = Coset.through(Point.of(p, *g2), sub)
-    if c1 == c2:
-        raise ValueError("the two cosets must be distinct")
     vals = [0] * (p * p)
-    for z in c1.members():
-        vals[z.index] = 1
-    for z in c2.members():
-        vals[z.index] = -1
+    for x in range(p):
+        vals[x * p] = 1
+        vals[x * p + 1] = -1
     return Construction("pm-two-cosets", GFunc(p, 2, PRIMAL, vals), (2 * p, p - 1))
 
 
-def triple_subgroups(p: int, d1: int = 0, d2: int = 1, d3: int = 2) -> Construction:
-    """1_{H1} + 1_{H2} - 2 * 1_{H3} for distinct subgroups; both supports 3(p-1)."""
+def triple_subgroups(p: int) -> Construction:
+    """1_{H0} + 1_{H1} - 2 * 1_{H2} for the subgroups of directions 0, 1 and 2;
+    both supports 3(p-1)."""
     check_prime(p)
-    if len({d1, d2, d3}) != 3:
-        raise ValueError("subgroups must be pairwise distinct")
-    i1 = _subgroup_indicator(p, d1)
-    i2 = _subgroup_indicator(p, d2)
-    i3 = _subgroup_indicator(p, d3)
+    i1, i2, i3 = (_subgroup_indicator(p, d) for d in (0, 1, 2))
     vals = [a + b - 2 * c for a, b, c in zip(i1, i2, i3)]
     return Construction("triple-subgroups", GFunc(p, 2, PRIMAL, vals),
                         (3 * (p - 1), 3 * (p - 1)))
@@ -219,8 +189,9 @@ def _random_digits(rng: random.Random, base: int, n: int) -> Sequence[int]:
     return digits
 
 
-class SearchSpace(_Frozen):
-    """A finite family of candidate functions over a value alphabet.
+class SearchSpace(NamedTuple):
+    """A finite family of candidate functions over a value alphabet, built
+    and checked by make_space.
 
     Exhaustive mode enumerates alphabet^(p^rank) functions (times the
     number of characters when char_twist is set); random mode draws
@@ -228,34 +199,14 @@ class SearchSpace(_Frozen):
     seed and the sample ordinal only.
     """
 
-    __slots__ = _fields = ("p", "rank", "alphabet", "mode", "seed", "budget", "char_twist",
-                           "ceiling")
-    _values = property(attrgetter(*_fields))
-
-    def __init__(self, p: int, rank: int = 2, alphabet: Tuple[CycNum, ...] = (),
-                 mode: str = "exhaustive", seed: int = 0, budget: int = 10000,
-                 char_twist: bool = False, ceiling: int = DEFAULT_CEILING):
-        for name, value in zip(self._fields, (p, rank, alphabet, mode, seed, budget,
-                                              char_twist, ceiling)):
-            _setfield(self, name, value)
-        check_prime(self.p)
-        if self.rank not in (1, 2):
-            raise ValueError("rank must be 1 or 2")
-        if not self.alphabet:
-            raise ValueError("alphabet must be nonempty")
-        if len(set(self.alphabet)) != len(self.alphabet):
-            raise ValueError("alphabet entries must be distinct")
-        for v in self.alphabet:
-            if not isinstance(v, CycNum) or v.p != self.p:
-                raise ValueError("alphabet entries must be CycNum values with matching p")
-        if self.mode not in ("exhaustive", "random"):
-            raise ValueError("mode must be 'exhaustive' or 'random'")
-        if self.mode == "random" and self.budget < 1:
-            raise ValueError("random mode needs a positive budget")
-        if self.mode == "exhaustive" and self.candidate_count > self.ceiling:
-            raise ValueError(
-                f"exhaustive space of {self.candidate_count} candidates exceeds the "
-                f"ceiling {self.ceiling}")
+    p: int
+    rank: int
+    alphabet: Tuple[CycNum, ...]
+    mode: str
+    seed: int
+    budget: int
+    char_twist: bool
+    ceiling: int
 
     @property
     def n_points(self) -> int:
@@ -335,7 +286,8 @@ class SearchSpace(_Frozen):
 def make_space(p: int, alphabet: Iterable = (-1, 0, 1), rank: int = 2,
                mode: str = "exhaustive", seed: int = 0, budget: int = 10000,
                char_twist: bool = False, ceiling: int = DEFAULT_CEILING) -> SearchSpace:
-    """Convenience constructor accepting ints, Fractions and value literals."""
+    """The space over an alphabet of ints, Fractions, value literals or
+    CycNums, each value checked here once."""
     check_prime(p)
     entries = []
     for item in alphabet:
@@ -345,8 +297,23 @@ def make_space(p: int, alphabet: Iterable = (-1, 0, 1), rank: int = 2,
             entries.append(parse_value(item, p))
         else:
             entries.append(CycNum.from_rational(p, item))
-    return SearchSpace(p=p, rank=rank, alphabet=tuple(entries), mode=mode, seed=seed,
-                       budget=budget, char_twist=char_twist, ceiling=ceiling)
+    if rank not in (1, 2):
+        raise ValueError("rank must be 1 or 2")
+    if not entries:
+        raise ValueError("alphabet must be nonempty")
+    if len(set(entries)) != len(entries):
+        raise ValueError("alphabet entries must be distinct")
+    if any(v.p != p for v in entries):
+        raise ValueError("alphabet entries must be CycNum values with matching p")
+    if mode not in ("exhaustive", "random"):
+        raise ValueError("mode must be 'exhaustive' or 'random'")
+    if mode == "random" and budget < 1:
+        raise ValueError("random mode needs a positive budget")
+    space = SearchSpace(p, rank, tuple(entries), mode, seed, budget, char_twist, ceiling)
+    if mode == "exhaustive" and space.candidate_count > ceiling:
+        raise ValueError(f"exhaustive space of {space.candidate_count} candidates exceeds the "
+                         f"ceiling {ceiling}")
+    return space
 
 
 # -- sweeps -----------------------------------------------------------------------

@@ -17,6 +17,7 @@ from primeplane.bounds import (
     EXCEPTION,
     KIND_CHARACTER_ON_COSETS,
     KIND_CHARACTERS_ON_ONE_COSET,
+    KIND_SINGLE_COSET_CHARACTER,
     KIND_TWO_NONPARALLEL,
     KIND_TWO_PARALLEL,
     ExceptionDescriptor,
@@ -235,6 +236,15 @@ def _values(p, values):
 
 def _characters(p, pairs):
     return tuple(Point.of(p, a, b, DUAL) for a, b in pairs)
+
+
+def single_coset_character(p, direction, offset, character, coefficient):
+    """c chi on the line through offset, by the descriptor the gallery's
+    character_coset builds."""
+    return ExceptionDescriptor(
+        KIND_SINGLE_COSET_CHARACTER, p, direction=direction, offsets=(Point.of(p, *offset),),
+        characters=_characters(p, [character]), coefficients=_values(p, [coefficient]),
+    ).reconstruct()
 
 
 def characters_on_one_coset(p, direction, offset, characters, coefficients):

@@ -39,6 +39,7 @@ from reference import (
     detail,
     orthogonal,
     quasicharacter,
+    single_coset_character,
     two_nonparallel_lines,
     two_parallel_lines,
 )
@@ -61,6 +62,14 @@ def line_count(pair, g, direction):
     return pair.S.line_counts[direction][line.coset_id]
 
 
+def profile_at(pair, d):
+    """(n_S, K_S, n_X, K_X) in primal direction d, read from the line
+    profiles of S and of X in the orthogonal dual direction."""
+    (n_S, z_S), (n_X, z_X) = pair.S.line_profile, pair.X.line_profile
+    e = orthogonal_direction(pair.p, d)
+    return n_S[d], pair.p - z_S[d], n_X[e], pair.p - z_X[e]
+
+
 def isolated_count(pair, direction):
     """Number of dual lines orthogonal to the given primal direction that
     contain exactly one point of the transform support, read from the
@@ -75,8 +84,7 @@ def test_profile_of_subgroup_indicator():
     p = 5
     f = subgroup_indicator(p, 0)
     prof = profile(f)
-    st = prof.stats(0)
-    assert (st.n_S, st.K_S, st.n_X, st.K_X) == (p, 1, p, 1)
+    assert profile_at(prof, 0) == (p, 1, p, 1)
 
 
 def test_profile_of_delta():
@@ -84,8 +92,7 @@ def test_profile_of_delta():
     prof = profile(delta(p, 2, 0))
     assert prof.X.size == p * p
     for d in range(p + 1):
-        st = prof.stats(d)
-        assert (st.n_S, st.K_S, st.n_X, st.K_X) == (1, 1, p, p)
+        assert profile_at(prof, d) == (1, 1, p, p)
 
 
 def test_profile_diff_sizes():
@@ -108,13 +115,13 @@ def test_profile_consistency_invariants():
         prof = profile(f)
         T = tables(p)
         for d in range(p + 1):
-            st = prof.stats(d)
+            n_S, K_S, _, K_X = profile_at(prof, d)
             counts = [(m & prof.S.mask).bit_count() for m in T.coset_masks[d]]
             assert sum(counts) == prof.S.size
-            assert st.n_S >= 1
-            assert st.K_S * p >= prof.S.size
-            assert Fraction(st.n_S) <= Fraction(prof.S.size, st.K_S) <= prof.S.size
-            assert isolated_count(prof, d) <= st.K_X
+            assert n_S >= 1
+            assert K_S * p >= prof.S.size
+            assert Fraction(n_S) <= Fraction(prof.S.size, K_S) <= prof.S.size
+            assert isolated_count(prof, d) <= K_X
 
 
 @settings(max_examples=80, deadline=None)
@@ -124,17 +131,17 @@ def test_profile_invariants_hypothesis_p5(s_mask):
 
     p = 5
     S = PointSet(p, PRIMAL, s_mask)
-    # any nonempty dual set works for the stats
+    # any nonempty dual set works for the profile
     prof = SupportPair.from_masks(p, 2, s_mask, s_mask, True)
     T = tables(p)
     for d in range(p + 1):
-        stats = prof.stats(d)
+        n_S, K_S, _, K_X = profile_at(prof, d)
         counts = [(m & S.mask).bit_count() for m in T.coset_masks[d]]
         assert sum(counts) == S.size
-        assert 1 <= stats.n_S <= min(c for c in counts if c)
-        assert stats.K_S * p >= S.size
-        assert Fraction(stats.n_S) <= Fraction(S.size, stats.K_S)
-        assert isolated_count(prof, d) <= stats.K_X
+        assert 1 <= n_S <= min(c for c in counts if c)
+        assert K_S * p >= S.size
+        assert Fraction(n_S) <= Fraction(S.size, K_S)
+        assert isolated_count(prof, d) <= K_X
 
 
 def test_profile_line_count_and_isolated():
@@ -161,7 +168,7 @@ def test_product_bound_rank1_example():
 
 def test_product_equality_for_character_coset():
     p = 5
-    rep = check("product", character_coset(p, direction=1, character=(2, 3)).func)
+    rep = check("product", single_coset_character(p, 1, (0, 0), (2, 3), 1))
     assert rep.verdict == EQUALITY
     assert rep.lhs == p * p
 
@@ -217,7 +224,7 @@ def test_kp1_equality_and_exception():
     assert rep.verdict == EQUALITY
     assert rep.lhs == rep.rhs == p + 1
 
-    rep2 = check("kp1", character_coset(p, character=(1, 2)).func)
+    rep2 = check("kp1", single_coset_character(p, 0, (0, 0), (1, 2), 1))
     assert rep2.verdict == EXCEPTION
     assert rep2.exception is not None
     assert rep2.exception.kind == "single-coset-character"

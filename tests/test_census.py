@@ -352,11 +352,11 @@ def test_support_pair_predicates_match_mask_scans(p, data):
     X = data.draw(point_sets(p, DUAL, orthogonal_direction(p, d)))
     pair = SupportPair.from_masks(p, 2, S.mask, X.mask, True)
     profile = reference_support_profile(S, X)
+    (n_S, z_S), (n_X, z_X) = pair.S.line_profile, pair.X.line_profile
     for e in range(p + 1):
-        stats = pair.stats(e)
-        assert (stats.direction, stats.n_S, stats.K_S, stats.n_X, stats.K_X) == (e, *profile[e])
-        isolated = pair.X.line_counts[orthogonal_direction(p, e)].count(1)
-        assert isolated == reference_isolated_count(X, e)
+        o = orthogonal_direction(p, e)
+        assert (n_S[e], p - z_S[e], n_X[o], p - z_X[o]) == profile[e]
+        assert pair.X.line_counts[o].count(1) == reference_isolated_count(X, e)
     g = Point.from_index(p, data.draw(st.integers(0, p * p - 1)))
     assert pair.S.line_counts[d][Coset.through(g, LineSubgroup(p, d)).coset_id] == \
         reference_line_count(S, g, d)

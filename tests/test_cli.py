@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -760,6 +761,29 @@ def test_format_only_on_frontier(capsys):
     # the p3-exhaustive frontier digest in perfbench/expected.json
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "21b8daccaf18c715ae33d748cb0329cb6c8304d949d8a0d47374656c774ec9d1"
+
+
+#: the recorded gallery-exact calls, "verify:<family>:p<p>" and "classify:...",
+#: with their exit codes and stdout digests
+GALLERY_EXACT = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "expected.json").read_text()
+)["gallery-exact"]["commands"]
+
+
+def test_gallery_exact_records_every_family_and_prime():
+    assert len(GALLERY_EXACT) == 70
+
+
+@pytest.mark.parametrize("call", sorted(GALLERY_EXACT))
+def test_gallery_exact_digest(capsys, call):
+    sub, family, p = call.split(":")
+    argv = [sub, "--family", family, "--p", p[1:]]
+    if family == "sharp2d":
+        argv += ["--m", "2", "--n", "3"]
+    code, out, err = run_cli(capsys, *argv)
+    expected = GALLERY_EXACT[call]["any"]
+    assert code == expected["exit"], err
+    assert hashlib.sha256(out.encode()).hexdigest() == expected["sha256"]
 
 
 def test_verify_conjecture_requires_k(capsys):

@@ -529,8 +529,11 @@ def dense_or_sparse_pairs(draw):
 
 
 def check_coset_counts(pair):
-    for d in range(pair.p + 1):
-        assert pair.stats(d) == (d, *recount_stats(pair, d))
+    p, orth = pair.p, orthogonal_directions(pair.p)
+    (n_S, z_S), (n_X, z_X) = pair.S.line_profile, pair.X.line_profile
+    for d in range(p + 1):
+        e = orth[d]
+        assert (n_S[d], p - z_S[d], n_X[e], p - z_X[e]) == recount_stats(pair, d)
     for H in params("coset-counts", pair.p):
         expected = reference_coset_counts(pair, H)
         assert decide_coset_counts(pair, H) == expected.verdict, H

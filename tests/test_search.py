@@ -1,6 +1,7 @@
 """Gallery constructions, candidate spaces, sweeps, frontier and hunts."""
 
 import concurrent.futures
+import inspect
 import json
 import os
 import pickle
@@ -21,7 +22,16 @@ from primeplane.fourier import (
     pair_exponents,
     twist,
 )
-from primeplane.plane import DUAL, PRIMAL, Coset, LineSubgroup, Point, coset_from_id
+from primeplane.plane import (
+    DUAL,
+    PRIMAL,
+    Coset,
+    LineSubgroup,
+    Point,
+    PointSet,
+    coset_from_id,
+    parse_pointset,
+)
 from primeplane.search import (
     attainable_lattice,
     character_coset,
@@ -39,6 +49,7 @@ from reference import (
     character_on_cosets,
     characters_on_one_coset,
     orthogonal,
+    single_coset_character,
     two_nonparallel_lines,
     two_parallel_lines,
 )
@@ -61,15 +72,19 @@ def test_gallery_small_primes():
 
 def test_gallery_degenerate_parameters():
     with pytest.raises(ValueError):
-        diff_of_subgroups(5, 2, 2)
-    with pytest.raises(ValueError):
-        triple_subgroups(5, 0, 0, 1)
-    with pytest.raises(ValueError):
-        pm_two_cosets(5, 0, (0, 0), (1, 0))  # same coset
-    with pytest.raises(ValueError):
         construct("no-such-family", 5)
     with pytest.raises(ValueError):
         sharp_pair_1d(5, 0)
+
+
+def test_gallery_builders_and_literal_parsers_take_no_options():
+    for name, builder in search.GALLERY.items():
+        assert set(inspect.signature(builder).parameters) <= {"p", "m", "n"}, name
+    for parse in (GFunc.from_literal, parse_pointset):
+        assert list(inspect.signature(parse).parameters) == ["text"], parse
+    assert list(inspect.signature(PointSet.from_pairs).parameters) == ["p", "pairs"]
+    # make_space is the one constructor, so the space has no defaults of its own
+    assert search.SearchSpace._field_defaults == {}
 
 
 def test_attainable_lattice():
@@ -504,6 +519,16 @@ def point_on(rng, p, direction, coset_id, side=PRIMAL):
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 @pytest.mark.parametrize("kind", ["int", "half", "cyclotomic"])
 def test_builders_match_reference_loops(p, kind):
+    # the gallery's fixed forms
+    subgroup = [reference_character_cosets(p, d, [(0, 0)], (0, 0), [1]).values
+                for d in (0, 1, 2)]
+    assert character_coset(p).func == reference_character_coset(p, 0, (0, 0), (1, 1), 1)
+    assert diff_of_subgroups(p).func.values == tuple(a - b for a, b in zip(*subgroup[:2]))
+    assert pm_two_cosets(p).func == \
+        reference_character_cosets(p, 0, [(0, 0), (0, 1)], (0, 0), [1, -1])
+    assert triple_subgroups(p).func.values == \
+        tuple(a + b - 2 * c for a, b, c in zip(*subgroup))
+
     rng = random.Random(1000 * p + len(kind))
     for _ in range(6):
         d = rng.randrange(p + 1)
@@ -511,7 +536,7 @@ def test_builders_match_reference_loops(p, kind):
         offset = (rng.randrange(p), rng.randrange(p))
         character = (rng.randrange(p), rng.randrange(p))
         c = random_value(rng, p, kind, nonzero=True)
-        assert character_coset(p, d, offset, character, c).func == \
+        assert single_coset_character(p, d, offset, character, c) == \
             reference_character_coset(p, d, offset, character, c)
 
         n = rng.randint(1, p)
