@@ -48,9 +48,13 @@ def pair_exponents(p: int, rank: int) -> Tuple[Tuple[int, ...], ...]:
 
 class GFunc:
     """A dense Q(zeta_p)-valued function on F_p (rank 1) or F_p^2 (rank 2),
-    on either the primal or the dual side."""
+    on either the primal or the dual side.
 
-    __slots__ = ("p", "rank", "side", "values")
+    A transform keeps its outputs packed (_Packed) until they are read:
+    `values` decodes them all once, value() and restrict_to_coset decode
+    one output each, and the support mask decodes none."""
+
+    __slots__ = ("p", "rank", "side", "_values", "_packed")
 
     def __init__(self, p: int, rank: int, side: str, values: Sequence[ValueLike]):
         check_prime(p)
@@ -68,13 +72,14 @@ class GFunc:
                 vals.append(CycNum.from_rational(p, v))
         if len(vals) != n:
             raise ValueError(f"need {n} values, got {len(vals)}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "values", tuple(vals))
+        _fill(self, p, rank, side, tuple(vals), None)
 
     def __setattr__(self, name, value):
         raise AttributeError("GFunc is immutable")
+
+    def __reduce__(self):
+        # a packed transform pickles as its decoded values
+        return _gfunc, (self.p, self.rank, self.side, self.values)
 
     # -- constructors ------------------------------------------------------
 
@@ -105,16 +110,33 @@ class GFunc:
 
     # -- access ------------------------------------------------------------
 
+    @property
+    def values(self) -> Tuple[CycNum, ...]:
+        values = self._values
+        if values is None:
+            values = tuple(self._packed.values())
+            object.__setattr__(self, "_values", values)
+            object.__setattr__(self, "_packed", None)
+        return values
+
+    def _at(self, g: int) -> CycNum:
+        """The value at point index g, decoding that output alone."""
+        values = self._values
+        return self._packed.value(g) if values is None else values[g]
+
     def value(self, point: Point) -> CycNum:
         if self.rank != 2:
             raise ValueError("point access requires rank 2")
         if point.p != self.p or point.side != self.side:
             raise ValueError("point does not match the function's p and side")
-        return self.values[point.index]
+        return self._at(point.index)
 
     @property
     def support_mask(self) -> int:
-        return sum(compress(_point_bits(len(self.values)), self.values))
+        values = self._values
+        if values is None:
+            return self._packed.mask
+        return sum(compress(_point_bits(len(values)), values))
 
     @property
     def support_size(self) -> int:
@@ -126,7 +148,7 @@ class GFunc:
         return PointSet(self.p, self.side, self.support_mask)
 
     def is_zero_function(self) -> bool:
-        return all(v.is_zero() for v in self.values)
+        return not self.support_mask
 
     def is_rational_valued(self) -> bool:
         return all(v.is_rational() for v in self.values)
@@ -174,6 +196,25 @@ class GFunc:
         return f"GFunc({self.side}, {self.to_literal()!r})"
 
 
+def _fill(f: GFunc, p: int, rank: int, side: str, values: Optional[Tuple[CycNum, ...]],
+          packed: Optional["_Packed"]) -> None:
+    object.__setattr__(f, "p", p)
+    object.__setattr__(f, "rank", rank)
+    object.__setattr__(f, "side", side)
+    object.__setattr__(f, "_values", values)
+    object.__setattr__(f, "_packed", packed)
+
+
+def _gfunc(p: int, rank: int, side: str, values: Optional[Tuple[CycNum, ...]],
+           packed: Optional["_Packed"] = None) -> GFunc:
+    """Trusted constructor for the functions this package builds: `values`
+    is a tuple of p**rank CycNums of field p, or None and `packed` the
+    transform that decodes them.  Callers have checked p, rank and side."""
+    f = object.__new__(GFunc)
+    _fill(f, p, rank, side, values, packed)
+    return f
+
+
 def twist(f: GFunc, chi: int) -> GFunc:
     """The pointwise product g -> f(g) * zeta^<chi, g>, for chi the index of
     a point on the other side; the result stays on f's side.  With
@@ -183,8 +224,8 @@ def twist(f: GFunc, chi: int) -> GFunc:
     if not 0 <= chi < n:
         raise ValueError(f"character index must lie in [0, {n}), got {chi!r}")
     a, b = divmod(chi, p)
-    return GFunc(p, f.rank, f.side, [v.times_root(a * (g // p) + b * g)
-                                     for g, v in enumerate(f.values)])
+    return _gfunc(p, f.rank, f.side, tuple([v.times_root(a * (g // p) + b * g)
+                                            for g, v in enumerate(f.values)]))
 
 
 # -- transforms ----------------------------------------------------------------
@@ -273,8 +314,43 @@ def _packing(p: int, width: int) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, ...]
     return tuple(range(0, p * bits, bits)), shifts, cut
 
 
-def _transform(values: Sequence[CycNum], p: int, rank: int, scale: int) -> List[CycNum]:
-    """out[v] = (1/scale) * sum_u values[u] * zeta^(-<v, u>), by line sums.
+class _Packed:
+    """The outputs of _transform, kept packed, with the transform's support
+    mask.  Output 0 is `total`, the summed numerators.  rows[d] holds
+    direction d of _line_table: on the rational branch (width None) its p
+    line sums, and on the cyclotomic one its folded output ints, at
+    rows[d][t] for the output at points[t].  An output is decoded, by the
+    same _reduced_over call either way, only when it is read; each output
+    is numerators over `divisor`."""
+
+    __slots__ = ("p", "rank", "divisor", "total", "rows", "width", "mask")
+
+    def __init__(self, p: int, rank: int, divisor: int, total: Tuple[int, ...], rows: list,
+                 width: Optional[int], mask: int):
+        self.p, self.rank, self.divisor, self.total = p, rank, divisor, total
+        self.rows, self.width, self.mask = rows, width, mask
+
+    def value(self, v: int) -> CycNum:
+        """Output v.  v = (x, y) is points[t] of direction d: t = y and
+        d = -x/y mod p for y != 0, else t = x and d = p (rank 1 has x = 0
+        and the one direction 0)."""
+        p, width = self.p, self.width
+        if not v:
+            return _make(p, self.total, self.divisor)
+        x, y = divmod(v, p)
+        d, t = (-x * pow(y, -1, p) % p, y) if y else (p, x)
+        if width is None:
+            return _reduced_over(p, _slice_picks(p)[t](self.rows[d]), self.divisor)
+        parts = _packing(p, width)[2](self.rows[d][t].to_bytes(p * width, "big"))
+        return _reduced_over(p, list(map(int.from_bytes, parts, repeat("big", p))), self.divisor)
+
+    def values(self) -> List[CycNum]:
+        return [self.value(v) for v in range(self.p**self.rank)]
+
+
+def _transform(values: Sequence[CycNum], p: int, rank: int, scale: int) -> _Packed:
+    """out[v] = (1/scale) * sum_u values[u] * zeta^(-<v, u>), by line sums,
+    packed, with the support mask of out.
 
     For v = t*d, with d one of the directions of _line_table,
     sum_u values[u] zeta^(-t*<d, u>) = sum_k L_d(k) zeta^(-t*k),
@@ -285,57 +361,63 @@ def _transform(values: Sequence[CycNum], p: int, rank: int, scale: int) -> List[
     total.  The sums with zeta^(+<v, u>) are these read at -v
     (_at_multiple), so one routine serves both directions.
 
-    Rational values sum their one coefficient and _slice_picks permutes
-    the p sums.  Cyclotomic values are packed, one int per value, by
-    cyclic Kronecker substitution: slot e of W bits holds the coefficient
-    of zeta^e plus a bias B = max |coefficient|, so every slot is
+    An output sum_e a_e zeta^e over the p exponents is zero iff all p a_e
+    are equal, because 1 + zeta + ... + zeta^(p-1) = 0 is the only
+    rational relation among the p-th roots of unity; so the support is
+    found with no output decoded.  Rational values sum their one
+    coefficient, and the p - 1 outputs of a direction, _slice_picks'
+    permutations of its p line sums, are all zero iff those sums are
+    equal.  Cyclotomic values are packed, one int per value, by cyclic
+    Kronecker substitution: slot e of W bits holds the coefficient of
+    zeta^e plus a bias B = max |coefficient|, so every slot is
     nonnegative, and W is the whole bytes that hold 2*B*p^rank, the
     largest slot of an output.  A line's sum starts from p^(rank-1)
     biases in every slot, as if each of its points carried one, and adds
     one int per support point; multiplying by zeta^m is a shift by m*W
     bits, and one fold at p*W bits wraps the exponents >= p.  So output t
-    is one C-level shifted sum, its bytes are cut into the p slots, and
-    _reduced_over cancels the bias, which every slot carries p^rank times
-    because 1 + zeta + ... + zeta^(p-1) = 0.  Either way that is O(p^3)
-    big-int operations at rank 2, and no table beyond O(p^2) is kept.
+    is one C-level shifted sum, and it is zero iff its p slots are equal:
+    x == (x & slot) * ones, for the all-ones slot pattern.  Decoding cuts
+    its bytes into the p slots, and _reduced_over cancels the bias, which
+    every slot carries p^rank times.  Either way that is O(p^3) big-int
+    operations at rank 2, and no table beyond O(p^2) is kept.
     """
     scaled, den = _scaled_int_coeffs(values)
-    divisor = den * scale
     support = [(u, c) for u, c in enumerate(scaled) if any(c)]
-    n = len(values)
-    if not support:
-        return [CycNum.zero(p)] * n
-    out = [None] * n
-    out[0] = _make(p, tuple(map(sum, zip(*(c for _, c in support)))), divisor)
+    total = tuple(map(sum, zip(*(c for _, c in support)))) if support else (0,) * (p - 1)
+    bits = _point_bits(len(values))
+    mask = 1 if any(total) else 0
+    rows = []
     if not any(any(c[1:]) for _, c in support):
-        picks = _slice_picks(p)
         for line_of, points in _line_table(p, rank):
             sums = [0] * p
             for u, c in support:
                 sums[line_of[u]] += c[0]
-            for t in range(1, p):
-                out[points[t]] = _reduced_over(p, picks[t](sums), divisor)
-        return out
+            if sums.count(sums[0]) != p:
+                mask |= sum(map(bits.__getitem__, points[1:]))
+            rows.append(sums)
+        return _Packed(p, rank, den * scale, total, rows, None, mask)
     bias = max(map(abs, chain.from_iterable(c for _, c in support)))
     width = ((2 * bias * p**rank).bit_length() + 7) // 8
-    slots, shifts, cut = _packing(p, width)
-    bits, size = 8 * width, p * width
-    low = (1 << p * bits) - 1
-    start = p ** (rank - 1) * bias * (low // ((1 << bits) - 1))
+    slots, shifts, _ = _packing(p, width)
+    fold = 8 * width * p
+    slot = (1 << 8 * width) - 1
+    low = (1 << fold) - 1
+    ones = low // slot
+    start = p ** (rank - 1) * bias * ones
     packed = [(u, sum(map(lshift, c, slots))) for u, c in support]
-
-    def value(x: int) -> CycNum:
-        x = (x & low) + (x >> p * bits)
-        parts = cut(x.to_bytes(size, "big"))
-        return _reduced_over(p, list(map(int.from_bytes, parts, repeat("big", p))), divisor)
-
     for line_of, points in _line_table(p, rank):
         sums = [start] * p
         for u, x in packed:
             sums[line_of[u]] += x
+        row = [None]
         for t in range(1, p):
-            out[points[t]] = value(sum(map(lshift, sums, shifts[t])))
-    return out
+            x = sum(map(lshift, sums, shifts[t]))
+            x = (x & low) + (x >> fold)
+            if x != (x & slot) * ones:
+                mask |= bits[points[t]]
+            row.append(x)
+        rows.append(row)
+    return _Packed(p, rank, den * scale, total, rows, width, mask)
 
 
 def _at_multiple(values: Sequence, p: int, j: int) -> list:
@@ -344,23 +426,25 @@ def _at_multiple(values: Sequence, p: int, j: int) -> list:
 
 
 def fourier_transform(f: GFunc) -> GFunc:
-    """Exact transform; the result lives on the opposite side."""
-    out = _transform(f.values, f.p, f.rank, len(f.values))
-    return GFunc(f.p, f.rank, opposite_side(f.side), out)
+    """Exact transform; the result lives on the opposite side, and its
+    outputs stay packed until they are read."""
+    return _gfunc(f.p, f.rank, opposite_side(f.side), None,
+                  _transform(f.values, f.p, f.rank, len(f.values)))
 
 
 def inverse_transform(u: GFunc) -> GFunc:
     """Inversion f(g) = sum_w u(w) chi_w(g), the forward sums read at -g."""
     if u.side != DUAL:
         raise ValueError("inverse transform expects a dual-side function")
-    return GFunc(u.p, u.rank, PRIMAL, _at_multiple(_transform(u.values, u.p, u.rank, 1), u.p, -1))
+    out = _transform(u.values, u.p, u.rank, 1).values()
+    return _gfunc(u.p, u.rank, PRIMAL, tuple(_at_multiple(out, u.p, -1)))
 
 
 def double_transform(f: GFunc) -> GFunc:
     """The transform taken twice, in O(|G|): by inversion it is
     g -> f(-g)/|G|, on f's own side."""
     scale = Fraction(1, len(f.values))
-    return GFunc(f.p, f.rank, f.side, [v * scale for v in _at_multiple(f.values, f.p, -1)])
+    return _gfunc(f.p, f.rank, f.side, tuple([v * scale for v in _at_multiple(f.values, f.p, -1)]))
 
 
 @lru_cache(maxsize=None)
@@ -410,6 +494,14 @@ def int_support_masks(p: int, rank: int, values: Sequence[int]) -> Tuple[int, in
                 x_mask |= mask
                 break
     return s_mask, x_mask
+
+
+def exact_support_masks(p: int, rank: int, values: Sequence[CycNum]) -> Tuple[int, int]:
+    """Support masks (function, transform) for CycNum values of field p,
+    the transform's by _transform's packed zero test: no output is decoded
+    and no GFunc is built.  (0, 0) for the zero function."""
+    s_mask = sum(compress(_point_bits(len(values)), values))
+    return s_mask, s_mask and _transform(values, p, rank, 1).mask
 
 
 #: the most assignments a low block of int_support_stream holds
@@ -508,7 +600,7 @@ def line_sums(hat: GFunc, chi: Point, direction: int) -> List[CycNum]:
     R[a] is the forward sum read at -a: the one routine of
     fourier_transform, at rank 1, with no table of its own."""
     line = restrict_to_coset(hat, chi, LineSubgroup(hat.p, direction, hat.side))
-    return _at_multiple(_transform(line.values, hat.p, 1, 1), hat.p, -1)
+    return _at_multiple(_transform(line.values, hat.p, 1, 1).values(), hat.p, -1)
 
 
 def restrict_to_coset(f: GFunc, g: Point, H: LineSubgroup) -> GFunc:
@@ -517,6 +609,6 @@ def restrict_to_coset(f: GFunc, g: Point, H: LineSubgroup) -> GFunc:
     p = f.p
     if f.rank != 2 or (g.p, g.side) != (p, f.side) or (H.p, H.side) != (p, f.side):
         raise ValueError("restriction needs a rank-2 function with g and H on its side")
-    gen, vals = H.generator, f.values
-    return GFunc(p, 1, f.side, [vals[(g.x + t * gen.x) % p * p + (g.y + t * gen.y) % p]
-                                for t in range(p)])
+    gen, at = H.generator, f._at
+    return _gfunc(p, 1, f.side, tuple([at((g.x + t * gen.x) % p * p + (g.y + t * gen.y) % p)
+                                       for t in range(p)]))

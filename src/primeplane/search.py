@@ -9,9 +9,10 @@ first.  A twisted candidate is decided untwisted, its X then translated.
 Sweeps over all-rational alphabets, scaled to integers by the lcm of
 their denominators, use the integer support kernel from the fourier
 module, which decides an exhaustive space a block of candidates at a
-time; other alphabets go through the exact CycNum transform.  Sweeps and
-hunts run their checks once per distinct support pair, and a sweep
-tallies each distinct row of verdicts once.
+time; other alphabets take the packed zero test of the exact transform,
+which decodes no value.  Sweeps and hunts run their checks once per
+distinct support pair, and a sweep tallies each distinct row of verdicts
+once.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from operator import itemgetter
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cyclotomic import CycNum, check_prime, format_value, parse_value
-from .fourier import GFunc, fourier_transform, int_support_masks, int_support_stream, twist
+from .fourier import (GFunc, exact_support_masks, int_support_masks, int_support_stream,
+                      twist)
 from .plane import DUAL, PRIMAL, LineSubgroup, Point
 from . import bounds
 from .bounds import EQUALITY, EXCEPTION, VIOLATED
@@ -206,7 +208,6 @@ class SearchSpace(NamedTuple):
     seed: int
     budget: int
     char_twist: bool
-    ceiling: int
 
     @property
     def n_points(self) -> int:
@@ -309,7 +310,7 @@ def make_space(p: int, alphabet: Iterable = (-1, 0, 1), rank: int = 2,
         raise ValueError("mode must be 'exhaustive' or 'random'")
     if mode == "random" and budget < 1:
         raise ValueError("random mode needs a positive budget")
-    space = SearchSpace(p, rank, tuple(entries), mode, seed, budget, char_twist, ceiling)
+    space = SearchSpace(p, rank, tuple(entries), mode, seed, budget, char_twist)
     if mode == "exhaustive" and space.candidate_count > ceiling:
         raise ValueError(f"exhaustive space of {space.candidate_count} candidates exceeds the "
                          f"ceiling {ceiling}")
@@ -379,28 +380,23 @@ def _translate(p: int, rank: int, mask: int, chi: int) -> int:
     return (mask << cx * p | mask >> n - cx * p) & full
 
 
-def _exact_masks(p: int, rank: int, values: Sequence[CycNum]) -> Tuple[int, int]:
-    """(S mask, X mask) by the exact CycNum transform; (0, 0) for zero."""
-    func = GFunc(p, rank, PRIMAL, values)
-    return func.support_mask, func.support_mask and fourier_transform(func).support_mask
-
-
 def _candidates(space: SearchSpace, start: int, stop: int):
     """Yield (ordinal, s_mask, x_mask) for each nonzero candidate with
     start <= ordinal < stop, in ordinal order.
 
     f twisted by chi has transform w -> hat f(w - chi): f's S, and f's X
     translated by chi (_translate, skipped for chi = 0).  So f is decided
-    untwisted, by the integer kernel over int_alphabet or else the exact
-    CycNum transform.  A random space decodes each ordinal to (digits,
-    chi); an exhaustive one runs one stream per character, by
+    untwisted, by the integer kernel over int_alphabet or else
+    fourier.exact_support_masks.  A random space decodes each ordinal to
+    (digits, chi); an exhaustive one runs one stream per character, by
     fourier.int_support_stream or over itertools.product's tuples (last
     position fastest, so tuple k reversed is counter k).
     """
     p, rank = space.p, space.rank
     ints = space.int_alphabet()
     if space.mode == "random":
-        letters, masks = (ints, int_support_masks) if ints else (space.alphabet, _exact_masks)
+        letters, masks = (ints, int_support_masks) if ints else \
+            (space.alphabet, exact_support_masks)
         rng = random.Random()
         for ordinal in range(start, stop):
             digits, chi = space._decode(ordinal, rng)
@@ -414,7 +410,7 @@ def _candidates(space: SearchSpace, start: int, stop: int):
         lo, hi = max(start - first, 0), min(stop - first, count)
         if ints is None:
             rows = map(_REVERSED, islice(product(space.alphabet, repeat=space.n_points), lo, hi))
-            stream = filter(itemgetter(1), ((counter, *_exact_masks(p, rank, values))
+            stream = filter(itemgetter(1), ((counter, *exact_support_masks(p, rank, values))
                                             for counter, values in enumerate(rows, lo)))
         else:
             stream = int_support_stream(p, rank, ints, lo, hi)

@@ -1,6 +1,8 @@
 """Transforms, convolution, coset-restriction identities, Galois action."""
 
+import copy
 import gc
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -10,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primeplane import fourier
-from primeplane.cyclotomic import CycNum, root_of_unity
+from primeplane.cyclotomic import CycNum, format_value, root_of_unity
 from primeplane.fourier import (
     GFunc,
     double_transform,
+    exact_support_masks,
     fourier_transform,
     int_support_masks,
     inverse_transform,
@@ -295,6 +298,122 @@ def test_packed_transform_of_lines_that_sum_to_zero(p):
         assert fh == reference_transform(f)
         *_, points = fourier._line_table(p, 2)[d]
         assert all(fh.values[points[t]].is_zero() for t in range(p))
+
+
+def decoded_mask(values):
+    """The support mask read off decoded CycNums."""
+    return sum(1 << w for w, v in enumerate(values) if not v.is_zero())
+
+
+def zero_test_inputs(p, rank, rng):
+    """Rational and cyclotomic value vectors for the packed zero test: sparse
+    and dense, fractional, past 2^70, constant (every line sum is equal),
+    constant on the lines of one direction (every other direction's line
+    sums are then equal), and with every line of one direction summing to
+    zero."""
+    n = p**rank
+
+    def rational(big=False):
+        v = Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7]))
+        return CycNum.from_rational(p, v + rng.choice([-1, 1]) * 2**75 if big else v)
+
+    def cyclotomic(big=False):
+        coeffs = [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3])) for _ in range(p - 1)]
+        coeffs[0] = rng.choice([-1, 1]) * (2**75 if big else rng.randint(1, 9))
+        coeffs[-1] += 0 if p == 2 else rng.choice([-1, 1])
+        return CycNum(p, coeffs)
+
+    out = [[CycNum.zero(p)] * n]
+    for size, big in [(1, False), (3, False), (n, False), (4, True), (n, True)]:
+        out.append([v if isinstance(v, CycNum) else CycNum.from_rational(p, v)
+                    for v in packed_inputs(p, rank, rng, size, big)])
+        support = rng.sample(range(n), min(size, n))
+        out.append([rational(big) if u in support else CycNum.zero(p) for u in range(n)])
+    line_of = tables(p).coset_id if rank == 2 else [list(range(p))]
+    for d in {0, len(line_of) - 1}:
+        for make in (rational, cyclotomic):
+            out.append([make(big=True)] * n)
+            on_line = [make() for _ in range(p)]
+            out.append([on_line[line_of[d][g]] for g in range(n)])
+            values = [CycNum.zero(p)] * n
+            for k in range(p):
+                members = [g for g in range(n) if line_of[d][g] == k]
+                if len(members) > 1:
+                    u, w = rng.sample(members, 2)
+                    v = make(big=True)
+                    values[u], values[w] = v, -v
+            out.append(values)
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 23])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_packed_zero_test_matches_the_decoded_outputs(p, rank):
+    # the support mask comes from the packed outputs (all p slots equal, or
+    # all p line sums equal); decoding every output must give the same mask
+    rng = random.Random(400 + 10 * p + rank)
+    branches = set()
+    for values in zero_test_inputs(p, rank, rng):
+        n = len(values)
+        packed = fourier._transform(values, p, rank, n)
+        branches.add(packed.width is None)
+        decoded = packed.values()
+        assert packed.mask == decoded_mask(decoded), [format_value(v) for v in values]
+        if p <= 7:
+            f = GFunc(p, rank, PRIMAL, values)
+            assert decoded == list(reference_transform(f).values)
+        assert exact_support_masks(p, rank, values) == \
+            (decoded_mask(values), packed.mask if any(values) else 0)
+    # both branches ran, except at p = 2, where every value is rational
+    assert branches == ({True} if p == 2 else {True, False})
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_lazy_transform_read_in_part_equals_the_eager_decode(p):
+    rng = random.Random(500 + p)
+    for rank in (1, 2):
+        inputs = [packed_inputs(p, rank, rng, p + 1, big) for big in (False, True)] + \
+            [[rng.choice([-1, 0, 1, Fraction(1, 2)]) for _ in range(p**rank)]]
+        for values in inputs:
+            f = GFunc(p, rank, PRIMAL, values)
+            eager = reference_transform(f)
+            fh = fourier_transform(f)
+            assert fh.support_mask == eager.support_mask
+            assert fh.is_zero_function() == eager.is_zero_function()
+            if rank == 2:
+                for g in rng.sample(range(p * p), 5):
+                    point = Point.from_index(p, g, DUAL)
+                    assert fh.value(point) == eager.value(point)
+                chi = Point.from_index(p, rng.randrange(p * p), DUAL)
+                d = rng.randrange(p + 1)
+                H = LineSubgroup(p, d, DUAL)
+                assert restrict_to_coset(fh, chi, H) == restrict_to_coset(eager, chi, H)
+                assert line_sums(fh, chi, d) == line_sums(eager, chi, d)
+            # nothing read so far decoded the whole transform
+            assert fh._values is None
+            assert fh == eager and hash(fh) == hash(eager)
+            assert repr(fh) == repr(eager) and fh.to_literal() == eager.to_literal()
+            assert fh._packed is None and fh.values == eager.values
+            # an unread transform compares as its values, from either side
+            assert eager == fourier_transform(f) and hash(fourier_transform(f)) == hash(eager)
+            assert fourier_transform(f).to_literal() == eager.to_literal()
+
+
+def test_gfunc_pickles_as_its_values():
+    f = GFunc.from_literal("3; 2; 1,z,0,0,1,0,0,0,2")
+    eager = reference_transform(f)
+    partly = fourier_transform(f)
+    assert partly.value(Point(3, 1, 2, DUAL)) == eager.value(Point(3, 1, 2, DUAL))
+    assert partly.support_mask == eager.support_mask
+    for func, want in [(f, f), (fourier_transform(f), eager), (partly, eager),
+                       (twist(f, 4), twist(f, 4))]:
+        again = pickle.loads(pickle.dumps(func))
+        assert again == want and hash(again) == hash(want)
+        assert (again.p, again.rank, again.side) == (want.p, want.rank, want.side)
+        assert again.to_literal() == want.to_literal()
+        assert copy.deepcopy(func) == want
+    with pytest.raises(AttributeError):
+        partly.values = ()
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 23])

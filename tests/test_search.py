@@ -291,7 +291,7 @@ def test_space_pickle_round_trip():
     for space in spaces:
         again = pickle.loads(pickle.dumps(space))
         assert again == space and hash(again) == hash(space)
-        assert again.ceiling == space.ceiling and again.describe() == space.describe()
+        assert again.describe() == space.describe()
         assert [space.values_at(i) for i in range(5)] == [again.values_at(i) for i in range(5)]
 
 
@@ -736,7 +736,7 @@ def test_exact_stream_matches_per_ordinal_route(p, rank, alphabet, twist):
         if all(v.is_zero() for v in values):
             continue
         f = GFunc(p, rank, PRIMAL, values)
-        full.append((ordinal, f.support_mask, fourier_transform(f).support_mask))
+        full.append((ordinal, f.support_mask, decoded_x_mask(f)))
     assert list(search._candidates(space, 0, count)) == full
     # chunks that cross a character, span several, or are empty
     for a, b in [(1, count), (base - 1, base + 1), (base // 2, 2 * base + 3),
@@ -744,6 +744,57 @@ def test_exact_stream_matches_per_ordinal_route(p, rank, alphabet, twist):
         a, b = min(a, count), min(b, count)
         assert list(search._candidates(space, a, b)) == \
             [c for c in full if a <= c[0] < b], (a, b)
+
+
+def decoded_x_mask(f):
+    """The transform's support read off its decoded CycNums."""
+    return sum(1 << w for w, v in enumerate(fourier_transform(f).values) if v)
+
+
+@pytest.mark.parametrize("p, mode, twisted", [
+    (2, "exhaustive", False), (2, "exhaustive", True), (3, "exhaustive", False),
+    (3, "exhaustive", True), (5, "random", False), (5, "random", True), (7, "random", False),
+    (7, "random", True),
+])
+def test_exact_masks_match_the_transform_at_every_ordinal(p, mode, twisted):
+    # the packed zero test the sweep reads against the transform's support
+    # mask and its decoded values, at every ordinal of the 0,1,z spaces
+    space = make_space(p, alphabet=("0", "1", "z") if mode == "exhaustive" else
+                       ("-1", "0", "1", "z"), mode=mode, seed=11, budget=150,
+                       char_twist=twisted)
+    count, base = space.candidate_count, space.base_count
+    if p == 3 and twisted:
+        # 177,147 ordinals: each character's row is the untwisted one
+        # translated, bit by bit here; the twisted transform itself is
+        # taken at a sample of ordinals
+        untwisted = {}
+        for counter in range(base):
+            f = GFunc(p, 2, PRIMAL, space.values_at(counter))
+            if f.support_mask:
+                untwisted[counter] = f.support_mask, decoded_x_mask(f)
+        expected = []
+        for ordinal in range(count):
+            chi, counter = divmod(ordinal, base)
+            if counter in untwisted:
+                s_mask, x_mask = untwisted[counter]
+                cx, cy = divmod(chi, p)
+                moved = sum(1 << (w // p + cx) % p * p + (w + cy) % p
+                            for w in range(p * p) if x_mask >> w & 1)
+                expected.append((ordinal, s_mask, moved))
+        masks = {ordinal: (s_mask, x_mask) for ordinal, s_mask, x_mask in expected}
+        for ordinal in random.Random(12).sample(range(count), 300):
+            f = space.gfunc_at(ordinal)
+            assert masks.get(ordinal, (0, 0)) == \
+                ((f.support_mask, decoded_x_mask(f)) if f.support_mask else (0, 0)), ordinal
+    else:
+        expected = []
+        for ordinal in range(count):
+            f = space.gfunc_at(ordinal)
+            if f.support_mask:
+                x_mask = fourier_transform(f).support_mask
+                assert x_mask == decoded_x_mask(f), ordinal
+                expected.append((ordinal, f.support_mask, x_mask))
+    assert list(search._candidates(space, 0, count)) == expected
 
 
 @pytest.mark.parametrize("p, rank, mode, alphabet", [
@@ -764,7 +815,7 @@ def test_twisted_candidates_translate_the_untwisted_masks(p, rank, mode, alphabe
     for ordinal in range(count):
         f = space.gfunc_at(ordinal)
         if f.support_mask:
-            full.append((ordinal, f.support_mask, fourier_transform(f).support_mask))
+            full.append((ordinal, f.support_mask, decoded_x_mask(f)))
     assert list(search._candidates(space, 0, count)) == full
     # chunks that cross a character, span several, or are empty
     base = space.base_count if mode == "exhaustive" else 100
