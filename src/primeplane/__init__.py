@@ -17,14 +17,13 @@ __version__ = "0.1.0"
 #: the exports, by the module that defines them
 _EXPORTS = {
     "cyclotomic": ("CycNum", "format_value", "is_prime", "parse_value", "root_of_unity"),
-    "plane": ("DUAL", "PRIMAL", "Coset", "LineSubgroup", "Point", "PointSet",
+    "plane": ("DUAL", "PRIMAL", "LineSubgroup", "Point", "PointSet",
               "SearchBudgetExceeded", "bounded_line_direction", "covered_by_lines",
               "directions_determined", "min_blocking_size", "min_line_cover",
               "parse_pointset", "pencil_stability", "rich_direction_search"),
     "fourier": ("GFunc", "fourier_transform", "inverse_transform", "restrict_to_coset",
                 "twist"),
-    "bounds": ("BoundReport", "ExceptionDescriptor", "SupportPair", "check",
-               "classify_exception"),
+    "bounds": ("BoundReport", "ExceptionDescriptor", "SupportPair", "classify_exception"),
     "search": ("Construction", "FrontierMap", "SearchSpace", "attainable_lattice",
                "construct", "frontier", "hunt", "make_space", "sweep"),
 }

@@ -31,17 +31,17 @@ from .fourier import (
 from .plane import (
     DUAL,
     PRIMAL,
-    Coset,
     LineSubgroup,
     Point,
     PointSet,
     _Record,
     canonical_two_line_pair,
-    coset_from_id,
     covered_by_lines,
     line_intersection,
+    line_rep,
     min_line_cover,
     orthogonal_directions,
+    tables,
 )
 
 HOLDS = "holds"
@@ -99,9 +99,12 @@ class SupportPair(NamedTuple):
         """True iff b lines cover S (primal) or X (dual): read from the
         exact covers when they are known, and otherwise decided by the
         search bounded at b lines, which costs far less than finding the
-        minimum cover."""
+        minimum cover.  A line holds p points, so a side of more than b*p
+        points is decided by its size, with no point set built."""
         if self.covers is not None:
             return self.covers[side == DUAL] <= b
+        if (self.s_size if side == PRIMAL else self.x_size) > b * self.p:
+            return False
         return covered_by_lines(self.S if side == PRIMAL else self.X, b)
 
 
@@ -222,10 +225,12 @@ class ExceptionDescriptor(NamedTuple):
         else:
             raise ValueError(f"unknown descriptor kind {self.kind!r}")
         out = [CycNum.zero(p)] * (p * p)
-        sub = LineSubgroup(p, self.direction, PRIMAL)
+        gen = LineSubgroup(p, self.direction, PRIMAL).generator
+        # the line through g is g + t*gen for t = 0..p-1
         for g, chi, c in triples:
-            for z in Coset.through(g, sub).members():
-                out[z.index] = out[z.index] + c.times_root(chi.pair(z))
+            for t in range(p):
+                x, y = (g.x + t * gen.x) % p, (g.y + t * gen.y) % p
+                out[x * p + y] += c.times_root(chi.x * x + chi.y * y)
         return GFunc(p, 2, PRIMAL, out)
 
     def to_json(self) -> dict:
@@ -284,26 +289,25 @@ def _full_line_split(P: PointSet, direction: int) -> List[int]:
 def _classify_one_primal_line(f: GFunc, fhat: GFunc, S: PointSet, X: PointSet,
                               d: int) -> ExceptionDescriptor:
     p = f.p
-    g0 = Point.from_index(p, (S.mask & -S.mask).bit_length() - 1)
-    coset = Coset.through(g0, LineSubgroup(p, d, PRIMAL))
+    offset = line_rep(p, d, tables(p).coset_id[d][(S.mask & -S.mask).bit_length() - 1])
     od = orthogonal_directions(p)[d]
     ids = _full_line_split(X, od)
-    chars = tuple(coset_from_id(p, od, j, DUAL).rep for j in ids)
+    chars = tuple(line_rep(p, od, j, DUAL) for j in ids)
     coeffs = tuple(fhat.value(chi) * p for chi in chars)
     if any(c.is_zero() for c in coeffs):
         raise RuntimeError("vanishing coefficient in a coset-character recovery")
     kind = {1: KIND_SINGLE_COSET_CHARACTER, 2: KIND_TWO_CHARACTERS_ONE_COSET}.get(
         len(chars), KIND_CHARACTERS_ON_ONE_COSET)
     return ExceptionDescriptor(kind=kind, p=p, cover_side=DUAL, direction=d,
-                               offsets=(coset.rep,), characters=chars, coefficients=coeffs)
+                               offsets=(offset,), characters=chars, coefficients=coeffs)
 
 
 def _classify_one_dual_line(f: GFunc, S: PointSet, X: PointSet, e: int) -> ExceptionDescriptor:
     p = f.p
-    chi = coset_from_id(p, e, X.line_counts[e].index(X.size), DUAL).rep
+    chi = line_rep(p, e, X.line_counts[e].index(X.size), DUAL)
     d = orthogonal_directions(p)[e]
     ids = _full_line_split(S, d)
-    offsets = tuple(coset_from_id(p, d, j, PRIMAL).rep for j in ids)
+    offsets = tuple(line_rep(p, d, j) for j in ids)
     if chi.is_origin():
         coeffs = tuple(f.value(g) for g in offsets)
         return ExceptionDescriptor(kind=KIND_H_PERIODIC, p=p, cover_side=DUAL, direction=d,
@@ -327,8 +331,8 @@ def _classify_two_lines(func: GFunc, hat: GFunc, Xs: PointSet,
     hat_side, func_side = hat.side, func.side
     if d1 == d2:
         prim_dir = orthogonal_directions(p)[d1]
-        chi1 = coset_from_id(p, d1, j1, hat_side).rep
-        chi2 = coset_from_id(p, d2, j2, hat_side).rep
+        chi1 = line_rep(p, d1, j1, hat_side)
+        chi2 = line_rep(p, d2, j2, hat_side)
         # <gen, g> is constant on the lines of prim_dir; read it as in twist
         a, b = divmod(LineSubgroup(p, d1, hat_side).generator.index, p)
         comps = []
@@ -911,9 +915,3 @@ def verify(f: GFunc, checks: Sequence[Tuple[str, object]]) -> List[BoundReport]:
         if spec.cover_clause:
             report.details.update(cover_S=pair.covers[0], cover_X=pair.covers[1])
     return reports
-
-
-def check(name: str, f: GFunc, param=None) -> BoundReport:
-    """verify() with one check: the function route of every named check,
-    e.g. check("conjecture", f, 2) or check("asym2", f, Fraction(1, 2))."""
-    return verify(f, [(name, param)])[0]

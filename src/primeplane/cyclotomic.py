@@ -16,7 +16,7 @@ import re
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
-from operator import add, floordiv, mul, neg, sub
+from operator import add, floordiv, mul, sub
 from typing import Sequence, Tuple, Union
 
 Rational = Union[int, Fraction]
@@ -90,14 +90,6 @@ class CycNum:
     def __setattr__(self, name, value):
         raise AttributeError("CycNum is immutable")
 
-    @property
-    def coeffs(self) -> Tuple[Rational, ...]:
-        """The basis coefficients: an int where integral, else a Fraction."""
-        den = self.den
-        if den == 1:
-            return self.num
-        return tuple(Fraction(c, den) if c % den else c // den for c in self.num)
-
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -139,15 +131,6 @@ class CycNum:
             return NotImplemented
         return _combine(self, other, sub)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self):
-        return _make(self.p, tuple(map(neg, self.num)), self.den)
-
     def __mul__(self, other):
         if isinstance(other, CycNum):
             if other.p != self.p:
@@ -167,28 +150,6 @@ class CycNum:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if _is_rational(other):
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
-            n, d = other.numerator, other.denominator
-            if n < 0:
-                n, d = -n, -d
-            return _make(self.p, tuple(map(mul, self.num, repeat(d))), self.den * n)
-        return NotImplemented
-
-    def __pow__(self, n: int) -> "CycNum":
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise ValueError("only nonnegative integer powers are supported")
-        result = CycNum.one(self.p)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def times_root(self, k: int) -> "CycNum":
         """x * zeta^k for any int k: the coefficients of 1, zeta, ...,
@@ -238,9 +199,6 @@ class CycNum:
 
     def __repr__(self):
         return f"CycNum({self.p}, {format_value(self)!r})"
-
-    def __str__(self):
-        return format_value(self)
 
 
 _new = object.__new__

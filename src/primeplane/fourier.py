@@ -15,6 +15,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .cyclotomic import (
     CycNum,
+    _as_coeff,
     _make,
     _reduced_over,
     check_prime,
@@ -62,6 +63,7 @@ class GFunc:
             raise ValueError("rank must be 1 or 2")
         check_side(side)
         n = p**rank
+        zeros = (0,) * (p - 2)
         vals = []
         for v in values:
             if isinstance(v, CycNum):
@@ -69,7 +71,8 @@ class GFunc:
                     raise ValueError(f"value field order {v.p} does not match p={p}")
                 vals.append(v)
             else:
-                vals.append(CycNum.from_rational(p, v))
+                v = _as_coeff(v)
+                vals.append(_make(p, (v.numerator,) + zeros, v.denominator))
         if len(vals) != n:
             raise ValueError(f"need {n} values, got {len(vals)}")
         _fill(self, p, rank, side, tuple(vals), None)
@@ -82,10 +85,6 @@ class GFunc:
         return _gfunc, (self.p, self.rank, self.side, self.values)
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, p: int, rank: int = 2, side: str = PRIMAL) -> "GFunc":
-        return cls(p, rank, side, (0,) * p**rank)
 
     @classmethod
     def from_literal(cls, text: str) -> "GFunc":
@@ -165,23 +164,6 @@ class GFunc:
         self._require_like(other)
         return GFunc(self.p, self.rank, self.side,
                      tuple(a + b for a, b in zip(self.values, other.values)))
-
-    def __sub__(self, other: "GFunc") -> "GFunc":
-        self._require_like(other)
-        return GFunc(self.p, self.rank, self.side,
-                     tuple(a - b for a, b in zip(self.values, other.values)))
-
-    def __neg__(self) -> "GFunc":
-        return GFunc(self.p, self.rank, self.side, tuple(-v for v in self.values))
-
-    def __mul__(self, other):
-        if isinstance(other, GFunc):
-            self._require_like(other)
-            return GFunc(self.p, self.rank, self.side,
-                         tuple(a * b for a, b in zip(self.values, other.values)))
-        return GFunc(self.p, self.rank, self.side, tuple(v * other for v in self.values))
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, GFunc):

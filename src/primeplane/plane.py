@@ -103,31 +103,12 @@ class Point(_Frozen):
     def of(cls, p: int, x: int, y: int, side: str = PRIMAL) -> "Point":
         return cls(p, x % p, y % p, side)
 
-    @classmethod
-    def from_index(cls, p: int, index: int, side: str = PRIMAL) -> "Point":
-        return cls(p, index // p, index % p, side)
-
     @property
     def index(self) -> int:
         return self.x * self.p + self.y
 
     def is_origin(self) -> bool:
         return self.x == 0 and self.y == 0
-
-    def _require_like(self, other: "Point"):
-        if not isinstance(other, Point) or other.p != self.p or other.side != self.side:
-            raise ValueError("points must share p and side")
-
-    def __add__(self, other: "Point") -> "Point":
-        self._require_like(other)
-        return Point.of(self.p, self.x + other.x, self.y + other.y, self.side)
-
-    def __sub__(self, other: "Point") -> "Point":
-        self._require_like(other)
-        return Point.of(self.p, self.x - other.x, self.y - other.y, self.side)
-
-    def __neg__(self) -> "Point":
-        return Point.of(self.p, -self.x, -self.y, self.side)
 
     def scaled(self, t: int) -> "Point":
         return Point.of(self.p, t * self.x, t * self.y, self.side)
@@ -185,61 +166,13 @@ class LineSubgroup(_Frozen):
         return tuple(g.scaled(t) for t in range(self.p))
 
 
-def _canonical_rep(subgroup: LineSubgroup, point: Point) -> Tuple[int, int]:
-    p, d = subgroup.p, subgroup.direction
-    if d == p:
-        return (point.x, 0)
-    return (0, (point.y - d * point.x) % p)
-
-
-class Coset(_Frozen):
-    """A line: a subgroup plus its lexicographically least member."""
-
-    __slots__ = _fields = ("subgroup", "rep")
-    _values = property(attrgetter(*_fields))
-
-    def __init__(self, subgroup: LineSubgroup, rep: Point):
-        if rep.p != subgroup.p or rep.side != subgroup.side:
-            raise ValueError("representative must share p and side with the subgroup")
-        canon = _canonical_rep(subgroup, rep)
-        if (rep.x, rep.y) != canon:
-            rep = Point(subgroup.p, canon[0], canon[1], subgroup.side)
-        _setfield(self, "subgroup", subgroup)
-        _setfield(self, "rep", rep)
-
-    @classmethod
-    def through(cls, point: Point, subgroup: LineSubgroup) -> "Coset":
-        """The line through `point` in the given direction; sides must match."""
-        return cls(subgroup, point)
-
-    @property
-    def p(self) -> int:
-        return self.subgroup.p
-
-    @property
-    def side(self) -> str:
-        return self.subgroup.side
-
-    @property
-    def direction(self) -> int:
-        return self.subgroup.direction
-
-    @property
-    def coset_id(self) -> int:
-        return self.rep.x if self.direction == self.p else self.rep.y
-
-    def members(self) -> Tuple[Point, ...]:
-        return tuple(self.rep + h for h in self.subgroup.members())
-
-    def mask(self) -> int:
-        return tables(self.p).coset_masks[self.direction][self.coset_id]
-
-
-def coset_from_id(p: int, direction: int, coset_id: int, side: str = PRIMAL) -> Coset:
-    sub = LineSubgroup(p, direction, side)
+def line_rep(p: int, direction: int, coset_id: int, side: str = PRIMAL) -> Point:
+    """The least point of the line of `direction` that tables(p).coset_id
+    numbers `coset_id`: (coset_id, 0) for the vertical direction p, and
+    (0, coset_id) otherwise."""
     if direction == p:
-        return Coset(sub, Point(p, coset_id, 0, side))
-    return Coset(sub, Point(p, 0, coset_id, side))
+        return Point(p, coset_id, 0, side)
+    return Point(p, 0, coset_id, side)
 
 
 class PointSet(_Frozen):
@@ -257,14 +190,6 @@ class PointSet(_Frozen):
         _setfield(self, "p", p)
         _setfield(self, "side", side)
         _setfield(self, "mask", mask)
-
-    @classmethod
-    def empty(cls, p: int, side: str = PRIMAL) -> "PointSet":
-        return cls(p, side, 0)
-
-    @classmethod
-    def full(cls, p: int, side: str = PRIMAL) -> "PointSet":
-        return cls(p, side, (1 << (p * p)) - 1)
 
     @classmethod
     def from_pairs(cls, p: int, pairs: Iterable[Tuple[int, int]]) -> "PointSet":
@@ -288,7 +213,7 @@ class PointSet(_Frozen):
         without a call.
 
         line_counts[d][j] is the number of points of the set on line j of
-        direction d (coset ids as in coset_from_id); every structural query
+        direction d (coset ids as in tables); every structural query
         on a set's lines reads this one census.  line_profile is (least,
         empty): least[d] is the fewest points on a line of direction d that
         meets the set (0 for the empty set) and empty[d] the number of lines

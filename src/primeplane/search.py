@@ -290,6 +290,8 @@ def make_space(p: int, alphabet: Iterable = (-1, 0, 1), rank: int = 2,
     """The space over an alphabet of ints, Fractions, value literals or
     CycNums, each value checked here once."""
     check_prime(p)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     entries = []
     for item in alphabet:
         if isinstance(item, CycNum):

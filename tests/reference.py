@@ -25,6 +25,7 @@ from primeplane.bounds import (
     _orthogonal_coset_pair,
     _periodic_directions,
     spec_for,
+    verify,
 )
 from primeplane.cyclotomic import CycNum, _reduced_over
 from primeplane.fourier import (
@@ -40,7 +41,7 @@ from primeplane.plane import (
     LineSubgroup,
     Point,
     PointSet,
-    coset_from_id,
+    line_rep,
     opposite_side,
     orthogonal_direction,
     tables,
@@ -144,9 +145,48 @@ def convolve(f1, f2, normalize):
     return GFunc(p, f1.rank, f1.side, [_reduced_over(p, row, divisor) for row in acc])
 
 
-def coset_indicator(coset):
-    mask = coset.mask()
-    return GFunc(coset.p, 2, coset.side, [mask >> g & 1 for g in range(coset.p**2)])
+def check(name, f, param=None):
+    """The report of one named check on f, by verify."""
+    return verify(f, [(name, param)])[0]
+
+
+def pointwise(f1, f2):
+    """The pointwise product of two functions on one side."""
+    return GFunc(f1.p, f1.rank, f1.side, [a * b for a, b in zip(f1.values, f2.values)])
+
+
+def basis_coeffs(x):
+    """The basis coefficients of a CycNum: an int where integral, else a Fraction."""
+    return tuple(Fraction(c, x.den) if c % x.den else c // x.den for c in x.num)
+
+
+def plus(a, b):
+    """The sum of two points of one side."""
+    return Point.of(a.p, a.x + b.x, a.y + b.y, a.side)
+
+
+def point_at(p, index, side=PRIMAL):
+    return Point(p, index // p, index % p, side)
+
+
+def line_id(H, g):
+    """The coset id of the line of H's direction through the point g."""
+    return tables(H.p).coset_id[H.direction][g.index]
+
+
+def line_points(H, g):
+    """The points rep + t*gen, t = 0..p-1, of the line of H's direction
+    through g, for rep the line's least point and gen H's generator."""
+    p, gen = H.p, H.generator
+    rep = line_rep(p, H.direction, line_id(H, g), g.side)
+    return tuple(Point.of(p, rep.x + t * gen.x, rep.y + t * gen.y, g.side) for t in range(p))
+
+
+def coset_indicator(H, g):
+    """1 on the line of H's direction through g, on g's side."""
+    p = H.p
+    mask = tables(p).coset_masks[H.direction][line_id(H, g)]
+    return GFunc(p, 2, g.side, [mask >> i & 1 for i in range(p * p)])
 
 
 def coset_restriction_transform(f, g, H, fhat=None):
@@ -161,7 +201,7 @@ def coset_restriction_transform(f, g, H, fhat=None):
     a = gen.pair(g)
     vals = [None] * (p * p)
     for j in range(p):
-        rep = coset_from_id(p, perp.direction, j, DUAL).rep
+        rep = line_rep(p, perp.direction, j, DUAL)
         total = line_sums(fhat, rep, perp.direction)[a] * Fraction(1, p)
         for s in range(p):
             vals[(rep.x + s * gen.x) % p * p + (rep.y + s * gen.y) % p] = total.times_root(-s * a)
@@ -177,7 +217,7 @@ def coset_sum_identity(f, g, H, chi, fhat=None):
     lhs = line_sums(fhat, chi, perp.direction)[perp.generator.pair(g)]
     rhs = CycNum.zero(f.p)
     for h in H.members():
-        rhs = rhs + f.value(g + h).times_root(-chi.pair(h))
+        rhs = rhs + f.value(plus(g, h)).times_root(-chi.pair(h))
     return lhs == rhs.times_root(-chi.pair(g)) * Fraction(1, f.p)
 
 

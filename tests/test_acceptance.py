@@ -15,7 +15,6 @@ from primeplane.bounds import (
     EQUALITY,
     HOLDS,
     VIOLATED,
-    check,
     classify_exception,
 )
 from primeplane.cyclotomic import CycNum, root_of_unity
@@ -23,7 +22,6 @@ from primeplane.fourier import GFunc, fourier_transform, inverse_transform
 from primeplane.plane import (
     DUAL,
     PRIMAL,
-    Coset,
     LineSubgroup,
     Point,
     PointSet,
@@ -45,13 +43,17 @@ from primeplane.search import (
 from reference import (
     character_on_cosets,
     characters_on_one_coset,
+    check,
     convolve,
     coset_indicator,
     coset_restriction_transform,
     contains,
     coset_sum_identity,
     detail,
+    line_id,
     orthogonal,
+    point_at,
+    pointwise,
     rational_support_closure,
     two_nonparallel_lines,
     two_parallel_lines,
@@ -231,12 +233,12 @@ def test_c08_identity_suite_1000_functions_per_prime():
             fh = fourier_transform(f)
             assert inverse_transform(fh) == f
             assert f.support_size * fh.support_size >= p * p
-            assert fourier_transform(convolve(f, prev, True)) == fh * prev_hat
-            assert fourier_transform(f * prev) == convolve(fh, prev_hat, False)
-            g = Point.from_index(p, rng.randrange(p * p))
+            assert fourier_transform(convolve(f, prev, True)) == pointwise(fh, prev_hat)
+            assert fourier_transform(pointwise(f, prev)) == convolve(fh, prev_hat, False)
+            g = point_at(p, rng.randrange(p * p))
             H = LineSubgroup(p, rng.randrange(p + 1))
-            chi = Point.from_index(p, rng.randrange(p * p), DUAL)
-            direct = fourier_transform(f * coset_indicator(Coset.through(g, H)))
+            chi = point_at(p, rng.randrange(p * p), DUAL)
+            direct = fourier_transform(pointwise(f, coset_indicator(H, g)))
             assert coset_restriction_transform(f, g, H, fh) == direct
             assert coset_sum_identity(f, g, H, chi, fh)
             if f.is_rational_valued():
@@ -254,8 +256,7 @@ def _rand_distinct_cosets(p, direction, count, rng, side=PRIMAL):
     seen = set()
     while len(picks) < count:
         pt = (rng.randrange(p), rng.randrange(p))
-        rep = Coset.through(Point(p, *pt, side=side),
-                            LineSubgroup(p, direction, side)).rep
+        rep = line_id(LineSubgroup(p, direction, side), Point(p, *pt, side=side))
         if rep not in seen:
             seen.add(rep)
             picks.append(pt)

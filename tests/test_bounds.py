@@ -13,7 +13,6 @@ from primeplane.bounds import (
     HOLDS,
     VIOLATED,
     SupportPair,
-    check,
     classify_exception,
 )
 from primeplane.cyclotomic import CycNum, root_of_unity
@@ -21,22 +20,24 @@ from primeplane.fourier import GFunc, fourier_transform
 from primeplane.plane import (
     DUAL,
     PRIMAL,
-    Coset,
     LineSubgroup,
     Point,
     PointSet,
     covered_by_lines,
     orthogonal_direction,
+    tables,
 )
 from primeplane.search import character_coset, diff_of_subgroups, pm_two_cosets, triple_subgroups
 from reference import (
     character_on_cosets,
+    check,
     characters_on_one_coset,
     constant,
     contains,
     coset_indicator,
     delta,
     detail,
+    line_id,
     orthogonal,
     quasicharacter,
     single_coset_character,
@@ -46,7 +47,7 @@ from reference import (
 
 
 def subgroup_indicator(p, d=0):
-    return coset_indicator(Coset.through(Point(p, 0, 0), LineSubgroup(p, d)))
+    return coset_indicator(LineSubgroup(p, d), Point(p, 0, 0))
 
 
 def profile(f):
@@ -58,8 +59,7 @@ def profile(f):
 def line_count(pair, g, direction):
     """Number of support points on the direction-d line through g, read
     from the census of S."""
-    line = Coset.through(g, LineSubgroup(pair.p, direction, PRIMAL))
-    return pair.S.line_counts[direction][line.coset_id]
+    return pair.S.line_counts[direction][line_id(LineSubgroup(pair.p, direction), g)]
 
 
 def profile_at(pair, d):
@@ -196,9 +196,7 @@ def test_rational_exception_branches():
     assert "nonzero value sum" in rep.details["note"]
 
     # zero-sum periodic function: X is the punctured orthogonal subgroup
-    sub = LineSubgroup(p, 0)
-    f = coset_indicator(Coset.through(Point(p, 0, 0), sub)) - \
-        coset_indicator(Coset.through(Point(p, 0, 1), sub))
+    f = GFunc(p, 2, PRIMAL, [(j == 0) - (j == 1) for j in tables(p).coset_id[0]])
     rep2 = check("rational", f)
     assert rep2.verdict == EXCEPTION
     assert rep2.details["stated_support_matches"]
@@ -442,7 +440,7 @@ def test_coset_counts_on_gallery_families():
 
 def test_zero_function_rejected():
     with pytest.raises(ValueError):
-        check("product", GFunc.zero(3, 2, PRIMAL))
+        check("product", GFunc(3, 2, PRIMAL, [0] * 9))
 
 
 def test_rank1_rejected_by_plane_checks():
@@ -474,8 +472,7 @@ def test_classify_coset_characters_round_trip():
             seen = set()
             while len(chis) < k:
                 chi = (rng.randrange(p), rng.randrange(p))
-                rep = Coset.through(Point(p, *chi, side=DUAL),
-                                    LineSubgroup(p, perp_dir, DUAL)).rep
+                rep = line_id(LineSubgroup(p, perp_dir, DUAL), Point(p, *chi, side=DUAL))
                 if rep not in seen:
                     seen.add(rep)
                     chis.append(chi)
@@ -507,7 +504,7 @@ def test_classify_character_cosets_round_trip():
             seen = set()
             while len(offsets) < k:
                 g = (rng.randrange(p), rng.randrange(p))
-                rep = Coset.through(Point(p, *g), LineSubgroup(p, d)).rep
+                rep = line_id(LineSubgroup(p, d), Point(p, *g))
                 if rep not in seen:
                     seen.add(rep)
                     offsets.append(g)
@@ -526,9 +523,7 @@ def test_classify_character_cosets_round_trip():
 
 def test_classify_h_periodic():
     p = 3
-    sub = LineSubgroup(p, 1)
-    f = coset_indicator(Coset.through(Point(p, 0, 0), sub)) * 2 - \
-        coset_indicator(Coset.through(Point(p, 0, 1), sub))
+    f = GFunc(p, 2, PRIMAL, [2 * (j == 0) - (j == 1) for j in tables(p).coset_id[1]])
     desc = classify_exception(f)
     assert desc.kind == "H-periodic"
     assert desc.direction == 1
@@ -544,8 +539,9 @@ def test_classify_two_parallel_round_trip_and_sandwich():
         while True:
             c1 = (rng.randrange(p), rng.randrange(p))
             c2 = (rng.randrange(p), rng.randrange(p))
-            r1 = Coset.through(Point(p, *c1, side=DUAL), LineSubgroup(p, perp_dir, DUAL)).rep
-            r2 = Coset.through(Point(p, *c2, side=DUAL), LineSubgroup(p, perp_dir, DUAL)).rep
+            perp = LineSubgroup(p, perp_dir, DUAL)
+            r1 = line_id(perp, Point(p, *c1, side=DUAL))
+            r2 = line_id(perp, Point(p, *c2, side=DUAL))
             if r1 != r2:
                 break
         vals1 = [rng.choice([0, 1, 2]) for _ in range(p)]
@@ -636,7 +632,7 @@ def test_classifier_total_on_p3_slice():
 
 def test_classifier_rejects_zero_and_rank1():
     with pytest.raises(ValueError):
-        classify_exception(GFunc.zero(3, 2, PRIMAL))
+        classify_exception(GFunc(3, 2, PRIMAL, [0] * 9))
     with pytest.raises(ValueError):
         classify_exception(GFunc(3, 1, PRIMAL, [1, 0, 0]))
 

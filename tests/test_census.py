@@ -29,7 +29,6 @@ from primeplane.bounds import (
 from primeplane.plane import (
     DUAL,
     PRIMAL,
-    Coset,
     LineSubgroup,
     Point,
     PointSet,
@@ -40,6 +39,7 @@ from primeplane.plane import (
     pencil_stability,
     tables,
 )
+from reference import line_id, point_at
 
 PRIMES = (2, 3, 5, 7)
 
@@ -251,7 +251,8 @@ def split_or_raise(split, P: PointSet, d: int):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_line_counts_match_the_comprehension(p, data):
-    for P in (PointSet.empty(p), PointSet.full(p), data.draw(point_sets(p))):
+    for P in (PointSet(p, PRIMAL, 0), PointSet(p, PRIMAL, (1 << p * p) - 1),
+              data.draw(point_sets(p))):
         assert P.line_counts == reference_line_counts(P)
         assert P.size == P.mask.bit_count()
 
@@ -277,7 +278,7 @@ def test_line_profile_matches_a_recount(p, data):
 @pytest.mark.parametrize("p", PRIMES + (11, 13))
 @pytest.mark.parametrize("side", (PRIMAL, DUAL))
 def test_line_profile_of_fixed_sets(p, side):
-    empty, full = PointSet.empty(p, side), PointSet.full(p, side)
+    empty, full = PointSet(p, side, 0), PointSet(p, side, (1 << p * p) - 1)
     assert empty.line_profile == ((0,) * (p + 1), (p,) * (p + 1))
     assert full.line_profile == ((p,) * (p + 1), (0,) * (p + 1))
     for i in range(p * p):
@@ -357,8 +358,8 @@ def test_support_pair_predicates_match_mask_scans(p, data):
         o = orthogonal_direction(p, e)
         assert (n_S[e], p - z_S[e], n_X[o], p - z_X[o]) == profile[e]
         assert pair.X.line_counts[o].count(1) == reference_isolated_count(X, e)
-    g = Point.from_index(p, data.draw(st.integers(0, p * p - 1)))
-    assert pair.S.line_counts[d][Coset.through(g, LineSubgroup(p, d)).coset_id] == \
+    g = point_at(p, data.draw(st.integers(0, p * p - 1)))
+    assert pair.S.line_counts[d][line_id(LineSubgroup(p, d), g)] == \
         reference_line_count(S, g, d)
     assert _orthogonal_coset_pair(p, S, X) == reference_orthogonal_coset_pair(p, S, X)
     assert _coset_pair_exception(p, S, X) == reference_coset_pair_exception(p, S, X)

@@ -460,6 +460,15 @@ def test_sweep_decides_cover_clauses_without_exact_covers(capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "d349f0e7f6262eff1d60383bd3d5c6a2805713f6e17ae65e783f0fd194839aa3"
     assert counts["min_line_cover"] == 0
+    # the smaller side of every candidate here has more than 2p points, so
+    # each cover clause is decided by its size, with no search
+    assert counts["covered_by_lines"] == 0
+    counts.clear()
+    code, out, err = run_cli(capsys, "sweep", "--p", "3", "--alphabet=-1,0,1",
+                             "--theorem", "conjecture", "--theorem", "roots",
+                             "--theorem", "asym3", "--k", "2", "--epsilon", "1/2")
+    assert code == EXIT_OK, err
+    assert counts["min_line_cover"] == 0
     assert counts["covered_by_lines"] > 0
 
 
@@ -640,6 +649,17 @@ def test_bad_parameters_rejected_on_an_empty_space(capsys):
     assert code == EXIT_USAGE and "k must be an integer in [1, 3]" in err
     code, out, err = run_cli(capsys, *empty, "--theorem", "asym2", "--epsilon", "2")
     assert code == EXIT_USAGE and "epsilon must lie strictly between 0 and 1" in err
+
+
+def test_negative_seed_is_a_usage_error(capsys):
+    # random.seed drops the sign of an int, so seed -s would draw seed s's
+    # candidates
+    for argv in (["sweep", "--theorem", "product"], ["hunt", "--theorem", "product"],
+                 ["frontier"]):
+        code, out, err = run_cli(capsys, argv[0], "--p", "3", "--mode", "random",
+                                 "--seed", "-1", *argv[1:])
+        assert code == EXIT_USAGE, argv
+        assert out == "" and err == "primeplane: error: seed must be nonnegative, got -1\n"
 
 
 def test_jobs_below_one_is_a_usage_error(capsys):

@@ -15,12 +15,12 @@ SRC = Path(primeplane.__file__).resolve().parent.parent
 #: the package's exports and modules, as `from primeplane import *` binds them
 STAR_NAMES = {
     "CycNum", "format_value", "is_prime", "parse_value", "root_of_unity",
-    "DUAL", "PRIMAL", "Coset", "LineSubgroup", "Point", "PointSet", "SearchBudgetExceeded",
+    "DUAL", "PRIMAL", "LineSubgroup", "Point", "PointSet", "SearchBudgetExceeded",
     "bounded_line_direction", "covered_by_lines", "directions_determined",
     "min_blocking_size", "min_line_cover", "parse_pointset", "pencil_stability",
     "rich_direction_search",
     "GFunc", "fourier_transform", "inverse_transform", "restrict_to_coset", "twist",
-    "BoundReport", "ExceptionDescriptor", "SupportPair", "check", "classify_exception",
+    "BoundReport", "ExceptionDescriptor", "SupportPair", "classify_exception",
     "Construction", "FrontierMap", "SearchSpace", "attainable_lattice", "construct",
     "frontier", "hunt", "make_space", "sweep",
     "cyclotomic", "plane", "fourier", "bounds", "search",

