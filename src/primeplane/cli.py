@@ -80,6 +80,9 @@ EXIT_BUDGET = 75
 
 CEILING_ENV = "PRIMEPLANE_CEILING"
 
+#: emit-curves' largest p; its output grows as p^3, to 4,986,775 rows (159 MB) at p = 211
+EMIT_CURVES_MAX_P = 211
+
 # Every report's config has always carried these six values, whatever the
 # subcommand (even "rank": 2 on a rank-1 verify), and the recorded report
 # digests depend on them; flags given override them.
@@ -266,6 +269,8 @@ def _cmd_emit_curves(args) -> int:
     if args.p is None:
         raise ValueError("emit-curves requires --p")
     check_prime(args.p)
+    if args.p > EMIT_CURVES_MAX_P:
+        raise ValueError(f"emit-curves takes p <= {EMIT_CURVES_MAX_P}, got {args.p}")
     _load("bounds", "search")
     rows = (f"{name},{s},{x}\n" for name, s, x in _curve_rows(args.p))
     _emit(chain(("curve,s,x\n",), rows), args)

@@ -177,6 +177,8 @@ class CycNum:
         return Fraction(self.num[0], self.den)
 
     def __eq__(self, other):
+        if other.__class__ is CycNum and other.p == self.p:  # canonical representations
+            return self.den == other.den and self.num == other.num
         # Q(zeta_p) meets Q(zeta_q) in Q, so across fields only rationals are equal
         if isinstance(other, CycNum) and other.p != self.p and other.is_rational():
             other = other.rational_value()
@@ -224,6 +226,10 @@ def _make(p: int, num: Tuple[int, ...], den: int) -> CycNum:
 
 def _combine(x: CycNum, y: CycNum, op) -> CycNum:
     """x + y or x - y for op add or sub, over the lcm of the two denominators."""
+    if not any(y.num):
+        return x
+    if op is add and not any(x.num):
+        return y
     a, b = x.den, y.den
     if a == b:
         return _make(x.p, tuple(map(op, x.num, y.num)), a)

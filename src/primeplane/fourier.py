@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, islice, product, repeat
 from math import lcm
-from operator import itemgetter, lshift, or_
+from operator import attrgetter, itemgetter, lshift, or_
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .cyclotomic import (
@@ -34,6 +34,9 @@ from .plane import (
 )
 
 ValueLike = Union[CycNum, int, Fraction]
+
+_num = attrgetter("num")
+_num_den = attrgetter("num", "den")
 
 
 @lru_cache(maxsize=None)
@@ -64,15 +67,20 @@ class GFunc:
         check_side(side)
         n = p**rank
         zeros = (0,) * (p - 2)
+        made: Dict[Union[int, Fraction], CycNum] = {}  # each distinct int or Fraction, once
         vals = []
         for v in values:
-            if isinstance(v, CycNum):
+            if v.__class__ is int or v.__class__ is Fraction:
+                if v not in made:
+                    c = _as_coeff(v)
+                    made[v] = _make(p, (c.numerator,) + zeros, c.denominator)
+                v = made[v]
+            elif isinstance(v, CycNum):
                 if v.p != p:
                     raise ValueError(f"value field order {v.p} does not match p={p}")
-                vals.append(v)
             else:
-                v = _as_coeff(v)
-                vals.append(_make(p, (v.numerator,) + zeros, v.denominator))
+                v = CycNum.from_rational(p, v)  # an int subclass, or the TypeError of any other
+            vals.append(v)
         if len(vals) != n:
             raise ValueError(f"need {n} values, got {len(vals)}")
         _fill(self, p, rank, side, tuple(vals), None)
@@ -105,7 +113,10 @@ class GFunc:
         return cls(p, rank, PRIMAL, values)
 
     def to_literal(self) -> str:
-        return f"{self.p}; {self.rank}; " + ",".join(format_value(v) for v in self.values)
+        # each distinct value formatted once, keyed by its canonical (num, den)
+        keys = list(map(_num_den, self.values))
+        text = {key: format_value(v) for key, v in dict(zip(keys, self.values)).items()}
+        return f"{self.p}; {self.rank}; " + ",".join(map(text.__getitem__, keys))
 
     # -- access ------------------------------------------------------------
 
@@ -135,7 +146,7 @@ class GFunc:
         values = self._values
         if values is None:
             return self._packed.mask
-        return sum(compress(_point_bits(len(values)), values))
+        return sum(compress(_point_bits(len(values)), map(any, map(_num, values))))
 
     @property
     def support_size(self) -> int:
@@ -206,24 +217,26 @@ def twist(f: GFunc, chi: int) -> GFunc:
     if not 0 <= chi < n:
         raise ValueError(f"character index must lie in [0, {n}), got {chi!r}")
     a, b = divmod(chi, p)
-    return _gfunc(p, f.rank, f.side, tuple([v.times_root(a * (g // p) + b * g)
-                                            for g, v in enumerate(f.values)]))
+    return _gfunc(p, f.rank, f.side, tuple([v.times_root(a * (g // p) + b * g) if any(v.num)
+                                            else v for g, v in enumerate(f.values)]))
 
 
 # -- transforms ----------------------------------------------------------------
 
 
-def _scaled_int_coeffs(values: Sequence[CycNum]) -> Tuple[List[Tuple[int, ...]], int]:
-    """Coefficient vectors scaled by the common denominator, as exact ints.
+def _scaled_support(values: Sequence[CycNum]) -> Tuple[List[Tuple[int, Tuple[int, ...]]], int]:
+    """(u, coefficient vector) for each nonzero value u, scaled by the
+    common denominator as exact ints, and that denominator.
 
-    The hot loops below then run in plain integer arithmetic; the single
-    denominator is divided back out when the results are reduced.
+    The hot loops below then run in plain integer arithmetic on the
+    support; the denominator is divided back out when the results are reduced.
     """
-    den = lcm(*{v.den for v in values})
+    support = list(compress(enumerate(values), map(any, map(_num, values))))
+    den = lcm(*{v.den for _, v in support})
     if den == 1:
-        return [v.num for v in values], 1
-    return [v.num if v.den == den else tuple(c * (den // v.den) for c in v.num)
-            for v in values], den
+        return [(u, v.num) for u, v in support], 1
+    return [(u, v.num if v.den == den else tuple(c * (den // v.den) for c in v.num))
+            for u, v in support], den
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -327,7 +340,9 @@ class _Packed:
         return _reduced_over(p, list(map(int.from_bytes, parts, repeat("big", p))), self.divisor)
 
     def values(self) -> List[CycNum]:
-        return [self.value(v) for v in range(self.p**self.rank)]
+        zero, mask = _make(self.p, (0,) * (self.p - 1), 1), self.mask  # zero off the mask
+        return [self.value(v) if bit & mask else zero
+                for v, bit in enumerate(_point_bits(self.p**self.rank))]
 
 
 def _transform(values: Sequence[CycNum], p: int, rank: int, scale: int) -> _Packed:
@@ -363,8 +378,7 @@ def _transform(values: Sequence[CycNum], p: int, rank: int, scale: int) -> _Pack
     every slot carries p^rank times.  Either way that is O(p^3) big-int
     operations at rank 2, and no table beyond O(p^2) is kept.
     """
-    scaled, den = _scaled_int_coeffs(values)
-    support = [(u, c) for u, c in enumerate(scaled) if any(c)]
+    support, den = _scaled_support(values)
     total = tuple(map(sum, zip(*(c for _, c in support)))) if support else (0,) * (p - 1)
     bits = _point_bits(len(values))
     mask = 1 if any(total) else 0
@@ -426,7 +440,8 @@ def double_transform(f: GFunc) -> GFunc:
     """The transform taken twice, in O(|G|): by inversion it is
     g -> f(-g)/|G|, on f's own side."""
     scale = Fraction(1, len(f.values))
-    return _gfunc(f.p, f.rank, f.side, tuple([v * scale for v in _at_multiple(f.values, f.p, -1)]))
+    return _gfunc(f.p, f.rank, f.side, tuple([v * scale if any(v.num) else v
+                                              for v in _at_multiple(f.values, f.p, -1)]))
 
 
 @lru_cache(maxsize=None)
@@ -482,7 +497,7 @@ def exact_support_masks(p: int, rank: int, values: Sequence[CycNum]) -> Tuple[in
     """Support masks (function, transform) for CycNum values of field p,
     the transform's by _transform's packed zero test: no output is decoded
     and no GFunc is built.  (0, 0) for the zero function."""
-    s_mask = sum(compress(_point_bits(len(values)), values))
+    s_mask = sum(compress(_point_bits(len(values)), map(any, map(_num, values))))
     return s_mask, s_mask and _transform(values, p, rank, 1).mask
 
 

@@ -126,9 +126,11 @@ def sharp_pair_2d(p: int, m: int, n: int) -> Construction:
     f1 = sharp_pair_1d(p, m).func
     f2 = sharp_pair_1d(p, p + 1 - n).func
     vals = [CycNum.zero(p)] * (p * p)
-    for x in range(p):
-        for y in range(p):
-            vals[x * p + y] = f1.values[x] * f2.values[y]
+    column = [(y, b) for y, b in enumerate(f2.values) if b]  # m(p + 1 - n) nonzero products
+    for x, a in enumerate(f1.values):
+        if a:
+            for y, b in column:
+                vals[x * p + y] = a * b
     return Construction("sharp2d", GFunc(p, 2, PRIMAL, vals),
                         (m * (p + 1 - n), n * (p + 1 - m)))
 

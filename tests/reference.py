@@ -27,11 +27,11 @@ from primeplane.bounds import (
     spec_for,
     verify,
 )
-from primeplane.cyclotomic import CycNum, _reduced_over
+from primeplane.cyclotomic import CycNum, _is_rational, _reduced_over, format_value
 from primeplane.fourier import (
     GFunc,
     _at_multiple,
-    _scaled_int_coeffs,
+    _scaled_support,
     fourier_transform,
     line_sums,
 )
@@ -120,29 +120,94 @@ def detail(desc, key):
     return dict(desc.details).get(key)
 
 
+# -- the exact layer's per-point routes, the oracles of its sparse ones ----------------
+
+
+def gfunc_values(p, values):
+    """The values GFunc(p, rank, side, values) holds, each converted on its
+    own: a CycNum of field p as it is, anything else by from_rational,
+    which raises TypeError for a bool, a float or a str."""
+    out = []
+    for v in values:
+        if isinstance(v, CycNum):
+            if v.p != p:
+                raise ValueError(f"value field order {v.p} does not match p={p}")
+            out.append(v)
+        else:
+            out.append(CycNum.from_rational(p, v))
+    return tuple(out)
+
+
+def cycnum_eq(x, other):
+    """x.__eq__(other), decided by the rational and field tests alone."""
+    if isinstance(other, CycNum) and other.p != x.p and other.is_rational():
+        other = other.rational_value()
+    if _is_rational(other):
+        return x.is_rational() and x.rational_value() == other
+    if not isinstance(other, CycNum):
+        return NotImplemented
+    return x.p == other.p and x.den == other.den and x.num == other.num
+
+
+def support_mask(f):
+    """The bits of the points whose value is truthy."""
+    return sum(1 << g for g, v in enumerate(f.values) if v)
+
+
+def to_literal(f):
+    """The literal 'p; rank; v0,v1,...', every value formatted."""
+    return f"{f.p}; {f.rank}; " + ",".join(format_value(v) for v in f.values)
+
+
+def twist_values(f, chi):
+    """f(g) * zeta^<chi, g> at every point g, zeros included."""
+    a, b = divmod(chi, f.p)
+    return tuple(v.times_root(a * (g // f.p) + b * g) for g, v in enumerate(f.values))
+
+
+def double_transform_values(f):
+    """f(-g) / |G| at every point g, zeros included."""
+    scale = Fraction(1, len(f.values))
+    return tuple(v * scale for v in _at_multiple(f.values, f.p, -1))
+
+
 def convolve(f1, f2, normalize):
     """sum over g1 + g2 = g of f1(g1) f2(g2), divided by |G| when
-    normalize (the primal side) and not otherwise (the dual side).  The
-    products run on the integer coefficient vectors, each function scaled
-    by its common denominator."""
+    normalize (the primal side) and not otherwise (the dual side).
+
+    The products run on packed ints: each nonzero value's coefficient
+    vector, scaled by its function's common denominator, is one int with
+    coefficient e in bits [e*W, (e+1)*W), so a pair of support points costs
+    one big-int multiply.  A slot of an output sums at most
+    min(|S1|, |S2|) * (p - 1) products of two coefficients, each at most
+    top^2, which W bits hold with a sign bit to spare; each output's
+    2p - 1 slots are cut out once, biased to be nonnegative, and folded by
+    zeta^p = 1."""
     p, n = f1.p, len(f1.values)
-    scaled1, den1 = _scaled_int_coeffs(f1.values)
-    scaled2, den2 = _scaled_int_coeffs(f2.values)
-    supp2 = [(i, c) for i, c in enumerate(scaled2) if any(c)]
-    acc = [[0] * p for _ in range(n)]
-    for i1, c1 in enumerate(scaled1):
-        if not any(c1):
-            continue
-        for i2, c2 in supp2:
-            row = acc[(i1 // p + i2 // p) % p * p + (i1 + i2) % p]
-            for t1, a in enumerate(c1):
-                if a:
-                    for t2, b in enumerate(c2):
-                        if b:
-                            s = t1 + t2
-                            row[s - p if s >= p else s] += a * b
+    supp1, den1 = _scaled_support(f1.values)
+    supp2, den2 = _scaled_support(f2.values)
+    top = max((abs(c) for _, cs in supp1 + supp2 for c in cs), default=0)
+    width = (min(len(supp1), len(supp2)) * (p - 1) * top * top).bit_length() + 1
+
+    def pack(support):
+        return [(g, sum(c << e * width for e, c in enumerate(cs))) for g, cs in support]
+
+    acc = [0] * n
+    packed2 = pack(supp2)
+    for g1, x1 in pack(supp1):
+        for g2, x2 in packed2:
+            acc[(g1 // p + g2 // p) % p * p + (g1 + g2) % p] += x1 * x2
+    bias, low = 1 << width - 1, (1 << width) - 1
+    biases = sum(bias << e * width for e in range(2 * p - 1))
     divisor = den1 * den2 * (n if normalize else 1)
-    return GFunc(p, f1.rank, f1.side, [_reduced_over(p, row, divisor) for row in acc])
+    out = []
+    for x in acc:
+        x += biases
+        row = [0] * p
+        for e in range(2 * p - 1):
+            row[e % p] += (x >> e * width & low) - bias
+        out.append(_reduced_over(p, row, divisor))
+    return GFunc(p, f1.rank, f1.side, out)
 
 
 def check(name, f, param=None):

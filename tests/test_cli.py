@@ -250,6 +250,20 @@ def test_emit_curves_streams_its_rows(tmp_path):
         "a72d44b0c437d6411b41da3195d8922e87b9458c8277fa64b1527f65f173042e"
 
 
+def test_emit_curves_above_its_largest_p_is_a_usage_error(capsys, tmp_path):
+    # the output grows as p^3; above p = 211 the command writes nothing,
+    # not even to --out, and says why in one line
+    assert cli.EMIT_CURVES_MAX_P == 211
+    out = tmp_path / "curves.csv"
+    for p in ("223", "2147483647"):
+        code, stdout, err = run_cli(capsys, "emit-curves", "--p", p, "--out", str(out))
+        assert (code, stdout) == (EXIT_USAGE, "")
+        assert err == f"primeplane: error: emit-curves takes p <= 211, got {p}\n"
+        assert not out.exists()
+    code, _, err = run_cli(capsys, "emit-curves", "--p", "221")
+    assert code == EXIT_USAGE and "prime" in err
+
+
 # stdout digests of `verify --theorem conjecture --theorem roots --k 2`, whose
 # reports print the exact minimum line covers cover_S and cover_X
 COVER_VERIFY_SHA256 = {

@@ -18,7 +18,7 @@ from primeplane.cyclotomic import (
     parse_value,
     root_of_unity,
 )
-from reference import basis_coeffs, cycnum_from_json, cycnum_to_json, galois
+from reference import basis_coeffs, cycnum_eq, cycnum_from_json, cycnum_to_json, galois
 
 PRIMES = (2, 3, 5, 7)
 
@@ -234,6 +234,41 @@ def test_equality_across_fields_is_transitive():
     z3, z5 = root_of_unity(3, 1), root_of_unity(5, 1)
     assert z3 != z5 and z5 != z3 and z3 != 1 and len({z3, z5}) == 2
     assert z3 != CycNum.one(5) and CycNum.one(5) != z3
+
+
+@st.composite
+def equality_operands(draw):
+    """(x, other): x in Q(zeta_p), p in {2, 3, 5, 7, 23}, often rational;
+    other of the same field, an equal copy, of another field, x's rational
+    value, an int, a Fraction, a bool or None."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 23]))
+    rational = st.integers(-3, 3) | st.fractions(max_denominator=6)
+    x = draw(cycnums(p) | rational.map(lambda r: CycNum.from_rational(p, r)))
+    kind = draw(st.sampled_from(["same", "copy", "other-field", "value", "int", "fraction",
+                                 "bool", "none"]))
+    if kind == "same":
+        other = draw(cycnums(p))
+    elif kind == "copy":
+        other = CycNum(p, basis_coeffs(x))
+    elif kind == "other-field":
+        q = draw(st.sampled_from([q for q in (2, 3, 5, 7, 23) if q != p]))
+        value = x.rational_value() if x.is_rational() else draw(rational)
+        other = draw(cycnums(q) | st.just(CycNum.from_rational(q, value)))
+    elif kind == "value":
+        other = x.rational_value() if x.is_rational() else draw(rational)
+    else:
+        other = draw({"int": st.integers(-3, 3), "fraction": st.fractions(max_denominator=6),
+                      "bool": st.booleans(), "none": st.none()}[kind])
+    return x, other
+
+
+@settings(max_examples=300, deadline=None)
+@given(equality_operands())
+def test_equality_matches_the_rational_and_field_oracle(operands):
+    x, other = operands
+    result, expected = x.__eq__(other), cycnum_eq(x, other)
+    assert result is expected if expected is NotImplemented else result == expected
+    assert (x == other) == (other == x)
 
 
 def test_pickle_round_trip():

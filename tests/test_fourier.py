@@ -46,13 +46,19 @@ from reference import (
     coset_indicator,
     coset_restriction_transform,
     coset_sum_identity,
+    cycnum_eq,
     delta,
+    double_transform_values,
     galois,
     galois_twist,
     gfunc_from_json,
     gfunc_to_json,
+    gfunc_values,
     orthogonal,
     rational_support_closure,
+    support_mask,
+    to_literal,
+    twist_values,
 )
 
 
@@ -942,6 +948,91 @@ def test_gfunc_checks_p_once(monkeypatch):
     for bad in (True, 0.5, "1"):
         with pytest.raises(TypeError):
             GFunc(3, 1, PRIMAL, [0, bad, 0])
+
+
+class _Int(int):
+    """An int subclass, which GFunc converts as the int it is."""
+
+
+def letter(p):
+    """An int, a Fraction (whole or not) or a CycNum of field p."""
+    coeff = st.integers(-3, 3) | st.sampled_from([Fraction(1, 2), Fraction(-2, 3), Fraction(4, 2)])
+    return coeff | st.lists(coeff, min_size=p - 1, max_size=p - 1).map(lambda cs: CycNum(p, cs))
+
+
+@st.composite
+def exact_values(draw):
+    """(p, rank, values, chi): a few letters, ints, Fractions and CycNums
+    mixed, spread over none, a tenth, half or all of the p**rank points,
+    the rest 0; chi is a character index."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 23]))
+    rank = draw(st.sampled_from([1, 2]))
+    letters = draw(st.lists(letter(p), min_size=1, max_size=8))
+    density = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    rng = draw(st.randoms(use_true_random=False))
+    values = [rng.choice(letters) if rng.random() < density else 0 for _ in range(p**rank)]
+    return p, rank, values, draw(st.integers(0, p**rank - 1))
+
+
+def canonical(values):
+    return [(v.__class__, v.p, v.num, v.den) for v in values]
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact_values(), st.sampled_from([PRIMAL, DUAL]))
+def test_exact_routes_match_their_per_point_oracles(case, side):
+    p, rank, values, chi = case
+    f = GFunc(p, rank, side, values)
+    assert canonical(f.values) == canonical(gfunc_values(p, values))
+    assert f.support_mask == support_mask(f)
+    assert f.to_literal() == to_literal(f)
+    twisted = twist(f, chi)
+    assert canonical(twisted.values) == canonical(twist_values(f, chi))
+    assert canonical(double_transform(f).values) == canonical(double_transform_values(f))
+    for g in (twisted, GFunc(p, rank, side, [v * 1 for v in f.values])):
+        assert (f == g) == all(cycnum_eq(a, b) for a, b in zip(f.values, g.values))
+    # a transform's outputs: its packed mask against the decoded values
+    hat = fourier_transform(f)
+    mask = hat.support_mask
+    assert mask == support_mask(hat) and hat.to_literal() == to_literal(hat)
+
+
+def raised(build):
+    """The type and message of what build() raises, or None."""
+    try:
+        build()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(exact_values(), st.sampled_from([True, False, 0.5, 1.0, "1", None, [1], _Int(3),
+                                        Fraction(6, 3), CycNum.one(11), CycNum.zero(13)]),
+       st.integers(0, 528))
+def test_gfunc_raises_what_the_per_point_route_raises(case, odd, where):
+    p, rank, values, _ = case
+    values[where % len(values)] = odd
+    expected = raised(lambda: gfunc_values(p, values))
+    assert raised(lambda: GFunc(p, rank, PRIMAL, values)) == expected
+    if expected is None:
+        assert canonical(GFunc(p, rank, PRIMAL, values).values) == \
+            canonical(gfunc_values(p, values))
+
+
+def test_exact_work_follows_the_distinct_values(monkeypatch):
+    # one conversion per distinct int, and one format per distinct value;
+    # the per-point routes made 529 and 49
+    makes, formats = [], []
+    make, fmt = fourier._make, fourier.format_value
+    monkeypatch.setattr(fourier, "_make", lambda *args: makes.append(args) or make(*args))
+    monkeypatch.setattr(fourier, "format_value", lambda x: formats.append(x) or fmt(x))
+    f = GFunc(23, 2, PRIMAL, [0] * 463 + [1] * 66)
+    assert len(makes) <= 2
+    assert f.support_mask == ((1 << 66) - 1) << 463
+    g = GFunc(7, 2, PRIMAL, [Fraction(u % 7, 2) for u in range(49)])
+    assert g.to_literal() == to_literal(g)
+    assert len(formats) == 7
 
 
 def test_gfunc_validation():
