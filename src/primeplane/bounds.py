@@ -69,8 +69,9 @@ class SupportPair(NamedTuple):
     _POINT_SETS most recently used sets, so a transform support that
     recurs across candidates keeps its line census.  A set counts its
     lines once, on its first read of `PointSet.line_counts` or
-    `PointSet.line_profile`.  `covers` holds the exact minimum line covers
-    of S and X where a caller has computed them.
+    `PointSet.line_profile`, unless `s_profile` gives S's line profile, as
+    the block census of random sweeps does.  `covers` holds the exact
+    minimum line covers of S and X where a caller has computed them.
     """
 
     p: int
@@ -81,6 +82,7 @@ class SupportPair(NamedTuple):
     x_size: int
     rational: bool
     covers: Optional[Tuple[int, int]] = None
+    s_profile: Optional[tuple] = None
 
     @classmethod
     def from_masks(cls, p: int, rank: int, s_mask: int, x_mask: int,
@@ -89,7 +91,8 @@ class SupportPair(NamedTuple):
 
     @property
     def S(self) -> Optional[PointSet]:
-        return _point_set(self.p, PRIMAL, self.s_mask) if self.rank == 2 else None
+        S = _point_set(self.p, PRIMAL, self.s_mask) if self.rank == 2 else None
+        return S if self.s_profile is None else S.with_profile(self.s_profile)
 
     @property
     def X(self) -> Optional[PointSet]:

@@ -7,7 +7,7 @@ inversion f(g) = sum_w hat(f)(w) * chi_w(g).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, compress, islice, product, repeat
 from math import lcm
 from operator import attrgetter, itemgetter, lshift, or_
@@ -472,7 +472,7 @@ def int_support_masks(p: int, rank: int, values: Sequence[int]) -> Tuple[int, in
     (p + 1) * p^2 integer additions at rank 2, however large the support.  The test
     suite checks this route against one pass over the support per
     direction, against one pass per character, and against the transform;
-    in turn it is the oracle of int_support_stream, at every ordinal.
+    in turn it is the oracle of int_support_stream and int_support_block.
     """
     lines = _line_getters(p, rank)  # validates p and rank
     n = p**rank
@@ -583,6 +583,88 @@ def int_support_stream(p: int, rank: int, ints: Sequence[int], start: int,
         s_row = list(map(or_, repeat(sum(compress(bits, values))), s_low[lo:hi]))
         # a zero S mask is the zero candidate, the one that is skipped
         yield from compress(zip(range(first + lo, first + hi), s_row, x_row[lo:hi]), s_row)
+
+
+def int_support_block(p: int, rank: int, ints: Sequence[int], rows: Sequence[Sequence[int]]
+                      ) -> Tuple[List[int], List[int], list]:
+    """(s_masks, x_masks, s_profiles) of a block of candidates over `ints`,
+    row c giving candidate c's index into ints per point, as bytes (fewer
+    than 256 letters) or a list.  The masks are int_support_masks's, and
+    s_profiles[c] is PointSet(p, PRIMAL, s_masks[c]).line_profile (None at
+    rank 1); the test suite checks both at every ordinal.
+
+    A candidate has a k-byte slot in one column int per point: kv bytes of
+    the code v - min(ints), then kc holding 1 where v != 0; n codes sum
+    below 256**kv, a line's count below 256**kc <= 256**kv, so no field
+    carries.  One C-level sum over a line's columns (_line_getters) is
+    every candidate's line sum and count, read field-wise, F all ones in a
+    field and H the bit above: d is in X iff a line's value field differs
+    from line 0's (the ORed differences plus F reach H), and w = 0 iff the
+    total is not a zero sum's, n * -min(ints); a count is zero iff F + it
+    does not reach H, a zero count is raised to F, a minimum keeps b where
+    (a | H) - b keeps H, and the empty lines are the zero flags summed.  S
+    is int(row[::-1], 2) of its row as ASCII, X a sum of line masks per
+    distinct flag pattern.  Memory is O(n * k) bytes per candidate.
+    """
+    lines = _line_getters(p, rank)  # validates p and rank
+    n, m = p**rank, len(rows)
+    lo, hi = min(ints), max(ints)
+    kc = -(-p.bit_length() // 8)
+    kv = max(-(-(n * (hi - lo)).bit_length() // 8), kc)
+    k, wv, wc = kv + kc, 8 * kv, 8 * kc
+    table = lambda f: bytes(map(f, ints)).ljust(256, b"\0")  # noqa: E731  by digit
+    planes = [(i, table(lambda v: (v - lo) >> 8 * i & 255)) for i in range(kv)]
+    planes = [plane for plane in planes if any(plane[1])] + [(kv, table(bool))]
+    if len(ints) < 256:
+        digits, plane = b"".join(rows), bytes.translate
+    else:  # list rows, looked up one index at a time
+        digits = list(chain.from_iterable(rows))
+        plane = lambda part, t: bytes(map(t.__getitem__, part))  # noqa: E731
+    ascii = table(lambda v: 48 + bool(v))
+    s_masks = [int(plane(digits[i:i + n], ascii)[::-1], 2) for i in range(0, m * n, n)]
+    wide = bytearray(m * k)
+    columns = []
+    for g in range(n):
+        part = digits[g::n]
+        for offset, codes in planes:
+            wide[offset::k] = plane(part, codes)
+        columns.append(int.from_bytes(wide, "little"))
+
+    def fields(x: int, at: int, width: int) -> Sequence[int]:  # bytes at..at+width-1 of each slot
+        data = x.to_bytes(m * k, "little")
+        if width == 1:
+            return data[at::k]
+        return [int.from_bytes(data[i:i + width], "little") for i in range(at, m * k, k)]
+
+    one = int.from_bytes(b"\1".ljust(k, b"\0") * m, "little")
+    vf, cf = ((1 << wv) - 1) * one, ((1 << wc) - 1) * one
+    vh, ch = vf + one, cf + one
+    rows_x, least, empty = [], [], []
+    for d, (first, rest, _) in enumerate(lines):
+        sums = [sum(first(columns))] + [sum(line(columns)) for line in rest]
+        diff = reduce(or_, [s ^ sums[0] for s in sums])
+        if d == 0:  # the lines of one direction split the points: w = 0 first
+            total = sum([s & vf for s in sums])
+            rows_x.append(fields(((total ^ -n * lo * one) + vf) & vh if lo <= 0 <= hi else vh,
+                                 kv, 1))
+        rows_x.append(fields(((diff & vf) + vf) & vh, kv, 1))
+        if rank == 2:
+            low, zeros = cf, 0
+            for s in sums:
+                c = s >> wv & cf
+                z = ((c + cf) & ch) ^ ch
+                zeros += z
+                c |= z - (z >> wc)
+                ge = ((low | ch) - c) & ch
+                low ^= (low ^ c) & (ge - (ge >> wc))
+            full = (low + one) & ch  # every line empty: S is empty, and least is 0
+            least.append(fields(low ^ (full - (full >> wc)), 0, kc))
+            empty.append(fields(zeros >> wc, 0, kc))
+    keys = list(zip(*rows_x))
+    masks = (1,) + tuple(mask for _, _, mask in lines)
+    known = {key: sum(compress(masks, key)) for key in set(keys)}
+    profiles = list(zip(zip(*least), zip(*empty))) if rank == 2 else [None] * m
+    return s_masks, list(map(known.__getitem__, keys)), profiles
 
 
 # -- coset restriction ----------------------------------------------------------

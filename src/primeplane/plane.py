@@ -230,6 +230,12 @@ class PointSet(_Frozen):
         self.__dict__.update(line_counts=rows, line_profile=(least, empty))
         return self.__dict__[name]
 
+    def with_profile(self, profile: tuple) -> "PointSet":
+        """The set, its line_profile `profile` (counted by the caller) unless
+        already counted; line_counts is still counted on its first read."""
+        self.__dict__.setdefault("line_profile", profile)
+        return self
+
     def indices(self) -> Tuple[int, ...]:
         """The point indices in increasing order, read from the mask's binary
         digits by str.find in C: O(p^2) steps, where a shift per bit is O(p^4)."""

@@ -7,12 +7,12 @@ Candidates are enumerated by a mixed-radix counter over the point index
 reproducible and the lexicographically least witness is always found
 first.  A twisted candidate is decided untwisted, its X then translated.
 Sweeps over all-rational alphabets, scaled to integers by the lcm of
-their denominators, use the integer support kernel from the fourier
-module, which decides an exhaustive space a block of candidates at a
-time; other alphabets take the packed zero test of the exact transform,
-which decodes no value.  Sweeps and hunts run their checks once per
-distinct support pair, and a sweep tallies each distinct row of verdicts
-once.
+their denominators, use the integer support kernels from the fourier
+module, which decide a block of candidates at a time (a random block
+counts S's lines too); other alphabets take the packed zero test of the
+exact transform, which decodes no value.  Sweeps and hunts run their
+checks once per distinct support pair, and a sweep tallies each distinct
+row of verdicts once.
 """
 
 from __future__ import annotations
@@ -21,14 +21,15 @@ import os
 import random
 from collections import Counter
 from functools import lru_cache
-from itertools import islice, product, repeat
+from itertools import compress, islice, product, repeat
 from math import lcm
 from operator import itemgetter
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cyclotomic import CycNum, check_prime, format_value, parse_value
-from .fourier import (GFunc, exact_support_masks, int_support_masks, int_support_stream,
+from .fourier import (GFunc, exact_support_masks, int_support_block, int_support_stream,
                       twist)
+from .fourier import int_support_masks  # noqa: F401  the block's oracle; tracers wrap this name
 from .plane import DUAL, PRIMAL, LineSubgroup, Point
 from . import bounds
 from .bounds import EQUALITY, EXCEPTION, VIOLATED
@@ -384,29 +385,51 @@ def _translate(p: int, rank: int, mask: int, chi: int) -> int:
     return (mask << cx * p | mask >> n - cx * p) & full
 
 
-def _candidates(space: SearchSpace, start: int, stop: int):
+#: the point slots (candidates times points) of one block of a random
+#: integer space: its columns take about 100 KB below p = 182
+_BLOCK_SLOTS = 2**15
+
+
+def _candidates(space: SearchSpace, start: int, stop: int,
+                s_profiles: Optional[Dict[int, tuple]] = None):
     """Yield (ordinal, s_mask, x_mask) for each nonzero candidate with
     start <= ordinal < stop, in ordinal order.
 
     f twisted by chi has transform w -> hat f(w - chi): f's S, and f's X
     translated by chi (_translate, skipped for chi = 0).  So f is decided
-    untwisted, by the integer kernel over int_alphabet or else
+    untwisted, by the integer kernels over int_alphabet or else
     fourier.exact_support_masks.  A random space decodes each ordinal to
-    (digits, chi); an exhaustive one runs one stream per character, by
-    fourier.int_support_stream or over itertools.product's tuples (last
-    position fastest, so tuple k reversed is counter k).
+    (digits, chi), and over int_alphabet decides them by
+    fourier.int_support_block, _BLOCK_SLOTS // p**rank at a time but at
+    rank 2 at least p, over which a block's p(p + 1) line sums spread;
+    while a block is yielded, `s_profiles`, when given, maps its S masks to
+    their line profiles.  An exhaustive space runs one stream per
+    character, by fourier.int_support_stream or over itertools.product's
+    tuples (last position fastest, so tuple k reversed is counter k).
     """
     p, rank = space.p, space.rank
     ints = space.int_alphabet()
     if space.mode == "random":
-        letters, masks = (ints, int_support_masks) if ints else \
-            (space.alphabet, exact_support_masks)
         rng = random.Random()
-        for ordinal in range(start, stop):
-            digits, chi = space._decode(ordinal, rng)
-            s_mask, x_mask = masks(p, rank, [letters[d] for d in digits])
-            if s_mask:
-                yield ordinal, s_mask, _translate(p, rank, x_mask, chi) if chi else x_mask
+        if ints is None:
+            for ordinal in range(start, stop):
+                digits, chi = space._decode(ordinal, rng)
+                s_mask, x_mask = exact_support_masks(p, rank, [space.alphabet[d] for d in digits])
+                if s_mask:
+                    yield ordinal, s_mask, _translate(p, rank, x_mask, chi) if chi else x_mask
+            return
+        size = max(_BLOCK_SLOTS // space.n_points, p ** (rank - 1))
+        for first in range(start, stop, size):
+            ordinals = range(first, min(first + size, stop))
+            rows, chis = zip(*[space._decode(ordinal, rng) for ordinal in ordinals])
+            s_masks, x_masks, profiles = int_support_block(p, rank, ints, rows)
+            if space.char_twist:
+                x_masks = [_translate(p, rank, x_mask, chi) if chi else x_mask
+                           for x_mask, chi in zip(x_masks, chis)]
+            if s_profiles is not None:
+                s_profiles.clear()
+                s_profiles.update(zip(s_masks, profiles))
+            yield from compress(zip(ordinals, s_masks, x_masks), s_masks)
         return
     count = space.base_count
     for chi in range(start // count, -(-stop // count)):
@@ -442,20 +465,24 @@ def _outcomes(space: SearchSpace, items: Sequence[Tuple[str, str, object]],
     and one interned tuple per pair, and it is cleared when it holds
     _MEMO_LIMIT pairs, so memory does not grow with the space where pairs
     do not recur; a verdict row is a function of its key, so clearing
-    changes no output.
+    changes no output.  Where _candidates has counted S's lines (random
+    integer spaces), the pair hands S that line profile.
     """
     p, rank, n = space.p, space.rank, space.n_points
     rational = space.all_rational()
     row = [(bounds.CHECKS[name].decide, param) for _, name, param in items]
     memo: Dict[int, tuple] = {}
     interned: Dict[tuple, tuple] = {}
-    for ordinal, s_mask, x_mask in _candidates(space, start, stop):
+    s_profiles: Dict[int, tuple] = {}
+    for ordinal, s_mask, x_mask in _candidates(space, start, stop, s_profiles):
         key = (s_mask << n) | x_mask
         value = memo.get(key)
         if value is None:
             if len(memo) >= _MEMO_LIMIT:
                 memo.clear()
-            pair = bounds.SupportPair.from_masks(p, rank, s_mask, x_mask, rational)
+            pair = bounds.SupportPair(p, rank, s_mask, x_mask, s_mask.bit_count(),
+                                      x_mask.bit_count(), rational,
+                                      s_profile=s_profiles.get(s_mask))
             value = tuple([decide(pair, param) for decide, param in row])
             value = memo[key] = interned.setdefault(value, value)
         yield ordinal, value

@@ -573,6 +573,18 @@ def test_large_p_classify_within_128_mb(argv, digest):
     assert hashlib.sha256(done.stdout.encode()).hexdigest() == digest
 
 
+def test_random_sweep_at_p101_within_256_mb():
+    # blocks of 102 candidates, each point's column 306 bytes; the digest
+    # is that of the per-candidate route this block route replaced, which
+    # peaked near 56 MB
+    done = child("sweep", "--p", "101", "--mode", "random", "--budget", "50",
+                 "--theorem", "coset-counts", "--theorem", "product",
+                 preexec_fn=address_space_cap(256 << 20))
+    assert done.returncode == EXIT_OK, done.stderr
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == \
+        "c131b748942a1a1147cc8b4765ef0b1eb42551e6b384ed4a5b19b145fcb10cbf"
+
+
 def three_point_literal(p):
     """1 at index 0, z at index 1 and 1 at index p: a support in two
     parallel lines but in no one line, so classify takes the primal-cover

@@ -18,6 +18,7 @@ from primeplane.fourier import (
     double_transform,
     exact_support_masks,
     fourier_transform,
+    int_support_block,
     int_support_masks,
     inverse_transform,
     line_sums,
@@ -30,6 +31,7 @@ from primeplane.plane import (
     PRIMAL,
     LineSubgroup,
     Point,
+    PointSet,
     opposite_side,
     tables,
 )
@@ -902,6 +904,78 @@ def test_int_kernel_matches_per_character_route_and_transform(p):
     # p's cached line table must not vouch for a float equal to p
     with pytest.raises(ValueError):
         int_support_masks(float(p), 2, [1] * p**2)
+
+
+def check_block(p, rank, ints, value_rows):
+    """int_support_block on the rows of these values against
+    int_support_masks and PointSet's census, candidate by candidate."""
+    index = {v: i for i, v in enumerate(ints)}
+    as_row = bytes if len(ints) < 256 else list
+    rows = [as_row(index[v] for v in values) for values in value_rows]
+    s_masks, x_masks, profiles = int_support_block(p, rank, ints, rows)
+    assert len(s_masks) == len(x_masks) == len(profiles) == len(value_rows)
+    for values, s_mask, x_mask, profile in zip(value_rows, s_masks, x_masks, profiles):
+        assert (s_mask, x_mask) == int_support_masks(p, rank, values), values
+        assert profile == (PointSet(p, PRIMAL, s_mask).line_profile if rank == 2 else None)
+
+
+#: the sweep alphabets, 0,1/2,1 scaled to 0,1,2, letters of one sign, one
+#: letter, letters near 10**30, and 300 letters (rows as lists)
+BLOCK_ALPHABETS = [(-1, 0, 1), (0, 1), (-2, -1, 0, 1, 2), (0, 1, 2), (-2, 0, 1, 3), (1, 2),
+                   (-3, -1), (0,), (5,), (10**30, -10**30 + 1, 0), tuple(range(-150, 150))]
+
+
+def block_rows(p, rank, ints, rng, kind, m):
+    """m value rows over ints: random, zero (where 0 is a letter), or
+    constant on the lines of one direction, so that X misses it."""
+    n = p**rank
+    if kind == "zero" and 0 in ints:
+        return [[0] * n for _ in range(m)]
+    if kind == "lines" and rank == 2:
+        ids = tables(p).coset_id
+        rows = []
+        for _ in range(m):
+            line_values = [rng.choice(ints) for _ in range(p)]
+            rows.append([line_values[ids[rng.randrange(p + 1)][g]] for g in range(n)])
+        return rows
+    return [[rng.choice(ints) for _ in range(n)] for _ in range(m)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 11, 13, 23, 31]), st.sampled_from([1, 2]),
+       st.sampled_from(BLOCK_ALPHABETS), st.integers(0, 2**32),
+       st.lists(st.sampled_from(["random", "zero", "lines"]), min_size=1, max_size=3))
+def test_int_support_block_matches_the_per_candidate_oracle(p, rank, ints, seed, kinds):
+    rng = random.Random(seed)
+    m = 6 if p**rank < 200 else 2
+    check_block(p, rank, ints, [row for kind in kinds
+                                for row in block_rows(p, rank, ints, rng, kind, m)])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_int_support_block_on_the_kernel_inputs(p):
+    # one block over the union of the inputs' values (hundreds of letters,
+    # so list rows), and each input in a block of its own alphabet beside
+    # the zero function
+    rng = random.Random(2000 + p)
+    for rank in (1, 2):
+        inputs = kernel_inputs(p, rank, rng)
+        check_block(p, rank, tuple(sorted({v for vals in inputs for v in vals})), inputs)
+        for vals in inputs:
+            ints = tuple(sorted(set(vals) | {0}))
+            check_block(p, rank, ints, [vals, [0] * p**rank, vals[::-1]])
+
+
+def test_int_support_block_at_large_p():
+    # value fields wider than a byte: n * 2 needs 15 bits at p = 101, and
+    # 300 letters of range 299 need 22; at p = 257 a count takes two bytes
+    rng = random.Random(101)
+    for ints in [(-1, 0, 1), tuple(range(-150, 150))]:
+        check_block(101, 2, ints, block_rows(101, 2, ints, rng, "random", 2)
+                    + block_rows(101, 2, ints, rng, "lines", 1))
+        for p in (101, 257):
+            check_block(p, 1, ints, block_rows(p, 1, ints, rng, "random", 20)
+                        + [[ints[0]] * p])
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])

@@ -25,6 +25,8 @@ SRC = PACKAGE.parent
 UNENTERED = {
     ("bounds", "evaluate"): "perfbench/worker.py wraps it to count check calls",
     ("fourier", "pair_exponents"): "perfbench/worker.py reads its cache statistics",
+    ("fourier", "int_support_masks"): "perfbench/worker.py wraps search's name for it when "
+                                      "it traces, and it is the block route's oracle",
     ("cli", "__getattr__"): "PEP 562: reads cli's lazy names from outside, before a handler",
     ("cyclotomic", "CycNum.__init__"): "the public constructor; perfbench/worker.py wraps it",
     ("cyclotomic", "CycNum.__setattr__"): "immutability: runs only when a caller assigns",

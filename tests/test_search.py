@@ -827,6 +827,77 @@ def test_twisted_candidates_translate_the_untwisted_masks(p, rank, mode, alphabe
             [c for c in full if a <= c[0] < b], (a, b)
 
 
+TEN30 = "1000000000000000000000000000000"
+
+
+@pytest.mark.parametrize("p, rank, alphabet, twist, budget", [
+    (2, 2, (0, 1), False, 300), (2, 1, (0, 1), True, 300), (3, 2, (-1, 0, 1), True, 300),
+    (5, 2, (0, "1/2", 1), False, 300), (7, 1, (-2, -1, 0, 1, 2), True, 300),
+    (7, 2, (TEN30, "-" + TEN30[:-1] + "1", 0), False, 100),
+    (3, 2, tuple(range(-150, 150)), True, 100), (11, 2, tuple(range(-150, 150)), False, 40),
+    (101, 2, (-1, 0, 1), False, 4),
+    (101, 1, (-1, 0, 1), True, 100),
+], ids=["p2", "p2-rank1-twist", "p3-twist", "p5-halves", "p7-rank1-twist", "p7-1e30",
+        "p3-300-twist", "p11-300", "p101", "p101-rank1-twist"])
+def test_random_blocks_match_the_per_ordinal_oracle(monkeypatch, p, rank, alphabet, twist,
+                                                    budget):
+    # int_support_block's masks and S profiles, through the space's own
+    # decoding and twist, against int_support_masks and the census of
+    # PointSet at every ordinal; blocks of 7 candidates, so that ranges
+    # start and end inside a block, as --jobs chunks do
+    space = make_space(p, alphabet=alphabet, rank=rank, mode="random", seed=5, budget=budget,
+                       char_twist=twist)
+    ints, rng, expected = space.int_alphabet(), random.Random(), {}
+    for ordinal in range(budget):
+        digits, chi = space._decode(ordinal, rng)
+        s_mask, x_mask = int_support_masks(p, rank, [ints[d] for d in digits])
+        if s_mask:
+            expected[ordinal] = s_mask, search._translate(p, rank, x_mask, chi)
+    assert 0 < len(expected) <= budget
+    if p == 2:
+        assert len(expected) < budget  # zero candidates, which are skipped
+    monkeypatch.setattr(search, "_BLOCK_SLOTS", 7 * space.n_points)
+    for a, b in [(0, budget), (3, budget - 2), (6, 8), (7, 15), (budget // 2, budget // 2)]:
+        a, b = min(a, budget), min(b, budget)
+        profiles = {}
+        got = []
+        for ordinal, s_mask, x_mask in search._candidates(space, a, b, profiles):
+            got.append((ordinal, s_mask, x_mask))
+            assert profiles[s_mask] == \
+                (PointSet(p, PRIMAL, s_mask).line_profile if rank == 2 else None)
+        assert got == [(o, *expected[o]) for o in range(a, b) if o in expected], (a, b)
+
+
+def test_random_sweep_counts_no_support_census(monkeypatch):
+    # S comes with the profile its block counted, so coset-counts counts
+    # the lines of no primal set; the report is the one of counted sets
+    space = make_space(7, mode="random", seed=2, budget=600)
+    counted = search._run_range(space, search._check_items(space, ["coset-counts"], None, None),
+                                0, 600, True)
+    census = PointSet.__getattr__
+    sides = []
+
+    def counting(ps, name):
+        sides.append(ps.side)
+        return census(ps, name)
+
+    search.bounds._point_set.cache_clear()
+    monkeypatch.setattr(PointSet, "__getattr__", counting)
+    items = search._check_items(space, ["coset-counts"], None, None)
+    assert search._run_range(space, items, 0, 600, True) == counted
+    assert PRIMAL not in sides and DUAL in sides
+
+
+def test_random_sweep_jobs_agree_at_p11():
+    # 5,000 candidates in blocks of 270, in one chunk at jobs=1 and in two
+    # of 2,500 at jobs=2: neither chunk ends at a block's edge
+    space = make_space(11, mode="random", seed=4, budget=5000)
+    assert search._BLOCK_SLOTS // space.n_points == 270
+    serial = sweep(space, ["coset-counts", "product"], jobs=1).to_json()
+    assert sweep(space, ["coset-counts", "product"], jobs=2).to_json() == serial
+    assert serial["nonzero"] == 5000
+
+
 @pytest.mark.parametrize("rank", [1, 2])
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_translate_matches_a_per_bit_translate(p, rank):
